@@ -80,17 +80,22 @@ class Chart:
 
 def blow_up_poly(f: MPoly, n: int, center: Center, chart_var: int) -> MPoly:
     """Weighted transform of f in the chart_var chart: substitute v <- v*w for
-    the other center variables, then divide by w^n exactly."""
+    the other center variables, then divide by w^n exactly.
+
+    On a term this is the monomial map e[w] <- e[w] + sum of e[v] over the
+    other center variables, minus n.  The map is injective, so every term
+    goes to exactly one term and no products are formed.
+    """
     if chart_var not in center.vars:
         raise ValueError("chart variable must belong to the center")
-    w = MPoly.var(f.field, f.nvars, chart_var)
-    mapping = {v: MPoly.var(f.field, f.nvars, v) * w
-               for v in center.vars if v != chart_var}
-    g = f.substitute(mapping)
-    try:
-        return g.divide_by_var_power(chart_var, n)
-    except ValueError:
-        raise PermissibilityError("center not permissible for weight %d" % n)
+    others = [v for v in center.vars if v != chart_var]
+    terms = []
+    for e, c in f.terms:
+        k = e[chart_var] + sum(e[v] for v in others) - n
+        if k < 0:
+            raise PermissibilityError("center not permissible for weight %d" % n)
+        terms.append((e[:chart_var] + (k,) + e[chart_var + 1:], c))
+    return MPoly._from_terms(f.field, f.nvars, terms)
 
 
 def transform_pair(pair: Pair, center: Center, chart_var: int) -> Pair:

@@ -9,6 +9,13 @@ class CharpresError(Exception):
     """Base class for all library-specific failures."""
 
 
+class InvariantError(AssertionError):
+    """Raised when an internal consistency check fails: a bug, not bad input.
+
+    Unlike a bare `assert`, the check runs under `python -O` as well.
+    """
+
+
 class PolyParseError(CharpresError):
     """Raised when polynomial text does not conform to the input syntax."""
 

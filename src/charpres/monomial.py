@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import (NonMonomialElimError, PermissibilityError, TrackingError)
+from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
+                     TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
 from .projection import (Presentation, SimplifiedPresentation, hord,
                          upstairs_algebra)
@@ -278,8 +279,8 @@ def resolve_game(M: MonomialAlg, chart: Chart) -> GameResult:
                 additions.add(S | {new_lab})
         faces = kept | additions
         moves.append(GameMove(T, new_lab, h[new_lab], table()))
-    assert all(sum(h[l] for l in S) < s for S in faces), \
-        "game ended with a qualifying stratum left"
+    if any(sum(h[l] for l in S) >= s for S in faces):
+        raise InvariantError("game ended with a qualifying stratum left")
     return GameResult(tuple(moves), table(), frozenset(faces))
 
 

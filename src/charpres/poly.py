@@ -16,9 +16,10 @@ import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import PolyParseError
+from .errors import NotMonicError, PolyParseError
 
 # Orders of the zero polynomial and of empty algebras compare as infinity.
 # float("inf") is used strictly for comparisons and never serialized as-is.
@@ -105,8 +106,9 @@ class FieldSpec:
         return "Q" if p == 0 else f"F_{p}"
 
 
-def _grlex_key(exps: Exps):
-    return (sum(exps), exps)
+def _term_key(term):
+    e = term[0]
+    return (sum(e), e)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,25 @@ class MPoly:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for arity {nvars}")
             items.append((tuple(exps), c))
-        items.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
+        items.sort(key=_term_key, reverse=True)
+        return cls(field, nvars, tuple(items))
+
+    @classmethod
+    def _from_terms(cls, field: FieldSpec, nvars: int, pairs: Iterable[tuple]) -> "MPoly":
+        """Trusted constructor for kernel results.
+
+        `pairs` are (exponent tuple, coefficient) with distinct exponent
+        tuples of arity `nvars`.  Coefficients are field elements, except
+        that over F_p they may be unreduced integer sums.  Nothing is coerced
+        or validated: coefficients are reduced mod p, zeros dropped and the
+        terms sorted.
+        """
+        p = field.characteristic
+        if p:
+            items = [(e, r) for e, c in pairs if (r := c % p)]
+        else:
+            items = [(e, c) for e, c in pairs if c]
+        items.sort(key=_term_key, reverse=True)
         return cls(field, nvars, tuple(items))
 
     @classmethod
@@ -203,10 +223,10 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check_compat(other)
         d = dict(self.terms)
-        f = self.field
+        get = d.get
         for e, c in other.terms:
-            d[e] = f.add(d.get(e, f.zero), c)
-        return MPoly.from_dict(f, self.nvars, d)
+            d[e] = get(e, 0) + c
+        return MPoly._from_terms(self.field, self.nvars, d.items())
 
     def __neg__(self) -> "MPoly":
         f = self.field
@@ -216,18 +236,15 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        """Schoolbook product; over F_p the sums are reduced once at the end."""
         self._check_compat(other)
-        f = self.field
         d: dict = {}
+        get = d.get
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = f.mul(c1, c2)
-                if e in d:
-                    d[e] = f.add(d[e], prod)
-                else:
-                    d[e] = prod
-        return MPoly.from_dict(f, self.nvars, d)
+                e = tuple(map(_add, e1, e2))
+                d[e] = get(e, 0) + c1 * c2
+        return MPoly._from_terms(self.field, self.nvars, d.items())
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -246,7 +263,8 @@ class MPoly:
         c = f.coerce(c)
         if c == 0:
             return MPoly.zero_poly(f, self.nvars)
-        return MPoly.from_dict(f, self.nvars, {e: f.mul(cc, c) for e, cc in self.terms})
+        # a nonzero scalar keeps every term nonzero and the order unchanged
+        return MPoly(f, self.nvars, tuple((e, f.mul(cc, c)) for e, cc in self.terms))
 
     def _check_compat(self, other: "MPoly"):
         if self.field != other.field or self.nvars != other.nvars:
@@ -271,17 +289,20 @@ class MPoly:
             rest = list(e)
             rest[i] = 0
             buckets.setdefault(k, {})[tuple(rest)] = c
-        return {k: MPoly.from_dict(self.field, self.nvars, d) for k, d in buckets.items()}
+        return {k: MPoly._from_terms(self.field, self.nvars, d.items())
+                for k, d in buckets.items()}
 
     # -- substitution and friends -------------------------------------------
 
     def substitute(self, mapping: Mapping[int, "MPoly"]) -> "MPoly":
         """Simultaneously replace variables by polynomials (ring morphism)."""
         f = self.field
-        out = MPoly.zero_poly(f, self.nvars)
+        one = MPoly.const(f, self.nvars, 1)
         pow_cache: dict = {}
+        d: dict = {}
+        get = d.get
         for e, c in self.terms:
-            piece = MPoly.const(f, self.nvars, c)
+            piece = one
             plain = [0] * self.nvars
             for i, k in enumerate(e):
                 if k == 0:
@@ -293,29 +314,53 @@ class MPoly:
                     piece = piece * pow_cache[key]
                 else:
                     plain[i] = k
-            if any(plain):
-                piece = piece * MPoly.monomial(f, self.nvars, plain)
-            out = out + piece
-        return out
+            for e2, c2 in piece.terms:
+                ee = tuple(map(_add, e2, plain))
+                d[ee] = get(ee, 0) + c * c2
+        return MPoly._from_terms(f, self.nvars, d.items())
 
     def translate(self, values) -> "MPoly":
         """Shift coordinates to a closed point: x_i -> x_i + v_i.
 
         `values` may contain None entries for variables left untouched.
         The result expresses the polynomial in local coordinates at the point.
+        Each moved variable is one Taylor shift over the terms: c*x_i^k
+        expands to sum_j binom(k, j) v_i^(k-j) c*x_i^j, so a shift costs
+        sum over terms of (k + 1) coefficient operations.
         """
         f = self.field
-        mapping = {}
+        p = f.characteristic
+        terms = self.terms
         for i, v in enumerate(values):
             if v is None:
                 continue
             v = f.coerce(v)
             if v == 0:
                 continue
-            mapping[i] = MPoly.var(f, self.nvars, i) + MPoly.const(f, self.nvars, v)
-        if not mapping:
+            rows: dict = {}  # k -> [binom(k, j) * v^(k-j) for j = 0..k]
+            out: dict = {}
+            get = out.get
+            for e, c in terms:
+                if p:
+                    c %= p  # the sums of the previous shift are unreduced
+                if not c:
+                    continue
+                k = e[i]
+                if k == 0:
+                    out[e] = get(e, 0) + c
+                    continue
+                row = rows.get(k)
+                if row is None:
+                    row = rows[k] = _shift_row(k, v, p)
+                head, tail = e[:i], e[i + 1:]
+                for j, w in enumerate(row):
+                    if w:
+                        ee = head + (j,) + tail
+                        out[ee] = get(ee, 0) + c * w
+            terms = out.items()
+        if terms is self.terms:
             return self
-        return self.substitute(mapping)
+        return MPoly._from_terms(f, self.nvars, terms)
 
     def evaluate(self, values) -> Coeff:
         f = self.field
@@ -355,7 +400,7 @@ class MPoly:
             ee = list(e)
             ee[i] -= n
             out.append((tuple(ee), c))
-        out.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
+        # lowering one exponent of every term by n keeps the term order
         return MPoly(self.field, self.nvars, tuple(out))
 
     def pth_power_root(self, pe: int) -> Optional["MPoly"]:
@@ -388,33 +433,51 @@ class MPoly:
         """
         if r == 0:
             return self
-        f = self.field
-        d: dict = {}
-        for e, c in self.terms:
-            m = e[i]
-            if m < r:
-                continue
-            b = f.coerce(math.comb(m, r))
-            if b == 0:
-                continue
-            ee = list(e)
-            ee[i] = m - r
-            ee = tuple(ee)
-            val = f.mul(c, b)
-            d[ee] = f.add(d.get(ee, f.zero), val)
-        return MPoly.from_dict(f, self.nvars, d)
+        alpha = [0] * self.nvars
+        alpha[i] = r
+        return self.hasse_deriv_multi(alpha)
 
     def hasse_deriv_multi(self, alpha) -> "MPoly":
-        out = self
-        for i, r in enumerate(alpha):
-            if r:
-                out = out.hasse_deriv(i, r)
-            if out.is_zero():
-                break
-        return out
+        """The Hasse derivative of multi-order alpha, in one pass over the terms.
+
+        x^m -> prod_i binom(m_i, alpha_i) x^(m - alpha).  Subtracting alpha
+        keeps distinct exponents distinct and the term order unchanged, so
+        the surviving terms need neither accumulation nor sorting.
+        """
+        alpha = tuple(alpha)
+        if len(alpha) != self.nvars:
+            raise ValueError(f"multi-order {alpha} does not match arity {self.nvars}")
+        active = [(i, r) for i, r in enumerate(alpha) if r]
+        if not active:
+            return self
+        p = self.field.characteristic
+        comb = math.comb
+        out = []
+        for e, c in self.terms:
+            b = 1
+            for i, r in active:
+                m = e[i]
+                if m < r:
+                    break
+                b *= comb(m, r)
+            else:
+                c = c * b % p if p else c * b
+                if c:
+                    out.append((tuple(map(_sub, e, alpha)), c))
+        return MPoly(self.field, self.nvars, tuple(out))
 
     def __str__(self) -> str:
         return render_poly(self, tuple(f"x{i}" for i in range(self.nvars)))
+
+
+def _shift_row(k: int, v: Coeff, p: int) -> list:
+    """[binom(k, j) * v^(k-j) for j = 0..k], reduced mod p when p > 0."""
+    row = [0] * (k + 1)
+    w = 1
+    for j in range(k, -1, -1):
+        row[j] = math.comb(k, j) * w % p if p else math.comb(k, j) * w
+        w = w * v % p if p else w * v
+    return row
 
 
 # -- points -----------------------------------------------------------------
@@ -578,8 +641,6 @@ def _monic_coefficients(f: MPoly, z_index: int) -> dict:
     (the latter cannot happen for polynomials built by decomposition, but input
     validation keeps presentations honest).
     """
-    from .errors import NotMonicError
-
     by_deg = f.coefficients_in_var(z_index)
     if not by_deg:
         raise NotMonicError("zero polynomial is not monic")

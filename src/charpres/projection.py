@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DegenerateSlopeError, NotNormalFormError
+from .errors import DegenerateSlopeError, InvariantError, NotNormalFormError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, WeightedForm, monic_coefficients, order_at,
                    weighted_initial_form)
@@ -275,7 +275,8 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF,
         f = f.substitute({z_index: zvar - alpha})
         subs.append(alpha)
         new = slope_poly(f, z_index, y)
-        assert new > q, "normalization must strictly increase the slope"
+        if not new > q:
+            raise InvariantError("normalization must strictly increase the slope")
         slopes.append(new)
     return PolyNormalization(f, len(subs), tuple(slopes), tuple(subs))
 
@@ -342,7 +343,8 @@ def membership_criterion(pres: Presentation, y: PointSpec) -> bool:
         raise NotNormalFormError("presentation is not in normal form at the point")
     result = slope_presentation(pres, y) >= 1
     upstairs = sing_member(upstairs_algebra(pres), fiber_point(pres, y))
-    assert upstairs == result, "projection membership disagrees with the fiber test"
+    if upstairs != result:
+        raise InvariantError("projection membership disagrees with the fiber test")
     return result
 
 
@@ -385,7 +387,8 @@ def hord_data(sp: AnyPresentation, y: PointSpec,
             else:
                 parts.append(INF)
         reduced = min(parts)
-        assert reduced == value, "p-presentation H-order formulas disagree"
+        if reduced != value:
+            raise InvariantError("p-presentation H-order formulas disagree")
     return HordData(value, eord, tuple(recs), reduced)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .errors import InvariantError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
                    initial_form, order_at)
 
@@ -320,8 +321,9 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentDa
     if check_codim:
         strata = singular_coordinate_strata(alg)
         if strata:
-            assert tau <= min(len(s) for s in strata), \
-                "tau exceeded the codimension of a coordinate singular stratum"
+            if tau > min(len(s) for s in strata):
+                raise InvariantError(
+                    "tau exceeded the codimension of a coordinate singular stratum")
     root_polys = tuple(
         MPoly.from_dict(field, nvars, {
             tuple(1 if i == j else 0 for i in range(nvars)): c
@@ -413,7 +415,7 @@ def _verify_modulus_table():
         for a in range(p):
             val = sum(c * pow(a, i, p) for i, c in enumerate(coeffs)) % p
             if val == 0:
-                raise AssertionError(f"modulus for F_{p}^{m} has a root {a}")
+                raise InvariantError(f"modulus for F_{p}^{m} has a root {a}")
 
 
 _verify_modulus_table()
@@ -478,7 +480,7 @@ def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -
     count = good
     while count > 1:
         if count % q:
-            raise AssertionError("fixed-translation count is not a power of the field size")
+            raise InvariantError("fixed-translation count is not a power of the field size")
         count //= q
         dim += 1
     return nvars - dim

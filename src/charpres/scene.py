@@ -95,6 +95,8 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
         raise SceneParseError(str(exc), data["field"][0][0])
 
     # variables
+    if not data["variables"]:
+        raise SceneParseError("missing [variables] section")
     names = None
     section_names = []
     sections_lineno = data["variables"][0][0]

@@ -1,0 +1,156 @@
+"""Property tests: the poly kernel against independent references.
+
+`translate`, `__mul__` and the Hasse derivatives are checked against sympy
+over F_p (p in 2, 3, 5, 7) and over Q; `hasse_deriv_multi` also against the
+term-by-term single-variable definition chained over the variables, and
+`blow_up_poly` against substitution followed by exact division.  The tests
+skip when sympy or hypothesis is not installed; neither is a runtime
+dependency.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from hypothesis import given, settings  # noqa: E402
+
+from charpres.blowup import Center, blow_up_poly  # noqa: E402
+from charpres.errors import PermissibilityError  # noqa: E402
+from charpres.poly import FieldSpec, MPoly  # noqa: E402
+
+CHARACTERISTICS = (0, 2, 3, 5, 7)
+PROPS = settings(max_examples=60, deadline=None)
+
+
+def _coeffs(p):
+    if p:
+        return st.integers(0, p - 1)
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def polys(draw, field=None, nvars=None, max_exp=4):
+    """A random polynomial; `field` and `nvars` are drawn when not given."""
+    if field is None:
+        field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
+    if nvars is None:
+        nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    terms = draw(st.dictionaries(exps, _coeffs(field.characteristic), max_size=6))
+    return MPoly.from_dict(field, nvars, terms)
+
+
+@st.composite
+def poly_pairs(draw):
+    f = draw(polys())
+    return f, draw(polys(field=f.field, nvars=f.nvars))
+
+
+def _gens(nvars):
+    return sympy.symbols("x0:%d" % nvars)
+
+
+def _domain(field):
+    p = field.characteristic
+    return sympy.GF(p) if p else sympy.QQ
+
+
+def _rational(c):
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_sympy(f: MPoly):
+    d = {e: _rational(c) for e, c in f.terms}
+    return sympy.Poly.from_dict(d, *_gens(f.nvars), domain=_domain(f.field))
+
+
+def from_sympy(g, field: FieldSpec, nvars: int) -> MPoly:
+    return MPoly.from_dict(field, nvars, {
+        e: Fraction(int(c.p), int(c.q)) for e, c in g.terms() if c != 0})
+
+
+def hasse_reference(f: MPoly, i: int, r: int) -> MPoly:
+    """x^m -> binom(m, r) x^(m - r) in variable i, one term at a time."""
+    d = {}
+    for e, c in f.terms:
+        if e[i] >= r:
+            ee = list(e)
+            ee[i] -= r
+            d[tuple(ee)] = c * math.comb(e[i], r)
+    return MPoly.from_dict(f.field, f.nvars, d)
+
+
+@PROPS
+@given(st.data())
+def test_translate_matches_sympy_composition(data):
+    f = data.draw(polys())
+    p = f.field.characteristic
+    values = data.draw(st.lists(st.one_of(st.none(), _coeffs(p)),
+                                min_size=f.nvars, max_size=f.nvars))
+    gens = _gens(f.nvars)
+    shift = {x: x + _rational(v) for x, v in zip(gens, values) if v is not None}
+    expr = to_sympy(f).as_expr().subs(shift, simultaneous=True)
+    expected = from_sympy(sympy.Poly(expr, *gens, domain=_domain(f.field)),
+                          f.field, f.nvars)
+    assert f.translate(values) == expected
+
+
+@PROPS
+@given(poly_pairs())
+def test_mul_matches_sympy(pair):
+    f, g = pair
+    expected = from_sympy(to_sympy(f) * to_sympy(g), f.field, f.nvars)
+    assert f * g == expected
+    assert g * f == expected
+
+
+@PROPS
+@given(st.data())
+def test_hasse_multi_matches_chained_single_variable(data):
+    f = data.draw(polys())
+    alpha = data.draw(st.tuples(*[st.integers(0, 5)] * f.nvars))
+    expected = f
+    for i, r in enumerate(alpha):
+        expected = hasse_reference(expected, i, r)
+    assert f.hasse_deriv_multi(alpha) == expected
+    for i, r in enumerate(alpha):
+        assert f.hasse_deriv(i, r) == hasse_reference(f, i, r)
+
+
+@PROPS
+@given(st.data())
+def test_hasse_multi_matches_sympy_diff_over_q(data):
+    f = data.draw(polys(field=FieldSpec(0)))
+    alpha = data.draw(st.tuples(*[st.integers(0, 5)] * f.nvars))
+    g = to_sympy(f)
+    orders = [(x, r) for x, r in zip(_gens(f.nvars), alpha) if r]
+    if orders:
+        g = g.diff(*orders)
+    scale = math.prod(math.factorial(r) for r in alpha)
+    expected = from_sympy(g, f.field, f.nvars).scale(Fraction(1, scale))
+    assert f.hasse_deriv_multi(alpha) == expected
+
+
+@PROPS
+@given(st.data())
+def test_blow_up_poly_matches_substitute_and_divide(data):
+    f = data.draw(polys(nvars=data.draw(st.integers(2, 3))))
+    vars_ = data.draw(st.sets(st.integers(0, f.nvars - 1), min_size=1))
+    w = data.draw(st.sampled_from(sorted(vars_)))
+    order = f.order_wrt(vars_) if not f.is_zero() else 0
+    n = data.draw(st.integers(0, order + 2))
+    xw = MPoly.var(f.field, f.nvars, w)
+    mapping = {v: MPoly.var(f.field, f.nvars, v) * xw for v in vars_ if v != w}
+    try:
+        expected = f.substitute(mapping).divide_by_var_power(w, n)
+    except ValueError:
+        with pytest.raises(PermissibilityError):
+            blow_up_poly(f, n, Center(frozenset(vars_)), w)
+    else:
+        assert blow_up_poly(f, n, Center(frozenset(vars_)), w) == expected

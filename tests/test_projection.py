@@ -1,5 +1,8 @@
 """Slopes, normal forms, membership, H-orders, coefficient elimination."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -238,3 +241,29 @@ def test_section_invariance_small():
         shifted = pres.f.substitute({0: z - alpha})
         moved = Presentation(F3, 3, 0, shifted, pres.elim)
         assert hord(moved, ORIGIN) == base
+
+
+_STALLED_SLOPE = """
+import sys
+from fractions import Fraction
+import charpres.projection as pr
+from charpres.errors import InvariantError
+from charpres.poly import ClosedPoint, FieldSpec, parse_poly
+
+assert False, "this line only runs without -O"
+pr.slope_poly = lambda *args: Fraction(1)   # the slope never rises
+f = parse_poly("z^2 + 2*z*x + x^2 + x^3", FieldSpec(0), ("z", "x", "y"))
+try:
+    pr.normalize_poly(f, 0, ClosedPoint((0, 0, 0)))
+except InvariantError as exc:
+    print("optimize=%d: %s" % (sys.flags.optimize, exc))
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", _STALLED_SLOPE], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == \
+        "optimize=1: normalization must strictly increase the slope"

@@ -79,6 +79,15 @@ def test_parse_error_missing_field():
         parse_scene(bad)
 
 
+def test_parse_error_missing_variables(tmp_path, capsys):
+    bad = MINIMAL.replace("[variables]\nvars: z, x, y\nsections: z\n\n", "")
+    with pytest.raises(SceneParseError, match="missing \\[variables\\] section"):
+        parse_scene(bad)
+    scene = _write(tmp_path, "s.scene", "[field]\ncharacteristic: 2\n")
+    assert main(["--scene", scene]) == 2
+    assert "missing [variables] section" in capsys.readouterr().err
+
+
 def test_jsonify():
     assert jsonify(Fraction(7, 2)) == "7/2"
     assert jsonify(Fraction(4, 2)) == 2
