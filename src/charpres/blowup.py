@@ -184,7 +184,6 @@ class TowerStep:
     chart_var: int
     chart: Chart
     obj: object
-    permissibility: dict
     snapshot: dict
 
 
@@ -206,15 +205,10 @@ class Tower:
         return [self.initial_obj] + [st.obj for st in self.steps]
 
     def blow_up(self, center: Center, chart_var: int) -> TowerStep:
-        xi = GenericPoint(center.vars)
-        perm = {"center": sorted(self.chart.names[v] for v in center.vars),
-                "chart": self.chart.names[chart_var]}
         new_obj = transform_object(self.obj, center, chart_var)
-        perm["containment"] = True
-        perm["exact_division"] = True
         new_chart = self.chart.after_blowup(center, chart_var)
         step = TowerStep(tuple(sorted(center.vars)), chart_var, new_chart, new_obj,
-                         perm, invariant_snapshot(new_obj, new_chart.names))
+                         invariant_snapshot(new_obj, new_chart.names))
         self.chart = new_chart
         self.obj = new_obj
         self.steps.append(step)
@@ -286,13 +280,3 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
     target = N * (q - 1) - 1
     trace["expected"] = target.numerator // target.denominator
     return ell, trace
-
-
-def codim1_singular_strata(alg: ReesAlg):
-    """Coordinate hypersurfaces contained in the singular locus; permissible
-    transforms must never create these."""
-    out = []
-    for i in range(alg.nvars):
-        if sing_member(alg, GenericPoint(frozenset({i}))):
-            out.append(i)
-    return out

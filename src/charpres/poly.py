@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Mapping, Optional, Union

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import DegenerateSlopeError, InvariantError, NotNormalFormError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
-                   initial_form, order_at)
+                   order_at)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,13 @@ class ReesAlg:
     def max_weight(self) -> int:
         return max((n for _, n in self.gens), default=0)
 
+    @cached_property
+    def _saturation(self) -> "ReesAlg":
+        # the absolute saturation, computed on first use; see diff_saturate
+        sat = _saturate(self, range(self.nvars))
+        sat.__dict__["_saturation"] = sat
+        return sat
+
 
 def pair_to_rees(pair: Pair, field: FieldSpec, nvars: int) -> ReesAlg:
     return ReesAlg.make(field, nvars, [(g, pair.b) for g in pair.gens])
@@ -114,42 +122,59 @@ def _multi_indices(nvars: int, allowed: Sequence[int], max_total: int):
             yield tuple(alpha)
 
 
+def _monic_key(f: MPoly, n: int) -> tuple:
+    """(weight, terms scaled to leading coefficient 1): equal exactly for
+    generators of one weight that differ by a nonzero scalar."""
+    field = f.field
+    inv = field.inv(f.terms[0][1])
+    return n, tuple((e, field.mul(c, inv)) for e, c in f.terms)
+
+
+def _saturate(alg: ReesAlg, allowed) -> ReesAlg:
+    if alg.is_unit:
+        return alg
+    allowed = list(allowed)
+    kept = {}
+    unit = False
+    for f, n in alg.gens:
+        kept.setdefault(_monic_key(f, n), (f, n))
+    for f, n in alg.gens:
+        for alpha in _multi_indices(alg.nvars, allowed, n - 1):
+            g = f.hasse_deriv_multi(alpha)
+            if g.is_zero():
+                continue
+            if g.is_constant():
+                unit = True
+                continue
+            m = n - sum(alpha)
+            kept.setdefault(_monic_key(g, m), (g, m))
+    return ReesAlg.make(alg.field, alg.nvars, kept.values(), unit)
+
+
 def diff_saturate(alg: ReesAlg, relative_vars: Optional[Iterable[int]] = None) -> ReesAlg:
     """Close the algebra under Hasse derivatives of order below each weight.
 
     `relative_vars` restricts differentiation to those variables (relative
-    saturation along a projection); None means absolute saturation.  Because
-    composites of Hasse operators are integer multiples of single operators
-    of the combined order, one pass over each original generator closes the
-    generator set; the loop to a fixpoint below is cheap and keeps the
-    construction self-evidently idempotent.  Degree-0 derivative results are
-    never formed (orders stay below the weight); a positive-weight constant
-    marks the unit algebra.
+    saturation along a projection); None means absolute saturation.
+
+    One pass suffices: each generator (f, n) given is differentiated once per
+    multi-index alpha with 1 <= |alpha| <= n - 1, giving (H^alpha f, n - |alpha|).
+    By the composition rule H^beta H^alpha = binom(alpha + beta, alpha)
+    H^(alpha + beta), a derivative of such a result is a scalar multiple of a
+    result already formed (or zero), so the pass closes the generator set.
+    Generators of one weight that differ by a scalar span the same algebra
+    and are kept once, the first one formed (the given generators come
+    first), so saturating a saturated algebra returns an equal algebra.
+    Degree-0 derivative results are never formed (orders stay below the
+    weight); a positive-weight constant marks the unit algebra.
+
+    The absolute saturation is computed once per `ReesAlg` instance and kept
+    on it; a saturation is its own saturation.  Relative saturations are
+    computed on every call.
     """
-    if alg.is_unit:
-        return alg
-    allowed = list(relative_vars) if relative_vars is not None else list(range(alg.nvars))
-    seen = set(alg.gens)
-    frontier = list(alg.gens)
-    unit = False
-    while frontier:
-        new = []
-        for f, n in frontier:
-            for alpha in _multi_indices(alg.nvars, allowed, n - 1):
-                g = f.hasse_deriv_multi(alpha)
-                if g.is_zero():
-                    continue
-                m = n - sum(alpha)
-                if g.is_constant():
-                    unit = True
-                    continue
-                key = (g, m)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(key)
-        frontier = new
-    return ReesAlg.make(alg.field, alg.nvars, sorted(seen, key=lambda t: (t[1], t[0].terms)),
-                        alg.is_unit or unit)
+    if relative_vars is None:
+        return alg._saturation
+    return _saturate(alg, relative_vars)
 
 
 # -- exact linear algebra over the base field ----------------------------------
@@ -274,6 +299,28 @@ def _additive_forms_in_degree(forms, degree: int, field: FieldSpec, nvars: int):
     return _null_space(residues, field)
 
 
+def _tangent_forms(sat: ReesAlg, pt: ClosedPoint) -> list:
+    """Initial forms at pt of the saturated generators whose order there
+    equals their weight; each generator is translated to pt once.
+
+    Raises ValueError when pt is off the singular locus: the algebra is the
+    unit algebra or some generator has order below its weight.
+    """
+    if len(pt.values) != sat.nvars:
+        raise ValueError("point arity does not match polynomial arity")
+    if sat.is_unit:
+        raise ValueError("tau is only defined at points of the singular locus")
+    forms = []
+    for f, n in sat.gens:
+        local = f.translate(pt.values)
+        order = local.order_total()
+        if order < n:
+            raise ValueError("tau is only defined at points of the singular locus")
+        if order == n:
+            forms.append(local.homogeneous_part(n))
+    return forms
+
+
 def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentData:
     """Codimension of the subspace of vertices of the tangent cone at pt.
 
@@ -284,14 +331,8 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentDa
     """
     if not isinstance(pt, ClosedPoint):
         raise ValueError("tau is computed at closed points")
-    sat = diff_saturate(alg)
-    if not sing_member(sat, pt):
-        raise ValueError("tau is only defined at points of the singular locus")
+    forms = _tangent_forms(diff_saturate(alg), pt)
     field, nvars = alg.field, alg.nvars
-    forms = []
-    for f, n in sat.gens:
-        if order_at(f, pt) == n:
-            forms.append(initial_form(f, pt))
     p = field.characteristic
     degrees = [1]
     if p:
@@ -434,11 +475,8 @@ def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -
         raise ValueError("the translation oracle needs positive characteristic")
     if ext_degree > 3:
         raise ValueError("extension degrees above 3 are not supported")
-    sat = diff_saturate(alg)
-    if not sing_member(sat, pt):
-        raise ValueError("tau is only defined at points of the singular locus")
+    forms = _tangent_forms(diff_saturate(alg), pt)
     nvars = alg.nvars
-    forms = [initial_form(f, pt) for f, n in sat.gens if order_at(f, pt) == n]
     gf = SmallExtField(p, ext_degree)
 
     # Precompute, per form, the coefficient table of F(x+v) - F(x) as a

@@ -9,10 +9,10 @@ from charpres.blowup import (Center, Chart, Tower, blow_up_poly,
                              stage_ab_experiment, transform_pair,
                              transform_presentation, transform_rees)
 from charpres.errors import PermissibilityError
-from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                           parse_poly, render_poly)
+from charpres.poly import (ClosedPoint, FieldSpec, MPoly, parse_poly,
+                           render_poly)
 from charpres.projection import (Presentation, SimplifiedPresentation,
-                                 coefficient_elim, hord)
+                                 coefficient_elim)
 from charpres.rees import Pair, ReesAlg, sing_member
 
 Q = FieldSpec(0)

@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from charpres.errors import (DegenerateSlopeError, NotNormalFormError,
-                             PermissibilityError)
+from charpres.errors import DegenerateSlopeError, NotNormalFormError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,
                            parse_poly, render_poly, weighted_initial_form)
 from charpres.projection import (PPresentation, Presentation,

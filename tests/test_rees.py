@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
+from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,
                            parse_poly, render_poly)
 from charpres.rees import (Pair, ReesAlg, SmallExtField, diff_saturate,
                            ord_at, pair_to_rees, quadratic_rank, sing_member,
@@ -57,6 +57,28 @@ def test_saturation_of_cusp():
     assert got == {("3*x^2", 1), ("2*z", 1), ("x^3 + z^2", 2)}
     # saturating again is a fixpoint
     assert diff_saturate(sat) == sat
+
+
+def test_saturation_is_kept_on_the_algebra():
+    a = alg(F3, [("z^3 + x^2*y^2", 3)])
+    sat = diff_saturate(a)
+    assert diff_saturate(a) is sat
+    # a saturation is its own saturation
+    assert diff_saturate(sat) is sat
+    # an equal algebra built afresh saturates to an equal algebra
+    assert diff_saturate(ReesAlg.make(F3, 3, sat.gens)) == sat
+    # relative saturation is computed anew, never served from the memo
+    rel = diff_saturate(a, relative_vars=range(3))
+    assert rel == sat and rel is not sat
+    assert diff_saturate(a, relative_vars={1}) != sat
+    assert diff_saturate(a) is sat
+
+
+def test_saturation_keeps_one_generator_per_scalar_class():
+    # f = (x + 2y)^2: H^y f = 4x + 8y is twice H^x f = 2x + 4y, the first formed
+    a = alg(Q, [("x^2 + 4*x*y + 4*y^2", 2)])
+    got = [(render_poly(f, ZXY), n) for f, n in diff_saturate(a).gens]
+    assert got == [("2*x + 4*y", 1), ("x^2 + 4*x*y + 4*y^2", 2)]
 
 
 def test_saturation_unit_detection():
