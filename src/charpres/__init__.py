@@ -14,10 +14,9 @@ from .errors import (CharpresError, CommandError, DegenerateSlopeError,
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    WeightedForm, hasse_derivative, initial_form, order_at,
                    parse_poly, render_poly, weighted_initial_form)
-from .rees import (Pair, ReesAlg, diff_saturate, ord_at, pair_to_rees,
-                   sing_member, singular_coordinate_strata, tau_at,
-                   tau_translation_oracle)
-from .projection import (PPresentation, Presentation, SimplifiedPresentation,
+from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
+                   singular_coordinate_strata, tau_at, tau_translation_oracle)
+from .projection import (PPresentation, SimplifiedPresentation,
                          coefficient_elim, hord, hord_data,
                          make_p_presentation, membership_criterion, normalize,
                          slope_poly, slope_presentation, upstairs_algebra)

@@ -16,9 +16,8 @@ from typing import Iterable, Optional
 from .errors import PermissibilityError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    order_at)
-from .projection import (Presentation, SimplifiedPresentation, hord,
-                         is_normal_at, slope_poly)
-from .rees import Pair, ReesAlg, ord_at, sing_member
+from .projection import SimplifiedPresentation, hord, is_normal_at, slope_poly
+from .rees import ReesAlg, ord_at, sing_member
 
 
 @dataclass(frozen=True)
@@ -98,16 +97,6 @@ def blow_up_poly(f: MPoly, n: int, center: Center, chart_var: int) -> MPoly:
     return MPoly._from_terms(f.field, f.nvars, terms)
 
 
-def transform_pair(pair: Pair, center: Center, chart_var: int) -> Pair:
-    """Controlled transform of (J, b): every generator is divided by the b-th
-    power of the exceptional variable."""
-    xi = GenericPoint(center.vars)
-    if min(order_at(g, xi) for g in pair.gens) < pair.b:
-        raise PermissibilityError("center not contained in the singular locus of the pair")
-    return Pair(tuple(blow_up_poly(g, pair.b, center, chart_var) for g in pair.gens),
-                pair.b)
-
-
 def transform_rees(alg: ReesAlg, center: Center, chart_var: int) -> ReesAlg:
     """Generator-wise weighted transform; a generator dropping to a nonzero
     constant turns the result into the unit algebra (resolved locus)."""
@@ -119,39 +108,34 @@ def transform_rees(alg: ReesAlg, center: Center, chart_var: int) -> ReesAlg:
                         [(blow_up_poly(f, n, center, chart_var), n) for f, n in alg.gens])
 
 
-def transform_presentation(sp, center: Center, chart_var: int):
+def transform_presentation(sp: SimplifiedPresentation, center: Center,
+                           chart_var: int) -> SimplifiedPresentation:
     """Transform a presentation along a center containing every section
     variable; coefficients transform downstairs as a_j / w^j and the
     elimination part transforms as a Rees algebra, so the result is a valid
     presentation of the transformed algebra of the same kind."""
-    one_section = isinstance(sp, Presentation)
-    simp = sp.simplified() if one_section else sp
-    sections = set(simp.sections)
+    sections = set(sp.sections)
     if not sections <= center.vars:
         raise PermissibilityError("center not beta-vertical")
     if chart_var in sections:
         raise PermissibilityError("chart variable must be a downstairs variable")
     xi = GenericPoint(center.vars)
-    for z, f, n in zip(simp.sections, simp.polys, simp.degrees):
+    degrees = sp.degrees
+    for f, n in zip(sp.polys, degrees):
         if order_at(f, xi) < n:
             raise PermissibilityError("center not permissible for a section polynomial")
-    if not sing_member(simp.elim, xi):
+    if not sing_member(sp.elim, xi):
         raise PermissibilityError("center not permissible for the elimination part")
     polys = tuple(blow_up_poly(f, n, center, chart_var)
-                  for f, n in zip(simp.polys, simp.degrees))
-    elim = transform_rees(simp.elim, center, chart_var) if simp.elim.gens else simp.elim
-    out = type(simp)(simp.field, simp.nvars, simp.sections, polys, elim)
-    if one_section:
-        return Presentation(sp.field, sp.nvars, sp.section_var, polys[0], elim)
-    return out
+                  for f, n in zip(sp.polys, degrees))
+    elim = transform_rees(sp.elim, center, chart_var) if sp.elim.gens else sp.elim
+    return type(sp)(sp.field, sp.nvars, sp.sections, polys, elim)
 
 
 def transform_object(obj, center: Center, chart_var: int):
-    if isinstance(obj, Pair):
-        return transform_pair(obj, center, chart_var)
     if isinstance(obj, ReesAlg):
         return transform_rees(obj, center, chart_var)
-    if isinstance(obj, (Presentation, SimplifiedPresentation)):
+    if isinstance(obj, SimplifiedPresentation):
         return transform_presentation(obj, center, chart_var)
     raise TypeError("cannot transform objects of type %s" % type(obj).__name__)
 
@@ -160,22 +144,13 @@ def _origin(field: FieldSpec, nvars: int) -> ClosedPoint:
     return ClosedPoint((field.zero,) * nvars)
 
 
-def invariant_snapshot(obj, names) -> dict:
+def invariant_snapshot(obj) -> dict:
     """Order data at the chart origin, recorded after each tower step."""
-    snap: dict = {}
-    if isinstance(obj, Pair):
-        alg = ReesAlg.make(obj.gens[0].field, obj.gens[0].nvars,
-                           [(g, obj.b) for g in obj.gens])
-        snap["ord_origin"] = ord_at(alg, _origin(alg.field, alg.nvars))
-    elif isinstance(obj, ReesAlg):
-        snap["is_unit"] = obj.is_unit
-        snap["ord_origin"] = ord_at(obj, _origin(obj.field, obj.nvars))
-    else:
-        simp = obj.simplified() if isinstance(obj, Presentation) else obj
-        origin = _origin(simp.field, simp.nvars)
-        snap["elim_ord_origin"] = ord_at(simp.elim, origin)
-        snap["hord_origin"] = hord(simp, origin)
-    return snap
+    origin = _origin(obj.field, obj.nvars)
+    if isinstance(obj, ReesAlg):
+        return {"is_unit": obj.is_unit, "ord_origin": ord_at(obj, origin)}
+    return {"elim_ord_origin": ord_at(obj.elim, origin),
+            "hord_origin": hord(obj, origin)}
 
 
 @dataclass(frozen=True)
@@ -208,7 +183,7 @@ class Tower:
         new_obj = transform_object(self.obj, center, chart_var)
         new_chart = self.chart.after_blowup(center, chart_var)
         step = TowerStep(tuple(sorted(center.vars)), chart_var, new_chart, new_obj,
-                         invariant_snapshot(new_obj, new_chart.names))
+                         invariant_snapshot(new_obj))
         self.chart = new_chart
         self.obj = new_obj
         self.steps.append(step)
@@ -239,8 +214,9 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
     q = slope
     if q == INF or q < 1:
         raise ValueError("the experiment needs a finite slope q >= 1")
-    trivial = ReesAlg.make(f.field, f.nvars, [])
-    if not is_normal_at(Presentation(f.field, f.nvars, z_index, f, trivial), origin):
+    pres = SimplifiedPresentation(f.field, f.nvars, (z_index,), (f,),
+                                  ReesAlg.make(f.field, f.nvars, []))
+    if not is_normal_at(pres, origin):
         raise ValueError("polynomial is not in normal form at the base point")
 
     nvars = f.nvars + 1

@@ -22,8 +22,7 @@ from typing import Iterable, Optional
 from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
                      TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
-from .projection import (Presentation, SimplifiedPresentation, hord,
-                         upstairs_algebra)
+from .projection import SimplifiedPresentation, hord, upstairs_algebra
 from .rees import ReesAlg, ord_at, sing_member
 from .blowup import Center, Chart, Tower
 
@@ -71,15 +70,13 @@ def track_monomial(tower: Tower) -> MonomialAlg:
     at step i carries exponent h_i/s = hord(state before step i at the
     downstairs generic point of the center) - 1."""
     states = tower.states()
-    if not isinstance(states[0], (Presentation, SimplifiedPresentation)):
+    if not isinstance(states[0], SimplifiedPresentation):
         raise TrackingError("monomial tracking needs a presentation tower")
     values = []
     labels = []
     for i, st in enumerate(tower.steps):
         sp = states[i]
-        sections = ((sp.section_var,) if isinstance(sp, Presentation)
-                    else sp.sections)
-        downstairs = frozenset(st.center) - frozenset(sections)
+        downstairs = frozenset(st.center) - frozenset(sp.sections)
         if not downstairs:
             raise TrackingError("center has no downstairs part")
         q = hord(sp, GenericPoint(downstairs))
@@ -166,8 +163,6 @@ def is_strong_monomial(tower: Tower, monomial: Optional[MonomialAlg] = None,
     failing comparison.
     """
     sp = tower.obj
-    if isinstance(sp, Presentation):
-        sp = sp.simplified()
     if not isinstance(sp, SimplifiedPresentation):
         raise TrackingError("the strong-monomial test needs a presentation tower")
     chart = tower.chart
@@ -317,8 +312,7 @@ def lift_resolution(tower: Tower, moves=None,
     M = check.monomial
     if moves is None:
         moves = combinatorial_resolve(M, tower.chart)
-    sp = tower.obj
-    sections = ((sp.section_var,) if isinstance(sp, Presentation) else sp.sections)
+    sections = frozenset(tower.obj.sections)
     var_of = {lab: v for lab, v in tower.chart.divisors}
     records = []
     for move in moves:
@@ -329,11 +323,11 @@ def lift_resolution(tower: Tower, moves=None,
                                       None, None, None))
             continue
         chart_var = var_of[labs[0]]
-        center = Center(frozenset(vars_) | frozenset(sections))
+        center = Center(frozenset(vars_) | sections)
         sp = tower.obj
         down = GenericPoint(frozenset(vars_))
         hv = hord(sp, down)
-        ev = ord_at((sp.simplified() if isinstance(sp, Presentation) else sp).elim, down)
+        ev = ord_at(sp.elim, down)
         case = "A" if hv == ev else "B"
         try:
             tower.blow_up(center, chart_var)
@@ -370,7 +364,6 @@ def sandwich_report(tower: Tower, M: Optional[MonomialAlg] = None):
     """ord_monomial <= hord <= ord(elim) at the generic point of every
     present-divisor stratum of the tower's final chart."""
     sp = tower.obj
-    simp = sp.simplified() if isinstance(sp, Presentation) else sp
     M = M if M is not None else track_monomial(tower)
     present = tower.chart.present_divisors()
     labels = sorted(present, key=_label_age)
@@ -379,8 +372,8 @@ def sandwich_report(tower: Tower, M: Optional[MonomialAlg] = None):
         for sub in itertools.combinations(labels, k):
             pt = GenericPoint(frozenset(present[lab] for lab in sub))
             om = ord_monomial(M, pt, tower.chart)
-            hv = hord(simp, pt)
-            ev = ord_at(simp.elim, pt)
+            hv = hord(sp, pt)
+            ev = ord_at(sp.elim, pt)
             rows.append({"stratum": "&".join(sub), "ord_monomial": om,
                          "hord": hv, "elim_ord": ev,
                          "ok": om <= hv <= ev})

@@ -374,10 +374,6 @@ class MPoly:
             acc = f.add(acc, term)
         return acc
 
-    def set_var_to_zero(self, i: int) -> "MPoly":
-        return MPoly(self.field, self.nvars,
-                     tuple((e, c) for e, c in self.terms if e[i] == 0))
-
     def extend_arity(self, new_nvars: int) -> "MPoly":
         """Embed into a ring with extra trailing variables."""
         if new_nvars < self.nvars:
@@ -582,18 +578,6 @@ class WeightedForm:
     def is_pure_power_of_z(self) -> bool:
         return not self.coeffs
 
-    def expand(self) -> MPoly:
-        """The form as an honest polynomial (Z realized as the section variable)."""
-        f = self.field
-        z_exps = [0] * self.nvars
-        z_exps[self.z_index] = self.n
-        out = MPoly.monomial(f, self.nvars, z_exps)
-        for j, a in self.coeffs:
-            ze = [0] * self.nvars
-            ze[self.z_index] = self.n - j
-            out = out + a * MPoly.monomial(f, self.nvars, ze)
-        return out
-
 
 def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> WeightedForm:
     """Collect the weight-q boundary terms of a monic section polynomial at y.
@@ -608,7 +592,7 @@ def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> 
     q = Fraction(q)
     if q < 0:
         raise ValueError("weights are non-negative")
-    coeffs_by_j = _monic_coefficients(f, z_index)
+    coeffs_by_j = monic_coefficients(f, z_index)
     n = max(coeffs_by_j)
     if isinstance(y, ClosedPoint):
         graded = frozenset(i for i in range(f.nvars) if i != z_index)
@@ -634,7 +618,7 @@ def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> 
     return WeightedForm(f.field, f.nvars, z_index, n, q, graded, tuple(out))
 
 
-def _monic_coefficients(f: MPoly, z_index: int) -> dict:
+def monic_coefficients(f: MPoly, z_index: int) -> dict:
     """Split a monic section polynomial into {j: a_j} with f = z^n + sum a_j z^(n-j).
 
     Raises on non-monic input or on coefficients involving the section variable
@@ -648,20 +632,10 @@ def _monic_coefficients(f: MPoly, z_index: int) -> dict:
     lead = by_deg[n]
     if n == 0 or not lead.is_constant() or lead.constant_value() != f.field.one:
         raise NotMonicError("section polynomial must be monic of positive degree")
-    out = {n: MPoly.zero_poly(f.field, f.nvars)}
-    for k, a in by_deg.items():
-        if k == n:
-            continue
-        out[n - k] = a
-    # fill in n itself: a_n is the z-free part
-    out[n] = by_deg.get(0, MPoly.zero_poly(f.field, f.nvars))
-    if 0 in by_deg and n == 0:
-        raise NotMonicError("section polynomial must have positive degree")
+    out = {n - k: a for k, a in by_deg.items() if k != n}
+    # a_n is the z-free part, zero when absent
+    out.setdefault(n, MPoly.zero_poly(f.field, f.nvars))
     return out
-
-
-def monic_coefficients(f: MPoly, z_index: int) -> dict:
-    return _monic_coefficients(f, z_index)
 
 
 # -- text syntax --------------------------------------------------------------

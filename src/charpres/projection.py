@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DegenerateSlopeError, InvariantError, NotNormalFormError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
@@ -41,7 +41,9 @@ class SimplifiedPresentation:
     free of every section variable; elim generators are section-free.  Points
     fed to the slope and H-order functions are downstairs: full-arity closed
     points whose section coordinates are ignored, or generic points of
-    section-free variable subsets.
+    section-free variable subsets.  The one-section case e = 1 is the
+    hypersurface case, where slopes and normal forms are defined; .section_var
+    and .f serve it.
     """
 
     field: FieldSpec
@@ -81,32 +83,22 @@ class SimplifiedPresentation:
         a = coeffs.get(j)
         return a if a is not None else MPoly.zero_poly(self.field, self.nvars)
 
-    def with_polys(self, polys, elim=None) -> "SimplifiedPresentation":
-        return type(self)(self.field, self.nvars, self.sections, tuple(polys),
-                          self.elim if elim is None else elim)
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """The one-section case: a single monic polynomial over its elimination part."""
-
-    field: FieldSpec
-    nvars: int
-    section_var: int
-    f: MPoly
-    elim: ReesAlg
-
-    def __post_init__(self):
-        SimplifiedPresentation(self.field, self.nvars, (self.section_var,),
-                               (self.f,), self.elim)
+    def _one_section(self):
+        if len(self.sections) != 1:
+            raise ValueError("a presentation with %d sections has no single section "
+                             "polynomial" % len(self.sections))
 
     @property
-    def degree(self) -> int:
-        return self.f.degree_in_var(self.section_var)
+    def section_var(self) -> int:
+        """The section variable of a one-section presentation (e = 1)."""
+        self._one_section()
+        return self.sections[0]
 
-    def simplified(self) -> SimplifiedPresentation:
-        return SimplifiedPresentation(self.field, self.nvars, (self.section_var,),
-                                      (self.f,), self.elim)
+    @property
+    def f(self) -> MPoly:
+        """The section polynomial of a one-section presentation (e = 1)."""
+        self._one_section()
+        return self.polys[0]
 
 
 @dataclass(frozen=True)
@@ -168,9 +160,6 @@ def make_p_presentation(field: FieldSpec, nvars: int, sections, polys,
                          elim.with_extra(extra))
 
 
-AnyPresentation = Union[Presentation, SimplifiedPresentation]
-
-
 # -- slopes ---------------------------------------------------------------------
 
 
@@ -190,7 +179,7 @@ def slope_poly(f: MPoly, z_index: int, y: PointSpec):
     return best
 
 
-def slope_presentation(pres: Presentation, y: PointSpec):
+def slope_presentation(pres: SimplifiedPresentation, y: PointSpec):
     """Sl(P)(y): the slope of the polynomial capped by the elimination order."""
     return min(slope_poly(pres.f, pres.section_var, y), ord_at(pres.elim, y))
 
@@ -281,20 +270,23 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF,
     return PolyNormalization(f, len(subs), tuple(slopes), tuple(subs))
 
 
-def normalize(pres: Presentation, y: PointSpec,
+def normalize(pres: SimplifiedPresentation, y: PointSpec,
               max_iters: Optional[int] = None) -> "NormalizeResult":
     """Bring a one-section presentation into normal form at y: afterwards
     either its slope meets the elimination order or the weighted initial form
     is not an n-th power."""
     rec = normalize_poly(pres.f, pres.section_var, y,
                          elim_ord=ord_at(pres.elim, y), max_iters=max_iters)
-    out = Presentation(pres.field, pres.nvars, pres.section_var, rec.poly, pres.elim)
+    # a plain presentation: the normalized polynomial need not keep a
+    # PPresentation's middle coefficients in the elimination part
+    out = SimplifiedPresentation(pres.field, pres.nvars, pres.sections, (rec.poly,),
+                                 pres.elim)
     return NormalizeResult(out, rec)
 
 
 @dataclass(frozen=True)
 class NormalizeResult:
-    presentation: Presentation
+    presentation: SimplifiedPresentation
     record: PolyNormalization
 
     @property
@@ -302,7 +294,7 @@ class NormalizeResult:
         return min(self.record.slope, INF)
 
 
-def is_normal_at(pres: Presentation, y: PointSpec) -> bool:
+def is_normal_at(pres: SimplifiedPresentation, y: PointSpec) -> bool:
     """Normal form test: slope meets the elimination order, or the weighted
     initial form is not an n-th power with nonzero root."""
     s = slope_poly(pres.f, pres.section_var, y)
@@ -316,26 +308,24 @@ def is_normal_at(pres: Presentation, y: PointSpec) -> bool:
 # -- membership ------------------------------------------------------------------
 
 
-def upstairs_algebra(pres: AnyPresentation) -> ReesAlg:
+def upstairs_algebra(pres: SimplifiedPresentation) -> ReesAlg:
     """The ambient Rees algebra the presentation describes: section
     polynomials with their degrees as weights, joined with the elimination
     generators."""
-    sp = pres.simplified() if isinstance(pres, Presentation) else pres
-    gens = list(zip(sp.polys, sp.degrees)) + list(sp.elim.gens)
-    return ReesAlg.make(sp.field, sp.nvars, gens, sp.elim.is_unit)
+    gens = list(zip(pres.polys, pres.degrees)) + list(pres.elim.gens)
+    return ReesAlg.make(pres.field, pres.nvars, gens, pres.elim.is_unit)
 
 
-def fiber_point(pres: AnyPresentation, y: PointSpec) -> PointSpec:
+def fiber_point(pres: SimplifiedPresentation, y: PointSpec) -> PointSpec:
     """The unique point over y with all section coordinates zero."""
-    sections = (pres.section_var,) if isinstance(pres, Presentation) else pres.sections
     if isinstance(y, ClosedPoint):
-        vals = tuple(pres.field.zero if i in sections else v
+        vals = tuple(pres.field.zero if i in pres.sections else v
                      for i, v in enumerate(y.values))
         return ClosedPoint(vals)
-    return GenericPoint(y.vars | frozenset(sections))
+    return GenericPoint(y.vars | frozenset(pres.sections))
 
 
-def membership_criterion(pres: Presentation, y: PointSpec) -> bool:
+def membership_criterion(pres: SimplifiedPresentation, y: PointSpec) -> bool:
     """Does y lie in the projection of the singular locus?  True exactly when
     Sl(P)(y) >= 1.  Requires the presentation to be in normal form at y and
     cross-checks against the ambient singular-locus test at the fiber point."""
@@ -359,7 +349,7 @@ class HordData:
     reduced_value: object = None  # p-presentation cross-check, when applicable
 
 
-def hord_data(sp: AnyPresentation, y: PointSpec,
+def hord_data(sp: SimplifiedPresentation, y: PointSpec,
               max_iters: Optional[int] = None) -> HordData:
     """H-order of the presentation at a downstairs point: normalize each
     polynomial independently at y, then take the minimum of all coefficient
@@ -369,8 +359,6 @@ def hord_data(sp: AnyPresentation, y: PointSpec,
     recomputed and must agree; construction guarantees the middle
     coefficients are dominated by the elimination part.
     """
-    if isinstance(sp, Presentation):
-        sp = sp.simplified()
     _check_downstairs_point(y, sp.sections, sp.nvars)
     eord = ord_at(sp.elim, y)
     recs = [normalize_poly(f, z, y, elim_ord=eord, max_iters=max_iters)
@@ -392,7 +380,7 @@ def hord_data(sp: AnyPresentation, y: PointSpec,
     return HordData(value, eord, tuple(recs), reduced)
 
 
-def hord(sp: AnyPresentation, y: PointSpec, max_iters: Optional[int] = None):
+def hord(sp: SimplifiedPresentation, y: PointSpec, max_iters: Optional[int] = None):
     return hord_data(sp, y, max_iters=max_iters).value
 
 

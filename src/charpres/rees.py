@@ -1,4 +1,4 @@
-"""Pairs and Rees algebras: singular loci, orders, differential saturation,
+"""Rees algebras: singular loci, orders, differential saturation,
 and the tangent-cone codimension invariant tau.
 
 A Rees algebra is handled through a finite generator list [(f, n)] with
@@ -20,20 +20,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import InvariantError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
                    order_at)
-
-
-@dataclass(frozen=True)
-class Pair:
-    """An ideal-with-weight (J, b): generators of J and a positive integer b."""
-
-    gens: tuple
-    b: int
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("pair weight must be a positive integer")
-        if not self.gens or any(g.is_zero() for g in self.gens):
-            raise ValueError("pair ideal needs nonzero generators")
 
 
 @dataclass(frozen=True)
@@ -71,19 +57,12 @@ class ReesAlg:
     def is_trivial(self) -> bool:
         return not self.gens and not self.is_unit
 
-    def max_weight(self) -> int:
-        return max((n for _, n in self.gens), default=0)
-
     @cached_property
     def _saturation(self) -> "ReesAlg":
         # the absolute saturation, computed on first use; see diff_saturate
         sat = _saturate(self, range(self.nvars))
         sat.__dict__["_saturation"] = sat
         return sat
-
-
-def pair_to_rees(pair: Pair, field: FieldSpec, nvars: int) -> ReesAlg:
-    return ReesAlg.make(field, nvars, [(g, pair.b) for g in pair.gens])
 
 
 def sing_member(alg: ReesAlg, pt: PointSpec) -> bool:

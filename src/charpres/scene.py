@@ -21,9 +21,9 @@ from .monomial import (combinatorial_resolve, is_strong_monomial,
                        lift_resolution, sandwich_report, track_monomial)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, parse_poly, render_poly)
-from .projection import (Presentation, SimplifiedPresentation, hord_data,
-                         make_p_presentation, membership_criterion, normalize,
-                         slope_poly, upstairs_algebra)
+from .projection import (SimplifiedPresentation, hord_data, make_p_presentation,
+                         membership_criterion, normalize, slope_poly,
+                         upstairs_algebra)
 from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
                    singular_coordinate_strata, tau_at, tau_translation_oracle)
 
@@ -37,7 +37,7 @@ class Scene:
     names: list
     sections: tuple                 # section variable indices
     algebra: Optional[ReesAlg]
-    presentation: object            # Presentation | SimplifiedPresentation | None
+    presentation: Optional[SimplifiedPresentation]
     points: dict                    # name -> PointSpec
     script: list                    # [(lineno, command text)]
     path: str = "<scene>"
@@ -194,9 +194,6 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             if kind == "p":
                 presentation = make_p_presentation(field, len(names), psecs,
                                                    ordered, elim)
-            elif len(psecs) == 1:
-                presentation = Presentation(field, len(names), psecs[0],
-                                            ordered[0], elim)
             else:
                 presentation = SimplifiedPresentation(field, len(names), psecs,
                                                       ordered, elim)
@@ -340,10 +337,16 @@ class _Execution:
     def current_presentation(self):
         if self.tower is not None:
             obj = self.tower.obj
-            if isinstance(obj, (Presentation, SimplifiedPresentation)):
+            if isinstance(obj, SimplifiedPresentation):
                 return obj
             raise CommandError("the tower does not track a presentation")
         return self.scene.require_presentation()
+
+    def closed_points(self) -> list:
+        """The scene's closed points, by name; strong-check and resolve both
+        test the H-order at them."""
+        return [pt for _, pt in sorted(self.scene.points.items())
+                if isinstance(pt, ClosedPoint)]
 
     def ensure_tower(self) -> Tower:
         if self.tower is None:
@@ -357,11 +360,10 @@ def _object_json(ex: _Execution, obj) -> dict:
     if isinstance(obj, ReesAlg):
         return {"kind": "algebra", "unit": obj.is_unit,
                 "gens": [{"poly": ex.rp(f), "weight": n} for f, n in obj.gens]}
-    simp = obj.simplified() if isinstance(obj, Presentation) else obj
     return {"kind": "presentation",
-            "sections": [ex.scene.names[z] for z in simp.sections],
-            "polys": [ex.rp(f) for f in simp.polys],
-            "elim": [{"poly": ex.rp(g), "weight": m} for g, m in simp.elim.gens]}
+            "sections": [ex.scene.names[z] for z in obj.sections],
+            "polys": [ex.rp(f) for f in obj.polys],
+            "elim": [{"poly": ex.rp(g), "weight": m} for g, m in obj.elim.gens]}
 
 
 def _cmd_analyze(ex: _Execution, point_name: str) -> dict:
@@ -393,7 +395,7 @@ def _cmd_analyze(ex: _Execution, point_name: str) -> dict:
 
 def _cmd_slope(ex: _Execution, point_name: str) -> dict:
     pres = ex.current_presentation()
-    if not isinstance(pres, Presentation):
+    if len(pres.sections) != 1:
         raise CommandError("the slope command needs a one-section presentation")
     pt = ex.point(point_name)
     raw = slope_poly(pres.f, pres.section_var, pt)
@@ -459,7 +461,7 @@ def _cmd_experiment(ex: _Execution, spec: str) -> dict:
         raise CommandError("expected 'experiment q-from-presentation N=<count>'")
     N = int(m.group(1))
     pres = ex.scene.require_presentation()
-    if not isinstance(pres, Presentation):
+    if len(pres.sections) != 1:
         raise CommandError("the experiment needs a one-section presentation")
     try:
         ell, trace = stage_ab_experiment(pres.f, pres.section_var, N,
@@ -480,9 +482,7 @@ def _cmd_monomial_track(ex: _Execution) -> dict:
 
 def _cmd_strong_check(ex: _Execution) -> dict:
     tower = ex.ensure_tower()
-    closed = [(name, pt) for name, pt in sorted(ex.scene.points.items())
-              if isinstance(pt, ClosedPoint)]
-    res = is_strong_monomial(tower, extra_points=[pt for _, pt in closed])
+    res = is_strong_monomial(tower, extra_points=ex.closed_points())
     rec = {"command": "strong-check", "strong": res.strong,
            "monomial": {"s": res.monomial.s,
                         "exponents": {lab: h for lab, h in res.monomial.exponents}},
@@ -503,7 +503,8 @@ def _cmd_resolve(ex: _Execution) -> dict:
                       "exponent": m.exponent,
                       "exponents_after": {lab: h for lab, h in m.exponents_after}}
                      for m in moves]}
-    lift = lift_resolution(tower, moves=moves, monomial=M)
+    lift = lift_resolution(tower, moves=moves, monomial=M,
+                           extra_points=ex.closed_points())
     rec["lift"] = [{"stratum": sorted(r.move.labels), "skipped": r.skipped,
                     "reason": r.reason, "case": r.contact_case,
                     "hord_at_center": r.hord_at_center,

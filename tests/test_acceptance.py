@@ -12,7 +12,7 @@ from charpres.blowup import Center, Chart, blow_up_poly, stage_ab_experiment
 from charpres.monomial import MonomialAlg, resolve_game
 from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            order_at, parse_poly)
-from charpres.projection import (Presentation, fiber_point,
+from charpres.projection import (SimplifiedPresentation, fiber_point,
                                  membership_criterion, normalize,
                                  upstairs_algebra)
 from charpres.rees import (ReesAlg, quadratic_rank, sing_member, tau_at,
@@ -63,7 +63,8 @@ def test_criterion_2_normal_form_slopes():
     origin = ClosedPoint((0, 0))
 
     def pres_for(f):
-        return Presentation(f.field, 2, 0, f, ReesAlg.make(f.field, 2, []))
+        return SimplifiedPresentation(f.field, 2, (0,), (f,),
+                                      ReesAlg.make(f.field, 2, []))
 
     res = normalize(pres_for(parse_poly("z^2 + 2*x*z + x^2 + x^3", Q, zx)), origin)
     assert res.record.iterations == 1
@@ -174,7 +175,7 @@ def test_criterion_7_section_invariance():
             alpha = MPoly.from_dict(
                 F3, 3, {(0, i, j): rng.randrange(3) for i, j in monos})
             moved = pres.f.substitute({0: zvar + alpha})
-            again = Presentation(F3, 3, 0, moved, pres.elim)
+            again = SimplifiedPresentation(F3, 3, (0,), (moved,), pres.elim)
             assert hord_data(again, origin).value == base, \
                 "%s with alpha = %s" % (name, alpha)
 

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from charpres.blowup import (Center, Chart, Tower, blow_up_poly,
-                             stage_ab_experiment, transform_pair,
-                             transform_presentation, transform_rees)
+                             stage_ab_experiment, transform_presentation,
+                             transform_rees)
 from charpres.errors import PermissibilityError
 from charpres.poly import (ClosedPoint, FieldSpec, MPoly, parse_poly,
                            render_poly)
-from charpres.projection import (Presentation, SimplifiedPresentation,
-                                 coefficient_elim)
-from charpres.rees import Pair, ReesAlg, sing_member
+from charpres.projection import (PPresentation, SimplifiedPresentation,
+                                 coefficient_elim, make_p_presentation)
+from charpres.rees import ReesAlg, sing_member
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -63,19 +63,19 @@ def test_blow_up_round_trip():
 
 
 def test_transform_pair():
-    pr = Pair((P("z^2 + x^3"),), 2)
-    out = transform_pair(pr, Center(frozenset({0, 1})), 1)
-    assert out.gens == (P("z^2 + x"),)
-    # the transformed pair is nonsingular everywhere on the chart
-    alg = ReesAlg.make(Q, 3, [(out.gens[0], 2)])
-    assert not sing_member(alg, ClosedPoint((0, 0, 0)))
+    # the ideal-with-weight (z^2 + x^3, 2) as a one-generator algebra
+    alg = ReesAlg.make(Q, 3, [(P("z^2 + x^3"), 2)])
+    out = transform_rees(alg, Center(frozenset({0, 1})), 1)
+    assert out.gens == ((P("z^2 + x"), 2),)
+    # the transform is nonsingular everywhere on the chart
+    assert not sing_member(out, ClosedPoint((0, 0, 0)))
 
 
 def test_transform_pair_impermissible():
-    pr = Pair((P("z^2 + x^3"),), 2)
+    alg = ReesAlg.make(Q, 3, [(P("z^2 + x^3"), 2)])
     # the {z, y} line is not inside the singular locus {z = x = 0}
     with pytest.raises(PermissibilityError):
-        transform_pair(pr, Center(frozenset({0, 2})), 2)
+        transform_rees(alg, Center(frozenset({0, 2})), 2)
 
 
 def test_transform_rees_unit():
@@ -86,7 +86,7 @@ def test_transform_rees_unit():
 
 def test_transform_presentation():
     f = P("z^2 + x^3")
-    pres = Presentation(Q, 3, 0, f, coefficient_elim(f, 0))
+    pres = SimplifiedPresentation(Q, 3, (0,), (f,), coefficient_elim(f, 0))
     out = transform_presentation(pres, Center(frozenset({0, 1})), 1)
     assert out.f == P("z^2 + x")
     assert [(render_poly(g, ZXY), n) for g, n in out.elim.gens] == [("x", 2)]
@@ -94,7 +94,7 @@ def test_transform_presentation():
 
 def test_transform_presentation_requires_sections_in_center():
     f = P("z^2 + x^3")
-    pres = Presentation(Q, 3, 0, f, coefficient_elim(f, 0))
+    pres = SimplifiedPresentation(Q, 3, (0,), (f,), coefficient_elim(f, 0))
     with pytest.raises(PermissibilityError, match="beta-vertical"):
         transform_presentation(pres, Center(frozenset({1})), 1)
     with pytest.raises(PermissibilityError, match="downstairs"):
@@ -111,6 +111,15 @@ def test_transform_presentation_two_sections():
     assert [render_poly(g, names) for g in out.polys] == ["z1^2 + x", "x^3 + z2^2"]
     assert [(render_poly(g, names), n) for n_, (g, n) in enumerate(out.elim.gens)] \
         == [("x^2", 2)]
+
+
+def test_transform_p_presentation_keeps_its_kind():
+    f = P("z^2 + x^3*z + x^4", F2)
+    pp = make_p_presentation(F2, 3, (0,), (f,), ReesAlg.make(F2, 3, []))
+    out = transform_presentation(pp, Center(frozenset({0, 1})), 1)
+    assert type(out) is PPresentation
+    assert out.f == P("z^2 + x^2*z + x^2", F2)
+    assert [(render_poly(g, ZXY), n) for g, n in out.elim.gens] == [("x^2", 1)]
 
 
 def test_coefficients_commute_with_transform():
@@ -139,7 +148,7 @@ def test_chart_registry():
 
 def test_tower_snapshots():
     f = P("z^2 + x^3")
-    pres = Presentation(Q, 3, 0, f, coefficient_elim(f, 0))
+    pres = SimplifiedPresentation(Q, 3, (0,), (f,), coefficient_elim(f, 0))
     tower = Tower.start(ZXY, pres)
     step = tower.blow_up(Center(frozenset({0, 1})), 1)
     assert step.chart.divisors == (("H1", 1),)
@@ -151,7 +160,7 @@ def test_tower_snapshots():
 
 def test_tower_rejects_impermissible_center():
     f = P("z^2 + x^3")
-    pres = Presentation(Q, 3, 0, f, coefficient_elim(f, 0))
+    pres = SimplifiedPresentation(Q, 3, (0,), (f,), coefficient_elim(f, 0))
     tower = Tower.start(ZXY, pres)
     with pytest.raises(PermissibilityError):
         tower.blow_up(Center(frozenset({0, 2})), 2)

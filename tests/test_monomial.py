@@ -13,8 +13,7 @@ from charpres.monomial import (MonomialAlg, combinatorial_resolve, divides,
                                track_monomial)
 from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, parse_poly,
                            render_poly)
-from charpres.projection import (Presentation, SimplifiedPresentation,
-                                 coefficient_elim)
+from charpres.projection import SimplifiedPresentation, coefficient_elim
 from charpres.rees import ReesAlg, sing_member
 
 Q = FieldSpec(0)
@@ -34,7 +33,7 @@ def tower_for(text, field, centers, elim_gens=None, names=ZXY):
     else:
         elim = ReesAlg.make(field, len(names),
                             [(P(t, field, names), n) for t, n in elim_gens])
-    pres = Presentation(field, len(names), 0, f, elim)
+    pres = SimplifiedPresentation(field, len(names), (0,), (f,), elim)
     tower = Tower.start(names, pres)
     index = {n: i for i, n in enumerate(names)}
     for cvars, chart in centers:
@@ -226,7 +225,7 @@ def test_lift_length_four_with_absent_divisors():
 
 def test_vacuous_tower():
     f = P("z^2 + x", F2)
-    pres = Presentation(F2, 3, 0, f, ReesAlg.make(F2, 3, []))
+    pres = SimplifiedPresentation(F2, 3, (0,), (f,), ReesAlg.make(F2, 3, []))
     tower = Tower.start(ZXY, pres)
     M = track_monomial(tower)
     assert M.exponents == ()

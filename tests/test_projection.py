@@ -10,12 +10,12 @@ import pytest
 from charpres.errors import DegenerateSlopeError, NotNormalFormError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,
                            parse_poly, render_poly, weighted_initial_form)
-from charpres.projection import (PPresentation, Presentation,
-                                 SimplifiedPresentation, coefficient_elim,
-                                 fiber_point, hord, hord_data, is_normal_at,
-                                 is_nth_power, make_p_presentation,
-                                 membership_criterion, normalize, slope_poly,
-                                 slope_presentation, upstairs_algebra)
+from charpres.projection import (PPresentation, SimplifiedPresentation,
+                                 coefficient_elim, fiber_point, hord,
+                                 hord_data, is_normal_at, is_nth_power,
+                                 make_p_presentation, membership_criterion,
+                                 normalize, slope_poly, slope_presentation,
+                                 upstairs_algebra)
 from charpres.rees import ReesAlg, sing_member
 
 Q = FieldSpec(0)
@@ -40,7 +40,7 @@ def pres1(text, field=Q, elim_gens=None):
         elim = coefficient_elim(f, 0)
     else:
         elim = ealg(field, elim_gens)
-    return Presentation(field, 3, 0, f, elim)
+    return SimplifiedPresentation(field, 3, (0,), (f,), elim)
 
 
 def test_slope_poly_values():
@@ -85,7 +85,7 @@ def test_normalize_already_normal():
 
 def test_normalize_char5_artin_style():
     f = (P("z + x", F5) ** 5) + P("x^6", F5)
-    pres = Presentation(F5, 3, 0, f, ReesAlg.make(F5, 3, []))
+    pres = SimplifiedPresentation(F5, 3, (0,), (f,), ReesAlg.make(F5, 3, []))
     res = normalize(pres, ORIGIN)
     assert res.presentation.f == P("z^5 + x^6", F5)
     assert res.record.slope == Fraction(6, 5)
@@ -100,7 +100,7 @@ def test_normalize_iteration_cap():
 def test_normalize_off_origin():
     # translate the char-0 example to (0, 1, 0): same intrinsic slope
     f = P("z^2 + 2*x*z + x^2 + x^3").translate((0, -1, 0))
-    pres = Presentation(Q, 3, 0, f, ReesAlg.make(Q, 3, []))
+    pres = SimplifiedPresentation(Q, 3, (0,), (f,), ReesAlg.make(Q, 3, []))
     res = normalize(pres, ClosedPoint((0, 1, 0)))
     assert res.record.slope == Fraction(3, 2)
 
@@ -127,7 +127,7 @@ def test_membership_off_origin_char3():
 
 def test_membership_requires_normal_form():
     f = P("z^2 + 2*x*z + x^2 + x^5")
-    pres = Presentation(Q, 3, 0, f, ealg(Q, [("x^5", 2)]))
+    pres = SimplifiedPresentation(Q, 3, (0,), (f,), ealg(Q, [("x^5", 2)]))
     assert not is_normal_at(pres, ORIGIN)
     with pytest.raises(NotNormalFormError):
         membership_criterion(pres, ORIGIN)
@@ -154,6 +154,19 @@ def test_hord_two_sections():
     assert data.value == Fraction(3, 2)
     assert [r.slope for r in data.normalizations] == [Fraction(3, 2), Fraction(5, 2)]
     assert data.elim_ord == 2
+
+
+def test_one_section_accessors():
+    pres = pres1("z^2 + x^3")
+    assert pres.section_var == 0
+    assert pres.f == P("z^2 + x^3")
+    names = ("z1", "z2", "x")
+    polys = (P("z1^2 + x^3", names=names), P("z2^2 + x^5", names=names))
+    sp = SimplifiedPresentation(Q, 3, (0, 1), polys, ReesAlg.make(Q, 3, []))
+    with pytest.raises(ValueError, match="2 sections"):
+        sp.f
+    with pytest.raises(ValueError, match="2 sections"):
+        sp.section_var
 
 
 def test_hord_single_section():
@@ -197,6 +210,20 @@ def test_make_p_presentation_augments_elim():
     assert d.reduced_value == 1
 
 
+def test_normalize_p_presentation_gives_plain_presentation():
+    # z -> z + x already creates the middle coefficients x^6 and x^7, which
+    # are not in the elimination part, so the result is no p-presentation
+    pp = make_p_presentation(F2, 3, (0,), (P("z^4 + x^5*z^3 + x^4", F2),),
+                             ReesAlg.make(F2, 3, []))
+    res = normalize(pp, ORIGIN)
+    assert type(res.presentation) is SimplifiedPresentation
+    assert res.record.substitutions[0] == P("x", F2)
+    out = res.presentation
+    with pytest.raises(ValueError, match="middle coefficient"):
+        PPresentation(out.field, out.nvars, out.sections, out.polys, out.elim)
+    assert res.slope == hord(pp, ORIGIN)
+
+
 def test_p_presentation_rejects_missing_middle_coefficient():
     f = P("z^2 + x*z + y^3", F2)
     with pytest.raises(ValueError):
@@ -238,7 +265,7 @@ def test_section_invariance_small():
         alpha = P(alpha_text, F3)
         z = parse_poly("z", F3, ZXY)
         shifted = pres.f.substitute({0: z - alpha})
-        moved = Presentation(F3, 3, 0, shifted, pres.elim)
+        moved = SimplifiedPresentation(F3, 3, (0,), (shifted,), pres.elim)
         assert hord(moved, ORIGIN) == base
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,
                            parse_poly, render_poly)
-from charpres.rees import (Pair, ReesAlg, SmallExtField, diff_saturate,
-                           ord_at, pair_to_rees, quadratic_rank, sing_member,
+from charpres.rees import (ReesAlg, SmallExtField, diff_saturate, ord_at,
+                           quadratic_rank, sing_member,
                            singular_coordinate_strata, tau_at,
                            tau_translation_oracle)
 
@@ -113,12 +113,6 @@ def test_sing_member_points():
     assert sing_member(a, ORIGIN)
     assert not sing_member(a, ClosedPoint((1, Fraction(-1), 0)))
     assert sing_member(a, GenericPoint(frozenset({0, 1})))
-
-
-def test_pair_to_rees():
-    pr = Pair((P("z^2 + x^3"),), 2)
-    a = pair_to_rees(pr, Q, 3)
-    assert a.gens == ((P("z^2 + x^3"), 2),)
 
 
 def test_tau_char0():

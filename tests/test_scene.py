@@ -10,7 +10,9 @@ import pytest
 
 from charpres.cli import main
 from charpres.errors import SceneParseError
-from charpres.poly import INF, ClosedPoint, GenericPoint
+from charpres.poly import INF, ClosedPoint, FieldSpec, GenericPoint, parse_poly
+from charpres.projection import SimplifiedPresentation
+from charpres.rees import ReesAlg
 from charpres.scene import (RunOptions, canonical_json, jsonify, load_scene,
                             parse_scene, run_scene, verify_trace)
 
@@ -210,6 +212,76 @@ def test_cli_oracle_flag_rejects_large_extension(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["run", "--scene", scene, "--tau-oracle-field-extension", "4"])
     capsys.readouterr()
+
+
+def test_parsed_presentation_is_the_direct_one():
+    field = FieldSpec(3)
+
+    def P(text):
+        return parse_poly(text, field, ("z", "x", "y"))
+
+    direct = SimplifiedPresentation(field, 3, (0,), (P("z^2 + x^3"),),
+                                    ReesAlg.make(field, 3, [(P("x^3"), 2)]))
+    assert parse_scene(MINIMAL).presentation == direct
+
+
+TWO_SECTIONS = """\
+[field]
+characteristic: 2
+[variables]
+vars: z1, z2, x
+sections: z1, z2
+[presentation]
+poly 1: z1^2 + x^3
+poly 2: z2^2 + x^5
+[script]
+hord at origin
+"""
+
+
+@pytest.mark.parametrize("command,message", [
+    ("slope at origin", "the slope command needs a one-section presentation"),
+    ("experiment q-from-presentation N=3",
+     "the experiment needs a one-section presentation"),
+])
+def test_one_section_commands_reject_two_sections(command, message):
+    doc = run_scene(parse_scene(TWO_SECTIONS + command + "\n"))
+    assert doc["status"] == "error"
+    assert doc["records"][0]["hord"] == Fraction(3, 2)
+    assert doc["records"][-1] == {"command": command, "error": message,
+                                  "error_type": "CommandError"}
+
+
+# hord and ord_monomial agree at the generic points of the divisor strata but
+# not at the closed point origin (5/2 against 2), so the tower is not strong
+NON_STRONG_AT_ORIGIN = """\
+[field]
+characteristic: 3
+[variables]
+vars: z, x, y, w
+sections: z
+[presentation]
+poly 1: z^2 + x*y^2*w^2
+elim: y^4*w^3 W^2
+[script]
+blowup: center = {z, y, w}; chart = y
+blowup: center = {z, y, w}; chart = w
+strong-check
+resolve
+"""
+
+
+def test_resolve_refuses_tower_strong_check_rejects(tmp_path, capsys):
+    doc = run_scene(parse_scene(NON_STRONG_AT_ORIGIN))
+    check, resolve = doc["records"][-2:]
+    assert check["strong"] is False
+    assert check["witness"]["at"] == "point 1"
+    assert doc["status"] == "error"
+    assert resolve["command"] == "resolve"
+    assert resolve["error"].startswith("lift refused")
+    scene = _write(tmp_path, "s.scene", NON_STRONG_AT_ORIGIN)
+    assert main(["run", "--scene", scene]) == 1
+    assert "lift refused" in capsys.readouterr().err
 
 
 def _scene_paths():
