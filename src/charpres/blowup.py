@@ -104,6 +104,11 @@ def transform_rees(alg: ReesAlg, center: Center, chart_var: int) -> ReesAlg:
         raise PermissibilityError("the unit algebra has empty singular locus")
     if not sing_member(alg, GenericPoint(center.vars)):
         raise PermissibilityError("center not contained in the singular locus")
+    return _transform_gens(alg, center, chart_var)
+
+
+def _transform_gens(alg: ReesAlg, center: Center, chart_var: int) -> ReesAlg:
+    """transform_rees past its permissibility checks, for callers that made them."""
     return ReesAlg.make(alg.field, alg.nvars,
                         [(blow_up_poly(f, n, center, chart_var), n) for f, n in alg.gens])
 
@@ -128,7 +133,7 @@ def transform_presentation(sp: SimplifiedPresentation, center: Center,
         raise PermissibilityError("center not permissible for the elimination part")
     polys = tuple(blow_up_poly(f, n, center, chart_var)
                   for f, n in zip(sp.polys, degrees))
-    elim = transform_rees(sp.elim, center, chart_var) if sp.elim.gens else sp.elim
+    elim = _transform_gens(sp.elim, center, chart_var)
     return type(sp)(sp.field, sp.nvars, sp.sections, polys, elim)
 
 

@@ -16,7 +16,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add as _add, sub as _sub
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import NotMonicError, PolyParseError
@@ -280,6 +282,11 @@ class MPoly:
         vs = tuple(var_set)
         return MPoly(self.field, self.nvars,
                      tuple((e, c) for e, c in self.terms if sum(e[i] for i in vs) == k))
+
+    @cached_property
+    def _splits(self) -> dict:
+        # section index -> read-only monic split; see monic_coefficients
+        return {}
 
     def coefficients_in_var(self, i: int) -> dict:
         """Decompose as a polynomial in variable i: exponent -> coefficient poly."""
@@ -618,23 +625,28 @@ def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> 
     return WeightedForm(f.field, f.nvars, z_index, n, q, graded, tuple(out))
 
 
-def monic_coefficients(f: MPoly, z_index: int) -> dict:
+def monic_coefficients(f: MPoly, z_index: int) -> Mapping[int, MPoly]:
     """Split a monic section polynomial into {j: a_j} with f = z^n + sum a_j z^(n-j).
 
     Raises on non-monic input or on coefficients involving the section variable
     (the latter cannot happen for polynomials built by decomposition, but input
-    validation keeps presentations honest).
+    validation keeps presentations honest).  The split is computed once per
+    polynomial and section and returned read-only, since callers share it; a
+    non-monic input raises on every call.
     """
-    by_deg = f.coefficients_in_var(z_index)
-    if not by_deg:
-        raise NotMonicError("zero polynomial is not monic")
-    n = max(by_deg)
-    lead = by_deg[n]
-    if n == 0 or not lead.is_constant() or lead.constant_value() != f.field.one:
-        raise NotMonicError("section polynomial must be monic of positive degree")
-    out = {n - k: a for k, a in by_deg.items() if k != n}
-    # a_n is the z-free part, zero when absent
-    out.setdefault(n, MPoly.zero_poly(f.field, f.nvars))
+    out = f._splits.get(z_index)
+    if out is None:
+        by_deg = f.coefficients_in_var(z_index)
+        if not by_deg:
+            raise NotMonicError("zero polynomial is not monic")
+        n = max(by_deg)
+        lead = by_deg[n]
+        if n == 0 or not lead.is_constant() or lead.constant_value() != f.field.one:
+            raise NotMonicError("section polynomial must be monic of positive degree")
+        split = {n - k: a for k, a in by_deg.items() if k != n}
+        # a_n is the z-free part, zero when absent
+        split.setdefault(n, MPoly.zero_poly(f.field, f.nvars))
+        out = f._splits[z_index] = MappingProxyType(split)
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import DegenerateSlopeError, InvariantError, NotNormalFormError
@@ -73,6 +74,11 @@ class SimplifiedPresentation:
             if any(g.uses_var(w) for w in secs):
                 raise ValueError("elimination generators must be section-free")
 
+    @cached_property
+    def _hord_memo(self) -> dict:
+        # (point, max_iters) -> HordData; see hord_data
+        return {}
+
     @property
     def degrees(self) -> tuple:
         return tuple(f.degree_in_var(z) for z, f in zip(self.sections, self.polys))
@@ -129,6 +135,8 @@ class PPresentation(SimplifiedPresentation):
             exps.append(e)
         if list(exps) != sorted(exps):
             raise ValueError("p-presentation degrees must be non-decreasing")
+        if self.elim.is_unit:
+            return  # the unit algebra holds every middle coefficient
         have = {(g, n) for g, n in self.elim.gens}
         for i in range(len(self.polys)):
             n = self.degrees[i]
@@ -358,7 +366,19 @@ def hord_data(sp: SimplifiedPresentation, y: PointSpec,
     For p-presentations the reduced formula (constant coefficients only) is
     recomputed and must agree; construction guarantees the middle
     coefficients are dominated by the elimination part.
+
+    The result is stored on the presentation per (y, max_iters) and served
+    from there on repeat calls; a call that raises stores nothing.
     """
+    key = (y, max_iters)
+    data = sp._hord_memo.get(key)
+    if data is None:
+        data = sp._hord_memo[key] = _hord_data(sp, y, max_iters)
+    return data
+
+
+def _hord_data(sp: SimplifiedPresentation, y: PointSpec,
+               max_iters: Optional[int]) -> HordData:
     _check_downstairs_point(y, sp.sections, sp.nvars)
     eord = ord_at(sp.elim, y)
     recs = [normalize_poly(f, z, y, elim_ord=eord, max_iters=max_iters)

@@ -241,24 +241,26 @@ def load_scene(path: str) -> Scene:
 
 def jsonify(obj):
     """Exact JSON image: Fractions become ints or 'num/den' strings, infinity
-    becomes 'inf', containers recurse.  No floats ever."""
-    if obj is INF:
-        return "inf"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    becomes 'inf', containers recurse.  No floats ever.  Dispatch is on the
+    exact type, so a subclass of a supported type is refused."""
+    t = type(obj)
+    if t is str or t is int or t is bool or obj is None:
         return obj
-    if isinstance(obj, float):
-        raise TypeError("floats are not allowed in traces")
-    if isinstance(obj, Fraction):
+    if t is dict:
+        return {str(k): jsonify(v) for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [jsonify(v) for v in obj]
+    if t is Fraction:
         if obj.denominator == 1:
             return int(obj)
         return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
+    if obj is INF:
+        return "inf"
+    if isinstance(obj, float):
+        raise TypeError("floats are not allowed in traces")
     if isinstance(obj, (set, frozenset)):
         return sorted(jsonify(v) for v in obj)
-    raise TypeError("cannot serialize %r" % type(obj).__name__)
+    raise TypeError("cannot serialize %r" % t.__name__)
 
 
 def canonical_json(doc) -> str:

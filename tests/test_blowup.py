@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import charpres.blowup as blowup
 from charpres.blowup import (Center, Chart, Tower, blow_up_poly,
                              stage_ab_experiment, transform_presentation,
                              transform_rees)
@@ -12,7 +13,7 @@ from charpres.errors import PermissibilityError
 from charpres.poly import (ClosedPoint, FieldSpec, MPoly, parse_poly,
                            render_poly)
 from charpres.projection import (PPresentation, SimplifiedPresentation,
-                                 coefficient_elim, make_p_presentation)
+                                 coefficient_elim, hord, make_p_presentation)
 from charpres.rees import ReesAlg, sing_member
 
 Q = FieldSpec(0)
@@ -120,6 +121,40 @@ def test_transform_p_presentation_keeps_its_kind():
     assert type(out) is PPresentation
     assert out.f == P("z^2 + x^2*z + x^2", F2)
     assert [(render_poly(g, ZXY), n) for g, n in out.elim.gens] == [("x^2", 1)]
+
+
+def test_transform_p_presentation_to_unit_elimination_part():
+    # the middle coefficient x becomes the constant 1, so the transformed
+    # elimination part is the unit algebra, which holds every coefficient
+    f = P("z^2 + x*z + x^2", F2)
+    pp = make_p_presentation(F2, 3, (0,), (f,), ReesAlg.make(F2, 3, []))
+    out = transform_presentation(pp, Center(frozenset({0, 1})), 1)
+    assert type(out) is PPresentation
+    assert out.f == P("z^2 + z + 1", F2)
+    assert out.elim.is_unit
+    assert hord(out, ClosedPoint((0, 0, 0))) == 0
+
+
+def test_transform_presentation_checks_elimination_part_once(monkeypatch):
+    calls = []
+    member = blowup.sing_member
+
+    def counted(alg, pt):
+        calls.append(pt)
+        return member(alg, pt)
+
+    monkeypatch.setattr(blowup, "sing_member", counted)
+    f = P("z^2 + x^3*y^3")
+    pres = SimplifiedPresentation(Q, 3, (0,), (f,), coefficient_elim(f, 0))
+    transform_presentation(pres, Center(frozenset({0, 1})), 1)
+    assert len(calls) == 1
+    bad = SimplifiedPresentation(Q, 3, (0,), (f,), ReesAlg.make(Q, 3, [(P("x^2 + y"), 2)]))
+    with pytest.raises(PermissibilityError,
+                       match="not permissible for the elimination part"):
+        transform_presentation(bad, Center(frozenset({0, 1})), 1)
+    # the stand-alone algebra transform keeps its own message
+    with pytest.raises(PermissibilityError, match="not contained in the singular locus"):
+        transform_rees(ReesAlg.make(Q, 3, [(P("x + y"), 2)]), Center(frozenset({1, 2})), 1)
 
 
 def test_coefficients_commute_with_transform():

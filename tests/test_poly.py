@@ -159,6 +159,23 @@ def test_monic_coefficients():
         monic_coefficients(P("x*z + y"), 0)
 
 
+def test_monic_coefficients_memo():
+    f = P("z^2 + 2*x*z + x^2 + x^3")
+    coeffs = monic_coefficients(f, 0)
+    assert monic_coefficients(f, 0) is coeffs
+    # callers share the split, so it is read-only
+    with pytest.raises(TypeError):
+        coeffs[1] = P("x")
+    assert monic_coefficients(P("z^2 + 2*x*z + x^2 + x^3"), 0) == coeffs
+    # a split in another variable is a separate entry
+    assert monic_coefficients(f, 1) == {1: P("1"), 2: P("2*z"), 3: P("z^2")}
+    # a non-monic input raises on every call
+    g = P("2*z^2 + x")
+    for _ in range(2):
+        with pytest.raises(NotMonicError):
+            monic_coefficients(g, 0)
+
+
 def test_weighted_initial_form():
     f = P("z^2 + 2*x*z + x^2 + x^3")
     W = weighted_initial_form(f, 0, ClosedPoint((0, 0, 0)), Fraction(1))

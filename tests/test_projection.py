@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from charpres.errors import DegenerateSlopeError, NotNormalFormError
-from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,
+from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly, weighted_initial_form)
 from charpres.projection import (PPresentation, SimplifiedPresentation,
                                  coefficient_elim, fiber_point, hord,
@@ -293,3 +293,37 @@ def test_invariant_checks_survive_python_O():
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == \
         "optimize=1: normalization must strictly increase the slope"
+
+
+def test_hord_data_memo():
+    pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
+    # a capped call that raises stores nothing and raises again
+    for _ in range(2):
+        with pytest.raises(DegenerateSlopeError):
+            hord_data(pres, ORIGIN, max_iters=0)
+    d = hord_data(pres, ORIGIN)
+    assert hord_data(pres, ORIGIN) is d
+    assert d.normalizations[0].iterations == 1
+    # another cap is a separate entry, computed afresh
+    capped = hord_data(pres, ORIGIN, max_iters=1)
+    assert capped is not d and capped == d
+    # an equal presentation rebuilt afresh computes an equal result
+    again = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
+    assert again == pres
+    fresh = hord_data(again, ORIGIN)
+    assert fresh is not d and fresh == d
+
+
+def test_p_presentation_splits_each_section_once(monkeypatch):
+    calls = []
+    split = MPoly.coefficients_in_var
+
+    def counted(self, i):
+        calls.append(i)
+        return split(self, i)
+
+    monkeypatch.setattr(MPoly, "coefficients_in_var", counted)
+    f = P("z^9 + x^2*z^6 + x*y*z^3 + y^7", F3)
+    pp = make_p_presentation(F3, 3, (0,), (f,), ReesAlg.make(F3, 3, []))
+    assert pp.degrees == (9,)
+    assert calls == [0]

@@ -4,6 +4,7 @@ regression corpus."""
 import glob
 import json
 import os
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,8 @@ def test_jsonify():
     assert jsonify((True, None, "x")) == [True, None, "x"]
     with pytest.raises(TypeError, match="floats"):
         jsonify(0.5)
+    with pytest.raises(TypeError, match="OrderedDict"):
+        jsonify(OrderedDict())
 
 
 def test_canonical_json_is_sorted_and_terminated():
