@@ -7,10 +7,10 @@ bookkeeping, and the attached monomial algebra with its combinatorial
 resolution game.
 """
 
-from .errors import (CharpresError, CommandError, DegenerateSlopeError,
-                     NonMonomialElimError, NotMonicError, NotNormalFormError,
-                     PermissibilityError, PolyParseError, SceneParseError,
-                     TrackingError)
+from .errors import (BudgetError, CharpresError, CommandError,
+                     DegenerateSlopeError, NonMonomialElimError, NotMonicError,
+                     NotNormalFormError, PermissibilityError, PolyParseError,
+                     SceneParseError, TrackingError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    WeightedForm, hasse_derivative, initial_form, order_at,
                    parse_poly, render_poly, weighted_initial_form)

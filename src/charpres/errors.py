@@ -54,5 +54,9 @@ class NonMonomialElimError(CharpresError):
     """Raised when the strong-monomial test needs a monomial elimination part."""
 
 
+class BudgetError(CharpresError):
+    """Raised before a computation whose size exceeds a fixed budget starts."""
+
+
 class TrackingError(CharpresError):
     """Raised when monomial-exponent tracking hits an inconsistent tower."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add as _add, sub as _sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import NotMonicError, PolyParseError
 
@@ -192,9 +192,6 @@ class MPoly:
 
     def is_single_term(self) -> bool:
         return len(self.terms) == 1
-
-    def iter_terms(self) -> Iterator[tuple]:
-        return iter(self.terms)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -581,9 +578,6 @@ class WeightedForm:
             if jj == j:
                 return a
         return MPoly.zero_poly(self.field, self.nvars)
-
-    def is_pure_power_of_z(self) -> bool:
-        return not self.coeffs
 
 
 def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> WeightedForm:

@@ -147,10 +147,6 @@ class PPresentation(SimplifiedPresentation):
                         "middle coefficient a_%d of polynomial %d is missing from "
                         "the elimination part; use make_p_presentation" % (j, i + 1))
 
-    def p_exponents(self) -> tuple:
-        p = self.field.characteristic
-        return tuple(round(math.log(n, p)) for n in self.degrees)
-
 
 def make_p_presentation(field: FieldSpec, nvars: int, sections, polys,
                         elim: ReesAlg) -> PPresentation:

@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
                    order_at)
 
@@ -54,9 +54,6 @@ class ReesAlg:
         return ReesAlg.make(self.field, self.nvars,
                             list(self.gens) + list(more), self.is_unit)
 
-    def is_trivial(self) -> bool:
-        return not self.gens and not self.is_unit
-
     @cached_property
     def _saturation(self) -> "ReesAlg":
         # the absolute saturation, computed on first use; see diff_saturate
@@ -64,11 +61,47 @@ class ReesAlg:
         sat.__dict__["_saturation"] = sat
         return sat
 
+    @cached_property
+    def _local(self) -> dict:
+        # closed point values -> [(translate, order), ...]; see _local_at
+        return {}
+
+    @cached_property
+    def _strata(self) -> tuple:
+        # the singular coordinate strata, scanned on first use
+        return tuple(S for k in range(1, self.nvars + 1)
+                     for S in map(frozenset, itertools.combinations(range(self.nvars), k))
+                     if sing_member(self, GenericPoint(S)))
+
+
+def _local_at(alg: ReesAlg, pt: ClosedPoint):
+    """Yield (translate to pt, its order there, weight) for each generator.
+
+    Each generator is translated to a closed point at most once per algebra
+    instance.  The (translate, order) pairs are kept in `alg._local`, keyed by
+    the point's values, in generator order and as far as a caller has read:
+    a test that stops at the first generator of low order translates no
+    further.  The memo lives as long as the algebra.  A wrong-arity point
+    raises on every call.
+    """
+    values = pt.values
+    if len(values) != alg.nvars:
+        raise ValueError("point arity does not match polynomial arity")
+    done = alg._local.setdefault(values, [])
+    for i, (f, n) in enumerate(alg.gens):
+        if i == len(done):
+            g = f.translate(values)
+            done.append((g, g.order_total()))
+        g, order = done[i]
+        yield g, order, n
+
 
 def sing_member(alg: ReesAlg, pt: PointSpec) -> bool:
     """Is the point in the singular locus (order >= weight for every generator)?"""
     if alg.is_unit:
         return False
+    if isinstance(pt, ClosedPoint):
+        return all(order >= n for _, order, n in _local_at(alg, pt))
     return all(order_at(f, pt) >= n for f, n in alg.gens)
 
 
@@ -82,6 +115,8 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
         return Fraction(0)
     if not alg.gens:
         return INF
+    if isinstance(pt, ClosedPoint):
+        return min(Fraction(order) / n for _, order, n in _local_at(alg, pt))
     return min(Fraction(order_at(f, pt)) / n for f, n in alg.gens)
 
 
@@ -160,62 +195,48 @@ def diff_saturate(alg: ReesAlg, relative_vars: Optional[Iterable[int]] = None) -
 
 
 def rref(rows, field: FieldSpec):
-    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns).
+
+    Entries are field elements.  Over F_p they are plain ints in range(p),
+    and a row operation reduces each cell it writes once, with no FieldSpec
+    call; over Q they are Fractions.  A row operation touches only the
+    columns from the pivot on: the pivot row is zero left of it.
+    """
+    p = field.characteristic
     mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
-    ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if mat[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(x, inv) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [field.add(x, field.neg(field.mul(factor, y)))
-                          for x, y in zip(mat[i], mat[r])]
+        mat[r], mat[i] = mat[i], mat[r]
+        head = mat[r]
+        if p:
+            inv = pow(head[c], -1, p)
+            tail = [x * inv % p for x in head[c:]]
+        else:
+            inv = Fraction(1) / head[c]
+            tail = [x * inv for x in head[c:]]
+        mat[r] = head[:c] + tail
+        for i in range(nrows):
+            row = mat[i]
+            factor = row[c]
+            if i == r or not factor:
+                continue
+            if p:
+                mat[i] = row[:c] + [(x - factor * y) % p for x, y in zip(row[c:], tail)]
+            else:
+                mat[i] = row[:c] + [x - factor * y for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]], pivots
-
-
-def _reduce_against(vec, basis, pivots, field: FieldSpec):
-    v = list(vec)
-    for row, c in zip(basis, pivots):
-        if v[c] != 0:
-            factor = v[c]
-            v = [field.add(x, field.neg(field.mul(factor, y))) for x, y in zip(v, row)]
-    return v
-
-
-def _null_space(columns, field: FieldSpec):
-    """Basis of {c : sum c_i * columns[i] = 0}; columns are equal-length vectors."""
-    d = len(columns)
-    if d == 0:
-        return []
-    nrows = len(columns[0])
-    mat = [[columns[j][i] for j in range(d)] for i in range(nrows)]
-    if not mat:
-        mat = [[field.zero] * d]
-    reduced, pivots = rref(mat, field)
-    free = [j for j in range(d) if j not in pivots]
-    basis = []
-    for j in free:
-        c = [field.zero] * d
-        c[j] = field.one
-        for row, pc in zip(reduced, pivots):
-            c[pc] = field.neg(row[j])
-        basis.append(c)
-    return basis
+    return mat[:r], pivots
 
 
 # -- tau: codimension of the vertex space of the tangent cone ------------------
@@ -247,56 +268,49 @@ def _additive_forms_in_degree(forms, degree: int, field: FieldSpec, nvars: int):
     """Additive forms sum(c_i x_i^degree) inside the degree-`degree` graded
     piece of the ideal generated by the given homogeneous forms.
 
-    Returns a list of coefficient vectors c.  Works by spanning the graded
-    piece with monomial multiples of the generators and solving for the
-    additive vectors that reduce to zero against that span.
+    Returns a list of coefficient vectors c spanning them.  The graded piece
+    is spanned by the monomial multiples of the forms, one row each, over the
+    degree-`degree` monomials with the pure powers x_i^degree as the last
+    nvars columns.  After one rref, the rows whose pivot lies in that last
+    block are zero outside it and span the additive forms of the piece.
     """
-    basis_monos = sorted(_monomials_of_degree(nvars, degree), reverse=True)
-    index = {m: k for k, m in enumerate(basis_monos)}
+    pure = [tuple(degree if i == j else 0 for i in range(nvars)) for j in range(nvars)]
+    pure_set = set(pure)
+    columns = [m for m in _monomials_of_degree(nvars, degree) if m not in pure_set] + pure
+    index = {m: k for k, m in enumerate(columns)}
+    ncols = len(columns)
     rows = []
     for f in forms:
         d = f.total_degree()
         if d > degree or d < 0:
             continue
         for m in _monomials_of_degree(nvars, degree - d):
-            shifted = f * MPoly.monomial(f.field, nvars, m)
-            row = [field.zero] * len(basis_monos)
-            for e, c in shifted.terms:
-                row[index[e]] = c
+            row = [0] * ncols
+            for e, c in f.terms:
+                row[index[tuple(a + b for a, b in zip(e, m))]] = c
             rows.append(row)
-    if rows:
-        reduced, pivots = rref(rows, field)
-    else:
-        reduced, pivots = [], []
-    residues = []
-    for i in range(nvars):
-        exps = [0] * nvars
-        exps[i] = degree
-        vec = [field.zero] * len(basis_monos)
-        vec[index[tuple(exps)]] = field.one
-        residues.append(_reduce_against(vec, reduced, pivots, field))
-    return _null_space(residues, field)
+    if not rows:
+        return []
+    reduced, pivots = rref(rows, field)
+    first = ncols - nvars
+    return [row[first:] for row, c in zip(reduced, pivots) if c >= first]
 
 
 def _tangent_forms(sat: ReesAlg, pt: ClosedPoint) -> list:
     """Initial forms at pt of the saturated generators whose order there
-    equals their weight; each generator is translated to pt once.
+    equals their weight, read from the translates kept by `_local_at`.
 
     Raises ValueError when pt is off the singular locus: the algebra is the
     unit algebra or some generator has order below its weight.
     """
-    if len(pt.values) != sat.nvars:
-        raise ValueError("point arity does not match polynomial arity")
     if sat.is_unit:
         raise ValueError("tau is only defined at points of the singular locus")
     forms = []
-    for f, n in sat.gens:
-        local = f.translate(pt.values)
-        order = local.order_total()
+    for g, order, n in _local_at(sat, pt):
         if order < n:
             raise ValueError("tau is only defined at points of the singular locus")
         if order == n:
-            forms.append(local.homogeneous_part(n))
+            forms.append(g.homogeneous_part(n))
     return forms
 
 
@@ -310,40 +324,32 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentDa
     """
     if not isinstance(pt, ClosedPoint):
         raise ValueError("tau is computed at closed points")
-    forms = _tangent_forms(diff_saturate(alg), pt)
+    sat = diff_saturate(alg)
+    forms = _tangent_forms(sat, pt)
     field, nvars = alg.field, alg.nvars
     p = field.characteristic
-    degrees = [1]
+    degrees = [1]  # p^e at index e
     if p:
         maxdeg = max((f.total_degree() for f in forms), default=0)
-        d = p
-        while d <= maxdeg:
-            degrees.append(d)
-            d *= p
+        while degrees[-1] * p <= maxdeg:
+            degrees.append(degrees[-1] * p)
     vertex_forms = []
     roots = []
-    for deg in degrees:
-        e = 0
-        dd = deg
-        while dd > 1:
-            dd //= p
-            e += 1
+    for e, deg in enumerate(degrees):
         for cvec in _additive_forms_in_degree(forms, deg, field, nvars):
-            form = MPoly.from_dict(field, nvars, {
+            vertex_forms.append(MPoly.from_dict(field, nvars, {
                 tuple(deg if i == j else 0 for i in range(nvars)): c
-                for j, c in enumerate(cvec) if c != 0})
-            if form.is_zero():
-                continue
-            vertex_forms.append(form)
+                for j, c in enumerate(cvec) if c != 0}))
             roots.append([field.pth_root(c, e) for c in cvec])
     reduced, _ = rref(roots, field) if roots else ([], [])
     tau = len(reduced)
     if check_codim:
-        strata = singular_coordinate_strata(alg)
-        if strata:
-            if tau > min(len(s) for s in strata):
-                raise InvariantError(
-                    "tau exceeded the codimension of a coordinate singular stratum")
+        # saturation leaves the singular locus unchanged, so the strata of
+        # sat are those of alg, and sat keeps them once scanned
+        strata = singular_coordinate_strata(sat)
+        if strata and tau > min(len(s) for s in strata):
+            raise InvariantError(
+                "tau exceeded the codimension of a coordinate singular stratum")
     root_polys = tuple(
         MPoly.from_dict(field, nvars, {
             tuple(1 if i == j else 0 for i in range(nvars)): c
@@ -352,14 +358,13 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentDa
     return TangentData(pt, tau, tuple(forms), tuple(vertex_forms), root_polys)
 
 
-def singular_coordinate_strata(alg: ReesAlg):
-    """All variable subsets S with the generic point of V(S) singular."""
-    out = []
-    for k in range(1, alg.nvars + 1):
-        for S in itertools.combinations(range(alg.nvars), k):
-            if sing_member(alg, GenericPoint(frozenset(S))):
-                out.append(frozenset(S))
-    return out
+def singular_coordinate_strata(alg: ReesAlg) -> list:
+    """All variable subsets S with the generic point of V(S) singular.
+
+    The 2^nvars - 1 strata are scanned once per `ReesAlg` instance and kept
+    on it; each call returns a fresh list.
+    """
+    return list(alg._strata)
 
 
 # -- brute-force translation oracle (small finite fields) ----------------------
@@ -440,6 +445,9 @@ def _verify_modulus_table():
 
 _verify_modulus_table()
 
+# The most translation vectors (p^m)^nvars the oracle will enumerate.
+ORACLE_MAX_VECTORS = 10 ** 6
+
 
 def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -> int:
     """Brute-force tau: count translations over F_{p^m} fixing every collected
@@ -454,8 +462,13 @@ def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -
         raise ValueError("the translation oracle needs positive characteristic")
     if ext_degree > 3:
         raise ValueError("extension degrees above 3 are not supported")
-    forms = _tangent_forms(diff_saturate(alg), pt)
     nvars = alg.nvars
+    vectors = (p ** ext_degree) ** nvars
+    if vectors > ORACLE_MAX_VECTORS:
+        raise BudgetError("the translation oracle would enumerate %d vectors over F_%d^%d "
+                          "in %d variables, above its budget of %d"
+                          % (vectors, p, ext_degree, nvars, ORACLE_MAX_VECTORS))
+    forms = _tangent_forms(diff_saturate(alg), pt)
     gf = SmallExtField(p, ext_degree)
 
     # Precompute, per form, the coefficient table of F(x+v) - F(x) as a

@@ -1,9 +1,13 @@
-"""Every module import in the package and the tests is used.
+"""Every module import in the package and the tests is used, and every
+module-private function and class in the package is referenced.
 
 A stdlib ``ast`` scan: a name bound by an import must be read somewhere in
 the same module, as a name, the root of an attribute chain, inside a string
 annotation, or through ``__all__``.  Package ``__init__`` modules re-export
-their imports and are skipped, as are ``__future__`` imports.
+their imports and are skipped, as are ``__future__`` imports.  A function or
+class of ``src/charpres`` named ``_name`` (a method too, but not a dunder)
+must be referenced by some module of ``src`` or ``tests`` other than by its
+own definition: as a name, an attribute, an imported name or a string.
 """
 
 import ast
@@ -62,10 +66,63 @@ def _used(tree):
     return used
 
 
+def _parse(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _private_defs(tree):
+    """{name: line} for every function and class named _name, dunders aside."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
+def _referenced(tree):
+    """Every name the module reads, looks up as an attribute, imports or
+    spells out as a string."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _unreferenced(defining, readers):
+    """Private definitions of the `defining` trees that none of `readers` names."""
+    seen = set().union(*map(_referenced, readers))
+    return sorted((name, path, line) for path, tree in defining
+                  for name, line in _private_defs(tree).items() if name not in seen)
+
+
+def test_private_definitions_are_referenced():
+    package = [(path, _parse(path)) for path in _modules() if path.startswith("src/")]
+    readers = [tree for _, tree in package]
+    readers += [_parse(path) for path in _modules() if path.startswith("tests/")]
+    readers.append(_parse("src/charpres/__init__.py"))
+    unused = ["%s:%d %s" % (path, line, name)
+              for name, path, line in _unreferenced(package, readers)]
+    assert not unused, "unreferenced private definitions: " + ", ".join(unused)
+
+
+def test_scan_sees_an_unreferenced_private_function():
+    tree = ast.parse("def _used(): pass\ndef _left(): pass\nclass _Gone: pass\n"
+                     "class A:\n    def _m(self): pass\n    def __init__(self): pass\n"
+                     "_used()\n")
+    reader = ast.parse("from m import _m\n")
+    assert [name for name, _, _ in _unreferenced([("m", tree)], [tree, reader])] == \
+        ["_Gone", "_left"]
+
+
 @pytest.mark.parametrize("path", _modules())
 def test_no_unused_imports(path):
-    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
+    tree = _parse(path)
     used = _used(tree)
     unused = ["%s:%d %s" % (path, line, name)
               for name, line in sorted(_imported(tree).items()) if name not in used]

@@ -49,7 +49,7 @@ def test_parse_and_render_round_trip():
 
 def test_parse_coefficients():
     f = P("1/2*x^2 - y")
-    terms = dict(f.iter_terms())
+    terms = dict(f.terms)
     assert terms[(0, 2, 0)] == Fraction(1, 2)
     assert terms[(0, 0, 1)] == -1
     # characteristic folds coefficients
@@ -191,7 +191,7 @@ def test_weighted_initial_form():
 
 def test_weighted_form_pure_power():
     W = weighted_initial_form(P("z^2"), 0, ClosedPoint((0, 0, 0)), Fraction(1))
-    assert W.is_pure_power_of_z()
+    assert not W.coeffs
 
 
 def test_generic_point_orders():

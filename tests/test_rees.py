@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,
+from charpres import rees
+from charpres.errors import BudgetError
+from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly)
 from charpres.rees import (ReesAlg, SmallExtField, diff_saturate, ord_at,
                            quadratic_rank, sing_member,
@@ -45,7 +47,7 @@ def test_make_drops_zero_and_detects_units():
 
 def test_trivial_algebra():
     t = ReesAlg.make(Q, 3, [])
-    assert t.is_trivial()
+    assert not t.gens and not t.is_unit
     assert ord_at(t, ORIGIN) is INF
     assert sing_member(t, ORIGIN)
 
@@ -184,3 +186,119 @@ def test_canonical_generator_order_is_stable():
     a = alg(Q, [("x^3 + z^2", 2), ("2*z", 1), ("3*x^2", 1)])
     b = alg(Q, [("3*x^2", 1), ("x^3 + z^2", 2), ("2*z", 1)])
     assert a == b
+
+
+def test_oracle_refuses_over_budget_before_enumerating(monkeypatch):
+    names = tuple("x%d" % i for i in range(7))
+    F7 = FieldSpec(7)
+    a = ReesAlg.make(F7, 7, [(parse_poly("x0^2 + x1*x2", F7, names), 2)])
+    origin = ClosedPoint((0,) * 7)
+
+    def refuse(*args):
+        raise AssertionError("the oracle started work over budget")
+
+    monkeypatch.setattr(rees, "_tangent_forms", refuse)
+    monkeypatch.setattr(SmallExtField, "elements", refuse)
+    with pytest.raises(BudgetError, match=r"F_7\^3 in 7 variables"):
+        tau_translation_oracle(a, origin, 3)
+
+
+# -- one local expansion per closed point ------------------------------------
+
+
+def _count_translates(monkeypatch):
+    calls = []
+    translate = MPoly.translate
+
+    def counted(self, values):
+        calls.append(self)
+        return translate(self, values)
+
+    monkeypatch.setattr(MPoly, "translate", counted)
+    return calls
+
+
+def _analyze(a, pt):
+    """The calls `analyze` makes at a closed point."""
+    ord_at(a, pt)
+    sing_member(a, pt)
+    sat = diff_saturate(a)
+    sing_member(sat, pt)
+    return tau_at(a, pt)
+
+
+def test_each_generator_is_translated_once_per_point(monkeypatch):
+    a = alg(F3, [("(z - 1)^3 + (x - 1)^2*(y + 1)^2", 3), ("(x - 1)^2 + (y + 1)^3", 2)])
+    sat = diff_saturate(a)
+    pt = ClosedPoint((1, 1, 2))
+    calls = _count_translates(monkeypatch)
+    td = _analyze(a, pt)
+    assert sorted(map(id, calls)) == sorted(id(f) for f, _ in a.gens + sat.gens)
+    # an equal point built afresh is served from the memo
+    fresh = ClosedPoint(tuple(list(pt.values)))
+    assert fresh == pt and fresh.values is not pt.values
+    assert _analyze(a, fresh) == td
+    assert len(calls) == len(a.gens) + len(sat.gens)
+    assert list(a._local) == [pt.values] and list(sat._local) == [pt.values]
+    # another point is a separate entry
+    sing_member(sat, ORIGIN)
+    assert set(sat._local) == {pt.values, ORIGIN.values}
+
+
+def test_local_memo_stops_where_the_singular_test_stops(monkeypatch):
+    a = alg(Q, [("z^2 + x^3", 2)])
+    sat = diff_saturate(a)
+    off = ClosedPoint((0, 1, 0))
+    calls = _count_translates(monkeypatch)
+    assert not sing_member(sat, off)
+    # the first generator, 3*x^2 at weight 1, already has order 0 there
+    assert len(calls) == 1 and len(sat._local[off.values]) == 1
+    assert ord_at(sat, off) == 0
+    assert len(calls) == len(sat.gens)
+
+
+def test_generic_points_never_enter_the_local_memo(monkeypatch):
+    a = alg(Q, [("z^2 + x^3", 2)])
+    calls = _count_translates(monkeypatch)
+    L = GenericPoint(frozenset({0, 1}))
+    assert sing_member(a, L) and ord_at(a, L) == 1
+    assert sing_member(diff_saturate(a), L)
+    assert calls == [] and a._local == {} and diff_saturate(a)._local == {}
+
+
+def test_wrong_arity_raises_on_every_call():
+    a = alg(Q, [("z^2 + x^3", 2)])
+    short = ClosedPoint((0, 0))
+    for _ in range(2):
+        for fn in (ord_at, sing_member, tau_at):
+            with pytest.raises(ValueError, match="arity"):
+                fn(a, short)
+    assert short.values not in a._local
+    assert short.values not in diff_saturate(a)._local
+
+
+def test_strata_are_scanned_once_per_algebra(monkeypatch):
+    a = alg(Q, [("z^2 + x^3", 2)])
+    sat = diff_saturate(a)
+    scans = []
+    order_at = rees.order_at
+
+    def counted(f, pt):
+        scans.append(pt)
+        return order_at(f, pt)
+
+    monkeypatch.setattr(rees, "order_at", counted)
+    strata = singular_coordinate_strata(sat)
+    assert set(strata) == {frozenset({0, 1}), frozenset({0, 1, 2})}
+    scanned = len(scans)
+    assert scanned > 0
+    # the returned list is a copy: mutating it leaves the memo alone
+    strata.append(frozenset({2}))
+    strata.clear()
+    assert set(singular_coordinate_strata(sat)) == {frozenset({0, 1}), frozenset({0, 1, 2})}
+    # tau_at reads the strata of the saturation, already scanned
+    assert tau_at(a, ORIGIN).tau == 1
+    assert len(scans) == scanned
+    # another algebra scans its own
+    singular_coordinate_strata(a)
+    assert len(scans) > scanned

@@ -1,10 +1,13 @@
-"""Property tests: one-pass differential saturation and tau set-up.
+"""Property tests: one-pass differential saturation and the tau computation.
 
 `diff_saturate` is checked against the fixpoint loop it replaced (kept here
 as the reference only), generator classes are compared up to scalars with
 sympy's `monic`, and the singular locus at closed points against orders
-computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  The tests skip
-when sympy or hypothesis is not installed; neither is a runtime dependency.
+computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  The one-elimination
+additive forms behind `tau_at` and the mod-p `rref` are checked against the
+field-generic elimination, reduction and null-space steps they replaced, also
+kept here as the reference only.  The tests skip when sympy or hypothesis is
+not installed; neither is a runtime dependency.
 """
 
 import itertools
@@ -19,8 +22,8 @@ st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
 
 from charpres.poly import ClosedPoint, FieldSpec, MPoly  # noqa: E402
-from charpres.rees import (ReesAlg, diff_saturate, sing_member,  # noqa: E402
-                           tau_at)
+from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
+                           diff_saturate, rref, sing_member, tau_at)
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -33,15 +36,16 @@ def _coeffs(p):
 
 
 @st.composite
-def algebras(draw, max_weight=4):
-    """A random algebra and a point; when `singular` is drawn, every
-    generator is shifted so that its order at the point is at least its
-    weight."""
+def algebras(draw, max_weight=4, singular=None):
+    """A random algebra and a point; when `singular` is drawn (or given as
+    True), every generator is shifted so that its order at the point is at
+    least its weight."""
     field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
     p = field.characteristic
     nvars = draw(st.integers(1, 3))
     point = tuple(draw(st.lists(_coeffs(p), min_size=nvars, max_size=nvars)))
-    singular = draw(st.booleans())
+    if singular is None:
+        singular = draw(st.booleans())
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, max_weight))
@@ -165,3 +169,208 @@ def test_sing_member_and_tau_agree_at_closed_points(case):
     expected_forms = [{e: c for e, c in at_point(f, pt).as_dict().items() if sum(e) == n}
                       for f, n in sat.gens if sympy_order(f, pt) == n]
     assert [to_sympy(g).as_dict() for g in td.initial_forms] == expected_forms
+
+
+# -- tau: one elimination per graded piece, and the mod-p rref -----------------
+
+
+def reference_rref(rows, field: FieldSpec):
+    """The reference: row reduction through the FieldSpec operations."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(x, inv) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [field.add(x, field.neg(field.mul(factor, y)))
+                          for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_reduce_against(vec, basis, pivots, field: FieldSpec):
+    v = list(vec)
+    for row, c in zip(basis, pivots):
+        if v[c] != 0:
+            factor = v[c]
+            v = [field.add(x, field.neg(field.mul(factor, y))) for x, y in zip(v, row)]
+    return v
+
+
+def reference_null_space(columns, field: FieldSpec):
+    """Basis of {c : sum c_i * columns[i] = 0}."""
+    d = len(columns)
+    if d == 0:
+        return []
+    mat = [[columns[j][i] for j in range(d)] for i in range(len(columns[0]))]
+    if not mat:
+        mat = [[field.zero] * d]
+    reduced, pivots = reference_rref(mat, field)
+    basis = []
+    for j in (j for j in range(d) if j not in pivots):
+        c = [field.zero] * d
+        c[j] = field.one
+        for row, pc in zip(reduced, pivots):
+            c[pc] = field.neg(row[j])
+        basis.append(c)
+    return basis
+
+
+def _monomials(nvars, deg):
+    for cut in itertools.combinations_with_replacement(range(nvars), deg):
+        exps = [0] * nvars
+        for i in cut:
+            exps[i] += 1
+        yield tuple(exps)
+
+
+def reference_additive_forms(forms, degree, field, nvars):
+    """The reference: span the graded piece with monomial multiples, reduce
+    each pure power x_i^degree against it, and solve for the combinations
+    that reduce to zero."""
+    basis_monos = sorted(_monomials(nvars, degree), reverse=True)
+    index = {m: k for k, m in enumerate(basis_monos)}
+    rows = []
+    for f in forms:
+        d = f.total_degree()
+        if d > degree or d < 0:
+            continue
+        for m in _monomials(nvars, degree - d):
+            shifted = f * MPoly.monomial(field, nvars, m)
+            row = [field.zero] * len(basis_monos)
+            for e, c in shifted.terms:
+                row[index[e]] = c
+            rows.append(row)
+    reduced, pivots = reference_rref(rows, field) if rows else ([], [])
+    residues = []
+    for i in range(nvars):
+        vec = [field.zero] * len(basis_monos)
+        vec[index[tuple(degree if j == i else 0 for j in range(nvars))]] = field.one
+        residues.append(reference_reduce_against(vec, reduced, pivots, field))
+    return reference_null_space(residues, field)
+
+
+def graded_degrees(forms, p):
+    """1, then p, p^2, ... up to the largest form degree (1 only over Q)."""
+    out = [1]
+    top = max((f.total_degree() for f in forms), default=0)
+    while p and out[-1] * p <= top:
+        out.append(out[-1] * p)
+    return out
+
+
+def row_space(vectors, field):
+    return reference_rref(vectors, field) if vectors else ([], [])
+
+
+@PROPS
+@given(algebras(max_weight=5, singular=True))
+def test_tau_and_vertex_forms_match_the_reference(case):
+    alg, pt = case
+    td = tau_at(alg, pt)
+    field, nvars = alg.field, alg.nvars
+    forms = list(td.initial_forms)
+    vectors = []
+    for deg in graded_degrees(forms, field.characteristic):
+        got = _additive_forms_in_degree(forms, deg, field, nvars)
+        ref = reference_additive_forms(forms, deg, field, nvars)
+        # the same subspace: a reduced echelon basis is unique
+        assert row_space(got, field) == row_space(ref, field)
+        vectors += ref
+    # over F_p the p^e-th root of a prime-field element is itself
+    assert td.tau == len(row_space(vectors, field)[0])
+    assert len(td.root_forms) == td.tau
+
+
+@st.composite
+def graded_pieces(draw):
+    """Homogeneous forms and a degree 1, p or p^2 (at most 9) at or above
+    theirs; pure powers are drawn often, so that additive forms appear."""
+    field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
+    p = field.characteristic
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.sampled_from([d for d in (1, p, p * p) if 0 < d <= 9]))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, degree))
+        monos = list(_monomials(nvars, d))
+        pure = [m for m in monos if max(m) == d]
+        keys = st.sampled_from(pure) | st.sampled_from(monos)
+        terms = draw(st.dictionaries(keys, _coeffs(p), min_size=1, max_size=4))
+        f = MPoly.from_dict(field, nvars, terms)
+        if not f.is_zero():
+            forms.append(f)
+    return field, nvars, degree, forms
+
+
+@PROPS
+@given(graded_pieces())
+def test_additive_forms_span_the_reference_space(case):
+    field, nvars, degree, forms = case
+    got = _additive_forms_in_degree(forms, degree, field, nvars)
+    ref = reference_additive_forms(forms, degree, field, nvars)
+    assert row_space(got, field) == row_space(ref, field)
+    # the rows returned are independent
+    assert len(row_space(got, field)[0]) == len(got)
+
+
+def fraction_rref_mod_p(rows, p):
+    """Gaussian elimination on Fractions, pivoting on entries that are nonzero
+    mod p, then reduced mod p.  Every entry keeps a denominator prime to p,
+    so reduction mod p commutes with each step."""
+    field = FieldSpec(p)
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c].numerator % p), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                mat[i] = [x - mat[i][c] * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [[field.coerce(x) for x in row] for row in mat[:r]], pivots
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=7))
+    return p, rows
+
+
+@PROPS
+@given(matrices())
+def test_mod_p_rref_matches_the_fraction_elimination(case):
+    p, rows = case
+    field = FieldSpec(p)
+    got = rref(rows, field)
+    assert got == fraction_rref_mod_p(rows, p)
+    assert got == reference_rref(rows, field)
+    reduced, pivots = got
+    assert all(0 <= x < p and isinstance(x, int) for row in reduced for x in row)
+    assert [row[c] for row, c in zip(reduced, pivots)] == [1] * len(pivots)
+
+
+@PROPS
+@given(st.lists(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                         min_size=4, max_size=4), min_size=1, max_size=6))
+def test_rational_rref_matches_the_reference(rows):
+    assert rref(rows, FieldSpec(0)) == reference_rref(rows, FieldSpec(0))
