@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import PermissibilityError
+from .errors import BudgetError, PermissibilityError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    order_at)
 from .projection import SimplifiedPresentation, hord, is_normal_at, slope_poly
@@ -198,6 +198,10 @@ class Tower:
 # -- the two-stage slope experiment --------------------------------------------
 
 
+# The most trace rows (N in Stage A plus those of Stage B) one experiment builds.
+EXPERIMENT_MAX_STEPS = 10 ** 6
+
+
 def stage_ab_experiment(f: MPoly, z_index: int, N: int,
                         q: Optional[Fraction] = None, names=None):
     """Measure how long the codimension-two center stays permissible after N
@@ -208,6 +212,10 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
     that center is permissible.  Returns (l, trace) where l is the largest
     number of Stage-B transformations after which the center is still
     permissible, i.e. one less than the number performed.
+
+    Each step is an injective monomial map changing only e[t], so no polynomial
+    is built: a term of total degree S has e[t] = i*(S - n) after i Stage-A
+    blowups and N*(S - n) + j*(e_z - n) after j Stage-B blowups.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -224,40 +232,38 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
     if not is_normal_at(pres, origin):
         raise ValueError("polynomial is not in normal form at the base point")
 
-    nvars = f.nvars + 1
-    t_index = f.nvars
+    least = {}      # e_z -> least S; no other term attains an order
+    for e, _ in f.terms:
+        S = sum(e)
+        if S < least.get(e[z_index], S + 1):
+            least[e[z_index]] = S
+    nu0 = min(least.values())
+    if nu0 < n:     # the Stage-A orders nu0 + i*(nu0 - n) fall below n at once or never
+        raise PermissibilityError("marked point left the singular locus during stage A")
+    lines = [(ez + N * (S - n), ez - n) for ez, S in least.items()]   # order a + j*b
+    # Stage B stops at the first j where a term with e_z < n falls below n; the
+    # finite slope comes from such a term.
+    stop = min(max(0, (a - n) // -b + 1) for a, b in lines if b < 0)
+    if N + stop + 1 > EXPERIMENT_MAX_STEPS:
+        raise BudgetError("the experiment would build %d trace rows (N=%d), above its "
+                          "budget of %d" % (N + stop + 1, N, EXPERIMENT_MAX_STEPS))
+
     names = list(names) if names is not None else ["v%d" % i for i in range(f.nvars)]
     names = names + ["t"]
-    g = f.extend_arity(nvars)
-    field = f.field
-    trace = {"n": n, "q": q, "N": N, "steps": []}
-
-    point_center = Center(frozenset(range(nvars)))
-    for i in range(N):
-        nu = order_at(g, _origin(field, nvars))
-        if nu < n:
-            raise PermissibilityError("marked point left the singular locus during stage A")
-        g = blow_up_poly(g, n, point_center, t_index)
-        trace["steps"].append({"stage": "A", "index": i + 1,
-                               "center": sorted(names), "chart": "t",
-                               "order": nu, "permissible": True})
-
-    line_center = Center(frozenset({z_index, t_index}))
-    xi = GenericPoint(line_center.vars)
+    point = sorted(names)
+    steps = [{"stage": "A", "index": i + 1, "center": point, "chart": "t",
+              "order": nu0 + i * (nu0 - n), "permissible": True} for i in range(N)]
+    line = sorted([names[z_index], "t"])
     performed = 0
     while True:
-        nu = order_at(g, xi)
+        nu = min(a + performed * b for a, b in lines)
         permissible = nu >= n
-        trace["steps"].append({"stage": "B", "index": performed + 1,
-                               "center": sorted([names[z_index], "t"]), "chart": "t",
-                               "order": nu, "permissible": permissible})
+        steps.append({"stage": "B", "index": performed + 1, "center": line,
+                      "chart": "t", "order": nu, "permissible": permissible})
         if not permissible:
             break
-        g = blow_up_poly(g, n, line_center, t_index)
         performed += 1
-    ell = performed - 1
-    trace["performed"] = performed
-    trace["l"] = ell
     target = N * (q - 1) - 1
-    trace["expected"] = target.numerator // target.denominator
-    return ell, trace
+    trace = {"n": n, "q": q, "N": N, "steps": steps, "performed": performed,
+             "l": performed - 1, "expected": target.numerator // target.denominator}
+    return performed - 1, trace

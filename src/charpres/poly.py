@@ -378,14 +378,6 @@ class MPoly:
             acc = f.add(acc, term)
         return acc
 
-    def extend_arity(self, new_nvars: int) -> "MPoly":
-        """Embed into a ring with extra trailing variables."""
-        if new_nvars < self.nvars:
-            raise ValueError("cannot shrink arity")
-        pad = (0,) * (new_nvars - self.nvars)
-        return MPoly(self.field, new_nvars,
-                     tuple((e + pad, c) for e, c in self.terms))
-
     # -- exact divisions and roots ------------------------------------------
 
     def divide_by_var_power(self, i: int, n: int) -> "MPoly":

@@ -9,7 +9,7 @@ import charpres.blowup as blowup
 from charpres.blowup import (Center, Chart, Tower, blow_up_poly,
                              stage_ab_experiment, transform_presentation,
                              transform_rees)
-from charpres.errors import PermissibilityError
+from charpres.errors import BudgetError, PermissibilityError
 from charpres.poly import (ClosedPoint, FieldSpec, MPoly, parse_poly,
                            render_poly)
 from charpres.projection import (PPresentation, SimplifiedPresentation,
@@ -228,3 +228,30 @@ def test_stage_ab_slope_one_never_starts():
     assert ell == -1
     assert trace["expected"] == -1
     assert trace["performed"] == 0
+
+
+def _stage_b_count(f, z, N):
+    """The closed-form number of Stage-B blowups: a term of total degree S
+    and z-degree e < n has order e + N*(S - n) - j*(n - e) along V(z, t)
+    after j of them, and the first term to fall below n stops Stage B."""
+    n = f.degree_in_var(z)
+    return min(max(0, (e[z] + N * (sum(e) - n) - n) // (n - e[z]) + 1)
+               for e, _ in f.terms if e[z] < n)
+
+
+@pytest.mark.parametrize("text,performed", [("z^2 + x^3", 5000),
+                                            ("z^2 + x^4", 10000)])
+def test_stage_ab_law_far_out(text, performed):
+    """The corpus experiment polynomials keep l_N = floor(N(q-1)-1) at N = 10^4."""
+    f = parse_poly(text, F5, ("z", "x"))
+    ell, trace = stage_ab_experiment(f, 0, 10000, names=("z", "x"))
+    assert ell == trace["expected"] == performed - 1
+    assert trace["performed"] == _stage_b_count(f, 0, 10000) == performed
+    assert len(trace["steps"]) == 10000 + performed + 1
+
+
+def test_stage_ab_budget_refuses_before_building():
+    f = parse_poly("z^2 + x^3", F5, ("z", "x"))
+    assert _stage_b_count(f, 0, 10 ** 7) + 10 ** 7 + 1 > blowup.EXPERIMENT_MAX_STEPS
+    with pytest.raises(BudgetError, match="15000001 trace rows"):
+        stage_ab_experiment(f, 0, 10 ** 7, names=("z", "x"))

@@ -255,6 +255,15 @@ def test_one_section_commands_reject_two_sections(command, message):
                                   "error_type": "CommandError"}
 
 
+def test_experiment_over_budget_is_a_budget_error(tmp_path, capsys):
+    text = MINIMAL.replace("hord at origin", "experiment q-from-presentation N=10000000")
+    rec = run_scene(parse_scene(text))["records"][-1]
+    assert rec["error_type"] == "BudgetError"
+    assert "above its budget" in rec["error"]
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", text)]) == 1
+    assert "above its budget" in capsys.readouterr().err
+
+
 # hord and ord_monomial agree at the generic points of the divisor strata but
 # not at the closed point origin (5/2 against 2), so the tower is not strong
 NON_STRONG_AT_ORIGIN = """\
