@@ -31,10 +31,6 @@ class Center:
         if not self.vars:
             raise ValueError("a center needs at least one variable")
 
-    @classmethod
-    def of(cls, *indices) -> "Center":
-        return cls(frozenset(indices))
-
 
 @dataclass(frozen=True)
 class BlowupRecord:

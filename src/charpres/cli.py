@@ -7,7 +7,7 @@
 Runs the scene script, emits the canonical JSON trace (stdout, or the
 --trace-out path), and optionally byte-compares it against a golden trace.
 Exit codes: 0 success, 1 command error or verification mismatch, 2 parse
-error.
+error, 3 internal error (a bug: one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -58,8 +58,12 @@ def main(argv=None) -> int:
     options = RunOptions(max_normalize_iters=args.max_normalize_iters,
                          tau_oracle_extension=args.tau_oracle_field_extension)
     extra = [args.command] if args.command in _EXTRA else []
-    doc = run_scene(scene, options, extra_commands=extra)
-    text = canonical_json(doc)
+    try:
+        doc = run_scene(scene, options, extra_commands=extra)
+        text = canonical_json(doc)
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
                      TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
 from .projection import SimplifiedPresentation, hord, upstairs_algebra
-from .rees import ReesAlg, ord_at, sing_member
+from .rees import ReesAlg, ord_at, sing_member, singular_coordinate_strata
 from .blowup import Center, Chart, Tower
 
 
@@ -344,13 +344,8 @@ def lift_resolution(tower: Tower, moves=None,
         records.append(LiftRecord(move, False, None, case, hv, ev))
     final = tower.obj
     up = upstairs_algebra(final)
-    leftover = []
-    nvars = up.nvars
-    for k in range(1, nvars + 1):
-        for sub in itertools.combinations(range(nvars), k):
-            if sing_member(up, GenericPoint(frozenset(sub))):
-                leftover.append(sub)
-    origin = ClosedPoint((up.field.zero,) * nvars)
+    leftover = [tuple(sorted(S)) for S in singular_coordinate_strata(up)]
+    origin = ClosedPoint((up.field.zero,) * up.nvars)
     if sing_member(up, origin):
         leftover.append(("origin",))
     if leftover:

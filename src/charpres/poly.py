@@ -91,18 +91,6 @@ class FieldSpec:
             return pow(a, -1, p)
         return Fraction(1) / a
 
-    def pth_root(self, a: Coeff, e: int) -> Coeff:
-        """The p^e-th root of a field element.
-
-        Over the prime field F_p the Frobenius is the identity, so the root
-        is the element itself; over Q only e = 0 is meaningful.
-        """
-        if e == 0:
-            return a
-        if self.characteristic == 0:
-            raise ValueError("p-power roots need positive characteristic")
-        return a
-
     def __str__(self) -> str:
         p = self.characteristic
         return "Q" if p == 0 else f"F_{p}"
@@ -323,6 +311,11 @@ class MPoly:
                 d[ee] = get(ee, 0) + c * c2
         return MPoly._from_terms(f, self.nvars, d.items())
 
+    @cached_property
+    def _translates(self) -> dict:
+        # closed point values -> translate; see translate
+        return {}
+
     def translate(self, values) -> "MPoly":
         """Shift coordinates to a closed point: x_i -> x_i + v_i.
 
@@ -331,7 +324,24 @@ class MPoly:
         Each moved variable is one Taylor shift over the terms: c*x_i^k
         expands to sum_j binom(k, j) v_i^(k-j) c*x_i^j, so a shift costs
         sum over terms of (k + 1) coefficient operations.
+
+        The translate is computed once per polynomial and point and kept on
+        the polynomial, keyed by `tuple(values)`, for as long as it lives; a
+        shift that moves nothing returns the polynomial itself and is not
+        kept.  A wrong-arity point raises on every call.
         """
+        values = tuple(values)
+        if len(values) != self.nvars:
+            raise ValueError("point arity does not match polynomial arity")
+        g = self._translates.get(values)
+        if g is None:
+            g = self._shift(values)
+            if g is not self:
+                self._translates[values] = g
+        return g
+
+    def _shift(self, values) -> "MPoly":
+        """The Taylor-shift kernel of `translate`, with no memo."""
         f = self.field
         p = f.characteristic
         terms = self.terms
@@ -411,7 +421,7 @@ class MPoly:
         for e, c in self.terms:
             if any(k % pe for k in e):
                 return None
-            d[tuple(k // pe for k in e)] = f.pth_root(c, 1)
+            d[tuple(k // pe for k in e)] = c
         return MPoly.from_dict(f, self.nvars, d)
 
     # -- Hasse derivatives ---------------------------------------------------
@@ -512,8 +522,6 @@ def order_at(f: MPoly, pt: PointSpec):
     minimal S-degree, i.e. the order along that coordinate subvariety.
     """
     if isinstance(pt, ClosedPoint):
-        if len(pt.values) != f.nvars:
-            raise ValueError("point arity does not match polynomial arity")
         return f.translate(pt.values).order_total()
     return f.order_wrt(pt.vars)
 

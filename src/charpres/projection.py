@@ -295,7 +295,7 @@ class NormalizeResult:
 
     @property
     def slope(self):
-        return min(self.record.slope, INF)
+        return self.record.slope
 
 
 def is_normal_at(pres: SimplifiedPresentation, y: PointSpec) -> bool:

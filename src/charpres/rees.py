@@ -62,11 +62,6 @@ class ReesAlg:
         return sat
 
     @cached_property
-    def _local(self) -> dict:
-        # closed point values -> [(translate, order), ...]; see _local_at
-        return {}
-
-    @cached_property
     def _strata(self) -> tuple:
         # the singular coordinate strata, scanned on first use
         return tuple(S for k in range(1, self.nvars + 1)
@@ -74,34 +69,10 @@ class ReesAlg:
                      if sing_member(self, GenericPoint(S)))
 
 
-def _local_at(alg: ReesAlg, pt: ClosedPoint):
-    """Yield (translate to pt, its order there, weight) for each generator.
-
-    Each generator is translated to a closed point at most once per algebra
-    instance.  The (translate, order) pairs are kept in `alg._local`, keyed by
-    the point's values, in generator order and as far as a caller has read:
-    a test that stops at the first generator of low order translates no
-    further.  The memo lives as long as the algebra.  A wrong-arity point
-    raises on every call.
-    """
-    values = pt.values
-    if len(values) != alg.nvars:
-        raise ValueError("point arity does not match polynomial arity")
-    done = alg._local.setdefault(values, [])
-    for i, (f, n) in enumerate(alg.gens):
-        if i == len(done):
-            g = f.translate(values)
-            done.append((g, g.order_total()))
-        g, order = done[i]
-        yield g, order, n
-
-
 def sing_member(alg: ReesAlg, pt: PointSpec) -> bool:
     """Is the point in the singular locus (order >= weight for every generator)?"""
     if alg.is_unit:
         return False
-    if isinstance(pt, ClosedPoint):
-        return all(order >= n for _, order, n in _local_at(alg, pt))
     return all(order_at(f, pt) >= n for f, n in alg.gens)
 
 
@@ -115,8 +86,6 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
         return Fraction(0)
     if not alg.gens:
         return INF
-    if isinstance(pt, ClosedPoint):
-        return min(Fraction(order) / n for _, order, n in _local_at(alg, pt))
     return min(Fraction(order_at(f, pt)) / n for f, n in alg.gens)
 
 
@@ -298,7 +267,7 @@ def _additive_forms_in_degree(forms, degree: int, field: FieldSpec, nvars: int):
 
 def _tangent_forms(sat: ReesAlg, pt: ClosedPoint) -> list:
     """Initial forms at pt of the saturated generators whose order there
-    equals their weight, read from the translates kept by `_local_at`.
+    equals their weight, read from their translates (kept on each `MPoly`).
 
     Raises ValueError when pt is off the singular locus: the algebra is the
     unit algebra or some generator has order below its weight.
@@ -306,7 +275,9 @@ def _tangent_forms(sat: ReesAlg, pt: ClosedPoint) -> list:
     if sat.is_unit:
         raise ValueError("tau is only defined at points of the singular locus")
     forms = []
-    for g, order, n in _local_at(sat, pt):
+    for f, n in sat.gens:
+        g = f.translate(pt.values)
+        order = g.order_total()
         if order < n:
             raise ValueError("tau is only defined at points of the singular locus")
         if order == n:
@@ -335,12 +306,14 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentDa
             degrees.append(degrees[-1] * p)
     vertex_forms = []
     roots = []
-    for e, deg in enumerate(degrees):
+    for deg in degrees:
         for cvec in _additive_forms_in_degree(forms, deg, field, nvars):
             vertex_forms.append(MPoly.from_dict(field, nvars, {
                 tuple(deg if i == j else 0 for i in range(nvars)): c
                 for j, c in enumerate(cvec) if c != 0}))
-            roots.append([field.pth_root(c, e) for c in cvec])
+            # the root of sum c_i x_i^deg is sum c_i x_i: over F_p each
+            # coefficient is its own p-th root, and over Q deg is 1
+            roots.append(cvec)
     reduced, _ = rref(roots, field) if roots else ([], [])
     tau = len(reduced)
     if check_codim:

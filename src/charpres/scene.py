@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .blowup import Center, Tower, stage_ab_experiment
-from .errors import CommandError, SceneParseError
+from .errors import CharpresError, CommandError, SceneParseError
 from .monomial import (combinatorial_resolve, is_strong_monomial,
                        lift_resolution, sandwich_report, track_monomial)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
@@ -543,8 +543,10 @@ def execute_command(ex: _Execution, text: str) -> dict:
 def run_scene(scene: Scene, options: Optional[RunOptions] = None,
               extra_commands=()) -> dict:
     """Execute the scene script (plus any extra commands) in order.  The
-    first failing command is recorded with its reason and stops execution;
-    the trace status reflects it."""
+    first command that fails with a domain error (`CharpresError` or
+    `ValueError`) is recorded with its reason and stops execution; the trace
+    status reflects it.  Any other exception, `InvariantError` included, is a
+    bug and propagates."""
     ex = _Execution(scene, options or RunOptions())
     doc = {"scene": scene.path.rsplit("/", 1)[-1],
            "field": str(scene.field),
@@ -556,7 +558,7 @@ def run_scene(scene: Scene, options: Optional[RunOptions] = None,
     for lineno, text in commands:
         try:
             ex.records.append(execute_command(ex, text))
-        except Exception as exc:
+        except (CharpresError, ValueError) as exc:
             ex.records.append({"command": text, "error": str(exc),
                                "error_type": type(exc).__name__})
             doc["status"] = "error"

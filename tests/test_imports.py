@@ -1,5 +1,6 @@
-"""Every module import in the package and the tests is used, and every
-module-private function and class in the package is referenced.
+"""Every module import in the package and the tests is used, every
+module-private function and class in the package is referenced, and so is
+every public function and method of the package.
 
 A stdlib ``ast`` scan: a name bound by an import must be read somewhere in
 the same module, as a name, the root of an attribute chain, inside a string
@@ -7,7 +8,11 @@ annotation, or through ``__all__``.  Package ``__init__`` modules re-export
 their imports and are skipped, as are ``__future__`` imports.  A function or
 class of ``src/charpres`` named ``_name`` (a method too, but not a dunder)
 must be referenced by some module of ``src`` or ``tests`` other than by its
-own definition: as a name, an attribute, an imported name or a string.
+own definition: as a name, an attribute, an imported name or a string.  A
+public function or method of ``src/charpres`` (a name without a leading
+underscore) must be referenced the same way by some module of ``src``,
+``tests`` or ``bench``; the re-exports of the package ``__init__`` do not
+count as a use.
 """
 
 import ast
@@ -19,9 +24,9 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCANNED = ("src/charpres", "tests")
 
 
-def _modules():
+def _modules(tops=SCANNED):
     out = []
-    for top in SCANNED:
+    for top in tops:
         for name in sorted(os.listdir(os.path.join(ROOT, top))):
             if name.endswith(".py") and name != "__init__.py":
                 out.append(top + "/" + name)
@@ -78,6 +83,13 @@ def _private_defs(tree):
             and node.name.startswith("_") and not node.name.endswith("__")}
 
 
+def _public_defs(tree):
+    """{name: line} for every function and method without a leading underscore."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
 def _referenced(tree):
     """Every name the module reads, looks up as an attribute, imports or
     spells out as a string."""
@@ -94,11 +106,11 @@ def _referenced(tree):
     return out
 
 
-def _unreferenced(defining, readers):
-    """Private definitions of the `defining` trees that none of `readers` names."""
+def _unreferenced(defining, readers, defs=_private_defs):
+    """Definitions (`defs`) of the `defining` trees that none of `readers` names."""
     seen = set().union(*map(_referenced, readers))
     return sorted((name, path, line) for path, tree in defining
-                  for name, line in _private_defs(tree).items() if name not in seen)
+                  for name, line in defs(tree).items() if name not in seen)
 
 
 def test_private_definitions_are_referenced():
@@ -118,6 +130,26 @@ def test_scan_sees_an_unreferenced_private_function():
     reader = ast.parse("from m import _m\n")
     assert [name for name, _, _ in _unreferenced([("m", tree)], [tree, reader])] == \
         ["_Gone", "_left"]
+
+
+def test_public_functions_are_referenced():
+    paths = _modules(SCANNED + ("bench",))
+    package = [(path, _parse(path)) for path in paths if path.startswith("src/")]
+    readers = [_parse(path) for path in paths]
+    unused = ["%s:%d %s" % (path, line, name)
+              for name, path, line in _unreferenced(package, readers, _public_defs)]
+    assert not unused, "unreferenced public functions: " + ", ".join(unused)
+
+
+def test_scan_sees_an_unreferenced_public_method():
+    tree = ast.parse("def used(): pass\ndef left(): pass\ndef _private(): pass\n"
+                     "class A:\n    @classmethod\n    def of(cls): pass\n"
+                     "    @property\n    def read(self): pass\n")
+    reader = ast.parse("import m\nm.used()\nprint(m.A(1).read)\n")
+    # lines, not names: a name spelled out here as a string would count as a
+    # reference to the package function of that name
+    assert [line for _, _, line in
+            _unreferenced([("m", tree)], [tree, reader], _public_defs)] == [2, 6]
 
 
 @pytest.mark.parametrize("path", _modules())

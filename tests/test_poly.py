@@ -125,6 +125,29 @@ def test_translate_evaluate():
     assert g.evaluate((0, 0, 0)) == 1
 
 
+def test_translate_memo():
+    f = P("z^2 + x^3", F3)
+    v = (0, 1, 0)
+    g = f.translate(v)
+    assert f.translate(v) is g
+    # list and tuple values share one entry
+    assert f.translate([0, 1, 0]) is g
+    assert list(f._translates) == [v]
+    # a shift that moves nothing returns f itself and stores nothing
+    for identity in ((0, 0, 0), [None, None, None], (3, None, 0)):
+        assert f.translate(identity) is f
+    assert list(f._translates) == [v]
+    # None leaves its variable untouched, and is an entry of its own
+    assert f.translate((None, 1, None)) == g
+    assert list(f._translates) == [v, (None, 1, None)]
+    # a wrong arity raises on every call and stores nothing
+    for _ in range(2):
+        for short in ((0, 1), (0, 1, 0, 0)):
+            with pytest.raises(ValueError, match="arity"):
+                f.translate(short)
+    assert len(f._translates) == 2
+
+
 def test_substitute_blowup_style():
     f = P("z^2 + x^3")
     zx = MPoly.var(Q, 3, 0) * MPoly.var(Q, 3, 1)

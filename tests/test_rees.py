@@ -203,18 +203,20 @@ def test_oracle_refuses_over_budget_before_enumerating(monkeypatch):
         tau_translation_oracle(a, origin, 3)
 
 
-# -- one local expansion per closed point ------------------------------------
+# -- one local expansion per polynomial and closed point -------------------------
 
 
-def _count_translates(monkeypatch):
+def _count_shifts(monkeypatch):
+    """Record each polynomial the Taylor-shift kernel runs on: the work that
+    the translate memo on `MPoly` exists to do once."""
     calls = []
-    translate = MPoly.translate
+    shift = MPoly._shift
 
     def counted(self, values):
         calls.append(self)
-        return translate(self, values)
+        return shift(self, values)
 
-    monkeypatch.setattr(MPoly, "translate", counted)
+    monkeypatch.setattr(MPoly, "_shift", counted)
     return calls
 
 
@@ -231,50 +233,58 @@ def test_each_generator_is_translated_once_per_point(monkeypatch):
     a = alg(F3, [("(z - 1)^3 + (x - 1)^2*(y + 1)^2", 3), ("(x - 1)^2 + (y + 1)^3", 2)])
     sat = diff_saturate(a)
     pt = ClosedPoint((1, 1, 2))
-    calls = _count_translates(monkeypatch)
+    calls = _count_shifts(monkeypatch)
     td = _analyze(a, pt)
-    assert sorted(map(id, calls)) == sorted(id(f) for f, _ in a.gens + sat.gens)
+    # the saturation holds the original generators themselves, so the
+    # analysis shifts each polynomial of the saturation once and no more
+    assert all(any(f is g for g, _ in sat.gens) for f, _ in a.gens)
+    assert sorted(map(id, calls)) == sorted(id(f) for f, _ in sat.gens)
+    assert len(calls) == len(sat.gens) < len(a.gens) + len(sat.gens)
     # an equal point built afresh is served from the memo
     fresh = ClosedPoint(tuple(list(pt.values)))
     assert fresh == pt and fresh.values is not pt.values
     assert _analyze(a, fresh) == td
-    assert len(calls) == len(a.gens) + len(sat.gens)
-    assert list(a._local) == [pt.values] and list(sat._local) == [pt.values]
+    assert len(calls) == len(sat.gens)
+    assert all(list(f._translates) == [pt.values] for f, _ in sat.gens)
     # another point is a separate entry
-    sing_member(sat, ORIGIN)
-    assert set(sat._local) == {pt.values, ORIGIN.values}
+    sing_member(sat, ClosedPoint((1, 0, 0)))
+    assert set(sat.gens[0][0]._translates) == {pt.values, (1, 0, 0)}
 
 
 def test_local_memo_stops_where_the_singular_test_stops(monkeypatch):
     a = alg(Q, [("z^2 + x^3", 2)])
     sat = diff_saturate(a)
     off = ClosedPoint((0, 1, 0))
-    calls = _count_translates(monkeypatch)
+    calls = _count_shifts(monkeypatch)
     assert not sing_member(sat, off)
     # the first generator, 3*x^2 at weight 1, already has order 0 there
-    assert len(calls) == 1 and len(sat._local[off.values]) == 1
+    first = sat.gens[0][0]
+    assert calls == [first] and list(first._translates) == [off.values]
+    assert all(f._translates == {} for f, _ in sat.gens[1:])
     assert ord_at(sat, off) == 0
     assert len(calls) == len(sat.gens)
 
 
 def test_generic_points_never_enter_the_local_memo(monkeypatch):
     a = alg(Q, [("z^2 + x^3", 2)])
-    calls = _count_translates(monkeypatch)
+    calls = _count_shifts(monkeypatch)
     L = GenericPoint(frozenset({0, 1}))
     assert sing_member(a, L) and ord_at(a, L) == 1
     assert sing_member(diff_saturate(a), L)
-    assert calls == [] and a._local == {} and diff_saturate(a)._local == {}
+    assert calls == []
+    assert all(f._translates == {} for f, _ in diff_saturate(a).gens)
 
 
-def test_wrong_arity_raises_on_every_call():
+def test_wrong_arity_raises_on_every_call(monkeypatch):
     a = alg(Q, [("z^2 + x^3", 2)])
     short = ClosedPoint((0, 0))
+    calls = _count_shifts(monkeypatch)
     for _ in range(2):
         for fn in (ord_at, sing_member, tau_at):
             with pytest.raises(ValueError, match="arity"):
                 fn(a, short)
-    assert short.values not in a._local
-    assert short.values not in diff_saturate(a)._local
+    assert calls == []
+    assert all(f._translates == {} for f, _ in diff_saturate(a).gens)
 
 
 def test_strata_are_scanned_once_per_algebra(monkeypatch):

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import charpres.scene as scene_mod
 from charpres.cli import main
-from charpres.errors import SceneParseError
+from charpres.errors import InvariantError, SceneParseError
 from charpres.poly import INF, ClosedPoint, FieldSpec, GenericPoint, parse_poly
 from charpres.projection import SimplifiedPresentation
 from charpres.rees import ReesAlg
@@ -147,6 +148,28 @@ def test_run_scene_unknown_command():
     assert doc["records"][0]["error_type"] == "CommandError"
 
 
+def _raise(exc):
+    def command(ex, point_name):
+        raise exc
+    return command
+
+
+def test_run_scene_records_a_value_error(monkeypatch):
+    monkeypatch.setattr(scene_mod, "_cmd_hord", _raise(ValueError("no such value")))
+    doc = run_scene(parse_scene(MINIMAL))
+    assert doc["status"] == "error"
+    assert doc["records"] == [{"command": "hord at origin", "error": "no such value",
+                               "error_type": "ValueError"}]
+
+
+@pytest.mark.parametrize("exc", [KeyError("boom"), InvariantError("broken"),
+                                 TypeError("no")])
+def test_run_scene_lets_internal_errors_propagate(monkeypatch, exc):
+    monkeypatch.setattr(scene_mod, "_cmd_hord", _raise(exc))
+    with pytest.raises(type(exc)):
+        run_scene(parse_scene(MINIMAL))
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -190,6 +213,15 @@ def test_cli_command_error_exits_1(tmp_path, capsys):
                    MINIMAL.replace("hord at origin", "hord at nowhere"))
     assert main(["run", "--scene", scene]) == 1
     assert "command failed" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scene_mod, "_cmd_hord", _raise(KeyError("boom")))
+    scene = _write(tmp_path, "s.scene", MINIMAL)
+    assert main(["run", "--scene", scene]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: KeyError: 'boom'\n"
 
 
 def test_cli_bad_subcommand_exits_2(tmp_path, capsys):
