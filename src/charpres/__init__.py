@@ -8,7 +8,8 @@ resolution game.
 """
 
 from .errors import (BudgetError, CharpresError, CommandError,
-                     DegenerateSlopeError, NonMonomialElimError, NotMonicError,
+                     DegenerateSlopeError, DominationError,
+                     NonMonomialElimError, NotMonicError,
                      NotNormalFormError, PermissibilityError, PolyParseError,
                      SceneParseError, TrackingError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,

@@ -46,6 +46,11 @@ class DegenerateSlopeError(CharpresError):
     """Raised when normalization cannot terminate (slope unbounded)."""
 
 
+class DominationError(CharpresError):
+    """Raised when a p-presentation's elimination part does not dominate a
+    cleaned middle coefficient, so its reduced H-order formula does not apply."""
+
+
 class NotNormalFormError(CharpresError):
     """Raised when an operation requires a presentation in normal form."""
 

@@ -328,11 +328,14 @@ class MPoly:
         The translate is computed once per polynomial and point and kept on
         the polynomial, keyed by `tuple(values)`, for as long as it lives; a
         shift that moves nothing returns the polynomial itself and is not
-        kept.  A wrong-arity point raises on every call.
+        kept; an all-zero (or all-None) point returns it at once, before the
+        value loop.  A wrong-arity point raises on every call.
         """
         values = tuple(values)
         if len(values) != self.nvars:
             raise ValueError("point arity does not match polynomial arity")
+        if not any(values):
+            return self
         g = self._translates.get(values)
         if g is None:
             g = self._shift(values)

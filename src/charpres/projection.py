@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import DegenerateSlopeError, InvariantError, NotNormalFormError
+from .errors import (DegenerateSlopeError, DominationError, InvariantError,
+                     NotNormalFormError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, WeightedForm, monic_coefficients, order_at,
                    weighted_initial_form)
@@ -191,6 +192,14 @@ def slope_presentation(pres: SimplifiedPresentation, y: PointSpec):
 # -- weighted normal forms -------------------------------------------------------
 
 
+def _root_degree(n: int, p: int) -> int:
+    """p^e for n = m*p^e with p not dividing m; 1 in characteristic 0."""
+    pe = 1
+    while p and n % (pe * p) == 0:
+        pe *= p
+    return pe
+
+
 def is_nth_power(W: WeightedForm) -> Optional[MPoly]:
     """The root A with W = (Z+A)^n, if one exists; None otherwise.
 
@@ -199,14 +208,8 @@ def is_nth_power(W: WeightedForm) -> Optional[MPoly]:
     is a unit by Lucas; the candidate is confirmed by exact expansion.
     """
     field = W.field
-    p = field.characteristic
     n = W.n
-    m, e = n, 0
-    if p:
-        while m % p == 0:
-            m //= p
-            e += 1
-    pe = p ** e if p else 1
+    pe = _root_degree(n, field.characteristic)
     lead = W.coeff(pe)
     if lead.is_zero():
         return None
@@ -220,6 +223,22 @@ def is_nth_power(W: WeightedForm) -> Optional[MPoly]:
         if W.coeff(j) != expect:
             return None
     return A
+
+
+def _weighted_root(f: MPoly, z_index: int, y: PointSpec, q) -> Optional[MPoly]:
+    """is_nth_power(weighted_initial_form(f, z_index, y, q)) for q the slope
+    of f at y, building the form only when it can have a root.
+
+    Every a_j has order >= q*j at y, so the Z^(n-p^e) coefficient of the
+    weight-q form, the degree-(q*p^e) piece of a_(p^e), is nonzero exactly
+    when ord_y(a_(p^e)) = q*p^e; otherwise is_nth_power returns None.
+    """
+    coeffs = monic_coefficients(f, z_index)
+    pe = _root_degree(max(coeffs), f.field.characteristic)
+    a = coeffs.get(pe)
+    if a is None or order_at(a, y) != q * pe:
+        return None
+    return is_nth_power(weighted_initial_form(f, z_index, y, q))
 
 
 @dataclass(frozen=True)
@@ -252,11 +271,9 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF,
     cap = DEFAULT_CAP_FACTOR * n if max_iters is None else max_iters
     slopes = [slope_poly(f, z_index, y)]
     subs = []
-    zvar = MPoly.var(field, nvars, z_index)
     while slopes[-1] < elim_ord and slopes[-1] != INF:
         q = slopes[-1]
-        W = weighted_initial_form(f, z_index, y, q)
-        A = is_nth_power(W)
+        A = _weighted_root(f, z_index, y, q)
         if A is None or A.is_zero():
             break
         if len(subs) >= cap:
@@ -265,7 +282,7 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF,
             alpha = A.translate(tuple(field.neg(v) for v in y.values))
         else:
             alpha = A
-        f = f.substitute({z_index: zvar - alpha})
+        f = f.substitute({z_index: MPoly.var(field, nvars, z_index) - alpha})
         subs.append(alpha)
         new = slope_poly(f, z_index, y)
         if not new > q:
@@ -304,8 +321,7 @@ def is_normal_at(pres: SimplifiedPresentation, y: PointSpec) -> bool:
     s = slope_poly(pres.f, pres.section_var, y)
     if s >= ord_at(pres.elim, y) or s == INF:
         return True
-    W = weighted_initial_form(pres.f, pres.section_var, y, s)
-    A = is_nth_power(W)
+    A = _weighted_root(pres.f, pres.section_var, y, s)
     return A is None or A.is_zero()
 
 
@@ -392,8 +408,28 @@ def _hord_data(sp: SimplifiedPresentation, y: PointSpec,
                 parts.append(INF)
         reduced = min(parts)
         if reduced != value:
+            _check_dominated(sp, recs, y, eord)
             raise InvariantError("p-presentation H-order formulas disagree")
     return HordData(value, eord, tuple(recs), reduced)
+
+
+def _check_dominated(sp: PPresentation, recs, y: PointSpec, eord):
+    """The reduced formula needs the elimination order at y to dominate
+    every cleaned middle coefficient: ord_y(a'_j)/j >= eord for 1 <= j < n.
+    Cleaning can break that (z -> z - alpha moves the middle coefficients
+    off the elimination part); raise DominationError naming the a'_j of
+    least slope when it falls below."""
+    slopes = [(Fraction(order_at(a, y), j), i, j)
+              for i, (z, rec) in enumerate(zip(sp.sections, recs))
+              for j, a in monic_coefficients(rec.poly, z).items()
+              if j < sp.degrees[i] and not a.is_zero()]
+    if slopes:
+        s, i, j = min(slopes)
+        if s < eord:
+            raise DominationError(
+                "cleaned middle coefficient a_%d of polynomial %d has slope %s "
+                "below the elimination order %s; the reduced H-order formula "
+                "does not apply" % (j, i + 1, s, eord))
 
 
 def hord(sp: SimplifiedPresentation, y: PointSpec, max_iters: Optional[int] = None):

@@ -188,9 +188,9 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
         if sorted(polys) != list(range(1, len(psecs) + 1)):
             raise SceneParseError("presentation needs 'poly i:' for i = 1..e",
                                   data["presentation"][0][0])
-        elim = ReesAlg.make(field, len(names), elim_gens)
         ordered = tuple(polys[i] for i in range(1, len(psecs) + 1))
         try:
+            elim = ReesAlg.make(field, len(names), elim_gens)
             if kind == "p":
                 presentation = make_p_presentation(field, len(names), psecs,
                                                    ordered, elim)

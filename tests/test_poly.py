@@ -125,7 +125,7 @@ def test_translate_evaluate():
     assert g.evaluate((0, 0, 0)) == 1
 
 
-def test_translate_memo():
+def test_translate_memo(monkeypatch):
     f = P("z^2 + x^3", F3)
     v = (0, 1, 0)
     g = f.translate(v)
@@ -133,16 +133,29 @@ def test_translate_memo():
     # list and tuple values share one entry
     assert f.translate([0, 1, 0]) is g
     assert list(f._translates) == [v]
-    # a shift that moves nothing returns f itself and stores nothing
-    for identity in ((0, 0, 0), [None, None, None], (3, None, 0)):
+    # a shift that moves nothing returns f itself and stores nothing; an
+    # all-zero or all-None point does so without running the shift kernel
+    shifts = []
+    shift = MPoly._shift
+
+    def counted(self, values):
+        shifts.append(values)
+        return shift(self, values)
+
+    monkeypatch.setattr(MPoly, "_shift", counted)
+    for identity in ((0, 0, 0), [None, None, None], (None, 0, None)):
         assert f.translate(identity) is f
+    assert shifts == []
+    # 3 over F_3 is zero only after coercion, so it takes the kernel
+    assert f.translate((3, None, 0)) is f
+    assert shifts == [(3, None, 0)]
     assert list(f._translates) == [v]
     # None leaves its variable untouched, and is an entry of its own
     assert f.translate((None, 1, None)) == g
     assert list(f._translates) == [v, (None, 1, None)]
-    # a wrong arity raises on every call and stores nothing
+    # a wrong arity raises on every call and stores nothing, all-zero too
     for _ in range(2):
-        for short in ((0, 1), (0, 1, 0, 0)):
+        for short in ((0, 1), (0, 1, 0, 0), (0, 0), (None,) * 4):
             with pytest.raises(ValueError, match="arity"):
                 f.translate(short)
     assert len(f._translates) == 2

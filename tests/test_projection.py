@@ -296,6 +296,30 @@ def test_invariant_checks_survive_python_O():
         "optimize=1: normalization must strictly increase the slope"
 
 
+def test_normal_form_test_builds_a_form_only_when_a_root_can_exist(monkeypatch):
+    import charpres.projection as pr
+    built = []
+    form = pr.weighted_initial_form
+
+    def counted(f, z, y, q):
+        built.append(q)
+        return form(f, z, y, q)
+
+    monkeypatch.setattr(pr, "weighted_initial_form", counted)
+    # slope 1 from a_2 = x^2; a_3 = y^7 misses 3*1, so no cube root can exist
+    pres = pres1("z^3 + x^2*z + y^7", F3, elim_gens=[])
+    d = hord_data(pres, ORIGIN)
+    assert d.normalizations[0].iterations == 0 and d.value == 1
+    assert is_normal_at(pres, ORIGIN)
+    assert built == []
+    # a_1 = 2x attains the slope 1: one form, one substitution, and after it
+    # a_1 = 0 builds no form at the slope 3/2
+    pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
+    d = hord_data(pres, ORIGIN)
+    assert d.normalizations[0].iterations == 1 and d.value == Fraction(3, 2)
+    assert built == [1]
+
+
 def test_hord_data_memo():
     pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
     # a capped call that raises stores nothing and raises again

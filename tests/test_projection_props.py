@@ -5,8 +5,14 @@ H-order at the chart origin and at the generic point of every stratum of
 the present exceptional divisors.  The memoised answer must equal the one
 computed on a presentation rebuilt from the same fields for that point, with
 fresh polynomials, so that neither the H-order memo nor the coefficient
-splits are shared.  The test skips when hypothesis is not installed; it is
-not a runtime dependency.
+splits are shared, or both must raise the same DominationError.
+
+The normal-form test skips the weighted initial form when a_(p^e) misses the
+slope; over F_2, F_3, F_5, F_7 and Q, at the origin, at closed points off it
+and at generic points, the skip must give what the form itself gives.
+
+The tests skip when hypothesis is not installed; it is not a runtime
+dependency.
 """
 
 import itertools
@@ -16,13 +22,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 
 from charpres.blowup import Center, Tower  # noqa: E402
-from charpres.errors import PermissibilityError  # noqa: E402
-from charpres.poly import ClosedPoint, FieldSpec, GenericPoint, MPoly  # noqa: E402
-from charpres.projection import (SimplifiedPresentation, hord, hord_data,  # noqa: E402
-                                 make_p_presentation)
+from charpres.errors import DominationError, PermissibilityError  # noqa: E402
+from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E402
+                           MPoly, parse_poly, weighted_initial_form)
+from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa: E402
+                                 hord, hord_data, is_nth_power,
+                                 make_p_presentation, slope_poly)
 from charpres.rees import ReesAlg  # noqa: E402
 
 PROPS = settings(max_examples=40, deadline=None)
@@ -78,9 +86,19 @@ def towers(draw):
         chart = draw(st.sampled_from(sorted(stratum)))
         try:
             tower.blow_up(Center(frozenset(stratum) | frozenset(sections)), chart)
-        except PermissibilityError:
+        except (PermissibilityError, DominationError):
             continue
     return tower
+
+
+def _cleaning_breaks_domination():
+    """Over F_5, cleaning z -> z - x moves a_4 to 3x^7 + 3x^3y^4 + 4x^6, of
+    slope 3/2 below the elimination order 2 at the origin."""
+    field = FieldSpec(5)
+    f = parse_poly("z^5 + x^3*z^4 + x*y^4*z^3 + x^4*z^3 + x^6*z^2 + x^5", field,
+                   ("z", "x", "y"))
+    sp = make_p_presentation(field, 3, (0,), (f,), ReesAlg.make(field, 3, []))
+    return Tower.start(["v0", "v1", "v2"], sp)
 
 
 def _rebuilt(sp):
@@ -92,8 +110,16 @@ def _rebuilt(sp):
                     tuple(fresh(f) for f in sp.polys), elim)
 
 
+def _hord_or_error(sp, y):
+    try:
+        return hord_data(sp, y)
+    except DominationError as exc:
+        return str(exc)
+
+
 @PROPS
 @given(towers())
+@example(_cleaning_breaks_domination())
 def test_memoised_hord_matches_rebuilt_presentation(tower):
     present = sorted(tower.chart.present_divisors().values())
     for sp in tower.states():
@@ -102,8 +128,76 @@ def test_memoised_hord_matches_rebuilt_presentation(tower):
                    for k in range(1, len(present) + 1)
                    for sub in itertools.combinations(present, k)]
         for y in points:
-            memo = hord_data(sp, y)
-            assert hord_data(sp, y) is memo
+            memo = _hord_or_error(sp, y)
             again = _rebuilt(sp)
-            assert memo == hord_data(again, y)
+            assert memo == _hord_or_error(again, y)
+            if isinstance(memo, str):
+                # a call that raises stores nothing and raises again
+                assert _hord_or_error(sp, y) == memo
+                continue
+            assert hord_data(sp, y) is memo
             assert hord(sp, y) == hord(again, y)
+
+
+FIELDS = tuple(FieldSpec(p) for p in (2, 3, 5, 7, 0))
+
+
+@st.composite
+def rooted_polys(draw):
+    """(f, y): f monic in z = x_0 over the downstairs variables, y a
+    downstairs point: the origin, a closed point off it, or a generic point.
+    Half the draws are (z + A)^n plus terms above the weight of A, in local
+    coordinates at y, so that the weighted form has the root A."""
+    field = draw(st.sampled_from(FIELDS))
+    p = field.characteristic
+    nvars = draw(st.integers(3, 4))
+    down = list(range(1, nvars))
+    coeff = st.integers(1, p - 1) if p else st.sampled_from((-2, -1, 1, 2, 3))
+    kind = draw(st.sampled_from(("origin", "closed", "generic")))
+    values = [0] * nvars
+    if kind == "generic":
+        graded = sorted(draw(st.sets(st.sampled_from(down), min_size=1)))
+        y = GenericPoint(frozenset(graded))
+    else:
+        graded = down
+        if kind == "closed":
+            values[1:] = [draw(st.integers(0, (p or 4) - 1)) for _ in down]
+            values[1] = draw(st.integers(1, (p or 4) - 1))
+        y = ClosedPoint(tuple(field.coerce(v) for v in values))
+
+    def form(degree):
+        """A nonzero polynomial whose terms all have graded degree `degree`."""
+        terms = {}
+        for _ in range(draw(st.integers(1, 2))):
+            exps = [0] * nvars
+            for _ in range(degree):
+                exps[draw(st.sampled_from(graded))] += 1
+            for v in down:
+                if v not in graded:
+                    exps[v] = draw(st.integers(0, 2))
+            terms[tuple(exps)] = draw(coeff)
+        return MPoly.from_dict(field, nvars, terms)
+
+    n = draw(st.integers(2, 5))
+    z = MPoly.var(field, nvars, 0)
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 2))
+        f = (z + form(d)) ** n
+        above = lambda j: j * d + draw(st.integers(1, 2))  # noqa: E731
+    else:
+        f = z ** n
+        above = lambda j: draw(st.integers(0, 2 * j + 1))  # noqa: E731
+    for j in draw(st.sets(st.integers(1, n), min_size=1)):
+        f = f + form(above(j)) * z ** (n - j)
+    if kind == "closed":
+        f = f.translate(tuple(field.neg(field.coerce(v)) for v in values))
+    return f, y
+
+
+@PROPS
+@given(rooted_polys())
+def test_weighted_root_matches_the_weighted_form(case):
+    f, y = case
+    q = slope_poly(f, 0, y)
+    assume(q != INF)
+    assert _weighted_root(f, 0, y, q) == is_nth_power(weighted_initial_form(f, 0, y, q))

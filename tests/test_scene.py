@@ -68,6 +68,8 @@ def test_parse_minimal():
      "unknown variable 'q'", 6),
     (lambda s: s.replace("elim: x^3 W^2", "elim: x^3"),
      "W^<weight>", 10),
+    (lambda s: s.replace("elim: x^3 W^2", "elim: x^3 W^0"),
+     "generator weights must be positive", 9),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno):
     with pytest.raises(SceneParseError) as err:
@@ -222,6 +224,30 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+def test_cli_undominated_p_presentation_exits_1(tmp_path, capsys):
+    # cleaning z -> z - x leaves a_4 = 3x^7 + 3x^3y^4 + 4x^6 of slope 3/2
+    # below the elimination order 2, so the reduced H-order formula fails
+    scene = _write(tmp_path, "s.scene", """\
+[field]
+characteristic: 5
+[variables]
+vars: z, x, y
+sections: z
+[presentation]
+kind: p
+poly 1: z^5 + x^3*z^4 + x*y^4*z^3 + x^4*z^3 + x^6*z^2 + x^5
+[script]
+hord at origin
+""")
+    assert main(["run", "--scene", scene]) == 1
+    out, err = capsys.readouterr()
+    record = json.loads(out)["records"][-1]
+    assert record["error_type"] == "DominationError"
+    assert err == ("command failed: hord at origin: cleaned middle coefficient a_4 "
+                   "of polynomial 1 has slope 3/2 below the elimination order 2; "
+                   "the reduced H-order formula does not apply\n")
 
 
 def test_cli_bad_subcommand_exits_2(tmp_path, capsys):
