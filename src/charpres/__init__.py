@@ -13,8 +13,8 @@ from .errors import (BudgetError, CharpresError, CommandError,
                      NotNormalFormError, PermissibilityError, PolyParseError,
                      SceneParseError, TrackingError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                   WeightedForm, hasse_derivative, initial_form, order_at,
-                   parse_poly, render_poly, weighted_initial_form)
+                   WeightedForm, initial_form, order_at, parse_poly,
+                   render_poly, weighted_initial_form)
 from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
                    singular_coordinate_strata, tau_at, tau_translation_oracle)
 from .projection import (PPresentation, SimplifiedPresentation,
@@ -23,9 +23,9 @@ from .projection import (PPresentation, SimplifiedPresentation,
                          slope_poly, slope_presentation, upstairs_algebra)
 from .blowup import (Center, Chart, Tower, blow_up_poly, stage_ab_experiment,
                      transform_object, transform_presentation)
-from .monomial import (MonomialAlg, combinatorial_resolve, divides,
-                       is_strong_monomial, lift_resolution, ord_monomial,
-                       resolve_game, sandwich_report, track_monomial)
+from .monomial import (MonomialAlg, divides, is_strong_monomial,
+                       lift_resolution, ord_monomial, resolve_game,
+                       sandwich_report, track_monomial)
 from .scene import (Scene, canonical_json, load_scene, parse_scene, run_scene,
                     verify_trace)
 

@@ -33,13 +33,6 @@ class Center:
 
 
 @dataclass(frozen=True)
-class BlowupRecord:
-    center: tuple       # sorted variable indices
-    chart_var: int
-    new_label: str
-
-
-@dataclass(frozen=True)
 class Chart:
     """Variable names plus the exceptional-divisor registry.
 
@@ -49,7 +42,6 @@ class Chart:
 
     names: tuple
     divisors: tuple     # tuple[(label, Optional[int])], creation order
-    lineage: tuple = ()
 
     @classmethod
     def initial(cls, names: Iterable[str]) -> "Chart":
@@ -67,10 +59,9 @@ class Chart:
         for v in center.vars:
             if not 0 <= v < len(self.names):
                 raise ValueError("center variable out of range")
-        label = "H%d" % (len(self.lineage) + 1)
+        label = "H%d" % (len(self.divisors) + 1)
         updated = tuple((lab, None if v == chart_var else v) for lab, v in self.divisors)
-        rec = BlowupRecord(tuple(sorted(center.vars)), chart_var, label)
-        return Chart(self.names, updated + ((label, chart_var),), self.lineage + (rec,))
+        return Chart(self.names, updated + ((label, chart_var),))
 
 
 def blow_up_poly(f: MPoly, n: int, center: Center, chart_var: int) -> MPoly:
@@ -233,9 +224,6 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
         S = sum(e)
         if S < least.get(e[z_index], S + 1):
             least[e[z_index]] = S
-    nu0 = min(least.values())
-    if nu0 < n:     # the Stage-A orders nu0 + i*(nu0 - n) fall below n at once or never
-        raise PermissibilityError("marked point left the singular locus during stage A")
     lines = [(ez + N * (S - n), ez - n) for ez, S in least.items()]   # order a + j*b
     # Stage B stops at the first j where a term with e_z < n falls below n; the
     # finite slope comes from such a term.
@@ -247,8 +235,10 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
     names = list(names) if names is not None else ["v%d" % i for i in range(f.nvars)]
     names = names + ["t"]
     point = sorted(names)
+    # q >= 1 gives every term a_j z^(n-j) total degree S >= n, and z^n has
+    # S = n, so every Stage-A order is n
     steps = [{"stage": "A", "index": i + 1, "center": point, "chart": "t",
-              "order": nu0 + i * (nu0 - n), "permissible": True} for i in range(N)]
+              "order": n, "permissible": True} for i in range(N)]
     line = sorted([names[z_index], "t"])
     performed = 0
     while True:

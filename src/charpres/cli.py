@@ -2,10 +2,13 @@
 
     charpres [run|monomial-track|strong-check|resolve] --scene FILE
              [--trace-out FILE] [--verify GOLDEN]
-             [--max-normalize-iters N] [--tau-oracle-field-extension M]
+             [--tau-oracle-field-extension M]
 
 Runs the scene script, emits the canonical JSON trace (stdout, or the
 --trace-out path), and optionally byte-compares it against a golden trace.
+Fixed budgets, each a command error: 64*n cleaning substitutions per section
+polynomial of degree n (DegenerateSlopeError), 10^6 tau-oracle vectors and
+10^6 experiment trace rows (BudgetError).
 Exit codes: 0 success, 1 command error or verification mismatch, 2 parse
 error, 3 internal error (a bug: one line on stderr, no traceback).
 """
@@ -35,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the canonical trace here instead of stdout")
     parser.add_argument("--verify", metavar="GOLDEN",
                         help="compare the trace against this golden file")
-    parser.add_argument("--max-normalize-iters", type=int, default=None,
-                        metavar="N", help="cap on projection cleaning steps")
     parser.add_argument("--tau-oracle-field-extension", type=int, default=None,
                         metavar="M", choices=[1, 2, 3],
                         help="cross-check tau by counting translations over "
@@ -55,8 +56,7 @@ def main(argv=None) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
 
-    options = RunOptions(max_normalize_iters=args.max_normalize_iters,
-                         tau_oracle_extension=args.tau_oracle_field_extension)
+    options = RunOptions(tau_oracle_extension=args.tau_oracle_field_extension)
     extra = [args.command] if args.command in _EXTRA else []
     try:
         doc = run_scene(scene, options, extra_commands=extra)

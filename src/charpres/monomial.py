@@ -85,7 +85,7 @@ def track_monomial(tower: Tower) -> MonomialAlg:
         if q < 1:
             raise TrackingError("center with H-order below 1 is impermissible")
         values.append(q - 1)
-        labels.append(st.chart.lineage[i].new_label)
+        labels.append(st.chart.divisors[-1][0])
     s = _lcm([v.denominator for v in values]) if values else 1
     exps = tuple((lab, int(v * s)) for lab, v in zip(labels, values))
     return MonomialAlg(s, exps).reduced()
@@ -152,7 +152,7 @@ class StrongCheckResult:
     checked: tuple       # records per checked point
 
 
-def is_strong_monomial(tower: Tower, monomial: Optional[MonomialAlg] = None,
+def is_strong_monomial(tower: Tower,
                        extra_points: Iterable[PointSpec] = ()) -> StrongCheckResult:
     """Does the H-order equal the monomial order everywhere it can be tested?
 
@@ -162,11 +162,9 @@ def is_strong_monomial(tower: Tower, monomial: Optional[MonomialAlg] = None,
     collapse onto the monomial algebra locally.  The witness is the first
     failing comparison.
     """
+    M = track_monomial(tower)
     sp = tower.obj
-    if not isinstance(sp, SimplifiedPresentation):
-        raise TrackingError("the strong-monomial test needs a presentation tower")
     chart = tower.chart
-    M = monomial if monomial is not None else track_monomial(tower)
     present = chart.present_divisors()
     labels = [lab for lab, _ in M.exponents if present.get(lab) is not None]
     if sp.elim.gens:
@@ -218,11 +216,6 @@ class GameResult:
     moves: tuple
     exponents: tuple    # final table, label order by age
     faces: frozenset    # final incidence complex
-
-
-def combinatorial_resolve(M: MonomialAlg, chart: Chart):
-    """Ordered moves of the stratum-excess game; see resolve_game."""
-    return list(resolve_game(M, chart).moves)
 
 
 def resolve_game(M: MonomialAlg, chart: Chart) -> GameResult:
@@ -294,24 +287,22 @@ class LiftRecord:
 
 @dataclass(frozen=True)
 class LiftResult:
-    tower: Tower
-    records: tuple
-    final_singular: tuple   # representable singular strata left (must be empty)
+    monomial: MonomialAlg
+    records: tuple      # one LiftRecord per game move, in play order
 
 
-def lift_resolution(tower: Tower, moves=None,
-                    monomial: Optional[MonomialAlg] = None,
+def lift_resolution(tower: Tower,
                     extra_points: Iterable[PointSpec] = ()) -> LiftResult:
-    """Materialize the game's centers upstairs: each stratum gains every
-    section variable, the chart follows the oldest divisor's variable, and
-    the presentation transforms along the way.  Refuses non-strong towers;
-    any impermissible lifted center falsifies the hypothesis and errors."""
-    check = is_strong_monomial(tower, monomial=monomial, extra_points=extra_points)
+    """Play the game on the tower's monomial algebra and materialize its
+    centers upstairs: each stratum gains every section variable, the chart
+    follows the oldest divisor's variable, and the presentation transforms
+    along the way.  Refuses non-strong towers; an impermissible lifted center
+    or a singular stratum left at the end falsifies the hypothesis and errors."""
+    check = is_strong_monomial(tower, extra_points=extra_points)
     if not check.strong:
         raise TrackingError("lift refused: tower is not in the strong monomial case")
     M = check.monomial
-    if moves is None:
-        moves = combinatorial_resolve(M, tower.chart)
+    moves = resolve_game(M, tower.chart).moves
     sections = frozenset(tower.obj.sections)
     var_of = {lab: v for lab, v in tower.chart.divisors}
     records = []
@@ -335,10 +326,8 @@ def lift_resolution(tower: Tower, moves=None,
             raise TrackingError(
                 "lifted center %s is impermissible (%s); the strong-monomial "
                 "hypothesis fails" % (sorted(tower.chart.names[v] for v in center.vars), exc))
-        if move.new_label is None:
-            # same divisor, smaller multiplicity; it keeps its variable
-            pass
-        else:
+        # a single-divisor move keeps the divisor and its variable
+        if move.new_label is not None:
             var_of[labs[0]] = None
             var_of[move.new_label] = chart_var
         records.append(LiftRecord(move, False, None, case, hv, ev))
@@ -352,14 +341,13 @@ def lift_resolution(tower: Tower, moves=None,
         raise TrackingError(
             "lift ended with singular strata %r; the strong-monomial hypothesis fails"
             % (leftover,))
-    return LiftResult(tower, tuple(records), ())
+    return LiftResult(M, tuple(records))
 
 
-def sandwich_report(tower: Tower, M: Optional[MonomialAlg] = None):
-    """ord_monomial <= hord <= ord(elim) at the generic point of every
-    present-divisor stratum of the tower's final chart."""
+def sandwich_report(tower: Tower, M: MonomialAlg):
+    """ord_monomial <= hord <= ord(elim), for M the tower's monomial algebra,
+    at the generic point of every present-divisor stratum of its final chart."""
     sp = tower.obj
-    M = M if M is not None else track_monomial(tower)
     present = tower.chart.present_divisors()
     labels = sorted(present, key=_label_age)
     rows = []

@@ -539,10 +539,6 @@ def initial_form(f: MPoly, pt: ClosedPoint) -> MPoly:
     return g.homogeneous_part(g.order_total())
 
 
-def hasse_derivative(f: MPoly, var: int, r: int) -> MPoly:
-    return f.hasse_deriv(var, r)
-
-
 # -- weighted initial forms ---------------------------------------------------
 
 

@@ -23,7 +23,8 @@ from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    weighted_initial_form)
 from .rees import ReesAlg, diff_saturate, ord_at, sing_member
 
-DEFAULT_CAP_FACTOR = 64
+# normalize_poly makes at most NORMALIZE_CAP_FACTOR * n cleaning substitutions.
+NORMALIZE_CAP_FACTOR = 64
 
 
 def _check_downstairs_point(y: PointSpec, sections, nvars: int):
@@ -77,7 +78,7 @@ class SimplifiedPresentation:
 
     @cached_property
     def _hord_memo(self) -> dict:
-        # (point, max_iters) -> HordData; see hord_data
+        # point -> HordData; see hord_data
         return {}
 
     @property
@@ -255,20 +256,20 @@ class PolyNormalization:
         return self.slopes[-1]
 
 
-def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF,
-                   max_iters: Optional[int] = None) -> PolyNormalization:
+def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNormalization:
     """Raise the slope at y by substitutions z <- z - alpha while the weighted
     initial form is an n-th power (Z+A)^n with A nonzero and the slope is
     still below the elimination order.
 
     alpha is the homogeneous representative of A itself (translated back to
     ambient coordinates for off-origin closed points); only its initial form
-    matters.  Each iteration strictly increases the slope; exceeding the cap
-    means the codimension-one assumption fails for this input.
+    matters.  Each iteration strictly increases the slope; needing more than
+    NORMALIZE_CAP_FACTOR * n of them means the codimension-one assumption
+    fails for this input.
     """
     field, nvars = f.field, f.nvars
     n = f.degree_in_var(z_index)
-    cap = DEFAULT_CAP_FACTOR * n if max_iters is None else max_iters
+    cap = NORMALIZE_CAP_FACTOR * n
     slopes = [slope_poly(f, z_index, y)]
     subs = []
     while slopes[-1] < elim_ord and slopes[-1] != INF:
@@ -291,13 +292,12 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF,
     return PolyNormalization(f, len(subs), tuple(slopes), tuple(subs))
 
 
-def normalize(pres: SimplifiedPresentation, y: PointSpec,
-              max_iters: Optional[int] = None) -> "NormalizeResult":
+def normalize(pres: SimplifiedPresentation, y: PointSpec) -> "NormalizeResult":
     """Bring a one-section presentation into normal form at y: afterwards
     either its slope meets the elimination order or the weighted initial form
     is not an n-th power."""
     rec = normalize_poly(pres.f, pres.section_var, y,
-                         elim_ord=ord_at(pres.elim, y), max_iters=max_iters)
+                         elim_ord=ord_at(pres.elim, y))
     # a plain presentation: the normalized polynomial need not keep a
     # PPresentation's middle coefficients in the elimination part
     out = SimplifiedPresentation(pres.field, pres.nvars, pres.sections, (rec.poly,),
@@ -369,8 +369,7 @@ class HordData:
     reduced_value: object = None  # p-presentation cross-check, when applicable
 
 
-def hord_data(sp: SimplifiedPresentation, y: PointSpec,
-              max_iters: Optional[int] = None) -> HordData:
+def hord_data(sp: SimplifiedPresentation, y: PointSpec) -> HordData:
     """H-order of the presentation at a downstairs point: normalize each
     polynomial independently at y, then take the minimum of all coefficient
     slopes and the elimination order.
@@ -379,21 +378,19 @@ def hord_data(sp: SimplifiedPresentation, y: PointSpec,
     recomputed and must agree; construction guarantees the middle
     coefficients are dominated by the elimination part.
 
-    The result is stored on the presentation per (y, max_iters) and served
-    from there on repeat calls; a call that raises stores nothing.
+    The result is stored on the presentation per point and served from
+    there on repeat calls; a call that raises stores nothing.
     """
-    key = (y, max_iters)
-    data = sp._hord_memo.get(key)
+    data = sp._hord_memo.get(y)
     if data is None:
-        data = sp._hord_memo[key] = _hord_data(sp, y, max_iters)
+        data = sp._hord_memo[y] = _hord_data(sp, y)
     return data
 
 
-def _hord_data(sp: SimplifiedPresentation, y: PointSpec,
-               max_iters: Optional[int]) -> HordData:
+def _hord_data(sp: SimplifiedPresentation, y: PointSpec) -> HordData:
     _check_downstairs_point(y, sp.sections, sp.nvars)
     eord = ord_at(sp.elim, y)
-    recs = [normalize_poly(f, z, y, elim_ord=eord, max_iters=max_iters)
+    recs = [normalize_poly(f, z, y, elim_ord=eord)
             for z, f in zip(sp.sections, sp.polys)]
     value = min([eord] + [r.slope for r in recs])
     reduced = None
@@ -432,8 +429,8 @@ def _check_dominated(sp: PPresentation, recs, y: PointSpec, eord):
                 "does not apply" % (j, i + 1, s, eord))
 
 
-def hord(sp: SimplifiedPresentation, y: PointSpec, max_iters: Optional[int] = None):
-    return hord_data(sp, y, max_iters=max_iters).value
+def hord(sp: SimplifiedPresentation, y: PointSpec):
+    return hord_data(sp, y).value
 
 
 # -- elimination proxy -------------------------------------------------------------

@@ -114,13 +114,13 @@ def _monic_key(f: MPoly, n: int) -> tuple:
 
 
 def _saturate(alg: ReesAlg, allowed) -> ReesAlg:
-    if alg.is_unit:
-        return alg
-    allowed = list(allowed)
     kept = {}
-    unit = False
     for f, n in alg.gens:
         kept.setdefault(_monic_key(f, n), (f, n))
+    if alg.is_unit:     # already saturated; only its scalar repeats go
+        return ReesAlg.make(alg.field, alg.nvars, kept.values(), True)
+    allowed = list(allowed)
+    unit = False
     for f, n in alg.gens:
         for alpha in _multi_indices(alg.nvars, allowed, n - 1):
             g = f.hasse_deriv_multi(alpha)
@@ -218,8 +218,6 @@ class TangentData:
     point: ClosedPoint
     tau: int
     initial_forms: tuple      # the degree-matching initial forms of the saturation
-    vertex_forms: tuple       # additive forms (degree 1 or p^e) cutting the vertex space
-    root_forms: tuple         # their linear p^e-th roots, an independent family
 
 
 def _monomials_of_degree(nvars: int, deg: int):
@@ -285,7 +283,7 @@ def _tangent_forms(sat: ReesAlg, pt: ClosedPoint) -> list:
     return forms
 
 
-def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentData:
+def tau_at(alg: ReesAlg, pt: ClosedPoint) -> TangentData:
     """Codimension of the subspace of vertices of the tangent cone at pt.
 
     Saturates absolutely, collects initial forms of generators whose local
@@ -304,31 +302,19 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint, check_codim: bool = True) -> TangentDa
         maxdeg = max((f.total_degree() for f in forms), default=0)
         while degrees[-1] * p <= maxdeg:
             degrees.append(degrees[-1] * p)
-    vertex_forms = []
     roots = []
     for deg in degrees:
-        for cvec in _additive_forms_in_degree(forms, deg, field, nvars):
-            vertex_forms.append(MPoly.from_dict(field, nvars, {
-                tuple(deg if i == j else 0 for i in range(nvars)): c
-                for j, c in enumerate(cvec) if c != 0}))
-            # the root of sum c_i x_i^deg is sum c_i x_i: over F_p each
-            # coefficient is its own p-th root, and over Q deg is 1
-            roots.append(cvec)
-    reduced, _ = rref(roots, field) if roots else ([], [])
-    tau = len(reduced)
-    if check_codim:
-        # saturation leaves the singular locus unchanged, so the strata of
-        # sat are those of alg, and sat keeps them once scanned
-        strata = singular_coordinate_strata(sat)
-        if strata and tau > min(len(s) for s in strata):
-            raise InvariantError(
-                "tau exceeded the codimension of a coordinate singular stratum")
-    root_polys = tuple(
-        MPoly.from_dict(field, nvars, {
-            tuple(1 if i == j else 0 for i in range(nvars)): c
-            for j, c in enumerate(r) if c != 0})
-        for r in reduced)
-    return TangentData(pt, tau, tuple(forms), tuple(vertex_forms), root_polys)
+        # the root of sum c_i x_i^deg is sum c_i x_i: over F_p each
+        # coefficient is its own p-th root, and over Q deg is 1
+        roots += _additive_forms_in_degree(forms, deg, field, nvars)
+    tau = len(rref(roots, field)[0]) if roots else 0
+    # saturation leaves the singular locus unchanged, so the strata of
+    # sat are those of alg, and sat keeps them once scanned
+    strata = singular_coordinate_strata(sat)
+    if strata and tau > min(len(s) for s in strata):
+        raise InvariantError(
+            "tau exceeded the codimension of a coordinate singular stratum")
+    return TangentData(pt, tau, tuple(forms))
 
 
 def singular_coordinate_strata(alg: ReesAlg) -> list:

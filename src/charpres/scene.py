@@ -17,8 +17,8 @@ from typing import Optional
 
 from .blowup import Center, Tower, stage_ab_experiment
 from .errors import CharpresError, CommandError, SceneParseError
-from .monomial import (combinatorial_resolve, is_strong_monomial,
-                       lift_resolution, sandwich_report, track_monomial)
+from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
+                       track_monomial)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, parse_poly, render_poly)
 from .projection import (SimplifiedPresentation, hord_data, make_p_presentation,
@@ -134,7 +134,10 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             f = parse_poly(m.group(1), field, names)
         except Exception as exc:
             raise SceneParseError(str(exc), lineno)
-        return f, int(m.group(2))
+        weight = int(m.group(2))
+        if weight < 1:
+            raise SceneParseError("generator weights must be positive", lineno)
+        return f, weight
 
     # algebra
     algebra = None
@@ -299,9 +302,12 @@ def verify_trace(trace_text: str, golden_text: str):
     try:
         a = json.loads(trace_text)
         b = json.loads(golden_text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer too long to read
         return False, "not valid JSON: %s" % exc
-    ca, cb = canonical_json(a), canonical_json(b)
+    try:
+        ca, cb = canonical_json(a), canonical_json(b)
+    except TypeError as exc:    # a float, inf or NaN: never in a trace
+        return False, "not a trace: %s" % exc
     if ca == cb:
         return True, None
     return False, _first_divergence(jsonify(a), jsonify(b)) or "traces differ"
@@ -312,7 +318,6 @@ def verify_trace(trace_text: str, golden_text: str):
 
 @dataclass
 class RunOptions:
-    max_normalize_iters: Optional[int] = None
     tau_oracle_extension: Optional[int] = None
 
 
@@ -401,7 +406,7 @@ def _cmd_slope(ex: _Execution, point_name: str) -> dict:
         raise CommandError("the slope command needs a one-section presentation")
     pt = ex.point(point_name)
     raw = slope_poly(pres.f, pres.section_var, pt)
-    res = normalize(pres, pt, max_iters=ex.options.max_normalize_iters)
+    res = normalize(pres, pt)
     final = res.presentation
     rec = {"command": "slope", "point": point_name,
            "point_spec": ex.point_json(pt),
@@ -418,7 +423,7 @@ def _cmd_slope(ex: _Execution, point_name: str) -> dict:
 def _cmd_hord(ex: _Execution, point_name: str) -> dict:
     pres = ex.current_presentation()
     pt = ex.point(point_name)
-    data = hord_data(pres, pt, max_iters=ex.options.max_normalize_iters)
+    data = hord_data(pres, pt)
     rec = {"command": "hord", "point": point_name,
            "point_spec": ex.point_json(pt),
            "hord": data.value,
@@ -497,16 +502,15 @@ def _cmd_strong_check(ex: _Execution) -> dict:
 
 def _cmd_resolve(ex: _Execution) -> dict:
     tower = ex.ensure_tower()
-    M = track_monomial(tower)
-    moves = combinatorial_resolve(M, tower.chart)
+    lift = lift_resolution(tower, extra_points=ex.closed_points())
+    M = lift.monomial
+    moves = [r.move for r in lift.records]
     rec = {"command": "resolve",
            "monomial": {"s": M.s, "exponents": {lab: h for lab, h in M.exponents}},
            "moves": [{"stratum": sorted(m.labels), "new_label": m.new_label,
                       "exponent": m.exponent,
                       "exponents_after": {lab: h for lab, h in m.exponents_after}}
                      for m in moves]}
-    lift = lift_resolution(tower, moves=moves, monomial=M,
-                           extra_points=ex.closed_points())
     rec["lift"] = [{"stratum": sorted(r.move.labels), "skipped": r.skipped,
                     "reason": r.reason, "case": r.contact_case,
                     "hord_at_center": r.hord_at_center,
@@ -515,7 +519,7 @@ def _cmd_resolve(ex: _Execution) -> dict:
     rec["final"] = _object_json(ex, tower.obj)
     rec["divisors"] = {lab: (None if v is None else ex.scene.names[v])
                        for lab, v in tower.chart.divisors}
-    rec["singular_after"] = list(lift.final_singular)
+    rec["singular_after"] = []     # lift_resolution raises on a singular stratum left
     return rec
 
 

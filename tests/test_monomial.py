@@ -7,10 +7,9 @@ import pytest
 
 from charpres.blowup import Center, Chart, Tower
 from charpres.errors import NonMonomialElimError, TrackingError
-from charpres.monomial import (MonomialAlg, combinatorial_resolve, divides,
-                               is_strong_monomial, lift_resolution,
-                               ord_monomial, resolve_game, sandwich_report,
-                               track_monomial)
+from charpres.monomial import (MonomialAlg, divides, is_strong_monomial,
+                               lift_resolution, ord_monomial, resolve_game,
+                               sandwich_report, track_monomial)
 from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, parse_poly,
                            render_poly)
 from charpres.projection import SimplifiedPresentation, coefficient_elim
@@ -102,7 +101,7 @@ def test_strong_monomial_standard():
 
 def test_sandwich_rows():
     tower = tower_for("z^2 + x^4*y^5", F2, STD)
-    rows = sandwich_report(tower)
+    rows = sandwich_report(tower, track_monomial(tower))
     assert [(r["stratum"], r["ord_monomial"], r["hord"], r["elim_ord"])
             for r in rows] == [
         ("H1", 1, 1, 1),
@@ -146,7 +145,7 @@ def test_non_monomial_elim_is_an_error():
 
 def test_game_single_subtraction():
     chart = Chart(tuple(ZXY), (("H1", 1),))
-    moves = combinatorial_resolve(MonomialAlg(2, (("H1", 3),)), chart)
+    moves = resolve_game(MonomialAlg(2, (("H1", 3),)), chart).moves
     assert len(moves) == 1
     assert moves[0].labels == frozenset({"H1"})
     assert moves[0].new_label is None
@@ -168,7 +167,7 @@ def test_game_pair_blowup():
 
 def test_game_deepest_first_then_oldest():
     chart = Chart(tuple(ZXY), (("H1", 1), ("H2", 2)))
-    moves = combinatorial_resolve(MonomialAlg(2, (("H1", 2), ("H2", 1))), chart)
+    moves = resolve_game(MonomialAlg(2, (("H1", 2), ("H2", 1))), chart).moves
     # only H1 alone qualifies as inclusion-minimal: the pair contains the
     # qualifying singleton, so it is not minimal
     assert [sorted(m.labels) for m in moves] == [["H1"]]
@@ -184,11 +183,12 @@ def test_game_final_faces_below_threshold():
 
 def test_lift_standard():
     tower = tower_for("z^2 + x^4*y^5", F2, STD)
+    M = track_monomial(tower)
     res = lift_resolution(tower)
+    assert res.monomial == M
     assert [r.contact_case for r in res.records] == ["A", "A"]
     assert [r.hord_at_center for r in res.records] == [1, Fraction(3, 2)]
     assert render_poly(tower.obj.f, ZXY) == "z^2 + y"
-    assert res.final_singular == ()
     # nothing singular remains upstairs
     up = ReesAlg.make(F2, 3, [(tower.obj.f, 2)])
     assert not sing_member(up, ClosedPoint((0, 0, 0)))
@@ -209,7 +209,7 @@ def test_lift_two_sections():
     res = lift_resolution(tower)
     assert [render_poly(g, names) for g in tower.obj.polys] \
         == ["z1^2 + y", "x^4*y^6 + z2^2"]
-    assert res.final_singular == ()
+    assert res.monomial == M
 
 
 def test_lift_length_four_with_absent_divisors():
@@ -218,9 +218,12 @@ def test_lift_length_four_with_absent_divisors():
     M = track_monomial(tower)
     assert (M.s, M.exponents) == (2, (("H1", 4), ("H2", 2), ("H3", 5), ("H4", 3)))
     assert dict(tower.chart.divisors) == {"H1": None, "H2": 1, "H3": None, "H4": 2}
+    game = resolve_game(M, tower.chart)
     res = lift_resolution(tower)
     assert render_poly(tower.obj.f, ZXY) == "z^2 + y"
-    assert res.final_singular == ()
+    # the lift plays the game's moves in order, one record each
+    assert [r.move for r in res.records] == list(game.moves)
+    assert res.monomial == M
 
 
 def test_vacuous_tower():

@@ -8,7 +8,7 @@ import pytest
 
 from charpres.errors import NotMonicError, PolyParseError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                           hasse_derivative, initial_form, monic_coefficients,
+                           initial_form, monic_coefficients,
                            order_at, parse_poly, render_poly,
                            weighted_initial_form)
 
@@ -99,10 +99,10 @@ def test_initial_form():
 
 def test_hasse_derivatives():
     f = P("x^5")
-    assert hasse_derivative(f, 1, 2) == P("10*x^3")
+    assert f.hasse_deriv(1, 2) == P("10*x^3")
     # Lucas: C(5,2) = 10 = 0 mod 2, C(5,1) = 5 = 1 mod 2
-    assert hasse_derivative(P("x^5", F2), 1, 2) == P("0", F2)
-    assert hasse_derivative(P("x^5", F2), 1, 1) == P("x^4", F2)
+    assert P("x^5", F2).hasse_deriv(1, 2) == P("0", F2)
+    assert P("x^5", F2).hasse_deriv(1, 1) == P("x^4", F2)
     # multi-index
     h = P("x^2*y^3").hasse_deriv_multi((0, 1, 2))
     assert h == P("6*x*y")
@@ -113,8 +113,8 @@ def test_hasse_frobenius_kernel():
     for field, p in ((F2, 2), (F3, 3), (F5, 5)):
         f = P("x^%d" % p, field)
         for r in range(1, p):
-            assert hasse_derivative(f, 1, r).is_zero()
-        assert hasse_derivative(f, 1, p) == P("1", field)
+            assert f.hasse_deriv(1, r).is_zero()
+        assert f.hasse_deriv(1, p) == P("1", field)
 
 
 def test_translate_evaluate():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import charpres.projection as projection
 from charpres.errors import DegenerateSlopeError, NotNormalFormError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly, weighted_initial_form)
@@ -92,10 +93,15 @@ def test_normalize_char5_artin_style():
     assert res.record.slope == Fraction(6, 5)
 
 
-def test_normalize_iteration_cap():
+def test_normalize_iteration_cap(monkeypatch):
     pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
+    # one substitution is needed; a budget of 64*n allows it
+    assert normalize(pres, ORIGIN).record.iterations == 1
+    monkeypatch.setattr(projection, "NORMALIZE_CAP_FACTOR", 0)
     with pytest.raises(DegenerateSlopeError):
-        normalize(pres, ORIGIN, max_iters=0)
+        normalize(pres, ORIGIN)
+    # a polynomial already in normal form needs no budget
+    assert normalize(pres1("z^2 + x^3", elim_gens=[]), ORIGIN).record.iterations == 0
 
 
 def test_normalize_off_origin():
@@ -320,18 +326,19 @@ def test_normal_form_test_builds_a_form_only_when_a_root_can_exist(monkeypatch):
     assert built == [1]
 
 
-def test_hord_data_memo():
+def test_hord_data_memo(monkeypatch):
     pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
-    # a capped call that raises stores nothing and raises again
-    for _ in range(2):
-        with pytest.raises(DegenerateSlopeError):
-            hord_data(pres, ORIGIN, max_iters=0)
+    # a call over budget that raises stores nothing and raises again
+    with monkeypatch.context() as m:
+        m.setattr(projection, "NORMALIZE_CAP_FACTOR", 0)
+        for _ in range(2):
+            with pytest.raises(DegenerateSlopeError):
+                hord_data(pres, ORIGIN)
     d = hord_data(pres, ORIGIN)
     assert hord_data(pres, ORIGIN) is d
     assert d.normalizations[0].iterations == 1
-    # another cap is a separate entry, computed afresh
-    capped = hord_data(pres, ORIGIN, max_iters=1)
-    assert capped is not d and capped == d
+    # an equal point is the same entry
+    assert hord_data(pres, ClosedPoint((0, 0, 0))) is d
     # an equal presentation rebuilt afresh computes an equal result
     again = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
     assert again == pres

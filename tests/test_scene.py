@@ -69,7 +69,9 @@ def test_parse_minimal():
     (lambda s: s.replace("elim: x^3 W^2", "elim: x^3"),
      "W^<weight>", 10),
     (lambda s: s.replace("elim: x^3 W^2", "elim: x^3 W^0"),
-     "generator weights must be positive", 9),
+     "generator weights must be positive", 10),
+    (lambda s: s.replace("[script]", "[algebra]\ngen: x^2 W^2\ngen: y^3 W^0\n\n[script]"),
+     "generator weights must be positive", 18),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno):
     with pytest.raises(SceneParseError) as err:
@@ -123,6 +125,21 @@ def test_verify_trace():
     assert report == "$.records[0].hord: '9/2' != '7/2'"
     ok, report = verify_trace(a, "{nope")
     assert not ok and report.startswith("not valid JSON")
+    # a trace never holds a float, so such a golden is a mismatch, not a crash
+    for value in ("1.5", "1e999", "NaN"):
+        ok, report = verify_trace(a, '{"records": [], "status": %s}' % value)
+        assert (ok, report) == (False, "not a trace: floats are not allowed in traces")
+    # an integer too long for int() is refused by json.loads in Python 3.11
+    ok, report = verify_trace(a, "1" * 5000)
+    assert not ok
+
+
+def test_cli_verify_against_a_float_golden_exits_1(tmp_path, capsys):
+    scene = os.path.join(SCENES, "t06_strong_char5.scene")
+    golden = _write(tmp_path, "golden.json", '{"a": 1.5}')
+    assert main(["run", "--scene", scene, "--verify", golden]) == 1
+    assert capsys.readouterr().err == (
+        "trace mismatch: not a trace: floats are not allowed in traces\n")
 
 
 def test_run_scene_empty_script():
@@ -266,6 +283,34 @@ def test_cli_extra_terminal_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["records"][-1] == {"command": "monomial-track", "s": 2,
                                   "exponents": {"H1": 1}}
+
+
+ALGEBRA_TOWER = """\
+[field]
+characteristic: 2
+
+[variables]
+vars: z, x, y
+
+[algebra]
+gen: z^2 + x^4*y^5 W^2
+
+[script]
+blowup: center = {z, x}; chart = x
+"""
+
+
+@pytest.mark.parametrize("command", ["monomial-track", "strong-check", "resolve"])
+def test_monomial_commands_need_a_presentation_tower(tmp_path, capsys, command):
+    doc = run_scene(parse_scene(ALGEBRA_TOWER), extra_commands=[command])
+    assert doc["status"] == "error"
+    assert doc["records"][-1] == {"command": command,
+                                  "error": "monomial tracking needs a presentation tower",
+                                  "error_type": "TrackingError"}
+    scene = _write(tmp_path, "s.scene", ALGEBRA_TOWER)
+    assert main([command, "--scene", scene]) == 1
+    assert capsys.readouterr().err == ("command failed: %s: monomial tracking needs "
+                                       "a presentation tower\n" % command)
 
 
 def test_cli_oracle_flag_rejects_large_extension(tmp_path, capsys):
