@@ -20,7 +20,7 @@ from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
 from .projection import (PPresentation, SimplifiedPresentation,
                          coefficient_elim, hord, hord_data,
                          make_p_presentation, membership_criterion, normalize,
-                         slope_poly, slope_presentation, upstairs_algebra)
+                         slope_poly, upstairs_algebra)
 from .blowup import (Center, Chart, Tower, blow_up_poly, stage_ab_experiment,
                      transform_object, transform_presentation)
 from .monomial import (MonomialAlg, divides, is_strong_monomial,

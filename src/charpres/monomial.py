@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
                      TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
-from .projection import SimplifiedPresentation, hord, upstairs_algebra
+from .projection import SimplifiedPresentation, hord, hord_data, upstairs_algebra
 from .rees import ReesAlg, ord_at, sing_member, singular_coordinate_strata
 from .blowup import Center, Chart, Tower
 
@@ -295,9 +295,10 @@ def lift_resolution(tower: Tower,
                     extra_points: Iterable[PointSpec] = ()) -> LiftResult:
     """Play the game on the tower's monomial algebra and materialize its
     centers upstairs: each stratum gains every section variable, the chart
-    follows the oldest divisor's variable, and the presentation transforms
-    along the way.  Refuses non-strong towers; an impermissible lifted center
-    or a singular stratum left at the end falsifies the hypothesis and errors."""
+    follows the oldest divisor's variable, and the presentation, cleaned at
+    the downstairs generic point of each center, transforms along the way.
+    Refuses non-strong towers; an impermissible lifted center or a singular
+    stratum left at the end falsifies the hypothesis and errors."""
     check = is_strong_monomial(tower, extra_points=extra_points)
     if not check.strong:
         raise TrackingError("lift refused: tower is not in the strong monomial case")
@@ -315,11 +316,11 @@ def lift_resolution(tower: Tower,
             continue
         chart_var = var_of[labs[0]]
         center = Center(frozenset(vars_) | sections)
-        sp = tower.obj
-        down = GenericPoint(frozenset(vars_))
-        hv = hord(sp, down)
-        ev = ord_at(sp.elim, down)
+        data = hord_data(tower.obj, GenericPoint(frozenset(vars_)))
+        hv, ev = data.value, data.elim_ord
         case = "A" if hv == ev else "B"
+        # blow up the sections hord measured: those cleaned at the center
+        tower.obj = data.presentation
         try:
             tower.blow_up(center, chart_var)
         except PermissibilityError as exc:

@@ -494,10 +494,6 @@ class ClosedPoint:
 
     values: tuple
 
-    @property
-    def kind(self) -> str:
-        return "closed"
-
 
 @dataclass(frozen=True)
 class GenericPoint:
@@ -508,10 +504,6 @@ class GenericPoint:
     def __post_init__(self):
         if not self.vars:
             raise ValueError("generic point needs a non-empty variable set")
-
-    @property
-    def kind(self) -> str:
-        return "generic"
 
 
 PointSpec = Union[ClosedPoint, GenericPoint]

@@ -66,10 +66,7 @@ class SimplifiedPresentation:
         for z, f in zip(secs, self.polys):
             if f.field != self.field or f.nvars != self.nvars:
                 raise ValueError("presentation polynomial in the wrong ring")
-            coeffs = monic_coefficients(f, z)  # raises NotMonicError
-            for a in coeffs.values():
-                if any(a.uses_var(w) for w in secs):
-                    raise ValueError("coefficients must be free of all section variables")
+            check_section_poly(f, z, secs)
         if self.elim.field != self.field or self.elim.nvars != self.nvars:
             raise ValueError("elimination algebra in the wrong ring")
         for g, _ in self.elim.gens:
@@ -77,8 +74,8 @@ class SimplifiedPresentation:
                 raise ValueError("elimination generators must be section-free")
 
     @cached_property
-    def _hord_memo(self) -> dict:
-        # point -> HordData; see hord_data
+    def _normal_forms(self) -> dict:
+        # point -> NormalizeResult; see normalize
         return {}
 
     @property
@@ -107,6 +104,14 @@ class SimplifiedPresentation:
         """The section polynomial of a one-section presentation (e = 1)."""
         self._one_section()
         return self.polys[0]
+
+
+def check_section_poly(f: MPoly, z_index: int, sections) -> None:
+    """A section polynomial must be monic in its section variable, with
+    coefficients free of every section variable."""
+    for a in monic_coefficients(f, z_index).values():  # raises NotMonicError
+        if any(a.uses_var(w) for w in sections):
+            raise ValueError("coefficients must be free of all section variables")
 
 
 @dataclass(frozen=True)
@@ -183,11 +188,6 @@ def slope_poly(f: MPoly, z_index: int, y: PointSpec):
         if s < best:
             best = s
     return best
-
-
-def slope_presentation(pres: SimplifiedPresentation, y: PointSpec):
-    """Sl(P)(y): the slope of the polynomial capped by the elimination order."""
-    return min(slope_poly(pres.f, pres.section_var, y), ord_at(pres.elim, y))
 
 
 # -- weighted normal forms -------------------------------------------------------
@@ -292,37 +292,52 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNo
     return PolyNormalization(f, len(subs), tuple(slopes), tuple(subs))
 
 
-def normalize(pres: SimplifiedPresentation, y: PointSpec) -> "NormalizeResult":
-    """Bring a one-section presentation into normal form at y: afterwards
-    either its slope meets the elimination order or the weighted initial form
-    is not an n-th power."""
-    rec = normalize_poly(pres.f, pres.section_var, y,
-                         elim_ord=ord_at(pres.elim, y))
-    # a plain presentation: the normalized polynomial need not keep a
-    # PPresentation's middle coefficients in the elimination part
-    out = SimplifiedPresentation(pres.field, pres.nvars, pres.sections, (rec.poly,),
-                                 pres.elim)
-    return NormalizeResult(out, rec)
-
-
 @dataclass(frozen=True)
 class NormalizeResult:
-    presentation: SimplifiedPresentation
-    record: PolyNormalization
+    """A presentation cleaned at one downstairs point.
 
-    @property
-    def slope(self):
-        return self.record.slope
+    presentation is the input itself when no section polynomial moved, and
+    otherwise a plain presentation of the cleaned polynomials over the same
+    elimination part: cleaning need not keep a PPresentation's middle
+    coefficients in the elimination part.  value is the H-order, the
+    minimum of elim_ord and the cleaned slopes.
+    """
+
+    presentation: SimplifiedPresentation
+    elim_ord: object
+    normalizations: tuple         # one PolyNormalization per section polynomial
+    value: object                 # Fraction or INF
+
+
+def normalize(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
+    """Clean every section polynomial at y independently: afterwards each
+    one's slope meets the elimination order or its weighted initial form is
+    not an n-th power.
+
+    The result is stored on the presentation per point and served from
+    there on repeat calls; a call that raises stores nothing.
+    """
+    data = sp._normal_forms.get(y)
+    if data is None:
+        data = sp._normal_forms[y] = _normalize(sp, y)
+    return data
+
+
+def _normalize(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
+    _check_downstairs_point(y, sp.sections, sp.nvars)
+    eord = ord_at(sp.elim, y)
+    recs = tuple(normalize_poly(f, z, y, elim_ord=eord)
+                 for z, f in zip(sp.sections, sp.polys))
+    out = sp
+    if any(r.iterations for r in recs):
+        out = SimplifiedPresentation(sp.field, sp.nvars, sp.sections,
+                                     tuple(r.poly for r in recs), sp.elim)
+    return NormalizeResult(out, eord, recs, min([eord] + [r.slope for r in recs]))
 
 
 def is_normal_at(pres: SimplifiedPresentation, y: PointSpec) -> bool:
-    """Normal form test: slope meets the elimination order, or the weighted
-    initial form is not an n-th power with nonzero root."""
-    s = slope_poly(pres.f, pres.section_var, y)
-    if s >= ord_at(pres.elim, y) or s == INF:
-        return True
-    A = _weighted_root(pres.f, pres.section_var, y, s)
-    return A is None or A.is_zero()
+    """Normal form test: cleaning at y moves no section polynomial."""
+    return normalize(pres, y).presentation is pres
 
 
 # -- membership ------------------------------------------------------------------
@@ -347,11 +362,13 @@ def fiber_point(pres: SimplifiedPresentation, y: PointSpec) -> PointSpec:
 
 def membership_criterion(pres: SimplifiedPresentation, y: PointSpec) -> bool:
     """Does y lie in the projection of the singular locus?  True exactly when
-    Sl(P)(y) >= 1.  Requires the presentation to be in normal form at y and
-    cross-checks against the ambient singular-locus test at the fiber point."""
-    if not is_normal_at(pres, y):
+    Sl(P)(y), the minimum of the slopes and the elimination order, is >= 1.
+    Requires the presentation to be in normal form at y and cross-checks
+    against the ambient singular-locus test at the fiber point."""
+    data = normalize(pres, y)
+    if data.presentation is not pres:
         raise NotNormalFormError("presentation is not in normal form at the point")
-    result = slope_presentation(pres, y) >= 1
+    result = data.value >= 1
     upstairs = sing_member(upstairs_algebra(pres), fiber_point(pres, y))
     if upstairs != result:
         raise InvariantError("projection membership disagrees with the fiber test")
@@ -361,64 +378,41 @@ def membership_criterion(pres: SimplifiedPresentation, y: PointSpec) -> bool:
 # -- H-order ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HordData:
-    value: object                 # Fraction or INF
-    elim_ord: object
-    normalizations: tuple         # one PolyNormalization per section polynomial
-    reduced_value: object = None  # p-presentation cross-check, when applicable
-
-
-def hord_data(sp: SimplifiedPresentation, y: PointSpec) -> HordData:
-    """H-order of the presentation at a downstairs point: normalize each
-    polynomial independently at y, then take the minimum of all coefficient
-    slopes and the elimination order.
+def hord_data(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
+    """H-order of the presentation at a downstairs point: normalize(sp, y),
+    whose value is the minimum of all cleaned coefficient slopes and the
+    elimination order.
 
     For p-presentations the reduced formula (constant coefficients only) is
-    recomputed and must agree; construction guarantees the middle
-    coefficients are dominated by the elimination part.
-
-    The result is stored on the presentation per point and served from
-    there on repeat calls; a call that raises stores nothing.
+    recomputed on each call and must agree; construction guarantees the
+    middle coefficients are dominated by the elimination part.
     """
-    data = sp._hord_memo.get(y)
-    if data is None:
-        data = sp._hord_memo[y] = _hord_data(sp, y)
+    data = normalize(sp, y)
+    if isinstance(sp, PPresentation):
+        _check_reduced(sp, data, y)
     return data
 
 
-def _hord_data(sp: SimplifiedPresentation, y: PointSpec) -> HordData:
-    _check_downstairs_point(y, sp.sections, sp.nvars)
-    eord = ord_at(sp.elim, y)
-    recs = [normalize_poly(f, z, y, elim_ord=eord)
-            for z, f in zip(sp.sections, sp.polys)]
-    value = min([eord] + [r.slope for r in recs])
-    reduced = None
-    if isinstance(sp, PPresentation):
-        parts = [eord]
-        for i, (z, rec) in enumerate(zip(sp.sections, recs)):
-            n = sp.degrees[i]
-            a = monic_coefficients(rec.poly, z).get(n)
-            if a is not None and not a.is_zero():
-                parts.append(Fraction(order_at(a, y), n))
-            else:
-                parts.append(INF)
-        reduced = min(parts)
-        if reduced != value:
-            _check_dominated(sp, recs, y, eord)
-            raise InvariantError("p-presentation H-order formulas disagree")
-    return HordData(value, eord, tuple(recs), reduced)
+def _check_reduced(sp: PPresentation, data: NormalizeResult, y: PointSpec):
+    polys = data.presentation.polys
+    parts = [data.elim_ord]
+    for z, f, n in zip(sp.sections, polys, sp.degrees):
+        a = monic_coefficients(f, z)[n]
+        parts.append(INF if a.is_zero() else Fraction(order_at(a, y), n))
+    if min(parts) != data.value:
+        _check_dominated(sp, polys, y, data.elim_ord)
+        raise InvariantError("p-presentation H-order formulas disagree")
 
 
-def _check_dominated(sp: PPresentation, recs, y: PointSpec, eord):
+def _check_dominated(sp: PPresentation, polys, y: PointSpec, eord):
     """The reduced formula needs the elimination order at y to dominate
     every cleaned middle coefficient: ord_y(a'_j)/j >= eord for 1 <= j < n.
     Cleaning can break that (z -> z - alpha moves the middle coefficients
     off the elimination part); raise DominationError naming the a'_j of
     least slope when it falls below."""
     slopes = [(Fraction(order_at(a, y), j), i, j)
-              for i, (z, rec) in enumerate(zip(sp.sections, recs))
-              for j, a in monic_coefficients(rec.poly, z).items()
+              for i, (z, f) in enumerate(zip(sp.sections, polys))
+              for j, a in monic_coefficients(f, z).items()
               if j < sp.degrees[i] and not a.is_zero()]
     if slopes:
         s, i, j = min(slopes)

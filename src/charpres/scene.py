@@ -16,14 +16,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .blowup import Center, Tower, stage_ab_experiment
-from .errors import CharpresError, CommandError, SceneParseError
+from .errors import CharpresError, CommandError, NotMonicError, SceneParseError
 from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
                        track_monomial)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, parse_poly, render_poly)
-from .projection import (SimplifiedPresentation, hord_data, make_p_presentation,
-                         membership_criterion, normalize, slope_poly,
-                         upstairs_algebra)
+from .projection import (PPresentation, SimplifiedPresentation,
+                         check_section_poly, hord_data, make_p_presentation,
+                         membership_criterion, normalize, upstairs_algebra)
 from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
                    singular_coordinate_strata, tau_at, tau_translation_oracle)
 
@@ -173,7 +173,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                 except ValueError:
                     raise SceneParseError("expected 'poly <i>: <polynomial>'", lineno)
                 try:
-                    polys[i] = parse_poly(value, field, names)
+                    polys[i] = (parse_poly(value, field, names), lineno)
                 except Exception as exc:
                     raise SceneParseError(str(exc), lineno)
             elif key == "elim":
@@ -191,7 +191,13 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
         if sorted(polys) != list(range(1, len(psecs) + 1)):
             raise SceneParseError("presentation needs 'poly i:' for i = 1..e",
                                   data["presentation"][0][0])
-        ordered = tuple(polys[i] for i in range(1, len(psecs) + 1))
+        entries = [polys[i] for i in range(1, len(psecs) + 1)]
+        for z, (f, lineno) in zip(psecs, entries):
+            try:
+                check_section_poly(f, z, psecs)
+            except (NotMonicError, ValueError) as exc:
+                raise SceneParseError(str(exc), lineno)
+        ordered = tuple(f for f, _ in entries)
         try:
             elim = ReesAlg.make(field, len(names), elim_gens)
             if kind == "p":
@@ -405,18 +411,17 @@ def _cmd_slope(ex: _Execution, point_name: str) -> dict:
     if len(pres.sections) != 1:
         raise CommandError("the slope command needs a one-section presentation")
     pt = ex.point(point_name)
-    raw = slope_poly(pres.f, pres.section_var, pt)
-    res = normalize(pres, pt)
-    final = res.presentation
+    data = normalize(pres, pt)
+    norm = data.normalizations[0]
     rec = {"command": "slope", "point": point_name,
            "point_spec": ex.point_json(pt),
-           "slope_raw": raw,
-           "elim_ord": ord_at(pres.elim, pt),
-           "iterations": res.record.iterations,
-           "slopes": list(res.record.slopes),
-           "normalized_poly": ex.rp(final.f),
-           "presentation_slope": min(res.record.slope, ord_at(pres.elim, pt))}
-    rec["membership"] = membership_criterion(final, pt)
+           "slope_raw": norm.slopes[0],
+           "elim_ord": data.elim_ord,
+           "iterations": norm.iterations,
+           "slopes": list(norm.slopes),
+           "normalized_poly": ex.rp(norm.poly),
+           "presentation_slope": data.value}
+    rec["membership"] = membership_criterion(data.presentation, pt)
     return rec
 
 
@@ -430,8 +435,8 @@ def _cmd_hord(ex: _Execution, point_name: str) -> dict:
            "elim_ord": data.elim_ord,
            "poly_slopes": [r.slope for r in data.normalizations],
            "iterations": [r.iterations for r in data.normalizations]}
-    if data.reduced_value is not None:
-        rec["reduced_hord"] = data.reduced_value
+    if isinstance(pres, PPresentation):
+        rec["reduced_hord"] = data.value   # hord_data checked the reduced formula
     return rec
 
 

@@ -67,20 +67,20 @@ def test_criterion_2_normal_form_slopes():
                                       ReesAlg.make(f.field, 2, []))
 
     res = normalize(pres_for(parse_poly("z^2 + 2*x*z + x^2 + x^3", Q, zx)), origin)
-    assert res.record.iterations == 1
-    assert res.record.slope == Fraction(3, 2)
+    assert res.normalizations[0].iterations == 1
+    assert res.normalizations[0].slope == Fraction(3, 2)
 
     res = normalize(pres_for(parse_poly("z^2 + x^3", FieldSpec(2), zx)), origin)
-    assert res.record.iterations == 0
-    assert res.record.slope == Fraction(3, 2)
+    assert res.normalizations[0].iterations == 0
+    assert res.normalizations[0].slope == Fraction(3, 2)
 
     for p in (2, 3, 5):
         Fp = FieldSpec(p)
         z, x = (MPoly.var(Fp, 2, i) for i in (0, 1))
         f = (z + x) ** p + x ** (p + 1)
         res = normalize(pres_for(f), origin)
-        assert res.record.slope == Fraction(p + 1, p)
-        assert res.record.iterations >= 1
+        assert res.normalizations[0].slope == Fraction(p + 1, p)
+        assert res.normalizations[0].iterations >= 1
 
 
 def test_criterion_3_membership_grid():

@@ -16,8 +16,7 @@ from charpres.projection import (PPresentation, SimplifiedPresentation,
                                  coefficient_elim, fiber_point, hord,
                                  hord_data, is_normal_at, is_nth_power,
                                  make_p_presentation, membership_criterion,
-                                 normalize, slope_poly, slope_presentation,
-                                 upstairs_algebra)
+                                 normalize, slope_poly, upstairs_algebra)
 from charpres.rees import ReesAlg, sing_member
 
 Q = FieldSpec(0)
@@ -73,16 +72,18 @@ def test_normalize_char0():
     pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
     res = normalize(pres, ORIGIN)
     assert render_poly(res.presentation.f, ZXY) == "x^3 + z^2"
-    assert res.record.iterations == 1
-    assert res.record.slopes == (Fraction(1), Fraction(3, 2))
-    assert [render_poly(a, ZXY) for a in res.record.substitutions] == ["x"]
+    rec, = res.normalizations
+    assert rec.iterations == 1
+    assert rec.slopes == (Fraction(1), Fraction(3, 2))
+    assert [render_poly(a, ZXY) for a in rec.substitutions] == ["x"]
 
 
 def test_normalize_already_normal():
     pres = pres1("z^2 + x^3", F2, elim_gens=[])
     res = normalize(pres, ORIGIN)
-    assert res.record.iterations == 0
-    assert res.presentation.f == P("z^2 + x^3", F2)
+    assert res.normalizations[0].iterations == 0
+    # nothing moved, so the cleaned presentation is the input itself
+    assert res.presentation is pres
 
 
 def test_normalize_char5_artin_style():
@@ -90,18 +91,20 @@ def test_normalize_char5_artin_style():
     pres = SimplifiedPresentation(F5, 3, (0,), (f,), ReesAlg.make(F5, 3, []))
     res = normalize(pres, ORIGIN)
     assert res.presentation.f == P("z^5 + x^6", F5)
-    assert res.record.slope == Fraction(6, 5)
+    assert res.normalizations[0].slope == Fraction(6, 5)
 
 
 def test_normalize_iteration_cap(monkeypatch):
-    pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
+    def pres():   # a fresh presentation each time: normalize memoises per object
+        return pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
     # one substitution is needed; a budget of 64*n allows it
-    assert normalize(pres, ORIGIN).record.iterations == 1
+    assert normalize(pres(), ORIGIN).normalizations[0].iterations == 1
     monkeypatch.setattr(projection, "NORMALIZE_CAP_FACTOR", 0)
     with pytest.raises(DegenerateSlopeError):
-        normalize(pres, ORIGIN)
+        normalize(pres(), ORIGIN)
     # a polynomial already in normal form needs no budget
-    assert normalize(pres1("z^2 + x^3", elim_gens=[]), ORIGIN).record.iterations == 0
+    res = normalize(pres1("z^2 + x^3", elim_gens=[]), ORIGIN)
+    assert res.normalizations[0].iterations == 0
 
 
 def test_normalize_off_origin():
@@ -109,12 +112,14 @@ def test_normalize_off_origin():
     f = P("z^2 + 2*x*z + x^2 + x^3").translate((0, -1, 0))
     pres = SimplifiedPresentation(Q, 3, (0,), (f,), ReesAlg.make(Q, 3, []))
     res = normalize(pres, ClosedPoint((0, 1, 0)))
-    assert res.record.slope == Fraction(3, 2)
+    assert res.normalizations[0].slope == Fraction(3, 2)
 
 
 def test_slope_presentation_caps_at_elim():
     pres = pres1("z^2 + x^3", elim_gens=[("x^2", 2)])
-    assert slope_presentation(pres, ORIGIN) == 1     # eord = 1 caps 3/2
+    res = normalize(pres, ORIGIN)
+    assert res.normalizations[0].slope == Fraction(3, 2)
+    assert res.value == 1     # eord = 1 caps 3/2
 
 
 def test_membership_criterion():
@@ -163,6 +168,24 @@ def test_hord_two_sections():
     assert data.elim_ord == 2
 
 
+def test_normalize_memo_two_sections():
+    names = ("z1", "z2", "x", "y")
+    # over F_2, z2^2 + x^2*y^2 = (z2 + x*y)^2 cleans to z2^2; z1 stays
+    polys = (P("z1^2 + x^3", F2, names), P("z2^2 + x^2*y^2", F2, names))
+    elim = ReesAlg.make(F2, 4, [(P("x^4*y^4", F2, names), 3)])
+    sp = SimplifiedPresentation(F2, 4, (0, 1), polys, elim)
+    y = ClosedPoint((0, 0, 0, 0))
+    res = normalize(sp, y)
+    assert normalize(sp, y) is res
+    assert hord_data(sp, y) is res
+    assert [r.iterations for r in res.normalizations] == [0, 1]
+    assert [r.slope for r in res.normalizations] == [Fraction(3, 2), INF]
+    assert res.presentation.polys == (polys[0], P("z2^2", F2, names))
+    assert res.presentation.elim is elim
+    assert res.elim_ord == Fraction(8, 3) and res.value == Fraction(3, 2)
+    assert not is_normal_at(sp, y) and is_normal_at(res.presentation, y)
+
+
 def test_one_section_accessors():
     pres = pres1("z^2 + x^3")
     assert pres.section_var == 0
@@ -201,8 +224,8 @@ def test_p_presentation_reduced_formula():
     assert pp.degrees == (2,)
     assert tuple(round(math.log(n, 2)) for n in pp.degrees) == (1,)
     d = hord_data(pp, ORIGIN)
+    # the reduced formula (constant coefficients only) agrees, or hord_data raises
     assert d.value == Fraction(3, 2)
-    assert d.reduced_value == Fraction(3, 2)
 
 
 def test_make_p_presentation_augments_elim():
@@ -212,9 +235,7 @@ def test_make_p_presentation_augments_elim():
     pp = make_p_presentation(F2, 3, (0,), (f,), ReesAlg.make(F2, 3, []))
     got = {(render_poly(g, ZXY), n) for g, n in pp.elim.gens}
     assert ("x", 1) in got
-    d = hord_data(pp, ORIGIN)
-    assert d.value == 1
-    assert d.reduced_value == 1
+    assert hord_data(pp, ORIGIN).value == 1
 
 
 def test_normalize_p_presentation_gives_plain_presentation():
@@ -224,11 +245,13 @@ def test_normalize_p_presentation_gives_plain_presentation():
                              ReesAlg.make(F2, 3, []))
     res = normalize(pp, ORIGIN)
     assert type(res.presentation) is SimplifiedPresentation
-    assert res.record.substitutions[0] == P("x", F2)
+    assert res.normalizations[0].substitutions[0] == P("x", F2)
     out = res.presentation
     with pytest.raises(ValueError, match="middle coefficient"):
         PPresentation(out.field, out.nvars, out.sections, out.polys, out.elim)
-    assert res.slope == hord(pp, ORIGIN)
+    assert res.normalizations[0].slope == hord(pp, ORIGIN)
+    # hord_data checks the reduced formula on the same record
+    assert hord_data(pp, ORIGIN) is res
 
 
 def test_p_presentation_rejects_missing_middle_coefficient():
@@ -336,6 +359,7 @@ def test_hord_data_memo(monkeypatch):
                 hord_data(pres, ORIGIN)
     d = hord_data(pres, ORIGIN)
     assert hord_data(pres, ORIGIN) is d
+    assert normalize(pres, ORIGIN) is d
     assert d.normalizations[0].iterations == 1
     # an equal point is the same entry
     assert hord_data(pres, ClosedPoint((0, 0, 0))) is d

@@ -11,6 +11,9 @@ The normal-form test skips the weighted initial form when a_(p^e) misses the
 slope; over F_2, F_3, F_5, F_7 and Q, at the origin, at closed points off it
 and at generic points, the skip must give what the form itself gives.
 
+When the strong-monomial test accepts a random tower, the lift of its
+resolution game never meets an impermissible center.
+
 The tests skip when hypothesis is not installed; it is not a runtime
 dependency.
 """
@@ -25,7 +28,9 @@ st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import assume, example, given, settings  # noqa: E402
 
 from charpres.blowup import Center, Tower  # noqa: E402
-from charpres.errors import DominationError, PermissibilityError  # noqa: E402
+from charpres.errors import (CharpresError, DominationError,  # noqa: E402
+                             PermissibilityError)
+from charpres.monomial import is_strong_monomial, lift_resolution  # noqa: E402
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E402
                            MPoly, parse_poly, weighted_initial_form)
 from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa: E402
@@ -137,6 +142,39 @@ def test_memoised_hord_matches_rebuilt_presentation(tower):
                 continue
             assert hord_data(sp, y) is memo
             assert hord(sp, y) == hord(again, y)
+
+
+def _square_section_tower():
+    """Over F_2, z2^2 + x^2*w^2 = (z2 + x*w)^2: hord measures the cleaned z2^2
+    along the lifted centers, so the lift must blow up the cleaned section."""
+    field = FieldSpec(2)
+    names = ("z1", "z2", "x", "y", "w")
+    polys = tuple(parse_poly(t, field, names)
+                  for t in ("z1^2 + x^3*w^3", "z2^2 + x^2*w^2"))
+    elim = ReesAlg.make(field, 5, [(parse_poly("x^4*w^4", field, names), 3)])
+    tower = Tower.start(names, SimplifiedPresentation(field, 5, (0, 1), polys, elim))
+    for chart in (2, 4, 2, 2, 2, 2, 2):
+        tower.blow_up(Center(frozenset({0, 1, 2, 4})), chart)
+    return tower
+
+
+@PROPS
+@given(towers())
+@example(_square_section_tower())
+def test_strong_towers_lift_through_permissible_centers(tower):
+    """A strong tower's lifted centers are permissible.  Other lift failures
+    (a singular stratum left at the end, an infinite H-order at a center)
+    are not this property's concern."""
+    try:
+        strong = is_strong_monomial(tower).strong
+    except CharpresError:
+        return
+    if not strong:
+        return
+    try:
+        lift_resolution(tower)
+    except CharpresError as exc:
+        assert "is impermissible" not in str(exc)
 
 
 FIELDS = tuple(FieldSpec(p) for p in (2, 3, 5, 7, 0))

@@ -72,6 +72,13 @@ def test_parse_minimal():
      "generator weights must be positive", 10),
     (lambda s: s.replace("[script]", "[algebra]\ngen: x^2 W^2\ngen: y^3 W^0\n\n[script]"),
      "generator weights must be positive", 18),
+    # an error of one section polynomial is reported at its own poly line
+    (lambda s: s.replace("poly 1: z^2 + x^3\nelim: x^3 W^2",
+                         "elim: x^3 W^2\npoly 1: x*z^2 + x^3"),
+     "must be monic", 10),
+    (lambda s: s.replace("sections: z", "sections: z, y")
+                .replace("elim: x^3 W^2", "elim: x^3 W^2\npoly 2: y^2 + z*x^3"),
+     "free of all section variables", 11),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno):
     with pytest.raises(SceneParseError) as err:
@@ -265,6 +272,41 @@ hord at origin
     assert err == ("command failed: hord at origin: cleaned middle coefficient a_4 "
                    "of polynomial 1 has slope 3/2 below the elimination order 2; "
                    "the reduced H-order formula does not apply\n")
+
+
+def test_cli_resolve_blows_up_cleaned_sections(tmp_path, capsys):
+    # over F_2, z2^2 + x^2*w^2 = (z2 + x*w)^2: hord measures the cleaned
+    # section, and the lift must blow up that one for its centers to be
+    # permissible
+    scene = _write(tmp_path, "s.scene", """\
+[field]
+characteristic: 2
+[variables]
+vars: z1, z2, x, y, w
+[presentation]
+sections: z1, z2
+poly 1: z1^2 + x^3*w^3
+poly 2: z2^2 + x^2*w^2
+elim: x^4*w^4 W^3
+[script]
+blowup: center = {z1, z2, x, w}; chart = x
+blowup: center = {z1, z2, w, x}; chart = w
+blowup: center = {z1, z2, x, w}; chart = x
+blowup: center = {z1, z2, x, w}; chart = x
+blowup: center = {z1, z2, x, w}; chart = x
+blowup: center = {z1, z2, x, w}; chart = x
+blowup: center = {z1, z2, x, w}; chart = x
+strong-check
+resolve
+""")
+    assert main(["run", "--scene", scene]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok"
+    strong, resolve = doc["records"][-2:]
+    assert strong["strong"] is True
+    assert resolve["command"] == "resolve"
+    assert resolve["singular_after"] == []
+    assert resolve["final"]["polys"][1] == "z2^2"
 
 
 def test_cli_bad_subcommand_exits_2(tmp_path, capsys):
