@@ -113,6 +113,9 @@ class MPoly:
     nvars: int
     terms: tuple  # tuple[tuple[Exps, Coeff], ...]
 
+    # (parent, alpha) on a Hasse derivative H^alpha(parent); see translate
+    _derived = None
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -323,13 +326,17 @@ class MPoly:
         The result expresses the polynomial in local coordinates at the point.
         Each moved variable is one Taylor shift over the terms: c*x_i^k
         expands to sum_j binom(k, j) v_i^(k-j) c*x_i^j, so a shift costs
-        sum over terms of (k + 1) coefficient operations.
+        sum over terms of (k + 1) coefficient operations.  A Hasse
+        derivative H^alpha(parent) made by `hasse_deriv_multi` is not
+        shifted: Hasse derivatives commute with translations, so its
+        translate is H^alpha of the parent's translate, one O(T*n) pass.
 
         The translate is computed once per polynomial and point and kept on
         the polynomial, keyed by `tuple(values)`, for as long as it lives; a
-        shift that moves nothing returns the polynomial itself and is not
-        kept; an all-zero (or all-None) point returns it at once, before the
-        value loop.  A wrong-arity point raises on every call.
+        shift that moves nothing (for a derivative: one that leaves the
+        parent itself) returns the polynomial itself and is not kept; an
+        all-zero (or all-None) point returns it at once, before the value
+        loop.  A wrong-arity point raises on every call.
         """
         values = tuple(values)
         if len(values) != self.nvars:
@@ -338,7 +345,12 @@ class MPoly:
             return self
         g = self._translates.get(values)
         if g is None:
-            g = self._shift(values)
+            if self._derived is None:
+                g = self._shift(values)
+            else:
+                parent, alpha = self._derived
+                moved = parent.translate(values)
+                g = self if moved is parent else moved.hasse_deriv_multi(alpha)
             if g is not self:
                 self._translates[values] = g
         return g
@@ -447,7 +459,9 @@ class MPoly:
 
         x^m -> prod_i binom(m_i, alpha_i) x^(m - alpha).  Subtracting alpha
         keeps distinct exponents distinct and the term order unchanged, so
-        the surviving terms need neither accumulation nor sorting.
+        the surviving terms need neither accumulation nor sorting.  The
+        result records (self, alpha), so that its `translate` is taken from
+        this polynomial's translate; alpha = 0 returns self.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.nvars:
@@ -469,7 +483,9 @@ class MPoly:
                 c = c * b % p if p else c * b
                 if c:
                     out.append((tuple(map(_sub, e, alpha)), c))
-        return MPoly(self.field, self.nvars, tuple(out))
+        g = MPoly(self.field, self.nvars, tuple(out))
+        object.__setattr__(g, "_derived", (self, alpha))
+        return g
 
     def __str__(self) -> str:
         return render_poly(self, tuple(f"x{i}" for i in range(self.nvars)))

@@ -92,17 +92,29 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
 # -- differential saturation ---------------------------------------------------
 
 
-def _multi_indices(nvars: int, allowed: Sequence[int], max_total: int):
-    """All multi-indices with support in `allowed` and 1 <= |alpha| <= max_total."""
-    allowed = list(allowed)
-    if max_total < 1 or not allowed:
-        return
-    for total in range(1, max_total + 1):
-        for cut in itertools.combinations_with_replacement(allowed, total):
-            alpha = [0] * nvars
-            for i in cut:
-                alpha[i] += 1
-            yield tuple(alpha)
+def _support_indices(f: MPoly, allowed: Sequence[int], max_total: int) -> list:
+    """The multi-indices alpha with support in `allowed`, 1 <= |alpha| <=
+    max_total and alpha <= e componentwise for some exponent e of f: every
+    other alpha gives H^alpha f = 0.  They come with |alpha| ascending, then
+    alpha descending lex (over the sorted allowed variables)."""
+    level = [((), max_total, {tuple(e[i] for i in allowed) for e, _ in f.terms})]
+    for k in range(len(allowed)):
+        # extend each prefix by alpha_k = hi, ..., 0 under the exponents it fits
+        nxt = []
+        for prefix, room, under in level:
+            for a in range(min(room, max((e[k] for e in under), default=0)), -1, -1):
+                nxt.append((prefix + (a,), room - a,
+                            [e for e in under if e[k] >= a] if a else under))
+        level = nxt
+    out = []
+    for prefix, room, _ in level:   # descending lex
+        if room < max_total:
+            alpha = [0] * f.nvars
+            for i, a in zip(allowed, prefix):
+                alpha[i] = a
+            out.append(tuple(alpha))
+    out.sort(key=sum)               # stable: |alpha| ascending, then as above
+    return out
 
 
 def _monic_key(f: MPoly, n: int) -> tuple:
@@ -119,10 +131,10 @@ def _saturate(alg: ReesAlg, allowed) -> ReesAlg:
         kept.setdefault(_monic_key(f, n), (f, n))
     if alg.is_unit:     # already saturated; only its scalar repeats go
         return ReesAlg.make(alg.field, alg.nvars, kept.values(), True)
-    allowed = list(allowed)
+    allowed = sorted(allowed)
     unit = False
     for f, n in alg.gens:
-        for alpha in _multi_indices(alg.nvars, allowed, n - 1):
+        for alpha in _support_indices(f, allowed, n - 1):
             g = f.hasse_deriv_multi(alpha)
             if g.is_zero():
                 continue
@@ -145,9 +157,14 @@ def diff_saturate(alg: ReesAlg, relative_vars: Optional[Iterable[int]] = None) -
     By the composition rule H^beta H^alpha = binom(alpha + beta, alpha)
     H^(alpha + beta), a derivative of such a result is a scalar multiple of a
     result already formed (or zero), so the pass closes the generator set.
+    Only the alpha lying componentwise under some exponent of f are formed,
+    since every other H^alpha f is zero; they are formed in the order of the
+    full enumeration, |alpha| ascending, then alpha descending lex.
     Generators of one weight that differ by a scalar span the same algebra
     and are kept once, the first one formed (the given generators come
     first), so saturating a saturated algebra returns an equal algebra.
+    Each derivative records its parent (see `MPoly.hasse_deriv_multi`), so
+    its translates are read off the parent's.
     Degree-0 derivative results are never formed (orders stay below the
     weight); a positive-weight constant marks the unit algebra.
 
@@ -474,22 +491,3 @@ def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -
         dim += 1
     return nvars - dim
 
-
-def quadratic_rank(f: MPoly) -> int:
-    """Rank of a quadratic form over Q (Gram matrix rank); oracle for tau in
-    characteristic 0 on single-quadric algebras."""
-    if f.field.characteristic != 0:
-        raise ValueError("Gram-rank oracle is for characteristic 0")
-    n = f.nvars
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for e, c in f.terms:
-        if sum(e) != 2:
-            raise ValueError("not a quadratic form")
-        idx = [i for i in range(n) for _ in range(e[i])]
-        i, j = idx
-        if i == j:
-            gram[i][i] = Fraction(c)
-        else:
-            gram[i][j] = gram[j][i] = Fraction(c) / 2
-    reduced, _ = rref(gram, f.field)
-    return len(reduced)

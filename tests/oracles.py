@@ -1,0 +1,75 @@
+"""Reference computations that the library is checked against in tests.
+
+None of these is reached from the package: each is the plain, slower or
+narrower way to get a value the library computes another way.
+"""
+
+import itertools
+from fractions import Fraction
+
+from charpres.poly import MPoly
+from charpres.rees import ReesAlg, rref
+
+
+def multi_indices(nvars, allowed, max_total):
+    """All multi-indices with support in `allowed` and 1 <= |alpha| <= max_total,
+    |alpha| ascending, then in the order of combinations over `allowed`."""
+    allowed = list(allowed)
+    if max_total < 1 or not allowed:
+        return
+    for total in range(1, max_total + 1):
+        for cut in itertools.combinations_with_replacement(allowed, total):
+            alpha = [0] * nvars
+            for i in cut:
+                alpha[i] += 1
+            yield tuple(alpha)
+
+
+def _monic(f: MPoly, n: int) -> tuple:
+    field = f.field
+    inv = field.inv(f.terms[0][1])
+    return n, tuple((e, field.mul(c, inv)) for e, c in f.terms)
+
+
+def saturate_all_alpha(alg: ReesAlg, allowed) -> ReesAlg:
+    """One-pass saturation that differentiates each generator (f, n) along
+    every alpha of `multi_indices(nvars, allowed, n - 1)`, zero results
+    included, keeping the first generator formed of each weight and scalar
+    class (the given generators first)."""
+    kept = {}
+    for f, n in alg.gens:
+        kept.setdefault(_monic(f, n), (f, n))
+    if alg.is_unit:
+        return ReesAlg.make(alg.field, alg.nvars, kept.values(), True)
+    unit = False
+    for f, n in alg.gens:
+        for alpha in multi_indices(alg.nvars, allowed, n - 1):
+            g = f.hasse_deriv_multi(alpha)
+            if g.is_zero():
+                continue
+            if g.is_constant():
+                unit = True
+                continue
+            m = n - sum(alpha)
+            kept.setdefault(_monic(g, m), (g, m))
+    return ReesAlg.make(alg.field, alg.nvars, kept.values(), unit)
+
+
+def quadratic_rank(f: MPoly) -> int:
+    """Rank of a quadratic form over Q (Gram matrix rank); oracle for tau in
+    characteristic 0 on single-quadric algebras."""
+    if f.field.characteristic != 0:
+        raise ValueError("Gram-rank oracle is for characteristic 0")
+    n = f.nvars
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for e, c in f.terms:
+        if sum(e) != 2:
+            raise ValueError("not a quadratic form")
+        idx = [i for i in range(n) for _ in range(e[i])]
+        i, j = idx
+        if i == j:
+            gram[i][i] = Fraction(c)
+        else:
+            gram[i][j] = gram[j][i] = Fraction(c) / 2
+    reduced, _ = rref(gram, f.field)
+    return len(reduced)

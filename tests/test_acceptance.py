@@ -15,9 +15,10 @@ from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly,
 from charpres.projection import (SimplifiedPresentation, fiber_point,
                                  membership_criterion, normalize,
                                  upstairs_algebra)
-from charpres.rees import (ReesAlg, quadratic_rank, sing_member, tau_at,
-                           tau_translation_oracle)
+from charpres.rees import ReesAlg, sing_member, tau_at, tau_translation_oracle
 from charpres.scene import load_scene, run_scene
+
+from oracles import quadratic_rank
 
 Q = FieldSpec(0)
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")

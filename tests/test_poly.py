@@ -161,6 +161,38 @@ def test_translate_memo(monkeypatch):
     assert len(f._translates) == 2
 
 
+def test_translate_of_a_derivative(monkeypatch):
+    f = P("z^2*x + x^3*y", F3)
+    d = f.hasse_deriv_multi((0, 1, 0))
+    v = (0, 1, 2)
+    expected = d._shift(v)
+    shifts = []
+    shift = MPoly._shift
+
+    def counted(self, values):
+        shifts.append(self)
+        return shift(self, values)
+
+    monkeypatch.setattr(MPoly, "_shift", counted)
+    # H^x of the parent's translate: the parent is shifted, the derivative not
+    g = d.translate(v)
+    assert g == expected and shifts == [f]
+    assert d.translate(list(v)) is g and list(d._translates) == [v]
+    assert list(f._translates) == [v]
+    # a derivative of a derivative reads its parent's memo, shifting nothing
+    dd = d.hasse_deriv_multi((1, 0, 0))
+    assert dd.translate(v) == g.hasse_deriv_multi((1, 0, 0)) and shifts == [f]
+    # a point that moves nothing for the parent returns d itself, unstored
+    assert d.translate((3, None, 0)) is d and shifts == [f, f]
+    assert list(d._translates) == [v]
+    # alpha = 0 is the polynomial itself; a wrong arity raises on every call
+    assert f.hasse_deriv_multi((0, 0, 0)) is f
+    for _ in range(2):
+        with pytest.raises(ValueError, match="arity"):
+            d.translate((0, 1))
+    assert list(d._translates) == [v]
+
+
 def test_substitute_blowup_style():
     f = P("z^2 + x^3")
     zx = MPoly.var(Q, 3, 0) * MPoly.var(Q, 3, 1)

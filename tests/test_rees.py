@@ -10,9 +10,10 @@ from charpres.errors import BudgetError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly)
 from charpres.rees import (ReesAlg, SmallExtField, diff_saturate, ord_at,
-                           quadratic_rank, sing_member,
-                           singular_coordinate_strata, tau_at,
+                           sing_member, singular_coordinate_strata, tau_at,
                            tau_translation_oracle)
+
+from oracles import multi_indices, quadratic_rank
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -233,18 +234,24 @@ def test_each_generator_is_translated_once_per_point(monkeypatch):
     a = alg(F3, [("(z - 1)^3 + (x - 1)^2*(y + 1)^2", 3), ("(x - 1)^2 + (y + 1)^3", 2)])
     sat = diff_saturate(a)
     pt = ClosedPoint((1, 1, 2))
+    shifted = [f._shift(pt.values) for f, _ in sat.gens]
     calls = _count_shifts(monkeypatch)
     td = _analyze(a, pt)
-    # the saturation holds the original generators themselves, so the
-    # analysis shifts each polynomial of the saturation once and no more
-    assert all(any(f is g for g, _ in sat.gens) for f, _ in a.gens)
-    assert sorted(map(id, calls)) == sorted(id(f) for f, _ in sat.gens)
-    assert len(calls) == len(sat.gens) < len(a.gens) + len(sat.gens)
+    # the saturation holds the original generators themselves, and the
+    # translate of a derivative H^alpha f is H^alpha of the translate of f,
+    # so the analysis shifts each original once and nothing else
+    originals = [f for f, _ in a.gens]
+    assert all(any(f is g for g, _ in sat.gens) for f in originals)
+    assert sorted(map(id, calls)) == sorted(map(id, originals))
+    assert len(calls) == len(a.gens) < len(sat.gens)
+    # every polynomial of the saturation keeps its own translate, equal to a shift
+    assert all(list(f._translates) == [pt.values] for f, _ in sat.gens)
+    assert [f._translates[pt.values] for f, _ in sat.gens] == shifted
     # an equal point built afresh is served from the memo
     fresh = ClosedPoint(tuple(list(pt.values)))
     assert fresh == pt and fresh.values is not pt.values
     assert _analyze(a, fresh) == td
-    assert len(calls) == len(sat.gens)
+    assert len(calls) == len(a.gens)
     assert all(list(f._translates) == [pt.values] for f, _ in sat.gens)
     # another point is a separate entry
     sing_member(sat, ClosedPoint((1, 0, 0)))
@@ -257,12 +264,44 @@ def test_local_memo_stops_where_the_singular_test_stops(monkeypatch):
     off = ClosedPoint((0, 1, 0))
     calls = _count_shifts(monkeypatch)
     assert not sing_member(sat, off)
-    # the first generator, 3*x^2 at weight 1, already has order 0 there
+    # the first generator, 3*x^2 at weight 1, already has order 0 there; it
+    # is a derivative of the original, whose shift is the one made
     first = sat.gens[0][0]
-    assert calls == [first] and list(first._translates) == [off.values]
-    assert all(f._translates == {} for f, _ in sat.gens[1:])
+    (f, _), = a.gens
+    assert first is not f
+    assert calls == [f] and list(first._translates) == [off.values]
+    assert list(f._translates) == [off.values]
+    assert all(g._translates == {} for g, _ in sat.gens[1:] if g is not f)
     assert ord_at(sat, off) == 0
-    assert len(calls) == len(sat.gens)
+    assert len(calls) == len(a.gens)
+
+
+def test_saturation_differentiates_only_under_the_support(monkeypatch):
+    # z^3 + x^2*y^2 has 9 multi-indices of order 1 or 2, 7 of them under its
+    # exponents (z, z^2; x, y, x^2, x*y, y^2); x^2 + y has 3 of order 1, 2 of
+    # them under its exponents; H^z(z^3) = 3*z^2 still vanishes mod 3 and is
+    # dropped
+    a = alg(F3, [("z^3 + x^2*y^2", 3), ("x^2 + y", 2)])
+    calls = []
+    deriv = MPoly.hasse_deriv_multi
+
+    def counted(self, alpha):
+        calls.append((self, tuple(alpha)))
+        return deriv(self, alpha)
+
+    monkeypatch.setattr(MPoly, "hasse_deriv_multi", counted)
+    sat = diff_saturate(a)
+    assert all(any(all(a_i <= e_i for a_i, e_i in zip(alpha, e)) for e, _ in f.terms)
+               for f, alpha in calls)
+    assert len(calls) == 9
+    assert sum(len(list(multi_indices(3, range(3), n - 1))) for _, n in a.gens) == 12
+    got = {(render_poly(g, ZXY), n) for g, n in sat.gens}
+    assert ("z^2", 2) not in got and ("z", 1) not in got
+    calls.clear()
+    # relative to x: x under x^2 + y (weight 2, so first), x, x^2 under the other
+    diff_saturate(a, relative_vars={1})
+    assert [(render_poly(f, ZXY), alpha) for f, alpha in calls] == [
+        ("x^2 + y", (0, 1, 0)), ("x^2*y^2 + z^3", (0, 1, 0)), ("x^2*y^2 + z^3", (0, 2, 0))]
 
 
 def test_generic_points_never_enter_the_local_memo(monkeypatch):

@@ -3,7 +3,10 @@
 `diff_saturate` is checked against the fixpoint loop it replaced (kept here
 as the reference only), generator classes are compared up to scalars with
 sympy's `monic`, and the singular locus at closed points against orders
-computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  The one-elimination
+computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  Its generators are
+also checked one for one against the saturation along every multi-index
+(`oracles.saturate_all_alpha`), and their translates, H^alpha of a parent's
+translate for a derivative, against the Taylor shift.  The one-elimination
 additive forms behind `tau_at` and the mod-p `rref` are checked against the
 field-generic elimination, reduction and null-space steps they replaced, also
 kept here as the reference only.  The tests skip when sympy or hypothesis is
@@ -24,6 +27,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from charpres.poly import ClosedPoint, FieldSpec, MPoly  # noqa: E402
 from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
                            diff_saturate, rref, sing_member, tau_at)
+from oracles import saturate_all_alpha  # noqa: E402
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -147,6 +151,39 @@ def test_one_pass_spans_the_fixpoint_up_to_scalars(case):
     # no two kept generators differ by a scalar
     assert len(scalar_classes(sat)) == len(sat.gens)
     assert set(sat.gens) <= set(ref.gens)
+
+
+@PROPS
+@given(algebras(max_weight=5), st.data())
+def test_saturation_matches_the_all_alpha_reference(case, data):
+    alg, _ = case
+    sat = diff_saturate(alg)
+    ref = saturate_all_alpha(alg, range(alg.nvars))
+    assert sat.gens == ref.gens and sat.is_unit == ref.is_unit
+    subset = data.draw(st.sets(st.integers(0, alg.nvars - 1)), label="relative_vars")
+    rel = diff_saturate(alg, relative_vars=subset)
+    ref = saturate_all_alpha(alg, sorted(subset))
+    assert rel.gens == ref.gens and rel.is_unit == ref.is_unit
+
+
+def _point_values(p):
+    """Coordinates of a closed point: field elements, None (left untouched)
+    and integers that are zero only mod p."""
+    zeros = st.sampled_from((p, -p, 2 * p)) if p else st.just(Fraction(0))
+    return st.one_of(_coeffs(p), st.none(), zeros)
+
+
+@PROPS
+@given(algebras(max_weight=5), st.data())
+def test_translates_of_saturated_generators_match_the_shift(case, data):
+    alg, _ = case
+    nvars = alg.nvars
+    subset = data.draw(st.sets(st.integers(0, nvars - 1)), label="relative_vars")
+    gens = diff_saturate(alg).gens + diff_saturate(alg, relative_vars=subset).gens
+    values = tuple(data.draw(st.lists(_point_values(alg.field.characteristic),
+                                      min_size=nvars, max_size=nvars), label="point"))
+    for g, _ in gens:
+        assert g.translate(values) == g._shift(values)
 
 
 @PROPS
