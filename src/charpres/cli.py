@@ -45,16 +45,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(exc: Exception) -> int:
+    print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+    return 3
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scene = load_scene(args.scene)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:   # missing, or not UTF-8
         print("cannot read scene: %s" % exc, file=sys.stderr)
         return 2
     except SceneParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        return _internal_error(exc)
 
     options = RunOptions(tau_oracle_extension=args.tau_oracle_field_extension)
     extra = [args.command] if args.command in _EXTRA else []
@@ -62,8 +69,7 @@ def main(argv=None) -> int:
         doc = run_scene(scene, options, extra_commands=extra)
         text = canonical_json(doc)
     except Exception as exc:
-        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 3
+        return _internal_error(exc)
 
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:

@@ -391,34 +391,7 @@ class MPoly:
             return self
         return MPoly._from_terms(f, self.nvars, terms)
 
-    def evaluate(self, values) -> Coeff:
-        f = self.field
-        vals = [f.coerce(v) for v in values]
-        acc = f.zero
-        for e, c in self.terms:
-            term = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = f.mul(term, vals[i])
-            acc = f.add(acc, term)
-        return acc
-
-    # -- exact divisions and roots ------------------------------------------
-
-    def divide_by_var_power(self, i: int, n: int) -> "MPoly":
-        """Exact division by x_i^n; raises ValueError if any term falls short."""
-        if n == 0:
-            return self
-        out = []
-        for e, c in self.terms:
-            if e[i] < n:
-                raise ValueError(
-                    f"term with exponent {e[i]} in variable {i} is not divisible by power {n}")
-            ee = list(e)
-            ee[i] -= n
-            out.append((tuple(ee), c))
-        # lowering one exponent of every term by n keeps the term order
-        return MPoly(self.field, self.nvars, tuple(out))
+    # -- exact roots --------------------------------------------------------
 
     def pth_power_root(self, pe: int) -> Optional["MPoly"]:
         """The pe-th root when pe is a p-power and the poly is a pe-th power.

@@ -70,8 +70,7 @@ class SimplifiedPresentation:
         if self.elim.field != self.field or self.elim.nvars != self.nvars:
             raise ValueError("elimination algebra in the wrong ring")
         for g, _ in self.elim.gens:
-            if any(g.uses_var(w) for w in secs):
-                raise ValueError("elimination generators must be section-free")
+            check_elim_gen(g, secs)
 
     @cached_property
     def _normal_forms(self) -> dict:
@@ -112,6 +111,12 @@ def check_section_poly(f: MPoly, z_index: int, sections) -> None:
     for a in monic_coefficients(f, z_index).values():  # raises NotMonicError
         if any(a.uses_var(w) for w in sections):
             raise ValueError("coefficients must be free of all section variables")
+
+
+def check_elim_gen(g: MPoly, sections) -> None:
+    """An elimination generator must be free of every section variable."""
+    if any(g.uses_var(w) for w in sections):
+        raise ValueError("elimination generators must be section-free")
 
 
 @dataclass(frozen=True)

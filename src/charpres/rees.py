@@ -326,9 +326,11 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint) -> TangentData:
         roots += _additive_forms_in_degree(forms, deg, field, nvars)
     tau = len(rref(roots, field)[0]) if roots else 0
     # saturation leaves the singular locus unchanged, so the strata of
-    # sat are those of alg, and sat keeps them once scanned
-    strata = singular_coordinate_strata(sat)
-    if strata and tau > min(len(s) for s in strata):
+    # sat are those of alg, and sat keeps them once scanned; the vertices at
+    # pt span the tangent space of every singular stratum through pt
+    codims = [len(s) for s in singular_coordinate_strata(sat)
+              if all(pt.values[i] == 0 for i in s)]
+    if codims and tau > min(codims):
         raise InvariantError(
             "tau exceeded the codimension of a coordinate singular stratum")
     return TangentData(pt, tau, tuple(forms))

@@ -21,7 +21,7 @@ from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
                        track_monomial)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, parse_poly, render_poly)
-from .projection import (PPresentation, SimplifiedPresentation,
+from .projection import (PPresentation, SimplifiedPresentation, check_elim_gen,
                          check_section_poly, hord_data, make_p_presentation,
                          membership_criterion, normalize, upstairs_algebra)
 from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
@@ -29,6 +29,9 @@ from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
 
 _SECTIONS = ("field", "variables", "algebra", "presentation", "points", "script")
 _GEN_RE = re.compile(r"^(.*?)\s+W\^(\d+)$")
+# what parse_poly raises on bad text: a coefficient whose denominator vanishes
+# mod p is a ZeroDivisionError
+_POLY_ERRORS = (CharpresError, ValueError, ZeroDivisionError)
 
 
 @dataclass
@@ -132,7 +135,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             raise SceneParseError("expected '<polynomial> W^<weight>'", lineno)
         try:
             f = parse_poly(m.group(1), field, names)
-        except Exception as exc:
+        except _POLY_ERRORS as exc:
             raise SceneParseError(str(exc), lineno)
         weight = int(m.group(2))
         if weight < 1:
@@ -156,16 +159,18 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
     # presentation
     presentation = None
     if data["presentation"]:
-        psecs = sections
+        psecs, psecs_lineno = sections, sections_lineno
         polys = {}
         elim_gens = []
         kind = "simplified"
+        kind_lineno = data["presentation"][0][0]
         for lineno, line in data["presentation"]:
             key, _, value = line.partition(":")
             key = key.strip()
             value = value.strip()
             if key == "sections":
                 psecs = tuple(var_index(n, lineno) for n in _split_csv(value))
+                psecs_lineno = lineno
             elif key.startswith("poly"):
                 tail = key[4:].strip()
                 try:
@@ -174,20 +179,22 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                     raise SceneParseError("expected 'poly <i>: <polynomial>'", lineno)
                 try:
                     polys[i] = (parse_poly(value, field, names), lineno)
-                except Exception as exc:
+                except _POLY_ERRORS as exc:
                     raise SceneParseError(str(exc), lineno)
             elif key == "elim":
-                elim_gens.append(parse_gen(value, lineno))
+                elim_gens.append((parse_gen(value, lineno), lineno))
             elif key == "kind":
                 if value not in ("simplified", "p"):
                     raise SceneParseError("presentation kind must be 'simplified' or 'p'",
                                           lineno)
-                kind = value
+                kind, kind_lineno = value, lineno
             else:
                 raise SceneParseError("unknown [presentation] entry %r" % key, lineno)
         if not psecs:
             raise SceneParseError("presentation needs section variables",
                                   data["presentation"][0][0])
+        if len(set(psecs)) != len(psecs):
+            raise SceneParseError("sections must be distinct", psecs_lineno)
         if sorted(polys) != list(range(1, len(psecs) + 1)):
             raise SceneParseError("presentation needs 'poly i:' for i = 1..e",
                                   data["presentation"][0][0])
@@ -197,17 +204,23 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                 check_section_poly(f, z, psecs)
             except (NotMonicError, ValueError) as exc:
                 raise SceneParseError(str(exc), lineno)
+        for (g, _), lineno in elim_gens:
+            try:
+                check_elim_gen(g, psecs)
+            except ValueError as exc:
+                raise SceneParseError(str(exc), lineno)
         ordered = tuple(f for f, _ in entries)
+        # every entry passed its own check, so what fails now is the kind
         try:
-            elim = ReesAlg.make(field, len(names), elim_gens)
+            elim = ReesAlg.make(field, len(names), [gen for gen, _ in elim_gens])
             if kind == "p":
                 presentation = make_p_presentation(field, len(names), psecs,
                                                    ordered, elim)
             else:
                 presentation = SimplifiedPresentation(field, len(names), psecs,
                                                       ordered, elim)
-        except Exception as exc:
-            raise SceneParseError(str(exc), data["presentation"][0][0])
+        except (CharpresError, ValueError) as exc:
+            raise SceneParseError(str(exc), kind_lineno)
 
     # points
     points: dict = {}
@@ -272,8 +285,41 @@ def jsonify(obj):
     raise TypeError("cannot serialize %r" % t.__name__)
 
 
+# What the C encoder writes that the exact image would not: a finite float
+# (its repr always holds a digit, "." and a digit, or a digit, "e" and a
+# sign), and the first key of a dict whose keys are not strings (the encoder
+# sorts such keys before it turns them into text, and names True, False and
+# None differently; a dict that mixes them with str keys fails its sort).
+_GUARDS = (re.compile(r"\.(?<=\d\.)\d"), re.compile(r"e[-+](?<=\de[-+])"),
+           re.compile(r'\{"(?:-?\d+|true|false|null)":'))
+# a trace is a tree; a cycle ends in RecursionError on either path
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            check_circular=False, default=jsonify)
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(jsonify(doc), sort_keys=True, separators=(",", ":")) + "\n"
+    """The text of `json.dumps(jsonify(doc), sort_keys=True,
+    separators=(",", ":"))`, plus a newline: sorted keys, Fractions as ints or
+    "num/den", INF as "inf", and a TypeError for any float.
+
+    The fast path hands `doc` as it is to the C encoder, with `jsonify` as
+    the hook for what the encoder does not know (Fractions, sets).  Its text
+    stands unless the encoder raised (ValueError for INF, inf or NaN,
+    TypeError for a key it cannot write or a value `jsonify` refuses) or a
+    guard of `_GUARDS` matches.  Then the document takes the exact path
+    through `jsonify`, which is also the only path for traces holding INF,
+    the reference the tests compare against, and the walk `verify_trace`
+    reports divergences with.  A string that only looks like a float takes
+    the exact path and gets the same bytes.  One difference is kept: the
+    fast path writes subclasses of dict, list, tuple, str and int by value,
+    where `jsonify` refuses them; no trace holds one."""
+    try:
+        text = _ENCODER.encode(doc)
+    except (ValueError, TypeError):
+        text = None
+    if text is None or any(guard.search(text) for guard in _GUARDS):
+        text = json.dumps(jsonify(doc), sort_keys=True, separators=(",", ":"))
+    return text + "\n"
 
 
 def _first_divergence(a, b, path="$"):

@@ -11,6 +11,34 @@ from charpres.poly import MPoly
 from charpres.rees import ReesAlg, rref
 
 
+def evaluate(f: MPoly, values):
+    """f at the point `values`, by the sum over terms of c * prod x_i^k."""
+    field = f.field
+    vals = [field.coerce(v) for v in values]
+    acc = field.zero
+    for e, c in f.terms:
+        term = c
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = field.mul(term, vals[i])
+        acc = field.add(acc, term)
+    return acc
+
+
+def divide_by_var_power(f: MPoly, i: int, n: int) -> MPoly:
+    """Exact division of f by x_i^n; raises ValueError if any term falls short."""
+    out = []
+    for e, c in f.terms:
+        if e[i] < n:
+            raise ValueError(
+                f"term with exponent {e[i]} in variable {i} is not divisible by power {n}")
+        ee = list(e)
+        ee[i] -= n
+        out.append((tuple(ee), c))
+    # lowering one exponent of every term by n keeps the term order
+    return MPoly(f.field, f.nvars, tuple(out))
+
+
 def multi_indices(nvars, allowed, max_total):
     """All multi-indices with support in `allowed` and 1 <= |alpha| <= max_total,
     |alpha| ascending, then in the order of combinations over `allowed`."""

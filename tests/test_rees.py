@@ -160,6 +160,19 @@ def test_tau_char3_cube():
         assert tau_translation_oracle(a, ORIGIN, m) == 1
 
 
+def test_tau_off_a_singular_stratum_may_exceed_its_codimension():
+    # x^2*y*(x + 1) is singular along V(x), of codimension 1, and at the
+    # origin; the point (1, 0) is on neither, and there the vertices are
+    # both directions
+    names = ("x", "y")
+    a = ReesAlg.make(F2, 2, [(parse_poly("x^3*y + x^2*y", F2, names), 2)])
+    assert sorted(map(sorted, singular_coordinate_strata(a))) == [[0], [0, 1]]
+    pt = ClosedPoint((1, 0))
+    assert tau_at(a, pt).tau == 2
+    for m in (1, 2):
+        assert tau_translation_oracle(a, pt, m) == 2
+
+
 def test_tau_quadric_char2_vs_char0():
     names = ("x", "y")
     q2 = ReesAlg.make(F2, 2, [(parse_poly("x^2 + y^2", F2, names), 2)])

@@ -79,6 +79,15 @@ def test_parse_minimal():
     (lambda s: s.replace("sections: z", "sections: z, y")
                 .replace("elim: x^3 W^2", "elim: x^3 W^2\npoly 2: y^2 + z*x^3"),
      "free of all section variables", 11),
+    # errors of the presentation as a whole: at the line that causes them
+    (lambda s: s.replace("elim: x^3 W^2", "elim: x^3 W^2\nkind: p"),
+     "p-presentation degrees must be powers of p", 11),
+    (lambda s: s.replace("elim: x^3 W^2", "elim: x^3 W^2\nelim: z*x W^1"),
+     "elimination generators must be section-free", 11),
+    (lambda s: s.replace("sections: z", "sections: z, z"),
+     "sections must be distinct", 6),
+    (lambda s: s.replace("[presentation]\n", "[presentation]\nsections: x, x\n"),
+     "sections must be distinct", 9),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno):
     with pytest.raises(SceneParseError) as err:
@@ -119,6 +128,60 @@ def test_jsonify():
 def test_canonical_json_is_sorted_and_terminated():
     text = canonical_json({"b": Fraction(1, 2), "a": [Fraction(3)]})
     assert text == '{"a":[3],"b":"1/2"}\n'
+
+
+def _exact_json(doc):
+    return json.dumps(jsonify(doc), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _outcome(encode, doc):
+    try:
+        return encode(doc)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+def test_canonical_json_matches_the_exact_path():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # strings that only look like floats, integers or JSON constants
+    floatish = st.one_of(
+        st.sampled_from(["x1.5", "2e-3", "1e+5", "10", "true", "null"]),
+        st.builds("{}{!r}".format, st.sampled_from(["", "x", "-"]),
+                  st.floats(allow_nan=False, allow_infinity=False)))
+    scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                        st.fractions(), st.just(INF), st.floats(), floatish)
+    keys = st.one_of(st.text(), floatish, st.integers())
+    documents = st.recursive(
+        scalars, lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                                         st.dictionaries(keys, inner)),
+        max_leaves=15)
+
+    # keys the C encoder would sort as numbers or name its own way
+    @hypothesis.example({10: 0, 2: [1]})
+    @hypothesis.example({"a": {True: 1, False: None}})
+    @hypothesis.example([{None: "x"}])
+    @hypothesis.example({1: 0, "1": 1})
+    @hypothesis.example({"scene": "towers-s1-00.scene", "q": Fraction(3, 2)})
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(documents)
+    def check(doc):
+        assert _outcome(canonical_json, doc) == _outcome(_exact_json, doc)
+
+    check()
+
+
+def test_canonical_json_refuses_a_cycle():
+    rows = []
+    rows.append({"rows": rows})
+    with pytest.raises(RecursionError):
+        canonical_json({"records": rows})
+
+
+@pytest.mark.parametrize("value", [0.5, 1e300, float("inf"), float("nan")])
+def test_canonical_json_refuses_a_nested_float(value):
+    with pytest.raises(TypeError, match="^floats are not allowed in traces$"):
+        canonical_json({"records": [{"rows": [value]}], "status": "ok"})
 
 
 def test_verify_trace():
@@ -248,6 +311,57 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize("target", ["parse_poly", "SimplifiedPresentation"])
+def test_cli_internal_error_while_parsing_exits_3(tmp_path, capsys, monkeypatch,
+                                                  target):
+    def broken(*args):
+        raise InvariantError("broken")
+
+    monkeypatch.setattr(scene_mod, target, broken)
+    scene = _write(tmp_path, "s.scene", MINIMAL)
+    assert main(["run", "--scene", scene]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: InvariantError: broken\n"
+
+
+def test_cli_scene_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.scene"
+    path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+    assert main(["run", "--scene", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read scene: ") and len(err.splitlines()) == 1
+
+
+# a pure power: every slope and H-order is infinite, so the trace holds "inf"
+INF_SCENE = """\
+[field]
+characteristic: 2
+[variables]
+vars: z, x
+[presentation]
+sections: z
+poly 1: z^2
+[script]
+hord at origin
+slope at origin
+"""
+
+
+def test_cli_trace_with_infinities_verifies(tmp_path, capsys):
+    scene = _write(tmp_path, "inf.scene", INF_SCENE)
+    trace = str(tmp_path / "inf.trace.json")
+    assert main(["run", "--scene", scene, "--trace-out", trace]) == 0
+    with open(trace, encoding="utf-8") as fh:
+        text = fh.read()
+    hord, slope = json.loads(text)["records"]
+    assert hord["hord"] == hord["elim_ord"] == "inf" and hord["poly_slopes"] == ["inf"]
+    assert slope["slope_raw"] == slope["presentation_slope"] == "inf"
+    assert text == _exact_json(run_scene(parse_scene(INF_SCENE, "inf.scene")))
+    assert main(["run", "--scene", scene, "--verify", trace]) == 0
+    assert capsys.readouterr().err == "verified against %s\n" % trace
 
 
 def test_cli_undominated_p_presentation_exits_1(tmp_path, capsys):
