@@ -10,8 +10,7 @@ when their strict transform misses the chosen chart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import BudgetError, PermissibilityError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
@@ -189,8 +188,7 @@ class Tower:
 EXPERIMENT_MAX_STEPS = 10 ** 6
 
 
-def stage_ab_experiment(f: MPoly, z_index: int, N: int,
-                        q: Optional[Fraction] = None, names=None):
+def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
     """Measure how long the codimension-two center stays permissible after N
     point blowups along an auxiliary line.
 
@@ -198,7 +196,9 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
     origin (t-chart each time), Stage B blows up V(z, t) in the t-chart while
     that center is permissible.  Returns (l, trace) where l is the largest
     number of Stage-B transformations after which the center is still
-    permissible, i.e. one less than the number performed.
+    permissible, i.e. one less than the number performed.  The slope q is
+    read off f at the origin; it must be finite and at least 1, with f in
+    normal form there.
 
     Each step is an injective monomial map changing only e[t], so no polynomial
     is built: a term of total degree S has e[t] = i*(S - n) after i Stage-A
@@ -208,10 +208,7 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int,
         raise ValueError("N must be positive")
     n = f.degree_in_var(z_index)
     origin = _origin(f.field, f.nvars)
-    slope = slope_poly(f, z_index, origin)
-    if q is not None and slope != q:
-        raise ValueError("declared slope does not match the polynomial")
-    q = slope
+    q = slope_poly(f, z_index, origin)
     if q == INF or q < 1:
         raise ValueError("the experiment needs a finite slope q >= 1")
     pres = SimplifiedPresentation(f.field, f.nvars, (z_index,), (f,),

@@ -9,8 +9,9 @@ Runs the scene script, emits the canonical JSON trace (stdout, or the
 Fixed budgets, each a command error: 64*n cleaning substitutions per section
 polynomial of degree n (DegenerateSlopeError), 10^6 tau-oracle vectors and
 10^6 experiment trace rows (BudgetError).
-Exit codes: 0 success, 1 command error or verification mismatch, 2 parse
-error, 3 internal error (a bug: one line on stderr, no traceback).
+Exit codes: 0 success, 1 command error, verification mismatch, or a trace
+that cannot be written or golden that cannot be read, 2 parse error, 3
+internal error (a bug: one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ def main(argv=None) -> int:
         return _internal_error(exc)
 
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("cannot write trace: %s" % exc, file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
 
@@ -87,7 +92,7 @@ def main(argv=None) -> int:
         try:
             with open(args.verify, "r", encoding="utf-8") as fh:
                 golden = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:   # missing, or not UTF-8
             print("cannot read golden trace: %s" % exc, file=sys.stderr)
             return 1
         ok, report = verify_trace(text, golden)

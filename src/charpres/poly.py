@@ -164,8 +164,8 @@ class MPoly:
         return cls.from_dict(field, nvars, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, field: FieldSpec, nvars: int, exps: Iterable[int], c=1) -> "MPoly":
-        return cls.from_dict(field, nvars, {tuple(exps): c})
+    def monomial(cls, field: FieldSpec, nvars: int, exps: Iterable[int]) -> "MPoly":
+        return cls.from_dict(field, nvars, {tuple(exps): 1})
 
     # -- basic queries -----------------------------------------------------
 

@@ -21,7 +21,7 @@ from .errors import (DegenerateSlopeError, DominationError, InvariantError,
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, WeightedForm, monic_coefficients, order_at,
                    weighted_initial_form)
-from .rees import ReesAlg, diff_saturate, ord_at, sing_member
+from .rees import ReesAlg, ord_at, sing_member
 
 # normalize_poly makes at most NORMALIZE_CAP_FACTOR * n cleaning substitutions.
 NORMALIZE_CAP_FACTOR = 64
@@ -435,22 +435,16 @@ def hord(sp: SimplifiedPresentation, y: PointSpec):
 # -- elimination proxy -------------------------------------------------------------
 
 
-def coefficient_elim(f: MPoly, z_index: int, relative_saturation: bool = False) -> ReesAlg:
+def coefficient_elim(f: MPoly, z_index: int) -> ReesAlg:
     """Downstairs proxy for the elimination algebra of a monic polynomial:
     the coefficient generators (a_j, j).
 
-    With relative_saturation, the generator (f, n) is saturated in the
-    section direction first and section-free results are placed downstairs as
-    well; the section-free part of the order-(n-j) derivative is exactly a_j,
-    so both routes return the same algebra.
+    Relative differential saturation of (f, n) along the section adds
+    nothing downstairs: the section-free part of the order-(n - j)
+    derivative in z is exactly a_j, so each section-free generator it forms
+    is some (a_j, j).
     """
     coeffs = monic_coefficients(f, z_index)
     n = max(coeffs)
     gens = [(a, j) for j, a in coeffs.items() if 1 <= j <= n and not a.is_zero()]
-    if relative_saturation:
-        sat = diff_saturate(ReesAlg.make(f.field, f.nvars, [(f, n)]),
-                            relative_vars=[z_index])
-        for g, m in sat.gens:
-            if not g.uses_var(z_index):
-                gens.append((g, m))
     return ReesAlg.make(f.field, f.nvars, gens)

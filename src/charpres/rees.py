@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .errors import BudgetError, InvariantError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
@@ -56,8 +56,8 @@ class ReesAlg:
 
     @cached_property
     def _saturation(self) -> "ReesAlg":
-        # the absolute saturation, computed on first use; see diff_saturate
-        sat = _saturate(self, range(self.nvars))
+        # the saturation, computed on first use; see diff_saturate
+        sat = _saturate(self)
         sat.__dict__["_saturation"] = sat
         return sat
 
@@ -92,13 +92,13 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
 # -- differential saturation ---------------------------------------------------
 
 
-def _support_indices(f: MPoly, allowed: Sequence[int], max_total: int) -> list:
-    """The multi-indices alpha with support in `allowed`, 1 <= |alpha| <=
-    max_total and alpha <= e componentwise for some exponent e of f: every
-    other alpha gives H^alpha f = 0.  They come with |alpha| ascending, then
-    alpha descending lex (over the sorted allowed variables)."""
-    level = [((), max_total, {tuple(e[i] for i in allowed) for e, _ in f.terms})]
-    for k in range(len(allowed)):
+def _support_indices(f: MPoly, max_total: int) -> list:
+    """The multi-indices alpha with 1 <= |alpha| <= max_total and alpha <= e
+    componentwise for some exponent e of f: every other alpha gives
+    H^alpha f = 0.  They come with |alpha| ascending, then alpha descending
+    lex."""
+    level = [((), max_total, [e for e, _ in f.terms])]
+    for k in range(f.nvars):
         # extend each prefix by alpha_k = hi, ..., 0 under the exponents it fits
         nxt = []
         for prefix, room, under in level:
@@ -106,14 +106,9 @@ def _support_indices(f: MPoly, allowed: Sequence[int], max_total: int) -> list:
                 nxt.append((prefix + (a,), room - a,
                             [e for e in under if e[k] >= a] if a else under))
         level = nxt
-    out = []
-    for prefix, room, _ in level:   # descending lex
-        if room < max_total:
-            alpha = [0] * f.nvars
-            for i, a in zip(allowed, prefix):
-                alpha[i] = a
-            out.append(tuple(alpha))
-    out.sort(key=sum)               # stable: |alpha| ascending, then as above
+    # level is in descending lex order, which the stable sort keeps per |alpha|
+    out = [alpha for alpha, room, _ in level if room < max_total]
+    out.sort(key=sum)
     return out
 
 
@@ -125,16 +120,15 @@ def _monic_key(f: MPoly, n: int) -> tuple:
     return n, tuple((e, field.mul(c, inv)) for e, c in f.terms)
 
 
-def _saturate(alg: ReesAlg, allowed) -> ReesAlg:
+def _saturate(alg: ReesAlg) -> ReesAlg:
     kept = {}
     for f, n in alg.gens:
         kept.setdefault(_monic_key(f, n), (f, n))
     if alg.is_unit:     # already saturated; only its scalar repeats go
         return ReesAlg.make(alg.field, alg.nvars, kept.values(), True)
-    allowed = sorted(allowed)
     unit = False
     for f, n in alg.gens:
-        for alpha in _support_indices(f, allowed, n - 1):
+        for alpha in _support_indices(f, n - 1):
             g = f.hasse_deriv_multi(alpha)
             if g.is_zero():
                 continue
@@ -146,11 +140,8 @@ def _saturate(alg: ReesAlg, allowed) -> ReesAlg:
     return ReesAlg.make(alg.field, alg.nvars, kept.values(), unit)
 
 
-def diff_saturate(alg: ReesAlg, relative_vars: Optional[Iterable[int]] = None) -> ReesAlg:
+def diff_saturate(alg: ReesAlg) -> ReesAlg:
     """Close the algebra under Hasse derivatives of order below each weight.
-
-    `relative_vars` restricts differentiation to those variables (relative
-    saturation along a projection); None means absolute saturation.
 
     One pass suffices: each generator (f, n) given is differentiated once per
     multi-index alpha with 1 <= |alpha| <= n - 1, giving (H^alpha f, n - |alpha|).
@@ -168,13 +159,10 @@ def diff_saturate(alg: ReesAlg, relative_vars: Optional[Iterable[int]] = None) -
     Degree-0 derivative results are never formed (orders stay below the
     weight); a positive-weight constant marks the unit algebra.
 
-    The absolute saturation is computed once per `ReesAlg` instance and kept
-    on it; a saturation is its own saturation.  Relative saturations are
-    computed on every call.
+    The saturation is computed once per `ReesAlg` instance and kept on it;
+    a saturation is its own saturation.
     """
-    if relative_vars is None:
-        return alg._saturation
-    return _saturate(alg, relative_vars)
+    return alg._saturation
 
 
 # -- exact linear algebra over the base field ----------------------------------

@@ -38,7 +38,6 @@ _POLY_ERRORS = (CharpresError, ValueError, ZeroDivisionError)
 class Scene:
     field: FieldSpec
     names: list
-    sections: tuple                 # section variable indices
     algebra: Optional[ReesAlg]
     presentation: Optional[SimplifiedPresentation]
     points: dict                    # name -> PointSpec
@@ -250,7 +249,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
     points.setdefault("origin", ClosedPoint((field.zero,) * len(names)))
 
     script = list(data["script"])
-    return Scene(field, names, sections, algebra, presentation, points, script, path)
+    return Scene(field, names, algebra, presentation, points, script, path)
 
 
 def load_scene(path: str) -> Scene:

@@ -30,16 +30,13 @@ from charpres.rees import ReesAlg  # noqa: E402
 PROPS = settings(max_examples=200, deadline=None)
 
 
-def reference_experiment(f, z_index, N, q=None, names=None):
+def reference_experiment(f, z_index, N, names=None):
     """The experiment as a sequence of chart transforms of one polynomial."""
     if N < 1:
         raise ValueError("N must be positive")
     n = f.degree_in_var(z_index)
     origin = ClosedPoint((f.field.zero,) * f.nvars)
-    slope = slope_poly(f, z_index, origin)
-    if q is not None and slope != q:
-        raise ValueError("declared slope does not match the polynomial")
-    q = slope
+    q = slope_poly(f, z_index, origin)
     if q == INF or q < 1:
         raise ValueError("the experiment needs a finite slope q >= 1")
     pres = SimplifiedPresentation(f.field, f.nvars, (z_index,), (f,),
@@ -87,12 +84,11 @@ def reference_experiment(f, z_index, N, q=None, names=None):
 
 @st.composite
 def experiments(draw):
-    """(f, z_index, N, q, names) with f = z^n + sum c * x^a * z^j, j < n.
+    """(f, z_index, N, names) with f = z^n + sum c * x^a * z^j, j < n.
 
     A lifted term gets n - j more downstairs degree, which keeps its slope
     contribution at least 1, so most draws pass the slope check; the others
-    exercise the refusals.  The declared slope q is None, the true slope or
-    3/2."""
+    exercise the refusals."""
     p = draw(st.sampled_from((2, 3, 5, 7, 0)))
     field = FieldSpec(p)
     down = draw(st.integers(1, 3))
@@ -125,11 +121,8 @@ def experiments(draw):
              + f.monomial(field, nvars, x)) ** n
     f = f + MPoly.from_dict(field, nvars, terms)
     N = draw(st.integers(1, 30))
-    q = draw(st.sampled_from((None, None, "slope", "slope", Fraction(3, 2))))
-    if q == "slope":
-        q = slope_poly(f, z, ClosedPoint((field.zero,) * nvars))
     names = draw(st.sampled_from((None, ["x%d" % v for v in range(nvars)])))
-    return f, z, N, q, names
+    return f, z, N, names
 
 
 def _outcome(run, args):

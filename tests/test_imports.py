@@ -12,10 +12,14 @@ own definition: as a name, an attribute, an imported name or a string.  A
 public function or method of ``src/charpres`` (a name without a leading
 underscore) must be referenced the same way by some module of ``src``,
 ``tests`` or ``bench``; the re-exports of the package ``__init__`` do not
-count as a use.
+count as a use.  Every parameter with a default of such a public function or
+method must be set by some call in ``src`` or ``bench``: by keyword, or by
+position, counting a method's positions after ``self`` or ``cls``.  Calls
+are matched to definitions by name.
 """
 
 import ast
+import math
 import os
 
 import pytest
@@ -150,6 +154,75 @@ def test_scan_sees_an_unreferenced_public_method():
     # reference to the package function of that name
     assert [line for _, _, line in
             _unreferenced([("m", tree)], [tree, reader], _public_defs)] == [2, 6]
+
+
+def _options(tree):
+    """(name, parameter, call position, line) for every parameter with a
+    default of a public function or method; the position is None for a
+    keyword-only parameter and leaves out a method's self or cls."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    out = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("_")):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in methods else 0
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            out.append((node.name, positional[i].arg, i - skip, node.lineno))
+        out += [(node.name, arg.arg, None, node.lineno)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _unset(defining, callers):
+    """(path, line, name, parameter) for the options (`_options`) of the
+    `defining` trees that no call in `callers` sets."""
+    calls = {}      # called name -> (most positional arguments, keywords)
+    for tree in callers:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            width, keys = calls.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[name] = (max(width, math.inf if starred else len(node.args)),
+                           keys | {k.arg for k in node.keywords})   # None: **kwargs
+    out = []
+    for path, tree in defining:
+        for name, param, pos, line in _options(tree):
+            width, keys = calls.get(name, (0, set()))
+            if not (keys & {param, None} or (pos is not None and pos < width)):
+                out.append((path, line, name, param))
+    return sorted(out)
+
+
+# cli.main(argv) is the test seam: the console script passes no argv and
+# parses sys.argv, tests pass their own
+UNSET_ALLOWED = {("src/charpres/cli.py", "main", "argv")}
+
+
+def test_library_options_are_set_by_some_caller():
+    paths = _modules(SCANNED + ("bench",))
+    package = [(path, _parse(path)) for path in paths if path.startswith("src/")]
+    callers = [_parse(path) for path in paths if not path.startswith("tests/")]
+    unset = ["%s:%d %s(%s)" % (path, line, name, param)
+             for path, line, name, param in _unset(package, callers)
+             if (path, name, param) not in UNSET_ALLOWED]
+    assert not unset, "options no caller sets: " + ", ".join(unset)
+
+
+def test_scan_sees_an_option_no_call_sets():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+                     "def _g(x=0): pass\n"
+                     "class A:\n    def m(self, x=0, y=0): pass\n"
+                     "def h(a=0): pass\n")
+    reader = ast.parse("f(0, 1, e=2)\nA().m(5)\nh(*[])\n")
+    assert [(name, param) for _, _, name, param in _unset([("m", tree)], [reader])] == \
+        [("f", "c"), ("f", "d"), ("m", "y")]
 
 
 @pytest.mark.parametrize("path", _modules())

@@ -19,6 +19,8 @@ from charpres.projection import (PPresentation, SimplifiedPresentation,
                                  normalize, slope_poly, upstairs_algebra)
 from charpres.rees import ReesAlg, sing_member
 
+from oracles import saturate_all_alpha
+
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -269,12 +271,21 @@ def test_coefficient_elim():
 
 
 def test_coefficient_elim_saturation_route_agrees():
+    # relative saturation along z sends a_j downstairs with weight j: its
+    # section-free generators are already coefficient generators
+    found = []
     for text, field in (("z^2 + x^3", Q), ("z^2 + x*z + y^2", Q),
-                        ("z^2 + x^3", F2), ("z^3 + x^2*y^2", F3)):
+                        ("z^2 + x^3", F2), ("z^3 + x^2*y^2", F3),
+                        ("z^2 + x*z + y^3", F2), ("z^3 + x*z^2 + y*z + x^4", F3)):
         f = P(text, field)
         plain = coefficient_elim(f, 0)
-        saturated = coefficient_elim(f, 0, relative_saturation=True)
-        assert plain == saturated
+        n = f.degree_in_var(0)
+        sat = saturate_all_alpha(ReesAlg.make(field, 3, [(f, n)]), [0])
+        downstairs = [(g, m) for g, m in sat.gens if not g.uses_var(0)]
+        assert plain == ReesAlg.make(field, 3, list(plain.gens) + downstairs)
+        found += [(render_poly(g, ZXY), m) for g, m in downstairs]
+    # in characteristic p a derivative can lose every z: H_z of z^2 + x*z is x
+    assert found == [("x", 1), ("x", 1)]
 
 
 def test_upstairs_algebra_and_fiber_point():

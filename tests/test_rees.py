@@ -70,11 +70,6 @@ def test_saturation_is_kept_on_the_algebra():
     assert diff_saturate(sat) is sat
     # an equal algebra built afresh saturates to an equal algebra
     assert diff_saturate(ReesAlg.make(F3, 3, sat.gens)) == sat
-    # relative saturation is computed anew, never served from the memo
-    rel = diff_saturate(a, relative_vars=range(3))
-    assert rel == sat and rel is not sat
-    assert diff_saturate(a, relative_vars={1}) != sat
-    assert diff_saturate(a) is sat
 
 
 def test_saturation_keeps_one_generator_per_scalar_class():
@@ -92,16 +87,6 @@ def test_saturation_unit_detection():
     # weight 1 admits no derivatives of order below the weight
     b = alg(Q, [("z + x^2", 1)])
     assert diff_saturate(b) == b
-
-
-def test_relative_saturation():
-    f = P("z^2 + x^3 + y^3", F2)
-    a = ReesAlg.make(F2, 3, [(f, 2)])
-    rel = diff_saturate(a, relative_vars={1})
-    got = {(render_poly(g, ZXY), n) for g, n in rel.gens}
-    assert got == {("x^2", 1), ("x^3 + y^3 + z^2", 2)}
-    # the y-direction stays untouched: no y^2 generator appears
-    assert all("y^2" != t for t, _ in got)
 
 
 def test_singular_strata():
@@ -310,11 +295,6 @@ def test_saturation_differentiates_only_under_the_support(monkeypatch):
     assert sum(len(list(multi_indices(3, range(3), n - 1))) for _, n in a.gens) == 12
     got = {(render_poly(g, ZXY), n) for g, n in sat.gens}
     assert ("z^2", 2) not in got and ("z", 1) not in got
-    calls.clear()
-    # relative to x: x under x^2 + y (weight 2, so first), x, x^2 under the other
-    diff_saturate(a, relative_vars={1})
-    assert [(render_poly(f, ZXY), alpha) for f, alpha in calls] == [
-        ("x^2 + y", (0, 1, 0)), ("x^2*y^2 + z^3", (0, 1, 0)), ("x^2*y^2 + z^3", (0, 2, 0))]
 
 
 def test_generic_points_never_enter_the_local_memo(monkeypatch):

@@ -154,16 +154,12 @@ def test_one_pass_spans_the_fixpoint_up_to_scalars(case):
 
 
 @PROPS
-@given(algebras(max_weight=5), st.data())
-def test_saturation_matches_the_all_alpha_reference(case, data):
+@given(algebras(max_weight=5))
+def test_saturation_matches_the_all_alpha_reference(case):
     alg, _ = case
     sat = diff_saturate(alg)
     ref = saturate_all_alpha(alg, range(alg.nvars))
     assert sat.gens == ref.gens and sat.is_unit == ref.is_unit
-    subset = data.draw(st.sets(st.integers(0, alg.nvars - 1)), label="relative_vars")
-    rel = diff_saturate(alg, relative_vars=subset)
-    ref = saturate_all_alpha(alg, sorted(subset))
-    assert rel.gens == ref.gens and rel.is_unit == ref.is_unit
 
 
 def _point_values(p):
@@ -178,11 +174,9 @@ def _point_values(p):
 def test_translates_of_saturated_generators_match_the_shift(case, data):
     alg, _ = case
     nvars = alg.nvars
-    subset = data.draw(st.sets(st.integers(0, nvars - 1)), label="relative_vars")
-    gens = diff_saturate(alg).gens + diff_saturate(alg, relative_vars=subset).gens
     values = tuple(data.draw(st.lists(_point_values(alg.field.characteristic),
                                       min_size=nvars, max_size=nvars), label="point"))
-    for g, _ in gens:
+    for g, _ in diff_saturate(alg).gens:
         assert g.translate(values) == g._shift(values)
 
 

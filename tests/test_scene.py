@@ -45,7 +45,7 @@ def test_parse_minimal():
     sc = parse_scene(MINIMAL)
     assert sc.field.characteristic == 3
     assert sc.names == ["z", "x", "y"]
-    assert sc.sections == (0,)
+    assert sc.presentation.sections == (0,)
     assert sc.points["P1"] == ClosedPoint((0, 1, 2))
     assert sc.points["L"] == GenericPoint(frozenset({1}))
     # the origin is always available without being declared
@@ -333,6 +333,25 @@ def test_cli_scene_not_utf8_exits_2(tmp_path, capsys):
     assert main(["run", "--scene", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot read scene: ") and len(err.splitlines()) == 1
+
+
+def test_cli_unwritable_trace_exits_1(tmp_path, capsys):
+    scene = _write(tmp_path, "s.scene", MINIMAL)
+    trace = str(tmp_path / "missing" / "t.json")
+    assert main(["run", "--scene", scene, "--trace-out", trace]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write trace: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_golden_not_utf8_exits_1(tmp_path, capsys):
+    scene = _write(tmp_path, "s.scene", MINIMAL)
+    golden = tmp_path / "golden.json"
+    golden.write_bytes(b'{"records": "\xff"}')
+    assert main(["run", "--scene", scene, "--verify", str(golden)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read golden trace: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 # a pure power: every slope and H-order is infinite, so the trace holds "inf"
