@@ -13,14 +13,14 @@ from .errors import (BudgetError, CharpresError, CommandError,
                      NotNormalFormError, PermissibilityError, PolyParseError,
                      SceneParseError, TrackingError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                   WeightedForm, initial_form, order_at, parse_poly,
-                   render_poly, weighted_initial_form)
+                   WeightedForm, order_at, parse_poly, render_poly,
+                   weighted_initial_form)
 from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
                    singular_coordinate_strata, tau_at, tau_translation_oracle)
-from .projection import (PPresentation, SimplifiedPresentation,
-                         coefficient_elim, hord, hord_data,
-                         make_p_presentation, membership_criterion, normalize,
-                         slope_poly, upstairs_algebra)
+from .projection import (PPresentation, SimplifiedPresentation, hord,
+                         hord_data, make_p_presentation,
+                         membership_criterion, normalize, slope_poly,
+                         upstairs_algebra)
 from .blowup import (Center, Chart, Tower, blow_up_poly, stage_ab_experiment,
                      transform_object, transform_presentation)
 from .monomial import (MonomialAlg, divides, is_strong_monomial,

@@ -23,7 +23,8 @@ from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
                      TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
 from .projection import SimplifiedPresentation, hord, hord_data, upstairs_algebra
-from .rees import ReesAlg, ord_at, sing_member, singular_coordinate_strata
+from .rees import (ReesAlg, nonempty_subsets, ord_at, sing_member,
+                   singular_coordinate_strata)
 from .blowup import Center, Chart, Tower
 
 
@@ -177,11 +178,9 @@ def is_strong_monomial(tower: Tower,
                     "kind": "divides", "elim_gen_weight": R.s,
                     "monomial": Mp.exponents, "elim": full.exponents}, ())
     checked = []
-    points = []
-    for k in range(1, len(labels) + 1):
-        for sub in itertools.combinations(labels, k):
-            points.append(("stratum " + "&".join(sub),
-                           GenericPoint(frozenset(present[lab] for lab in sub))))
+    points = [("stratum " + "&".join(sub),
+               GenericPoint(frozenset(present[lab] for lab in sub)))
+              for sub in nonempty_subsets(labels)]
     for i, pt in enumerate(extra_points):
         points.append(("point %d" % (i + 1), pt))
     witness = None
@@ -232,11 +231,8 @@ def resolve_game(M: MonomialAlg, chart: Chart) -> GameResult:
     present = chart.present_divisors()
     h = {lab: hv for lab, hv in M.exponents if present.get(lab) is not None}
     s = M.s
-    faces = set()
-    labs = sorted(h, key=_label_age)
-    for k in range(1, len(labs) + 1):
-        for sub in itertools.combinations(labs, k):
-            faces.add(frozenset(sub))
+    faces = set(map(frozenset, nonempty_subsets(h)))
+
     def table():
         return tuple(sorted(h.items(), key=lambda kv: _label_age(kv[0])))
 
@@ -352,13 +348,12 @@ def sandwich_report(tower: Tower, M: MonomialAlg):
     present = tower.chart.present_divisors()
     labels = sorted(present, key=_label_age)
     rows = []
-    for k in range(1, len(labels) + 1):
-        for sub in itertools.combinations(labels, k):
-            pt = GenericPoint(frozenset(present[lab] for lab in sub))
-            om = ord_monomial(M, pt, tower.chart)
-            hv = hord(sp, pt)
-            ev = ord_at(sp.elim, pt)
-            rows.append({"stratum": "&".join(sub), "ord_monomial": om,
-                         "hord": hv, "elim_ord": ev,
-                         "ok": om <= hv <= ev})
+    for sub in nonempty_subsets(labels):
+        pt = GenericPoint(frozenset(present[lab] for lab in sub))
+        om = ord_monomial(M, pt, tower.chart)
+        hv = hord(sp, pt)
+        ev = ord_at(sp.elim, pt)
+        rows.append({"stratum": "&".join(sub), "ord_monomial": om,
+                     "hord": hv, "elim_ord": ev,
+                     "ok": om <= hv <= ev})
     return rows

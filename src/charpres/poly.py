@@ -4,8 +4,8 @@ This is the carrier type for the whole library: coefficients are
 `fractions.Fraction` in characteristic 0 and canonical residues `0..p-1` in
 characteristic p, so every computation downstream is exact.  On top of the
 ring operations the module provides the local-analysis toolkit: orders at
-closed and generic points, initial forms, Hasse (divided-power) derivatives,
-and weighted initial forms of monic section polynomials.
+closed and generic points, Hasse (divided-power) derivatives, and weighted
+initial forms of monic section polynomials.
 
 Term order for canonical output is graded lexicographic, largest first.
 """
@@ -163,10 +163,6 @@ class MPoly:
         exps[i] = 1
         return cls.from_dict(field, nvars, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, field: FieldSpec, nvars: int, exps: Iterable[int]) -> "MPoly":
-        return cls.from_dict(field, nvars, {tuple(exps): 1})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -322,7 +318,6 @@ class MPoly:
     def translate(self, values) -> "MPoly":
         """Shift coordinates to a closed point: x_i -> x_i + v_i.
 
-        `values` may contain None entries for variables left untouched.
         The result expresses the polynomial in local coordinates at the point.
         Each moved variable is one Taylor shift over the terms: c*x_i^k
         expands to sum_j binom(k, j) v_i^(k-j) c*x_i^j, so a shift costs
@@ -335,8 +330,8 @@ class MPoly:
         the polynomial, keyed by `tuple(values)`, for as long as it lives; a
         shift that moves nothing (for a derivative: one that leaves the
         parent itself) returns the polynomial itself and is not kept; an
-        all-zero (or all-None) point returns it at once, before the value
-        loop.  A wrong-arity point raises on every call.
+        all-zero point returns it at once, before the value loop.  A
+        wrong-arity point raises on every call.
         """
         values = tuple(values)
         if len(values) != self.nvars:
@@ -361,8 +356,6 @@ class MPoly:
         p = f.characteristic
         terms = self.terms
         for i, v in enumerate(values):
-            if v is None:
-                continue
             v = f.coerce(v)
             if v == 0:
                 continue
@@ -508,16 +501,6 @@ def order_at(f: MPoly, pt: PointSpec):
     if isinstance(pt, ClosedPoint):
         return f.translate(pt.values).order_total()
     return f.order_wrt(pt.vars)
-
-
-def initial_form(f: MPoly, pt: ClosedPoint) -> MPoly:
-    """The lowest homogeneous part of f in local coordinates at a closed point."""
-    if not isinstance(pt, ClosedPoint):
-        raise ValueError("initial forms are taken at closed points")
-    if f.is_zero():
-        return f
-    g = f.translate(pt.values)
-    return g.homogeneous_part(g.order_total())
 
 
 # -- weighted initial forms ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Transversal-projection data: presentations of an algebra over a coordinate
-projection, slopes, weighted normal forms, the coefficient proxy for the
-elimination algebra, and the H-order functions computed through normalization.
+projection, slopes, weighted normal forms, p-presentations with their middle
+coefficients in the elimination algebra, and the H-order functions computed
+through normalization.
 
 A presentation couples monic section polynomials with a downstairs Rees
 algebra (the elimination part).  Projections are coordinate deletions: the
@@ -45,8 +46,7 @@ class SimplifiedPresentation:
     fed to the slope and H-order functions are downstairs: full-arity closed
     points whose section coordinates are ignored, or generic points of
     section-free variable subsets.  The one-section case e = 1 is the
-    hypersurface case, where slopes and normal forms are defined; .section_var
-    and .f serve it.
+    hypersurface case, where slopes and normal forms are defined.
     """
 
     field: FieldSpec
@@ -80,29 +80,6 @@ class SimplifiedPresentation:
     @property
     def degrees(self) -> tuple:
         return tuple(f.degree_in_var(z) for z, f in zip(self.sections, self.polys))
-
-    def coefficient(self, i: int, j: int) -> MPoly:
-        """a_j of the i-th polynomial (zero polynomial when absent)."""
-        coeffs = monic_coefficients(self.polys[i], self.sections[i])
-        a = coeffs.get(j)
-        return a if a is not None else MPoly.zero_poly(self.field, self.nvars)
-
-    def _one_section(self):
-        if len(self.sections) != 1:
-            raise ValueError("a presentation with %d sections has no single section "
-                             "polynomial" % len(self.sections))
-
-    @property
-    def section_var(self) -> int:
-        """The section variable of a one-section presentation (e = 1)."""
-        self._one_section()
-        return self.sections[0]
-
-    @property
-    def f(self) -> MPoly:
-        """The section polynomial of a one-section presentation (e = 1)."""
-        self._one_section()
-        return self.polys[0]
 
 
 def check_section_poly(f: MPoly, z_index: int, sections) -> None:
@@ -149,15 +126,24 @@ class PPresentation(SimplifiedPresentation):
             raise ValueError("p-presentation degrees must be non-decreasing")
         if self.elim.is_unit:
             return  # the unit algebra holds every middle coefficient
-        have = {(g, n) for g, n in self.elim.gens}
-        for i in range(len(self.polys)):
-            n = self.degrees[i]
-            for j in range(1, n):
-                a = self.coefficient(i, j)
-                if not a.is_zero() and (a, j) not in have:
-                    raise ValueError(
-                        "middle coefficient a_%d of polynomial %d is missing from "
-                        "the elimination part; use make_p_presentation" % (j, i + 1))
+        have = set(self.elim.gens)
+        for i, j, a in _middle_coefficients(self.sections, self.polys):
+            if (a, j) not in have:
+                raise ValueError(
+                    "middle coefficient a_%d of polynomial %d is missing from "
+                    "the elimination part; use make_p_presentation" % (j, i + 1))
+
+
+def _middle_coefficients(sections, polys):
+    """(i, j, a_j) for every nonzero a_j with 1 <= j < n_i of
+    polys[i] = z^(n_i) + sum a_j z^(n_i - j), z = sections[i]; by i, then j.
+    monic_coefficients holds a_j below n only when it is nonzero."""
+    for i, (z, f) in enumerate(zip(sections, polys)):
+        coeffs = monic_coefficients(f, z)
+        n = max(coeffs)
+        for j in sorted(coeffs):
+            if j < n:
+                yield i, j, coeffs[j]
 
 
 def make_p_presentation(field: FieldSpec, nvars: int, sections, polys,
@@ -165,13 +151,7 @@ def make_p_presentation(field: FieldSpec, nvars: int, sections, polys,
     """Build a p-presentation, placing middle coefficients in the elimination
     part (they belong there: relative saturation sends a_j downstairs with
     weight j)."""
-    extra = []
-    for z, f in zip(sections, polys):
-        coeffs = monic_coefficients(f, z)
-        n = max(coeffs)
-        for j, a in coeffs.items():
-            if 1 <= j < n and not a.is_zero():
-                extra.append((a, j))
+    extra = [(a, j) for _, j, a in _middle_coefficients(sections, polys)]
     return PPresentation(field, nvars, tuple(sections), tuple(polys),
                          elim.with_extra(extra))
 
@@ -416,9 +396,7 @@ def _check_dominated(sp: PPresentation, polys, y: PointSpec, eord):
     off the elimination part); raise DominationError naming the a'_j of
     least slope when it falls below."""
     slopes = [(Fraction(order_at(a, y), j), i, j)
-              for i, (z, f) in enumerate(zip(sp.sections, polys))
-              for j, a in monic_coefficients(f, z).items()
-              if j < sp.degrees[i] and not a.is_zero()]
+              for i, j, a in _middle_coefficients(sp.sections, polys)]
     if slopes:
         s, i, j = min(slopes)
         if s < eord:
@@ -431,20 +409,3 @@ def _check_dominated(sp: PPresentation, polys, y: PointSpec, eord):
 def hord(sp: SimplifiedPresentation, y: PointSpec):
     return hord_data(sp, y).value
 
-
-# -- elimination proxy -------------------------------------------------------------
-
-
-def coefficient_elim(f: MPoly, z_index: int) -> ReesAlg:
-    """Downstairs proxy for the elimination algebra of a monic polynomial:
-    the coefficient generators (a_j, j).
-
-    Relative differential saturation of (f, n) along the section adds
-    nothing downstairs: the section-free part of the order-(n - j)
-    derivative in z is exactly a_j, so each section-free generator it forms
-    is some (a_j, j).
-    """
-    coeffs = monic_coefficients(f, z_index)
-    n = max(coeffs)
-    gens = [(a, j) for j, a in coeffs.items() if 1 <= j <= n and not a.is_zero()]
-    return ReesAlg.make(f.field, f.nvars, gens)

@@ -64,9 +64,16 @@ class ReesAlg:
     @cached_property
     def _strata(self) -> tuple:
         # the singular coordinate strata, scanned on first use
-        return tuple(S for k in range(1, self.nvars + 1)
-                     for S in map(frozenset, itertools.combinations(range(self.nvars), k))
+        return tuple(S for S in map(frozenset, nonempty_subsets(range(self.nvars)))
                      if sing_member(self, GenericPoint(S)))
+
+
+def nonempty_subsets(items):
+    """Every nonempty subset of `items` as a tuple: by size, then in
+    `itertools.combinations` order."""
+    items = tuple(items)
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, k) for k in range(1, len(items) + 1))
 
 
 def sing_member(alg: ReesAlg, pt: PointSpec) -> bool:

@@ -79,12 +79,21 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             raise SceneParseError("content before the first section header", lineno)
         data[section].append((lineno, stripped))
 
+    first: dict = {}    # (section, single-valued entry) -> line of its first copy
+
+    def once(section: str, entry: str, lineno: int) -> None:
+        seen = first.setdefault((section, entry), lineno)
+        if seen != lineno:
+            raise SceneParseError("%s given twice (first at line %d)" % (entry, seen),
+                                  lineno)
+
     # field
     characteristic = None
     for lineno, line in data["field"]:
         key, _, value = line.partition(":")
         if key.strip() != "characteristic":
             raise SceneParseError("expected 'characteristic: <p>'", lineno)
+        once("field", "characteristic", lineno)
         try:
             characteristic = int(value.strip())
         except ValueError:
@@ -112,6 +121,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             sections_lineno = lineno
         else:
             raise SceneParseError("unknown [variables] entry %r" % key, lineno)
+        once("variables", key, lineno)
     if not names:
         raise SceneParseError("missing [variables] vars line")
     if len(set(names)) != len(names):
@@ -168,6 +178,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             key = key.strip()
             value = value.strip()
             if key == "sections":
+                once("presentation", key, lineno)
                 psecs = tuple(var_index(n, lineno) for n in _split_csv(value))
                 psecs_lineno = lineno
             elif key.startswith("poly"):
@@ -176,6 +187,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                     i = int(tail) if tail else 1
                 except ValueError:
                     raise SceneParseError("expected 'poly <i>: <polynomial>'", lineno)
+                once("presentation", "poly %d" % i, lineno)
                 try:
                     polys[i] = (parse_poly(value, field, names), lineno)
                 except _POLY_ERRORS as exc:
@@ -186,6 +198,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                 if value not in ("simplified", "p"):
                     raise SceneParseError("presentation kind must be 'simplified' or 'p'",
                                           lineno)
+                once("presentation", key, lineno)
                 kind, kind_lineno = value, lineno
             else:
                 raise SceneParseError("unknown [presentation] entry %r" % key, lineno)
@@ -229,6 +242,11 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             raise SceneParseError("expected '<name> = (…)' or '<name> = {…}'", lineno)
         name = name.strip()
         value = value.strip()
+        if name.split() != [name]:
+            # script commands name a point by one word
+            raise SceneParseError("point name %r is empty or holds whitespace" % name,
+                                  lineno)
+        once("points", "point " + name, lineno)
         if value.startswith("(") and value.endswith(")"):
             parts = _split_csv(value[1:-1])
             if len(parts) != len(names):
@@ -521,7 +539,7 @@ def _cmd_experiment(ex: _Execution, spec: str) -> dict:
     if len(pres.sections) != 1:
         raise CommandError("the experiment needs a one-section presentation")
     try:
-        ell, trace = stage_ab_experiment(pres.f, pres.section_var, N,
+        ell, trace = stage_ab_experiment(pres.polys[0], pres.sections[0], N,
                                          names=ex.scene.names)
     except ValueError as exc:
         raise CommandError(str(exc))

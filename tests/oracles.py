@@ -1,13 +1,15 @@
-"""Reference computations that the library is checked against in tests.
+"""Reference computations that the library is checked against in tests,
+and the fixtures that only tests need.
 
 None of these is reached from the package: each is the plain, slower or
-narrower way to get a value the library computes another way.
+narrower way to get a value the library computes another way, or, like
+coefficient_elim, a way to build test input.
 """
 
 import itertools
 from fractions import Fraction
 
-from charpres.poly import MPoly
+from charpres.poly import MPoly, monic_coefficients
 from charpres.rees import ReesAlg, rref
 
 
@@ -81,6 +83,16 @@ def saturate_all_alpha(alg: ReesAlg, allowed) -> ReesAlg:
             m = n - sum(alpha)
             kept.setdefault(_monic(g, m), (g, m))
     return ReesAlg.make(alg.field, alg.nvars, kept.values(), unit)
+
+
+def coefficient_elim(f: MPoly, z_index: int) -> ReesAlg:
+    """The coefficient generators (a_j, j), 1 <= j <= n, of a monic
+    polynomial f = z^n + sum a_j z^(n-j): a downstairs proxy for its
+    elimination algebra."""
+    coeffs = monic_coefficients(f, z_index)
+    n = max(coeffs)
+    gens = [(a, j) for j, a in coeffs.items() if 1 <= j <= n and not a.is_zero()]
+    return ReesAlg.make(f.field, f.nvars, gens)
 
 
 def quadratic_rank(f: MPoly) -> int:

@@ -175,7 +175,7 @@ def test_criterion_7_section_invariance():
         for _ in range(100):
             alpha = MPoly.from_dict(
                 F3, 3, {(0, i, j): rng.randrange(3) for i, j in monos})
-            moved = pres.f.substitute({0: zvar + alpha})
+            moved = pres.polys[0].substitute({0: zvar + alpha})
             again = SimplifiedPresentation(F3, 3, (0,), (moved,), pres.elim)
             assert hord_data(again, origin).value == base, \
                 "%s with alpha = %s" % (name, alpha)

@@ -111,14 +111,13 @@ def experiments(draw):
             c = Fraction(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))),
                          draw(st.integers(1, 4)))
         terms[tuple(exps)] = c
-    f = MPoly.monomial(field, nvars, [n if v == z else 0 for v in range(nvars)])
+    f = MPoly.var(field, nvars, z) ** n
     if draw(st.booleans()):
         # (z + x^k)^n has an n-th power as its weighted initial form, so unless
         # a term of lower slope hides it, it is not in normal form
         x = [0] * nvars
         x[draw(st.sampled_from(xs))] = draw(st.integers(1, 2))
-        f = (f.monomial(field, nvars, [int(v == z) for v in range(nvars)])
-             + f.monomial(field, nvars, x)) ** n
+        f = (MPoly.var(field, nvars, z) + MPoly.from_dict(field, nvars, {tuple(x): 1})) ** n
     f = f + MPoly.from_dict(field, nvars, terms)
     N = draw(st.integers(1, 30))
     names = draw(st.sampled_from((None, ["x%d" % v for v in range(nvars)])))

@@ -8,11 +8,12 @@ annotation, or through ``__all__``.  Package ``__init__`` modules re-export
 their imports and are skipped, as are ``__future__`` imports.  A function or
 class of ``src/charpres`` named ``_name`` (a method too, but not a dunder)
 must be referenced by some module of ``src`` or ``tests`` other than by its
-own definition: as a name, an attribute, an imported name or a string.  A
-public function or method of ``src/charpres`` (a name without a leading
-underscore) must be referenced the same way by some module of ``src``,
-``tests`` or ``bench``; the re-exports of the package ``__init__`` do not
-count as a use.  Every parameter with a default of such a public function or
+own definition: as a name, an attribute, an imported name, or a string or
+one of its dotted parts.  A public function or method of ``src/charpres`` (a
+name without a leading underscore) must be referenced the same way by some
+module of ``src`` or ``bench``: a function only tests call is a test
+fixture, and the re-exports of the package ``__init__`` do not count as a
+use.  Every parameter with a default of such a public function or
 method must be set by some call in ``src`` or ``bench``: by keyword, or by
 position, counting a method's positions after ``self`` or ``cls``.  Calls
 are matched to definitions by name.
@@ -26,6 +27,8 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCANNED = ("src/charpres", "tests")
+# the modules whose references keep a public function of the package alive
+PUBLIC_READERS = ("src/charpres", "bench")
 
 
 def _modules(tops=SCANNED):
@@ -96,7 +99,7 @@ def _public_defs(tree):
 
 def _referenced(tree):
     """Every name the module reads, looks up as an attribute, imports or
-    spells out as a string."""
+    spells out as a string or as a dotted part of one."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -106,7 +109,7 @@ def _referenced(tree):
         elif isinstance(node, ast.alias):
             out.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            out.update(node.value.split("."))
     return out
 
 
@@ -137,7 +140,7 @@ def test_scan_sees_an_unreferenced_private_function():
 
 
 def test_public_functions_are_referenced():
-    paths = _modules(SCANNED + ("bench",))
+    paths = _modules(PUBLIC_READERS)
     package = [(path, _parse(path)) for path in paths if path.startswith("src/")]
     readers = [_parse(path) for path in paths]
     unused = ["%s:%d %s" % (path, line, name)
@@ -154,6 +157,16 @@ def test_scan_sees_an_unreferenced_public_method():
     # reference to the package function of that name
     assert [line for _, _, line in
             _unreferenced([("m", tree)], [tree, reader], _public_defs)] == [2, 6]
+
+
+def test_public_scan_reads_dotted_strings_and_not_tests():
+    tree = ast.parse("class A:\n    def patched(self): pass\n"
+                     "    def tested(self): pass\n")
+    bench = ast.parse("TARGETS = {'k': ('m', 'A.patched')}\n")
+    assert [line for _, _, line in
+            _unreferenced([("m", tree)], [tree, bench], _public_defs)] == [3]
+    # a call from a test does not keep a public function alive
+    assert not any(path.startswith("tests/") for path in _modules(PUBLIC_READERS))
 
 
 def _options(tree):

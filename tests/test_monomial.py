@@ -12,8 +12,10 @@ from charpres.monomial import (MonomialAlg, divides, is_strong_monomial,
                                sandwich_report, track_monomial)
 from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, parse_poly,
                            render_poly)
-from charpres.projection import SimplifiedPresentation, coefficient_elim
+from charpres.projection import SimplifiedPresentation
 from charpres.rees import ReesAlg, sing_member
+
+from oracles import coefficient_elim
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -114,7 +116,7 @@ def test_nonstrong_char3_witness():
     tower = tower_for("z^2 + x^5*y^4 + x^4*y^5", F3, STD,
                       elim_gens=[("x^12*y^12", 4)])
     final = tower.obj
-    assert render_poly(final.f, ZXY) == "x^3*y^2 + x^2*y^3 + z^2"
+    assert render_poly(final.polys[0], ZXY) == "x^3*y^2 + x^2*y^3 + z^2"
     M = track_monomial(tower)
     assert (M.s, M.exponents) == (1, (("H1", 1), ("H2", 1)))
     res = is_strong_monomial(tower)
@@ -188,9 +190,9 @@ def test_lift_standard():
     assert res.monomial == M
     assert [r.contact_case for r in res.records] == ["A", "A"]
     assert [r.hord_at_center for r in res.records] == [1, Fraction(3, 2)]
-    assert render_poly(tower.obj.f, ZXY) == "z^2 + y"
+    assert render_poly(tower.obj.polys[0], ZXY) == "z^2 + y"
     # nothing singular remains upstairs
-    up = ReesAlg.make(F2, 3, [(tower.obj.f, 2)])
+    up = ReesAlg.make(F2, 3, [(tower.obj.polys[0], 2)])
     assert not sing_member(up, ClosedPoint((0, 0, 0)))
 
 
@@ -220,7 +222,7 @@ def test_lift_length_four_with_absent_divisors():
     assert dict(tower.chart.divisors) == {"H1": None, "H2": 1, "H3": None, "H4": 2}
     game = resolve_game(M, tower.chart)
     res = lift_resolution(tower)
-    assert render_poly(tower.obj.f, ZXY) == "z^2 + y"
+    assert render_poly(tower.obj.polys[0], ZXY) == "z^2 + y"
     # the lift plays the game's moves in order, one record each
     assert [r.move for r in res.records] == list(game.moves)
     assert res.monomial == M

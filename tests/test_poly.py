@@ -8,9 +8,8 @@ import pytest
 
 from charpres.errors import NotMonicError, PolyParseError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                           initial_form, monic_coefficients,
-                           order_at, parse_poly, render_poly,
-                           weighted_initial_form)
+                           monic_coefficients, order_at, parse_poly,
+                           render_poly, weighted_initial_form)
 from oracles import divide_by_var_power, evaluate
 
 Q = FieldSpec(0)
@@ -91,13 +90,6 @@ def test_orders():
     assert order_at(f, ClosedPoint((0, Fraction(-1), 0))) == 0
 
 
-def test_initial_form():
-    f = P("z^2 + x^3 + x^4")
-    assert initial_form(f, ClosedPoint((0, 0, 0))) == P("z^2")
-    g = P("z^2 + x^2*y")
-    assert initial_form(g, ClosedPoint((0, 0, 0))) == P("z^2")
-
-
 def test_hasse_derivatives():
     f = P("x^5")
     assert f.hasse_deriv(1, 2) == P("10*x^3")
@@ -135,7 +127,7 @@ def test_translate_memo(monkeypatch):
     assert f.translate([0, 1, 0]) is g
     assert list(f._translates) == [v]
     # a shift that moves nothing returns f itself and stores nothing; an
-    # all-zero or all-None point does so without running the shift kernel
+    # all-zero point does so without running the shift kernel
     shifts = []
     shift = MPoly._shift
 
@@ -144,22 +136,19 @@ def test_translate_memo(monkeypatch):
         return shift(self, values)
 
     monkeypatch.setattr(MPoly, "_shift", counted)
-    for identity in ((0, 0, 0), [None, None, None], (None, 0, None)):
+    for identity in ((0, 0, 0), [0, 0, 0]):
         assert f.translate(identity) is f
     assert shifts == []
     # 3 over F_3 is zero only after coercion, so it takes the kernel
-    assert f.translate((3, None, 0)) is f
-    assert shifts == [(3, None, 0)]
+    assert f.translate((3, 0, 0)) is f
+    assert shifts == [(3, 0, 0)]
     assert list(f._translates) == [v]
-    # None leaves its variable untouched, and is an entry of its own
-    assert f.translate((None, 1, None)) == g
-    assert list(f._translates) == [v, (None, 1, None)]
     # a wrong arity raises on every call and stores nothing, all-zero too
     for _ in range(2):
-        for short in ((0, 1), (0, 1, 0, 0), (0, 0), (None,) * 4):
+        for short in ((0, 1), (0, 1, 0, 0), (0, 0), (0,) * 4):
             with pytest.raises(ValueError, match="arity"):
                 f.translate(short)
-    assert len(f._translates) == 2
+    assert list(f._translates) == [v]
 
 
 def test_translate_of_a_derivative(monkeypatch):
@@ -184,7 +173,7 @@ def test_translate_of_a_derivative(monkeypatch):
     dd = d.hasse_deriv_multi((1, 0, 0))
     assert dd.translate(v) == g.hasse_deriv_multi((1, 0, 0)) and shifts == [f]
     # a point that moves nothing for the parent returns d itself, unstored
-    assert d.translate((3, None, 0)) is d and shifts == [f, f]
+    assert d.translate((3, 0, 0)) is d and shifts == [f, f]
     assert list(d._translates) == [v]
     # alpha = 0 is the polynomial itself; a wrong arity raises on every call
     assert f.hasse_deriv_multi((0, 0, 0)) is f

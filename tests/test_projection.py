@@ -13,13 +13,13 @@ from charpres.errors import DegenerateSlopeError, NotNormalFormError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly, weighted_initial_form)
 from charpres.projection import (PPresentation, SimplifiedPresentation,
-                                 coefficient_elim, fiber_point, hord,
-                                 hord_data, is_normal_at, is_nth_power,
-                                 make_p_presentation, membership_criterion,
-                                 normalize, slope_poly, upstairs_algebra)
+                                 fiber_point, hord, hord_data, is_normal_at,
+                                 is_nth_power, make_p_presentation,
+                                 membership_criterion, normalize, slope_poly,
+                                 upstairs_algebra)
 from charpres.rees import ReesAlg, sing_member
 
-from oracles import saturate_all_alpha
+from oracles import coefficient_elim, saturate_all_alpha
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -73,7 +73,7 @@ def test_is_nth_power():
 def test_normalize_char0():
     pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
     res = normalize(pres, ORIGIN)
-    assert render_poly(res.presentation.f, ZXY) == "x^3 + z^2"
+    assert render_poly(res.presentation.polys[0], ZXY) == "x^3 + z^2"
     rec, = res.normalizations
     assert rec.iterations == 1
     assert rec.slopes == (Fraction(1), Fraction(3, 2))
@@ -92,7 +92,7 @@ def test_normalize_char5_artin_style():
     f = (P("z + x", F5) ** 5) + P("x^6", F5)
     pres = SimplifiedPresentation(F5, 3, (0,), (f,), ReesAlg.make(F5, 3, []))
     res = normalize(pres, ORIGIN)
-    assert res.presentation.f == P("z^5 + x^6", F5)
+    assert res.presentation.polys[0] == P("z^5 + x^6", F5)
     assert res.normalizations[0].slope == Fraction(6, 5)
 
 
@@ -186,19 +186,6 @@ def test_normalize_memo_two_sections():
     assert res.presentation.elim is elim
     assert res.elim_ord == Fraction(8, 3) and res.value == Fraction(3, 2)
     assert not is_normal_at(sp, y) and is_normal_at(res.presentation, y)
-
-
-def test_one_section_accessors():
-    pres = pres1("z^2 + x^3")
-    assert pres.section_var == 0
-    assert pres.f == P("z^2 + x^3")
-    names = ("z1", "z2", "x")
-    polys = (P("z1^2 + x^3", names=names), P("z2^2 + x^5", names=names))
-    sp = SimplifiedPresentation(Q, 3, (0, 1), polys, ReesAlg.make(Q, 3, []))
-    with pytest.raises(ValueError, match="2 sections"):
-        sp.f
-    with pytest.raises(ValueError, match="2 sections"):
-        sp.section_var
 
 
 def test_hord_single_section():
@@ -305,7 +292,7 @@ def test_section_invariance_small():
     for alpha_text in ("x", "2*y", "x + y^2", "x^2 + 2*x*y"):
         alpha = P(alpha_text, F3)
         z = parse_poly("z", F3, ZXY)
-        shifted = pres.f.substitute({0: z - alpha})
+        shifted = pres.polys[0].substitute({0: z - alpha})
         moved = SimplifiedPresentation(F3, 3, (0,), (shifted,), pres.elim)
         assert hord(moved, ORIGIN) == base
 

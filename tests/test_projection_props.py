@@ -69,11 +69,11 @@ def towers(draw):
     polys = []
     for z in sections:
         n = p if as_p else draw(st.integers(2, 3))
-        f = MPoly.monomial(field, nvars, [n if v == z else 0 for v in range(nvars)])
+        zvar = MPoly.var(field, nvars, z)
+        f = zvar ** n
         for j in draw(st.sets(st.integers(1, n), min_size=1)):
             a = _downstairs_poly(draw, field, nvars, down, j * draw(st.integers(1, 3)))
-            f = f + a * MPoly.monomial(field, nvars,
-                                       [n - j if v == z else 0 for v in range(nvars)])
+            f = f + a * zvar ** (n - j)
         polys.append(f)
     elim_gens = []
     for _ in range(draw(st.integers(0, 2))):

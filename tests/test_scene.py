@@ -88,13 +88,39 @@ def test_parse_minimal():
      "sections must be distinct", 6),
     (lambda s: s.replace("[presentation]\n", "[presentation]\nsections: x, x\n"),
      "sections must be distinct", 9),
+    # a single-valued entry given twice: at the repeat
+    (lambda s: s.replace("characteristic: 3", "characteristic: 3\ncharacteristic: 5"),
+     "characteristic given twice (first at line 2)", 3),
+    (lambda s: s.replace("vars: z, x, y", "vars: z, x, y\nvars: z, x, w"),
+     "vars given twice (first at line 5)", 6),
+    (lambda s: s.replace("sections: z", "sections: z\nsections: x"),
+     "sections given twice (first at line 6)", 7),
+    (lambda s: s.replace("[presentation]\n", "[presentation]\nsections: z\nsections: x\n"),
+     "sections given twice (first at line 9)", 10),
+    (lambda s: s.replace("poly 1: z^2 + x^3", "poly 1: z^2 + x^3\npoly: z^2 + x^5"),
+     "poly 1 given twice (first at line 9)", 10),
+    (lambda s: s.replace("elim: x^3 W^2", "elim: x^3 W^2\nkind: simplified\nkind: p"),
+     "kind given twice (first at line 11)", 12),
+    (lambda s: s.replace("L = {x}", "L = {x}\nP1 = (1, 1, 1)"),
+     "point P1 given twice (first at line 13)", 15),
+    (lambda s: s.replace("L = {x}", " = {x}"), "point name '' is empty", 14),
+    (lambda s: s.replace("L = {x}", "L 2 = {x}"), "point name 'L 2' is empty or holds", 14),
 ])
-def test_parse_errors_carry_line_numbers(mangle, fragment, lineno):
+def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, capsys):
     with pytest.raises(SceneParseError) as err:
         parse_scene(mangle(MINIMAL))
     assert fragment in str(err.value)
     assert err.value.lineno == lineno
     assert str(err.value).startswith("line %d:" % lineno)
+    scene = _write(tmp_path, "s.scene", mangle(MINIMAL))
+    assert main(["run", "--scene", scene]) == 2
+    assert capsys.readouterr().err == "parse error: %s\n" % err.value
+
+
+def test_presentation_sections_override_variables():
+    sc = parse_scene(MINIMAL.replace("[presentation]\n", "[presentation]\nsections: y\n")
+                     .replace("poly 1: z^2 + x^3", "poly 1: y^2 + x^3"))
+    assert sc.presentation.sections == (2,)
 
 
 def test_parse_error_missing_field():
@@ -440,6 +466,31 @@ resolve
     assert resolve["command"] == "resolve"
     assert resolve["singular_after"] == []
     assert resolve["final"]["polys"][1] == "z2^2"
+
+
+def test_cli_cleans_a_section_polynomial(tmp_path, capsys):
+    # over F_2 the weight-1 initial form of z^2 + x^2 + x^3 is (z + x)^2, so
+    # cleaning maps z to z - x, which leaves z^2 + x^3 of slope 3/2
+    scene = _write(tmp_path, "s.scene", """\
+[field]
+characteristic: 2
+[variables]
+vars: z, x, y
+sections: z
+[presentation]
+kind: p
+poly 1: z^2 + x^2 + x^3
+[script]
+slope at origin
+hord at origin
+""")
+    assert main(["run", "--scene", scene]) == 0
+    slope, hord = json.loads(capsys.readouterr().out)["records"]
+    assert slope["iterations"] == 1
+    assert slope["slopes"] == [1, "3/2"]
+    assert slope["normalized_poly"] == "x^3 + z^2"
+    assert slope["membership"] is True
+    assert hord["hord"] == hord["reduced_hord"] == "3/2"
 
 
 def test_cli_bad_subcommand_exits_2(tmp_path, capsys):
