@@ -21,11 +21,15 @@ from operator import add as _add, sub as _sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import NotMonicError, PolyParseError
+from .errors import BudgetError, NotMonicError, PolyParseError
 
 # Orders of the zero polynomial and of empty algebras compare as infinity.
 # float("inf") is used strictly for comparisons and never serialized as-is.
 INF = float("inf")
+
+# parse_poly raises BudgetError before a product or power that could have
+# more terms than this
+PARSE_MAX_TERMS = 10 ** 5
 
 Coeff = Union[Fraction, int]
 Exps = tuple  # tuple[int, ...]
@@ -132,20 +136,27 @@ class MPoly:
         return cls(field, nvars, tuple(items))
 
     @classmethod
-    def _from_terms(cls, field: FieldSpec, nvars: int, pairs: Iterable[tuple]) -> "MPoly":
+    def _from_terms(cls, field: FieldSpec, nvars: int, pairs: Iterable[tuple],
+                    den: Optional[int] = None) -> "MPoly":
         """Trusted constructor for kernel results.
 
         `pairs` are (exponent tuple, coefficient) with distinct exponent
         tuples of arity `nvars`.  Coefficients are field elements, except
-        that over F_p they may be unreduced integer sums.  Nothing is coerced
-        or validated: coefficients are reduced mod p, zeros dropped and the
+        that over F_p they may be unreduced integer sums, and over Q with
+        `den` given they are integer numerators over the positive
+        denominator `den`, each made into one Fraction here.  Nothing is
+        validated: coefficients are reduced mod p, zeros dropped and the
         terms sorted.
         """
         p = field.characteristic
         if p:
             items = [(e, r) for e, c in pairs if (r := c % p)]
-        else:
+        elif den is None:
             items = [(e, c) for e, c in pairs if c]
+        elif den == 1:
+            items = [(e, Fraction(c)) for e, c in pairs if c]
+        else:
+            items = [(e, Fraction(c, den)) for e, c in pairs if c]
         items.sort(key=_term_key, reverse=True)
         return cls(field, nvars, tuple(items))
 
@@ -222,27 +233,28 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        """Schoolbook product; over F_p the sums are reduced once at the end."""
+        """Schoolbook product; over F_p the sums are reduced once at the end,
+        over Q it runs on integer numerators (see `_numerators`)."""
         self._check_compat(other)
-        d: dict = {}
-        get = d.get
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(map(_add, e1, e2))
-                d[e] = get(e, 0) + c1 * c2
-        return MPoly._from_terms(self.field, self.nvars, d.items())
+        f = self.field
+        if f.characteristic:
+            return MPoly._from_terms(f, self.nvars, _mul_terms(self.terms, other.terms).items())
+        da, a = _numerators(self.terms)
+        db, b = _numerators(other.terms)
+        return MPoly._from_terms(f, self.nvars, _mul_terms(a, b).items(), da * db)
 
     def __pow__(self, n: int) -> "MPoly":
+        """The n-th power by `_pow_terms`: Frobenius over F_p, integer
+        numerators over Q."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(self.field, self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        f = self.field
+        p = f.characteristic
+        if p:
+            return MPoly._from_terms(f, self.nvars, _pow_terms(self.terms, n, p, self.nvars).items())
+        den, nums = _numerators(self.terms)
+        return MPoly._from_terms(f, self.nvars, _pow_terms(nums, n, 0, self.nvars).items(),
+                                 den ** n)
 
     def scale(self, c) -> "MPoly":
         f = self.field
@@ -351,15 +363,26 @@ class MPoly:
         return g
 
     def _shift(self, values) -> "MPoly":
-        """The Taylor-shift kernel of `translate`, with no memo."""
+        """The Taylor-shift kernel of `translate`, with no memo.
+
+        Over Q it runs on integer numerators over one denominator (see
+        `_numerators`): a shift of x_i by a/b multiplies the denominator by
+        b^K, K the top exponent of x_i, and c*x_i^k expands with the integer
+        row binom(k, j) a^(k-j) b^(K-k+j).  One Fraction is made per output
+        term, at the end.
+        """
         f = self.field
         p = f.characteristic
-        terms = self.terms
-        for i, v in enumerate(values):
-            v = f.coerce(v)
-            if v == 0:
-                continue
-            rows: dict = {}  # k -> [binom(k, j) * v^(k-j) for j = 0..k]
+        moves = [(i, v) for i, v in enumerate(map(f.coerce, values)) if v]
+        if not moves:
+            return self
+        den, terms = (1, self.terms) if p else _numerators(self.terms)
+        for i, v in moves:
+            a, b = v.numerator, v.denominator   # b = 1 over F_p
+            top = max((e[i] for e, _ in terms), default=0) if b != 1 else 0
+            lift = b ** top
+            den *= lift
+            rows: dict = {}  # k -> _shift_row(k, a, b, top, p)
             out: dict = {}
             get = out.get
             for e, c in terms:
@@ -369,20 +392,18 @@ class MPoly:
                     continue
                 k = e[i]
                 if k == 0:
-                    out[e] = get(e, 0) + c
+                    out[e] = get(e, 0) + c * lift
                     continue
                 row = rows.get(k)
                 if row is None:
-                    row = rows[k] = _shift_row(k, v, p)
+                    row = rows[k] = _shift_row(k, a, b, top, p)
                 head, tail = e[:i], e[i + 1:]
                 for j, w in enumerate(row):
                     if w:
                         ee = head + (j,) + tail
                         out[ee] = get(ee, 0) + c * w
             terms = out.items()
-        if terms is self.terms:
-            return self
-        return MPoly._from_terms(f, self.nvars, terms)
+        return MPoly._from_terms(f, self.nvars, terms, den)
 
     # -- exact roots --------------------------------------------------------
 
@@ -457,14 +478,80 @@ class MPoly:
         return render_poly(self, tuple(f"x{i}" for i in range(self.nvars)))
 
 
-def _shift_row(k: int, v: Coeff, p: int) -> list:
-    """[binom(k, j) * v^(k-j) for j = 0..k], reduced mod p when p > 0."""
+def _shift_row(k: int, a: int, b: int, top: int, p: int) -> list:
+    """[binom(k, j) * a^(k-j) * b^(top-k+j) for j = 0..k], top >= k when
+    b > 1: the Taylor row of x^k shifted by a/b, times b^top.  Over F_p
+    (b = 1) the entries are reduced mod p."""
     row = [0] * (k + 1)
-    w = 1
+    w = b ** top
     for j in range(k, -1, -1):
         row[j] = math.comb(k, j) * w % p if p else math.comb(k, j) * w
-        w = w * v % p if p else w * v
+        w = w * a % p if p else w * a // b
     return row
+
+
+# -- term-dict kernels ----------------------------------------------------------
+# Products, powers and the parser work on {exponents: int} dicts and lists of
+# (exponents, int) pairs; the MPoly, with its Fractions over Q, is built once
+# from the result by MPoly._from_terms.
+
+
+def _numerators(terms) -> tuple:
+    """(den, [(e, n)]): rational (or int) coefficients as integer numerators
+    over their least common denominator, den >= 1."""
+    den = math.lcm(*[c.denominator for _, c in terms])
+    if den == 1:
+        return 1, [(e, c.numerator) for e, c in terms]
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+
+
+def _mul_terms(a, b) -> dict:
+    """The schoolbook product of two term lists, its sums unreduced."""
+    d: dict = {}
+    get = d.get
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = tuple(map(_add, e1, e2))
+            d[e] = get(e, 0) + c1 * c2
+    return d
+
+
+def _clean(d: dict, p: int) -> dict:
+    """The term dict `d` reduced mod p (p > 0) and without zeros."""
+    if p:
+        return {e: r for e, c in d.items() if (r := c % p)}
+    return {e: c for e, c in d.items() if c}
+
+
+def _pow_terms(terms, n: int, p: int, nvars: int) -> dict:
+    """The n-th power of a term list over Z (p = 0) or F_p, as a clean dict.
+
+    Each power f^d is formed by d - 1 products with the sparse base.  Over
+    F_p the exponent is split in base p first, n = sum d_k p^k: then f^n is
+    the product of the (f^(d_k))^(p^k), and (f^d)^(p^k) is f^d with every
+    exponent scaled by p^k, because c^p = c on F_p.  So only powers below p
+    are multiplied out.
+    """
+    terms = list(terms)
+    if n == 0:
+        return {(0,) * nvars: 1}
+    if len(terms) == 1:
+        (e, c), = terms
+        return _clean({tuple(k * n for k in e): pow(c, n, p) if p else c ** n}, p)
+    out = None
+    powers = [None, dict(terms)]    # f^1, f^2, ...: the digit powers so far
+    q = 1
+    while n:
+        n, d = divmod(n, p) if p else (0, n)
+        if d:
+            while len(powers) <= d:
+                powers.append(_clean(_mul_terms(powers[-1].items(), terms), p))
+            g = powers[d]
+            if q > 1:
+                g = {tuple(k * q for k in e): c for e, c in g.items()}
+            out = g if out is None else _clean(_mul_terms(out.items(), g.items()), p)
+        q *= p
+    return out
 
 
 # -- points -----------------------------------------------------------------
@@ -609,34 +696,68 @@ def monic_coefficients(f: MPoly, z_index: int) -> Mapping[int, MPoly]:
 
 # -- text syntax --------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
+# a coefficient literal: n or n/d, unsigned
+_LITERAL = r"\d+(?:/\d+)?"
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>" + _LITERAL + r")|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+_SIGNED_LITERAL_RE = re.compile(r"[-+]?" + _LITERAL)
+
+
+def _literal(text: str) -> Fraction:
+    """The value of a coefficient literal `n` or `n/d`."""
+    num, _, den = text.partition("/")
+    if not den:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise PolyParseError("zero denominator in coefficient literal")
+    return Fraction(int(num), int(den))
+
+
+def parse_coeff(text: str, field: FieldSpec) -> Coeff:
+    """An optional sign and a coefficient literal `n` or `n/d`, as in
+    polynomial text, as an element of `field`."""
+    text = text.strip()
+    if not _SIGNED_LITERAL_RE.fullmatch(text):
+        raise PolyParseError(f"expected n or n/d with an optional sign, got {text!r}")
+    value = _literal(text.lstrip("+-"))
+    return field.coerce(-value if text[0] == "-" else value)
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            rest = text[m.start(kind):]
             raise PolyParseError(f"unexpected character at: {rest[:20]!r}")
-        if m.group("num"):
-            lit = m.group("num")
-            if "/" in lit:
-                a, b = lit.split("/")
-                if int(b) == 0:
-                    raise PolyParseError("zero denominator in coefficient literal")
-                tokens.append(("num", Fraction(int(a), int(b))))
-            else:
-                tokens.append(("num", Fraction(int(lit))))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
+        val = m.group(kind)
+        tokens.append((kind, _literal(val) if kind == "num" else val))
     tokens.append(("end", None))
     return tokens
+
+
+def _capped_comb(m: int, r: int, cap: int) -> int:
+    """binom(m, r), or cap + 1 as soon as it is known to exceed cap."""
+    r = min(r, m - r)
+    if r < 0:
+        return 0
+    out = 1
+    for i in range(r):
+        out = out * (m - i) // (i + 1)     # binom(m, i + 1), growing with i
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def _monomial_bound(dicts, degree: int, nvars: int, cap: int) -> int:
+    """binom(degree + n, n), capped: the number of monomials of total degree
+    at most `degree` in the n variables that the term dicts use."""
+    n = sum(1 for i in range(nvars) if any(e[i] for d in dicts for e in d))
+    return _capped_comb(degree + n, n, cap)
+
+
+def _degree(d: dict) -> int:
+    return max(map(sum, d), default=0)
 
 
 class _Parser:
@@ -644,13 +765,19 @@ class _Parser:
 
     Division is not an operator; rational literals like 3/2 are single
     coefficient tokens.  Implicit multiplication is rejected by construction
-    (two adjacent atoms never parse).
+    (two adjacent atoms never parse).  Every subexpression evaluates to
+    (den, terms): a term dict {exponents: int} without zeros, reduced over
+    F_p, and a denominator den >= 1 that divides it over Q (den = 1 over
+    F_p).  `parse` makes the one MPoly at the end.  A product or a power
+    whose term count could exceed PARSE_MAX_TERMS raises BudgetError before
+    it is expanded.
     """
 
     def __init__(self, tokens, field: FieldSpec, names):
         self.tokens = tokens
         self.pos = 0
         self.field = field
+        self.p = field.characteristic
         self.names = list(names)
         self.nvars = len(self.names)
 
@@ -663,59 +790,111 @@ class _Parser:
         return tok
 
     def parse(self) -> MPoly:
-        out = self.expr()
+        den, d = self.expr()
         if self.peek()[0] != "end":
             raise PolyParseError(f"trailing input near token {self.peek()!r}")
-        return out
+        return MPoly._from_terms(self.field, self.nvars, d.items(), den)
 
-    def expr(self) -> MPoly:
+    def neg(self, d: dict) -> dict:
+        p = self.p
+        return {e: -c % p for e, c in d.items()} if p else {e: -c for e, c in d.items()}
+
+    def expr(self) -> tuple:
         sign = 1
         while self.peek() == ("op", "-") or self.peek() == ("op", "+"):
             if self.take() == ("op", "-"):
                 sign = -sign
-        acc = self.term()
-        if sign < 0:
-            acc = -acc
+        den, acc = self.term()
+        acc = self.neg(acc) if sign < 0 else acc
+        if self.peek() not in (("op", "+"), ("op", "-")):
+            return den, acc
+        acc = dict(acc)
+        get = acc.get
         while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()
-            rhs = self.term()
-            acc = acc + rhs if op == ("op", "+") else acc - rhs
-        return acc
+            sign = 1 if self.take() == ("op", "+") else -1
+            d, rhs = self.term()
+            if d != den:    # bring both sides over the least common denominator
+                lcm = math.lcm(den, d)
+                if lcm != den:
+                    acc = {e: c * (lcm // den) for e, c in acc.items()}
+                    get = acc.get
+                sign *= lcm // d
+                den = lcm
+            for e, c in rhs.items():
+                acc[e] = get(e, 0) + sign * c
+        return den, _clean(acc, self.p)
 
-    def term(self) -> MPoly:
-        acc = self.factor()
+    def term(self) -> tuple:
+        den, acc = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            acc = acc * self.factor()
-        return acc
+            d, rhs = self.factor()
+            self.check_product(acc, rhs)
+            den, acc = den * d, _clean(_mul_terms(acc.items(), rhs.items()), self.p)
+        return den, acc
 
-    def factor(self) -> MPoly:
-        base = self.atom()
+    def check_product(self, a: dict, b: dict) -> None:
+        """Raise BudgetError when a*b could have more than PARSE_MAX_TERMS
+        terms: at most |a|*|b|, and at most as many as there are monomials
+        of its degree."""
+        cap = PARSE_MAX_TERMS
+        if len(a) * len(b) > cap and _monomial_bound(
+                (a, b), _degree(a) + _degree(b), self.nvars, cap) > cap:
+            raise BudgetError(f"a product of a {len(a)}-term and a {len(b)}-term "
+                              f"polynomial could have more than {cap} terms "
+                              f"(the parse budget)")
+
+    def factor(self) -> tuple:
+        den, base = self.atom()
         while self.peek() == ("op", "^"):
             self.take()
             kind, val = self.take()
             if kind != "num" or val.denominator != 1 or val < 0:
                 raise PolyParseError("exponent must be a non-negative integer")
-            base = base ** int(val)
-        return base
+            n = int(val)
+            self.check_power(base, n)
+            den, base = den ** n, _pow_terms(base.items(), n, self.p, self.nvars)
+        return den, base
 
-    def atom(self) -> MPoly:
+    def check_power(self, base: dict, n: int) -> None:
+        """Raise BudgetError when base^n could have more than PARSE_MAX_TERMS
+        terms: a power f^d of t terms has at most binom(d + t - 1, t - 1),
+        over F_p for each base-p digit d of n (see `_pow_terms`), and at most
+        as many as there are monomials of its degree."""
+        cap = PARSE_MAX_TERMS
+        t = len(base)
+        bound, m = 1, n
+        while m and bound <= cap:
+            m, d = divmod(m, self.p) if self.p else (0, m)
+            if d:
+                bound *= _capped_comb(d + t - 1, t - 1, cap)
+        if bound > cap and _monomial_bound((base,), n * _degree(base), self.nvars,
+                                           cap) > cap:
+            raise BudgetError(f"the power ^{n} of a {t}-term polynomial could have more "
+                              f"than {cap} terms (the parse budget)")
+
+    def atom(self) -> tuple:
         kind, val = self.take()
         if kind == "num":
-            return MPoly.const(self.field, self.nvars, val)
+            if self.p:
+                den, c = 1, self.field.coerce(val)
+            else:
+                den, c = val.denominator, val.numerator
+            return den, ({(0,) * self.nvars: c} if c else {})
         if kind == "name":
             try:
                 i = self.names.index(val)
             except ValueError:
                 raise PolyParseError(f"unknown variable {val!r}") from None
-            return MPoly.var(self.field, self.nvars, i)
+            return 1, {tuple(int(j == i) for j in range(self.nvars)): 1}
         if (kind, val) == ("op", "("):
             inner = self.expr()
             if self.take() != ("op", ")"):
                 raise PolyParseError("missing closing parenthesis")
             return inner
         if (kind, val) == ("op", "-"):
-            return -self.atom()
+            den, d = self.atom()
+            return den, self.neg(d)
         raise PolyParseError(f"unexpected token {val!r}")
 
 

@@ -12,6 +12,7 @@ singular everywhere), which is what an absent elimination part degenerates to.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Iterable
 
 from .errors import BudgetError, InvariantError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
-                   order_at)
+                   _numerators, order_at)
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,19 @@ def _support_indices(f: MPoly, max_total: int) -> list:
 
 
 def _monic_key(f: MPoly, n: int) -> tuple:
-    """(weight, terms scaled to leading coefficient 1): equal exactly for
-    generators of one weight that differ by a nonzero scalar."""
+    """(weight, normalized terms): equal exactly for generators of one weight
+    that differ by a nonzero scalar.  Over F_p the terms are scaled to
+    leading coefficient 1; over Q they are the primitive integer vector with
+    a positive leading entry, which hashes without Fractions."""
     field = f.field
-    inv = field.inv(f.terms[0][1])
-    return n, tuple((e, field.mul(c, inv)) for e, c in f.terms)
+    if field.characteristic:
+        inv = field.inv(f.terms[0][1])
+        return n, tuple((e, field.mul(c, inv)) for e, c in f.terms)
+    _, nums = _numerators(f.terms)
+    g = math.gcd(*[c for _, c in nums])
+    if nums[0][1] < 0:
+        g = -g
+    return n, tuple((e, c // g) for e, c in nums)
 
 
 def _saturate(alg: ReesAlg) -> ReesAlg:

@@ -20,7 +20,7 @@ from .errors import CharpresError, CommandError, NotMonicError, SceneParseError
 from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
                        track_monomial)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                   PointSpec, parse_poly, render_poly)
+                   PointSpec, parse_coeff, parse_poly, render_poly)
 from .projection import (PPresentation, SimplifiedPresentation, check_elim_gen,
                          check_section_poly, hord_data, make_p_presentation,
                          membership_criterion, normalize, upstairs_algebra)
@@ -253,8 +253,8 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                 raise SceneParseError("closed point needs %d coordinates" % len(names),
                                       lineno)
             try:
-                vals = tuple(field.coerce(Fraction(p)) for p in parts)
-            except (ValueError, ZeroDivisionError) as exc:
+                vals = tuple(parse_coeff(c, field) for c in parts)
+            except _POLY_ERRORS as exc:
                 raise SceneParseError("bad coordinate: %s" % exc, lineno)
             points[name] = ClosedPoint(vals)
         elif value.startswith("{") and value.endswith("}"):

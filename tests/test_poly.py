@@ -1,12 +1,14 @@
 """Polynomial layer: parsing, exact arithmetic, Hasse derivatives, orders,
 weighted initial forms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from charpres.errors import NotMonicError, PolyParseError
+import charpres.poly as poly_mod
+from charpres.errors import BudgetError, NotMonicError, PolyParseError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            monic_coefficients, order_at, parse_poly,
                            render_poly, weighted_initial_form)
@@ -58,9 +60,78 @@ def test_parse_coefficients():
 
 
 def test_parse_rejections():
-    for bad in ("x/y", "x y", "x^-2", "x^(2)", "w + 1", "2/0*x"):
-        with pytest.raises(PolyParseError):
+    for bad, message in (
+            ("x/y", "division is not part of the polynomial syntax"),
+            ("x y", "trailing input near token ('name', 'y')"),
+            ("x 2", "trailing input near token ('num', Fraction(2, 1))"),
+            ("x^-2", "exponent must be a non-negative integer"),
+            ("x^(2)", "exponent must be a non-negative integer"),
+            ("x^1/2", "exponent must be a non-negative integer"),
+            ("w + 1", "unknown variable 'w'"),
+            ("2/0*x", "zero denominator in coefficient literal"),
+            ("x + 1;", "unexpected character at: ';'"),
+            ("x + é*y", "unexpected character at: 'é*y'"),
+            ("(x + 1", "missing closing parenthesis"),
+            ("x + *", "unexpected token '*'"),
+            ("", "unexpected token None")):
+        with pytest.raises(PolyParseError) as err:
             P(bad)
+        assert str(err.value) == message, bad
+
+
+def test_parse_budget():
+    # a power is bounded by its multiset count binom(k + t - 1, t - 1) before
+    # anything is multiplied: binom(204, 4) is about 7 * 10^7
+    with pytest.raises(BudgetError, match=r"power \^200 of a 5-term"):
+        parse_poly("(x+y+z+w+1)^200", Q, ("x", "y", "z", "w"))
+    f = parse_poly("(x+y+z+1)^30", Q, ("x", "y", "z"))
+    assert len(f.terms) == math.comb(33, 3) == 5456
+    # a product by |a|*|b| = 455 * 455, unless its degree allows fewer
+    # monomials: binom(24 + 3, 3) = 2925
+    g = parse_poly("(x+y+z+1)^12*(x+y+z+1)^12", Q, ("x", "y", "z"))
+    assert len(g.terms) == math.comb(27, 3)
+    with pytest.raises(BudgetError, match="product of a 462-term and a 462-term"):
+        parse_poly("(a+b+c+d+e+f+1)^5*(u+v+w+x+y+z+1)^5", Q, "abcdefuvwxyz")
+    # over F_p the count is taken per base-p digit: (x+y+z+1)^(7^6) has 4
+    # terms, and 3^6 - 1 has the six digits 2, so binom(5, 3)^6 = 10^6
+    assert len(parse_poly("(x+y+z+1)^117649", FieldSpec(7), "xyz").terms) == 4
+    with pytest.raises(BudgetError, match=r"power \^728 of a 4-term"):
+        parse_poly("(x+y+z+1)^728", F3, "xyz")
+    assert poly_mod.PARSE_MAX_TERMS == 10 ** 5
+
+
+def test_frobenius_power_forms_no_intermediate_power(monkeypatch):
+    calls = []
+    mul = poly_mod._mul_terms
+    monkeypatch.setattr(poly_mod, "_mul_terms", lambda a, b: calls.append(1) or mul(a, b))
+    F7 = FieldSpec(7)
+    f = parse_poly("(x+y+z+1)^343", F7, "xyz")
+    assert f == parse_poly("x^343 + y^343 + z^343 + 1", F7, "xyz")
+    assert parse_poly("x+y+z+1", F7, "xyz") ** 343 == f
+    assert calls == []
+    # 8 = 1 + 7: one product of f and its Frobenius image
+    assert parse_poly("(x+1)^8", F7, "x") == parse_poly("x^8 + x^7 + x + 1", F7, "x")
+    assert len(calls) == 1
+
+
+def test_kernel_results_over_q_hold_fractions():
+    def fractions_only(f):
+        return all(type(c) is Fraction for _, c in f.terms)
+
+    zero = MPoly.zero_poly(Q, 3)
+    f = P("x^3 - 2*z*y + 1/2*y^2 + 3")
+    g = P("-1/3*x + y - 2")
+    results = [P("0"), P("x - x"), P("3*x^2 - 2"), P("1/2*z + 2/4"), P("-(-2)*y^0"),
+               f * g, g * f, f * zero, zero * f, f ** 0, f ** 3, g ** 2, zero ** 0,
+               zero ** 2, MPoly.const(Q, 3, 2) ** 4]
+    for point in ((0, 1, 0), (2, -1, 3), (Fraction(1, 2), 0, Fraction(-2, 3)),
+                  (0, Fraction(1, -3), 0), (Fraction(-7, 5), 1, 1)):
+        results += [f.translate(point), g.translate(point), zero.translate(point),
+                    P("x + y + z").translate(point)]
+    assert all(map(fractions_only, results))
+    # the values are the ones Fraction arithmetic gives
+    assert f.translate((0, Fraction(1, -3), 0)) == f.substitute({1: P("x - 1/3")})
+    assert g ** 2 == P("1/9*x^2 - 2/3*x*y + 4/3*x + y^2 - 4*y + 4")
 
 
 def test_char_p_collapse():

@@ -1,11 +1,11 @@
 """Property tests: the poly kernel against independent references.
 
-`translate`, `__mul__` and the Hasse derivatives are checked against sympy
-over F_p (p in 2, 3, 5, 7) and over Q; `hasse_deriv_multi` also against the
-term-by-term single-variable definition chained over the variables, and
-`blow_up_poly` against substitution followed by exact division.  The tests
-skip when sympy or hypothesis is not installed; neither is a runtime
-dependency.
+`translate`, `__mul__`, the Hasse derivatives and `parse_poly` are checked
+against sympy over F_p (p in 2, 3, 5, 7) and over Q; `hasse_deriv_multi`
+also against the term-by-term single-variable definition chained over the
+variables, `__pow__` against repeated multiplication, and `blow_up_poly`
+against substitution followed by exact division.  The tests skip when sympy
+or hypothesis is not installed; neither is a runtime dependency.
 """
 
 import math
@@ -21,7 +21,7 @@ from hypothesis import given, settings  # noqa: E402
 
 from charpres.blowup import Center, blow_up_poly  # noqa: E402
 from charpres.errors import PermissibilityError  # noqa: E402
-from charpres.poly import FieldSpec, MPoly  # noqa: E402
+from charpres.poly import FieldSpec, MPoly, parse_poly  # noqa: E402
 from oracles import divide_by_var_power  # noqa: E402
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
@@ -154,3 +154,105 @@ def test_blow_up_poly_matches_substitute_and_divide(data):
             blow_up_poly(f, n, Center(frozenset(vars_)), w)
     else:
         assert blow_up_poly(f, n, Center(frozenset(vars_)), w) == expected
+
+
+# -- the parser and powers ----------------------------------------------------
+
+NAMES = ("x", "y", "z")
+# a bound on the term count of a generated subexpression, so that no example
+# is dear to expand
+MAX_TERMS = 400
+
+
+def _exponents(p):
+    """Exponents 0..12, with the multiples of p drawn as often as the rest."""
+    plain = st.integers(0, 12)
+    return st.one_of(plain, st.sampled_from(range(0, 13, p))) if p else plain
+
+
+def _leaves(p):
+    dens = [d for d in range(1, 10) if p == 0 or d % p]
+    return st.one_of(
+        st.sampled_from(NAMES).map(lambda v: (v, sympy.Symbol(v), 1)),
+        st.integers(0, 12).map(lambda n: (str(n), sympy.Integer(n), 1)),
+        st.tuples(st.integers(0, 12), st.sampled_from(dens)).map(
+            lambda nd: ("%d/%d" % nd, sympy.Rational(*nd), 1)))
+
+
+@st.composite
+def _atoms(draw, p, depth):
+    kind = draw(st.sampled_from(("leaf", "neg", "paren") if depth else ("leaf", "neg")))
+    if kind == "leaf":
+        return draw(_leaves(p))
+    if kind == "neg":
+        text, expr, size = draw(_atoms(p, depth))
+        return "-" + text, -expr, size
+    text, expr, size = draw(_expressions(p, depth - 1))
+    return "(%s)" % text, expr, size
+
+
+@st.composite
+def _factors(draw, p, depth):
+    """An atom raised to zero, one or two exponents in a row (^ is left
+    associative).  A negated atom takes no exponent: at the head of an
+    expression its minus sign belongs to the whole term."""
+    text, expr, size = draw(_atoms(p, depth))
+    for _ in range(0 if text.startswith("-") else draw(st.integers(0, 2))):
+        k = draw(_exponents(p))
+        bound = math.comb(k + size - 1, size - 1) if size else 0
+        if bound > MAX_TERMS:
+            break
+        text, expr, size = "%s^%d" % (text, k), expr ** k, bound
+    return text, expr, size
+
+
+@st.composite
+def _expressions(draw, p, depth):
+    """(text, sympy expression, bound on its term count): signed terms of
+    one or two factors."""
+    parts, expr, size = [], sympy.Integer(0), 0
+    for i in range(draw(st.integers(1, 3))):
+        text, term, n = draw(_factors(p, depth))
+        if draw(st.booleans()):
+            text2, term2, n2 = draw(_factors(p, depth))
+            if n * n2 <= MAX_TERMS:
+                text, term, n = text + "*" + text2, term * term2, n * n2
+        sign = draw(st.sampled_from(("", "-", "+", "- -") if i == 0 else ("+", "-")))
+        parts.append((sign + " " + text).strip())
+        expr += -term if sign == "-" else term
+        size += n
+    return " ".join(parts), expr, size
+
+
+@PROPS
+@given(st.data())
+def test_parse_poly_matches_sympy_expand(data):
+    p = data.draw(st.sampled_from(CHARACTERISTICS))
+    text, expr, _ = data.draw(_expressions(p, 2))
+    field = FieldSpec(p)
+    # expanded over Q; its coefficients have denominators prime to p, so
+    # reducing them mod p is the expansion over F_p
+    expanded = sympy.Poly(sympy.expand(expr), *sympy.symbols(NAMES), domain=sympy.QQ)
+    expected = from_sympy(expanded, field, len(NAMES))
+    assert parse_poly(text, field, NAMES) == expected, text
+
+
+@PROPS
+@given(st.data())
+def test_pow_matches_repeated_multiplication(data):
+    f = data.draw(polys(nvars=data.draw(st.integers(1, 2)), max_exp=3))
+    n = data.draw(_exponents(f.field.characteristic))
+    expected = MPoly.const(f.field, f.nvars, 1)
+    for _ in range(n):
+        expected = expected * f
+    assert f ** n == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_power_p_squared_is_frobenius(p):
+    field = FieldSpec(p)
+    q = p * p
+    expected = parse_poly("x^%d + y^%d + z^%d + 1" % (q, q, q), field, NAMES)
+    f = parse_poly("x + y + z + 1", field, NAMES)
+    assert f ** q == expected
+    assert parse_poly("(x + y + z + 1)^%d" % q, field, NAMES) == expected

@@ -79,6 +79,21 @@ def test_saturation_keeps_one_generator_per_scalar_class():
     assert got == [("2*x + 4*y", 1), ("x^2 + 4*x*y + 4*y^2", 2)]
 
 
+def test_monic_key_is_one_per_scalar_class():
+    def key(text, n=1, field=Q):
+        return rees._monic_key(P(text, field), n)
+
+    # over Q: the primitive integer vector with a positive leading entry
+    assert key("2*x + 4") == key("x + 2") == key("-1/2*x - 1") == (1, (((0, 1, 0), 1),
+                                                                        ((0, 0, 0), 2)))
+    assert key("x + 2") != key("x + 3")
+    assert key("x + 2") != key("x + 2", 2)
+    assert key("2/3*x^2 - 4/9*y") == key("-3*x^2 + 2*y")
+    assert all(type(c) is int for _, c in key("1/2*x - 1/3*y")[1])
+    # over F_p: scaled to leading coefficient 1
+    assert key("2*x + 1", 1, F3) == key("x + 2", 1, F3) != key("x + 1", 1, F3)
+
+
 def test_saturation_unit_detection():
     # the z-derivative of z + x^2 is the constant 1 at weight 1
     a = alg(Q, [("z + x^2", 2)])

@@ -105,6 +105,18 @@ def test_parse_minimal():
      "point P1 given twice (first at line 13)", 15),
     (lambda s: s.replace("L = {x}", " = {x}"), "point name '' is empty", 14),
     (lambda s: s.replace("L = {x}", "L 2 = {x}"), "point name 'L 2' is empty or holds", 14),
+    # a coordinate is an optional sign and n or n/d, as in polynomial text
+    (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (0.5, 1, 2)"),
+     "bad coordinate: expected n or n/d with an optional sign, got '0.5'", 13),
+    (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (1e400, 1, 2)"),
+     "bad coordinate: expected n or n/d with an optional sign, got '1e400'", 13),
+    (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (0, +-1, 2)"),
+     "bad coordinate: expected n or n/d with an optional sign, got '+-1'", 13),
+    (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (0, 1/3, 2)"),
+     "bad coordinate: denominator of 1/3 vanishes mod 3", 13),
+    # a polynomial over the parse budget fails at its line before it expands
+    (lambda s: s.replace("elim: x^3 W^2", "elim: (x*y + x + y + 1)^728 W^2"),
+     "the power ^728 of a 4-term polynomial could have more than 100000 terms", 10),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, capsys):
     with pytest.raises(SceneParseError) as err:
@@ -115,6 +127,13 @@ def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, cap
     scene = _write(tmp_path, "s.scene", mangle(MINIMAL))
     assert main(["run", "--scene", scene]) == 2
     assert capsys.readouterr().err == "parse error: %s\n" % err.value
+
+
+def test_point_coordinates_take_signs_and_fractions():
+    text = MINIMAL.replace("P1 = (0, 1, 2)", "P1 = (-1, +4/2, 7/5)")
+    assert parse_scene(text).points["P1"] == ClosedPoint((2, 2, 2))
+    sc = parse_scene(text.replace("characteristic: 3", "characteristic: 0"))
+    assert sc.points["P1"] == ClosedPoint((Fraction(-1), Fraction(2), Fraction(7, 5)))
 
 
 def test_presentation_sections_override_variables():
