@@ -28,8 +28,10 @@ from .errors import BudgetError, NotMonicError, PolyParseError
 INF = float("inf")
 
 # parse_poly raises BudgetError before a product or power that could have
-# more terms than this
+# more terms than this, or could take more than _WORK_PER_TERM times as many
+# term products to expand
 PARSE_MAX_TERMS = 10 ** 5
+_WORK_PER_TERM = 10
 
 Coeff = Union[Fraction, int]
 Exps = tuple  # tuple[int, ...]
@@ -143,8 +145,8 @@ class MPoly:
         `pairs` are (exponent tuple, coefficient) with distinct exponent
         tuples of arity `nvars`.  Coefficients are field elements, except
         that over F_p they may be unreduced integer sums, and over Q with
-        `den` given they are integer numerators over the positive
-        denominator `den`, each made into one Fraction here.  Nothing is
+        `den` given they are numerators (ints or Fractions) over the
+        positive integer `den`, each made into one Fraction here.  Nothing is
         validated: coefficients are reduced mod p, zeros dropped and the
         terms sorted.
         """
@@ -233,28 +235,17 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        """Schoolbook product; over F_p the sums are reduced once at the end,
-        over Q it runs on integer numerators (see `_numerators`)."""
+        """Schoolbook product; over F_p the sums are reduced once at the end."""
         self._check_compat(other)
-        f = self.field
-        if f.characteristic:
-            return MPoly._from_terms(f, self.nvars, _mul_terms(self.terms, other.terms).items())
-        da, a = _numerators(self.terms)
-        db, b = _numerators(other.terms)
-        return MPoly._from_terms(f, self.nvars, _mul_terms(a, b).items(), da * db)
+        return MPoly._from_terms(self.field, self.nvars,
+                                 _mul_terms(self.terms, other.terms).items(), 1)
 
     def __pow__(self, n: int) -> "MPoly":
-        """The n-th power by `_pow_terms`: Frobenius over F_p, integer
-        numerators over Q."""
+        """The n-th power by `_pow_terms`, by Frobenius over F_p."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        f = self.field
-        p = f.characteristic
-        if p:
-            return MPoly._from_terms(f, self.nvars, _pow_terms(self.terms, n, p, self.nvars).items())
-        den, nums = _numerators(self.terms)
-        return MPoly._from_terms(f, self.nvars, _pow_terms(nums, n, 0, self.nvars).items(),
-                                 den ** n)
+        return MPoly._from_terms(self.field, self.nvars, _pow_terms(
+            self.terms, n, self.field.characteristic, self.nvars).items(), 1)
 
     def scale(self, c) -> "MPoly":
         f = self.field
@@ -505,6 +496,17 @@ def _numerators(terms) -> tuple:
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
 
 
+def _primitive_terms(terms) -> tuple:
+    """Nonzero rational terms as their primitive integer vector with a
+    positive leading entry: equal exactly for term tuples that differ by a
+    nonzero scalar."""
+    _, nums = _numerators(terms)
+    g = math.gcd(*[c for _, c in nums])
+    if nums[0][1] < 0:
+        g = -g
+    return tuple((e, c // g) for e, c in nums)
+
+
 def _mul_terms(a, b) -> dict:
     """The schoolbook product of two term lists, its sums unreduced."""
     d: dict = {}
@@ -749,15 +751,55 @@ def _capped_comb(m: int, r: int, cap: int) -> int:
     return out
 
 
-def _monomial_bound(dicts, degree: int, nvars: int, cap: int) -> int:
-    """binom(degree + n, n), capped: the number of monomials of total degree
-    at most `degree` in the n variables that the term dicts use."""
-    n = sum(1 for i in range(nvars) if any(e[i] for d in dicts for e in d))
-    return _capped_comb(degree + n, n, cap)
+def _used_vars(dicts, nvars: int) -> int:
+    """The number of variables that the term dicts use: there are
+    binom(D + n, n) monomials of total degree at most D in n variables."""
+    return sum(1 for i in range(nvars) if any(e[i] for d in dicts for e in d))
 
 
 def _degree(d: dict) -> int:
     return max(map(sum, d), default=0)
+
+
+def _power_bounds(t: int, digits, p: int, cap: int, deg: int = 0, nv=None) -> tuple:
+    """(terms, work): bounds on the terms of f^n, f of t >= 2 terms and n
+    of the base-p digits `digits` (p = 0: the one digit n), and on the term
+    products `_pow_terms` takes to form it.
+
+    f^d has at most binom(d + t - 1, t - 1) terms, and with nv given at
+    most binom(d * deg + nv, nv), the monomials of its degree, f being of
+    degree deg in nv variables.  Forming f^2, ..., f^d takes |f^i| * t
+    products for each i < d, and the products of the digit powers count
+    too.  The bounds stop growing once past `cap` terms or
+    _WORK_PER_TERM * cap products.
+    """
+    limit = cap * _WORK_PER_TERM
+
+    def size(d, degree):
+        s = _capped_comb(d + t - 1, t - 1, cap)
+        return s if nv is None else min(s, _capped_comb(degree + nv, nv, cap))
+
+    work = 0
+    for i in range(1, max(digits, default=0)):   # |f^i| >= i + 1: few steps
+        work += size(i, i * deg) * t
+        if work > limit:
+            break
+    terms, done, q = 0, 0, 1
+    for d in digits:
+        if d:
+            done += d * q
+            s = size(d, d * deg)
+            if terms:
+                work += terms * s
+                terms *= s
+                if nv is not None:
+                    terms = min(terms, _capped_comb(done * deg + nv, nv, cap))
+            else:
+                terms = s
+            if terms > cap or work > limit:
+                break
+        q *= p
+    return terms, work
 
 
 class _Parser:
@@ -769,8 +811,9 @@ class _Parser:
     (den, terms): a term dict {exponents: int} without zeros, reduced over
     F_p, and a denominator den >= 1 that divides it over Q (den = 1 over
     F_p).  `parse` makes the one MPoly at the end.  A product or a power
-    whose term count could exceed PARSE_MAX_TERMS raises BudgetError before
-    it is expanded.
+    whose term count could exceed PARSE_MAX_TERMS, or whose expansion could
+    take more than _WORK_PER_TERM * PARSE_MAX_TERMS term products, raises
+    BudgetError before it is expanded.
     """
 
     def __init__(self, tokens, field: FieldSpec, names):
@@ -834,15 +877,22 @@ class _Parser:
         return den, acc
 
     def check_product(self, a: dict, b: dict) -> None:
-        """Raise BudgetError when a*b could have more than PARSE_MAX_TERMS
-        terms: at most |a|*|b|, and at most as many as there are monomials
-        of its degree."""
+        """Raise BudgetError when a*b takes more than _WORK_PER_TERM *
+        PARSE_MAX_TERMS term products (|a|*|b|), or could have more than
+        PARSE_MAX_TERMS terms: at most |a|*|b|, and at most as many as there
+        are monomials of its degree."""
         cap = PARSE_MAX_TERMS
-        if len(a) * len(b) > cap and _monomial_bound(
-                (a, b), _degree(a) + _degree(b), self.nvars, cap) > cap:
+        work = len(a) * len(b)
+        if work > cap * _WORK_PER_TERM:
             raise BudgetError(f"a product of a {len(a)}-term and a {len(b)}-term "
-                              f"polynomial could have more than {cap} terms "
-                              f"(the parse budget)")
+                              f"polynomial takes more than {cap * _WORK_PER_TERM} "
+                              f"term products (the parse budget)")
+        if work > cap:
+            n = _used_vars((a, b), self.nvars)
+            if _capped_comb(_degree(a) + _degree(b) + n, n, cap) > cap:
+                raise BudgetError(f"a product of a {len(a)}-term and a {len(b)}-term "
+                                  f"polynomial could have more than {cap} terms "
+                                  f"(the parse budget)")
 
     def factor(self) -> tuple:
         den, base = self.atom()
@@ -858,20 +908,26 @@ class _Parser:
 
     def check_power(self, base: dict, n: int) -> None:
         """Raise BudgetError when base^n could have more than PARSE_MAX_TERMS
-        terms: a power f^d of t terms has at most binom(d + t - 1, t - 1),
-        over F_p for each base-p digit d of n (see `_pow_terms`), and at most
-        as many as there are monomials of its degree."""
-        cap = PARSE_MAX_TERMS
-        t = len(base)
-        bound, m = 1, n
-        while m and bound <= cap:
-            m, d = divmod(m, self.p) if self.p else (0, m)
-            if d:
-                bound *= _capped_comb(d + t - 1, t - 1, cap)
-        if bound > cap and _monomial_bound((base,), n * _degree(base), self.nvars,
-                                           cap) > cap:
+        terms, or `_pow_terms` could take more than _WORK_PER_TERM *
+        PARSE_MAX_TERMS term products to expand it (see `_power_bounds`)."""
+        cap, t, p = PARSE_MAX_TERMS, len(base), self.p
+        if t < 2:
+            return      # a monomial's power takes no product
+        digits, m = [], n
+        while m:
+            m, d = divmod(m, p) if p else (0, m)
+            digits.append(d)
+        terms, work = _power_bounds(t, digits, p, cap)
+        if terms > cap or work > cap * _WORK_PER_TERM:
+            # over on the multiset counts alone: bound by the monomials too
+            terms, work = _power_bounds(t, digits, p, cap, _degree(base),
+                                        _used_vars((base,), self.nvars))
+        if terms > cap:
             raise BudgetError(f"the power ^{n} of a {t}-term polynomial could have more "
                               f"than {cap} terms (the parse budget)")
+        if work > cap * _WORK_PER_TERM:
+            raise BudgetError(f"the power ^{n} of a {t}-term polynomial takes more "
+                              f"than {cap * _WORK_PER_TERM} term products (the parse budget)")
 
     def atom(self) -> tuple:
         kind, val = self.take()

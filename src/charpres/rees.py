@@ -12,7 +12,6 @@ singular everywhere), which is what an absent elimination part degenerates to.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Iterable
 
 from .errors import BudgetError, InvariantError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
-                   _numerators, order_at)
+                   _primitive_terms, order_at)
 
 
 @dataclass(frozen=True)
@@ -123,17 +122,13 @@ def _support_indices(f: MPoly, max_total: int) -> list:
 def _monic_key(f: MPoly, n: int) -> tuple:
     """(weight, normalized terms): equal exactly for generators of one weight
     that differ by a nonzero scalar.  Over F_p the terms are scaled to
-    leading coefficient 1; over Q they are the primitive integer vector with
-    a positive leading entry, which hashes without Fractions."""
+    leading coefficient 1; over Q they are `poly._primitive_terms`, which
+    hash without Fractions."""
     field = f.field
     if field.characteristic:
         inv = field.inv(f.terms[0][1])
         return n, tuple((e, field.mul(c, inv)) for e, c in f.terms)
-    _, nums = _numerators(f.terms)
-    g = math.gcd(*[c for _, c in nums])
-    if nums[0][1] < 0:
-        g = -g
-    return n, tuple((e, c // g) for e, c in nums)
+    return n, _primitive_terms(f.terms)
 
 
 def _saturate(alg: ReesAlg) -> ReesAlg:

@@ -97,6 +97,15 @@ def test_parse_budget():
     assert len(parse_poly("(x+y+z+1)^117649", FieldSpec(7), "xyz").terms) == 4
     with pytest.raises(BudgetError, match=r"power \^728 of a 4-term"):
         parse_poly("(x+y+z+1)^728", F3, "xyz")
+    # the work is bounded too: (x+1)^99999 has 100000 terms, but forming it
+    # takes sum 2 * (i + 1) for i < 99999, about 10^10 term products
+    with pytest.raises(BudgetError, match=r"\^99999 of a 2-term .* 1000000 term products"):
+        parse_poly("(x+1)^99999", Q, "x")
+    assert len(parse_poly("(x+1)^99999", FieldSpec(2), "x").terms) == 2 ** 10
+    # and a product's by |a|*|b|, although 2047 monomials bound its terms
+    with pytest.raises(BudgetError, match="1024-term and a 1024-term .* term products"):
+        parse_poly("(x+1)^1023*(x+1)^1023", FieldSpec(2), "x")
+    assert len(parse_poly("(x+1)^1023*(x+1)^511", FieldSpec(2), "x").terms) == 2 ** 9
     assert poly_mod.PARSE_MAX_TERMS == 10 ** 5
 
 

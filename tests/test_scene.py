@@ -117,6 +117,9 @@ def test_parse_minimal():
     # a polynomial over the parse budget fails at its line before it expands
     (lambda s: s.replace("elim: x^3 W^2", "elim: (x*y + x + y + 1)^728 W^2"),
      "the power ^728 of a 4-term polynomial could have more than 100000 terms", 10),
+    (lambda s: s.replace("elim: x^3 W^2", "elim: (x + 1)^2186*(x + 1)^2186 W^2"),
+     "a product of a 2187-term and a 2187-term polynomial takes more than 1000000 "
+     "term products", 10),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, capsys):
     with pytest.raises(SceneParseError) as err:
