@@ -806,8 +806,9 @@ class _Parser:
     """Recursive-descent parser for `+ - * ^` expressions over named variables.
 
     Division is not an operator; rational literals like 3/2 are single
-    coefficient tokens.  Implicit multiplication is rejected by construction
-    (two adjacent atoms never parse).  Every subexpression evaluates to
+    coefficient tokens.  A minus sign binds looser than ^ everywhere: -x^2
+    and 2*-x^2 both negate x^2.  Implicit multiplication is rejected by
+    construction (two adjacent atoms never parse).  Every subexpression evaluates to
     (den, terms): a term dict {exponents: int} without zeros, reduced over
     F_p, and a denominator den >= 1 that divides it over Q (den = 1 over
     F_p).  `parse` makes the one MPoly at the end.  A product or a power
@@ -895,6 +896,10 @@ class _Parser:
                                   f"(the parse budget)")
 
     def factor(self) -> tuple:
+        if self.peek() == ("op", "-"):
+            self.take()
+            den, d = self.factor()
+            return den, self.neg(d)
         den, base = self.atom()
         while self.peek() == ("op", "^"):
             self.take()
@@ -902,15 +907,23 @@ class _Parser:
             if kind != "num" or val.denominator != 1 or val < 0:
                 raise PolyParseError("exponent must be a non-negative integer")
             n = int(val)
-            self.check_power(base, n)
+            self.check_power(den, base, n)
             den, base = den ** n, _pow_terms(base.items(), n, self.p, self.nvars)
         return den, base
 
-    def check_power(self, base: dict, n: int) -> None:
+    def check_power(self, den: int, base: dict, n: int) -> None:
         """Raise BudgetError when base^n could have more than PARSE_MAX_TERMS
         terms, or `_pow_terms` could take more than _WORK_PER_TERM *
-        PARSE_MAX_TERMS term products to expand it (see `_power_bounds`)."""
+        PARSE_MAX_TERMS term products to expand it (see `_power_bounds`).
+        Over Q, also when n times the bit length of the largest numerator or
+        denominator above 1 exceeds _WORK_PER_TERM * PARSE_MAX_TERMS: the
+        coefficients of the power grow to about that many bits."""
         cap, t, p = PARSE_MAX_TERMS, len(base), self.p
+        big = 0 if p else max(max(map(abs, base.values()), default=0), den)
+        if big > 1 and n * big.bit_length() > cap * _WORK_PER_TERM:
+            raise BudgetError(f"the power ^{n} of a polynomial with {big.bit_length()}-bit "
+                              f"coefficients builds coefficients of more than "
+                              f"{cap * _WORK_PER_TERM} bits (the parse budget)")
         if t < 2:
             return      # a monomial's power takes no product
         digits, m = [], n
@@ -948,9 +961,6 @@ class _Parser:
             if self.take() != ("op", ")"):
                 raise PolyParseError("missing closing parenthesis")
             return inner
-        if (kind, val) == ("op", "-"):
-            den, d = self.atom()
-            return den, self.neg(d)
         raise PolyParseError(f"unexpected token {val!r}")
 
 

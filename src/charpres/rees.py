@@ -12,6 +12,8 @@ singular everywhere), which is what an absent elimination part degenerates to.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -179,49 +181,52 @@ def diff_saturate(alg: ReesAlg) -> ReesAlg:
 # -- exact linear algebra over the base field ----------------------------------
 
 
-def rref(rows, field: FieldSpec):
-    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns).
+def _subtract_multiple(row: dict, a, other: dict, p: int) -> None:
+    """row -= a * other in place, dropping the cells that become zero."""
+    get = row.get
+    for j, y in other.items():
+        x = (get(j, 0) - a * y) % p if p else get(j, 0) - a * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
-    Entries are field elements.  Over F_p they are plain ints in range(p),
-    and a row operation reduces each cell it writes once, with no FieldSpec
-    call; over Q they are Fractions.  A row operation touches only the
-    columns from the pivot on: the pivot row is zero left of it.
+
+def rref(rows, field: FieldSpec):
+    """Reduced row echelon form of sparse rows; returns (reduced nonzero
+    rows, pivot columns ascending).
+
+    A row is a dict {column: nonzero entry}; entries are field elements,
+    plain ints in range(p) over F_p and Fractions over Q.  Incremental
+    Gauss-Jordan: each row in turn is cleared on the pivot columns found so
+    far, and what is left, scaled to a leading 1, clears its leading column
+    from the earlier pivot rows.  The pivot rows are zero on every other
+    pivot column, so clearing touches only the cells a row holds, and a
+    pivot row that is its leading 1 alone holds no column to clear: the
+    cost follows the nonzeros rather than rows times columns.
     """
     p = field.characteristic
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if mat[i][c]:
-                break
-        else:
+    basis = {}      # pivot column -> reduced row
+    wide = []       # the pivot rows with more than one entry
+    for given in rows:
+        row = dict(given)
+        for c in [c for c in row if c in basis]:
+            _subtract_multiple(row, row[c], basis[c], p)
+        if not row:
             continue
-        mat[r], mat[i] = mat[i], mat[r]
-        head = mat[r]
-        if p:
-            inv = pow(head[c], -1, p)
-            tail = [x * inv % p for x in head[c:]]
-        else:
-            inv = Fraction(1) / head[c]
-            tail = [x * inv for x in head[c:]]
-        mat[r] = head[:c] + tail
-        for i in range(nrows):
-            row = mat[i]
-            factor = row[c]
-            if i == r or not factor:
-                continue
-            if p:
-                mat[i] = row[:c] + [(x - factor * y) % p for x, y in zip(row[c:], tail)]
-            else:
-                mat[i] = row[:c] + [x - factor * y for x, y in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+        lead = min(row)
+        a = row[lead]
+        if a != 1:
+            inv = pow(a, -1, p) if p else Fraction(1) / a
+            row = {j: x * inv % p if p else x * inv for j, x in row.items()}
+        for other in wide:
+            if lead in other:
+                _subtract_multiple(other, other[lead], row, p)
+        basis[lead] = row
+        if len(row) > 1:
+            wide.append(row)
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 # -- tau: codimension of the vertex space of the tangent cone ------------------
@@ -236,47 +241,36 @@ class TangentData:
     initial_forms: tuple      # the degree-matching initial forms of the saturation
 
 
-def _monomials_of_degree(nvars: int, deg: int):
-    if deg == 0:
-        yield (0,) * nvars
-        return
-    for cut in itertools.combinations_with_replacement(range(nvars), deg):
-        exps = [0] * nvars
-        for i in cut:
-            exps[i] += 1
-        yield tuple(exps)
-
-
 def _additive_forms_in_degree(forms, degree: int, field: FieldSpec, nvars: int):
     """Additive forms sum(c_i x_i^degree) inside the degree-`degree` graded
     piece of the ideal generated by the given homogeneous forms.
 
-    Returns a list of coefficient vectors c spanning them.  The graded piece
-    is spanned by the monomial multiples of the forms, one row each, over the
-    degree-`degree` monomials with the pure powers x_i^degree as the last
-    nvars columns.  After one rref, the rows whose pivot lies in that last
+    Returns a list of sparse coefficient vectors {i: c_i} spanning them.  The
+    graded piece is spanned by the monomial multiples of the forms, one
+    sparse row each.  A monomial of degree at most `degree` is packed into
+    the int sum(e_i * (degree + 1)^i), so a product of monomials is a sum of
+    ints.  A monomial gets its column the first time it appears, and the
+    pure power x_i^degree gets column first + i, after every other monomial
+    of the degree.  After one rref, the rows whose pivot lies in that last
     block are zero outside it and span the additive forms of the piece.
     """
-    pure = [tuple(degree if i == j else 0 for i in range(nvars)) for j in range(nvars)]
-    pure_set = set(pure)
-    columns = [m for m in _monomials_of_degree(nvars, degree) if m not in pure_set] + pure
-    index = {m: k for k, m in enumerate(columns)}
-    ncols = len(columns)
+    weights = [(degree + 1) ** i for i in range(nvars)]
+    first = math.comb(degree + nvars - 1, nvars - 1) - nvars
+    index = {degree * w: first + i for i, w in enumerate(weights)}
+    column = index.setdefault
     rows = []
     for f in forms:
         d = f.total_degree()
-        if d > degree or d < 0:
+        if d > degree:
             continue
-        for m in _monomials_of_degree(nvars, degree - d):
-            row = [0] * ncols
-            for e, c in f.terms:
-                row[index[tuple(a + b for a, b in zip(e, m))]] = c
-            rows.append(row)
+        terms = [(sum(map(operator.mul, e, weights)), c) for e, c in f.terms]
+        for m in map(sum, itertools.combinations_with_replacement(weights, degree - d)):
+            rows.append({column(m + e, len(index) - nvars): c for e, c in terms})
     if not rows:
         return []
     reduced, pivots = rref(rows, field)
-    first = ncols - nvars
-    return [row[first:] for row, c in zip(reduced, pivots) if c >= first]
+    return [{j - first: c for j, c in row.items()}
+            for row, c in zip(reduced, pivots) if c >= first]
 
 
 def _tangent_forms(sat: ReesAlg, pt: ClosedPoint) -> list:

@@ -9,8 +9,8 @@ coefficient_elim, a way to build test input.
 import itertools
 from fractions import Fraction
 
-from charpres.poly import MPoly, monic_coefficients
-from charpres.rees import ReesAlg, rref
+from charpres.poly import FieldSpec, MPoly, monic_coefficients
+from charpres.rees import ReesAlg
 
 
 def evaluate(f: MPoly, values):
@@ -95,6 +95,33 @@ def coefficient_elim(f: MPoly, z_index: int) -> ReesAlg:
     return ReesAlg.make(f.field, f.nvars, gens)
 
 
+def reference_rref(rows, field: FieldSpec):
+    """Reduced row echelon form of dense rows (lists of field elements),
+    by row reduction through the FieldSpec operations; returns (reduced
+    nonzero rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(x, inv) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [field.add(x, field.neg(field.mul(factor, y)))
+                          for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
 def quadratic_rank(f: MPoly) -> int:
     """Rank of a quadratic form over Q (Gram matrix rank); oracle for tau in
     characteristic 0 on single-quadric algebras."""
@@ -111,5 +138,5 @@ def quadratic_rank(f: MPoly) -> int:
             gram[i][i] = Fraction(c)
         else:
             gram[i][j] = gram[j][i] = Fraction(c) / 2
-    reduced, _ = rref(gram, f.field)
+    reduced, _ = reference_rref(gram, f.field)
     return len(reduced)

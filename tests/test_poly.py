@@ -106,6 +106,15 @@ def test_parse_budget():
     with pytest.raises(BudgetError, match="1024-term and a 1024-term .* term products"):
         parse_poly("(x+1)^1023*(x+1)^1023", FieldSpec(2), "x")
     assert len(parse_poly("(x+1)^1023*(x+1)^511", FieldSpec(2), "x").terms) == 2 ** 9
+    # over Q a power's coefficients are bounded too, by n times their bit
+    # length; a coefficient 1 does not grow, and over F_p none does
+    with pytest.raises(BudgetError, match=r"\^100000000 of a polynomial with 2-bit"):
+        parse_poly("(2*x)^100000000", Q, "x")
+    with pytest.raises(BudgetError, match=r"\^1000000 of a polynomial with 2-bit"):
+        parse_poly("(1/3*x)^1000000", Q, "x")
+    assert parse_poly("(-x)^100000000", Q, "x").terms == (((10 ** 8,), 1),)
+    assert parse_poly("(2*x)^100000000", F3, "x").terms == (((10 ** 8,), 1),)
+    assert parse_poly("(2*x)^500000", Q, "x").terms == (((500000,), 2 ** 500000),)
     assert poly_mod.PARSE_MAX_TERMS == 10 ** 5
 
 

@@ -17,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.blowup import Center, blow_up_poly  # noqa: E402
 from charpres.errors import PermissibilityError  # noqa: E402
@@ -181,23 +181,22 @@ def _leaves(p):
 
 @st.composite
 def _atoms(draw, p, depth):
-    kind = draw(st.sampled_from(("leaf", "neg", "paren") if depth else ("leaf", "neg")))
-    if kind == "leaf":
-        return draw(_leaves(p))
-    if kind == "neg":
-        text, expr, size = draw(_atoms(p, depth))
-        return "-" + text, -expr, size
-    text, expr, size = draw(_expressions(p, depth - 1))
-    return "(%s)" % text, expr, size
+    if depth and draw(st.booleans()):
+        text, expr, size = draw(_expressions(p, depth - 1))
+        return "(%s)" % text, expr, size
+    return draw(_leaves(p))
 
 
 @st.composite
 def _factors(draw, p, depth):
     """An atom raised to zero, one or two exponents in a row (^ is left
-    associative).  A negated atom takes no exponent: at the head of an
-    expression its minus sign belongs to the whole term."""
+    associative), or a negated factor: its minus sign applies after the
+    powers, as at the head of an expression."""
+    if draw(st.integers(0, 2)) == 0:
+        text, expr, size = draw(_factors(p, depth))
+        return "-" + text, -expr, size
     text, expr, size = draw(_atoms(p, depth))
-    for _ in range(0 if text.startswith("-") else draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 2))):
         k = draw(_exponents(p))
         bound = math.comb(k + size - 1, size - 1) if size else 0
         if bound > MAX_TERMS:
@@ -225,10 +224,13 @@ def _expressions(draw, p, depth):
 
 
 @PROPS
-@given(st.data())
-def test_parse_poly_matches_sympy_expand(data):
-    p = data.draw(st.sampled_from(CHARACTERISTICS))
-    text, expr, _ = data.draw(_expressions(p, 2))
+@given(st.sampled_from(CHARACTERISTICS).flatmap(
+    lambda p: _expressions(p, 2).map(lambda t: (p, t[0], t[1]))))
+@example((0, "2*-x^2", -2 * sympy.Symbol("x") ** 2))
+@example((3, "-x^2*-y - -(x)^2", sympy.Symbol("x") ** 2 * sympy.Symbol("y")
+          + sympy.Symbol("x") ** 2))
+def test_parse_poly_matches_sympy_expand(case):
+    p, text, expr = case
     field = FieldSpec(p)
     # expanded over Q; its coefficients have denominators prime to p, so
     # reducing them mod p is the expansion over F_p

@@ -7,10 +7,11 @@ computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  Its generators are
 also checked one for one against the saturation along every multi-index
 (`oracles.saturate_all_alpha`), and their translates, H^alpha of a parent's
 translate for a derivative, against the Taylor shift.  The one-elimination
-additive forms behind `tau_at` and the mod-p `rref` are checked against the
-field-generic elimination, reduction and null-space steps they replaced, also
-kept here as the reference only.  The tests skip when sympy or hypothesis is
-not installed; neither is a runtime dependency.
+additive forms behind `tau_at` and the sparse `rref` are checked against the
+field-generic dense elimination (`oracles.reference_rref`) and the reduction
+and null-space steps they replaced, kept here as the reference only.  The
+tests skip when sympy or hypothesis is not installed; neither is a runtime
+dependency.
 """
 
 import itertools
@@ -24,10 +25,10 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from hypothesis import example, given, settings  # noqa: E402
 
-from charpres.poly import ClosedPoint, FieldSpec, MPoly  # noqa: E402
+from charpres.poly import ClosedPoint, FieldSpec, MPoly, parse_poly  # noqa: E402
 from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
                            diff_saturate, rref, sing_member, tau_at)
-from oracles import saturate_all_alpha  # noqa: E402
+from oracles import reference_rref, saturate_all_alpha  # noqa: E402
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -212,32 +213,7 @@ def test_sing_member_and_tau_agree_at_closed_points(case):
     assert [to_sympy(g).as_dict() for g in td.initial_forms] == expected_forms
 
 
-# -- tau: one elimination per graded piece, and the mod-p rref -----------------
-
-
-def reference_rref(rows, field: FieldSpec):
-    """The reference: row reduction through the FieldSpec operations."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(x, inv) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [field.add(x, field.neg(field.mul(factor, y)))
-                          for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+# -- tau: one elimination per graded piece, and the sparse rref ----------------
 
 
 def reference_reduce_against(vec, basis, pivots, field: FieldSpec):
@@ -311,6 +287,22 @@ def graded_degrees(forms, p):
     return out
 
 
+def dense(rows, ncols, field):
+    """Sparse {column: entry} rows as lists of ncols field elements."""
+    out = []
+    for row in rows:
+        vec = [field.zero] * ncols
+        for j, c in row.items():
+            vec[j] = c
+        out.append(vec)
+    return out
+
+
+def sparse(rows):
+    """Dense rows as {column: entry} dicts of their nonzero entries."""
+    return [{j: c for j, c in enumerate(row) if c != 0} for row in rows]
+
+
 def row_space(vectors, field):
     return reference_rref(vectors, field) if vectors else ([], [])
 
@@ -324,7 +316,7 @@ def test_tau_and_vertex_forms_match_the_reference(case):
     forms = list(td.initial_forms)
     vectors = []
     for deg in graded_degrees(forms, field.characteristic):
-        got = _additive_forms_in_degree(forms, deg, field, nvars)
+        got = dense(_additive_forms_in_degree(forms, deg, field, nvars), nvars, field)
         ref = reference_additive_forms(forms, deg, field, nvars)
         # the same subspace: a reduced echelon basis is unique
         assert row_space(got, field) == row_space(ref, field)
@@ -358,11 +350,24 @@ def graded_pieces(draw):
 @given(graded_pieces())
 def test_additive_forms_span_the_reference_space(case):
     field, nvars, degree, forms = case
-    got = _additive_forms_in_degree(forms, degree, field, nvars)
+    got = dense(_additive_forms_in_degree(forms, degree, field, nvars), nvars, field)
     ref = reference_additive_forms(forms, degree, field, nvars)
     assert row_space(got, field) == row_space(ref, field)
     # the rows returned are independent
     assert len(row_space(got, field)[0]) == len(got)
+
+
+def test_additive_forms_of_an_analyze_sized_piece():
+    """The degree-8 piece of an F_2 tangent cone in 4 variables that the
+    `analyze` benchmark workload meets: 106 multiples over 165 monomials."""
+    field = FieldSpec(2)
+    names = ["x", "y", "z", "w"]
+    forms = [parse_poly(t, field, names) for t in ("y^4", "x^4", "w^4", "x^4*y^4 + z^8")]
+    got = _additive_forms_in_degree(forms, 8, field, 4)
+    ref = reference_additive_forms(forms, 8, field, 4)
+    assert row_space(dense(got, 4, field), field) == row_space(ref, field)
+    # x^8, y^8, w^8, and z^8 = (x^4*y^4 + z^8) - x^4 * y^4
+    assert len(got) == 4
 
 
 def fraction_rref_mod_p(rows, p):
@@ -401,16 +406,57 @@ def matrices(draw):
 def test_mod_p_rref_matches_the_fraction_elimination(case):
     p, rows = case
     field = FieldSpec(p)
-    got = rref(rows, field)
+    reduced, pivots = rref(sparse(rows), field)
+    got = dense(reduced, len(rows[0]), field), pivots
     assert got == fraction_rref_mod_p(rows, p)
     assert got == reference_rref(rows, field)
-    reduced, pivots = got
-    assert all(0 <= x < p and isinstance(x, int) for row in reduced for x in row)
-    assert [row[c] for row, c in zip(reduced, pivots)] == [1] * len(pivots)
+    assert all(0 < x < p and isinstance(x, int) for row in reduced for x in row.values())
 
 
 @PROPS
 @given(st.lists(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
                          min_size=4, max_size=4), min_size=1, max_size=6))
 def test_rational_rref_matches_the_reference(rows):
-    assert rref(rows, FieldSpec(0)) == reference_rref(rows, FieldSpec(0))
+    reduced, pivots = rref(sparse(rows), FieldSpec(0))
+    assert (dense(reduced, 4, FieldSpec(0)), pivots) == reference_rref(rows, FieldSpec(0))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows over F_2-F_7 or Q, with zero rows, repeated rows and
+    single-entry rows drawn often, and the empty list of rows."""
+    field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
+    p = field.characteristic
+    ncols = draw(st.integers(1, 8))
+    nonzero = _coeffs(p).filter(lambda c: c != 0)
+    cols = st.integers(0, ncols - 1)
+    rows = draw(st.lists(st.one_of(st.just({}),
+                                   st.dictionaries(cols, nonzero, min_size=1, max_size=1),
+                                   st.dictionaries(cols, nonzero, max_size=ncols)),
+                         max_size=8))
+    if rows and draw(st.booleans()):
+        rows += [dict(r) for r in draw(st.lists(st.sampled_from(rows), max_size=3))]
+    return field, ncols, rows
+
+
+@PROPS
+@given(sparse_matrices())
+@example((FieldSpec(3), 3, []))
+@example((FieldSpec(0), 3, [{}, {1: Fraction(2)}, {1: Fraction(2)}, {0: Fraction(-1), 2: Fraction(1, 3)}]))
+def test_sparse_rref_is_reduced_and_matches_the_reference(case):
+    field, ncols, rows = case
+    given_rows = [dict(r) for r in rows]
+    reduced, pivots = rref(rows, field)
+    assert rows == given_rows                      # the input is left as it was
+    assert pivots == sorted(set(pivots))           # strictly increasing
+    for row, c in zip(reduced, pivots):
+        assert min(row) == c and row[c] == 1       # a leading 1
+        assert all(x != 0 for x in row.values())   # no stored zeros
+        if field.characteristic:
+            assert all(isinstance(x, int) and 0 < x < field.characteristic
+                       for x in row.values())
+        else:
+            assert all(type(x) is Fraction for x in row.values())
+    for row, c in zip(reduced, pivots):            # pivot columns hold one entry
+        assert all(c not in other for other in reduced if other is not row)
+    assert (dense(reduced, ncols, field), pivots) == row_space(dense(rows, ncols, field), field)

@@ -120,6 +120,11 @@ def test_parse_minimal():
     (lambda s: s.replace("elim: x^3 W^2", "elim: (x + 1)^2186*(x + 1)^2186 W^2"),
      "a product of a 2187-term and a 2187-term polynomial takes more than 1000000 "
      "term products", 10),
+    # over Q, a power whose coefficient would grow past the bit budget
+    (lambda s: s.replace("characteristic: 3", "characteristic: 0")
+                .replace("elim: x^3 W^2", "elim: (2*x)^100000000 W^2"),
+     "the power ^100000000 of a polynomial with 2-bit coefficients builds coefficients "
+     "of more than 1000000 bits", 10),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, capsys):
     with pytest.raises(SceneParseError) as err:
