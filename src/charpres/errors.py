@@ -60,7 +60,8 @@ class NonMonomialElimError(CharpresError):
 
 
 class BudgetError(CharpresError):
-    """Raised before a computation whose size exceeds a fixed budget starts."""
+    """Raised before the step of a computation that would take it past a
+    fixed budget."""
 
 
 class TrackingError(CharpresError):

@@ -59,13 +59,6 @@ class MonomialAlg:
                                          if lab in keep))
 
 
-def _lcm(nums) -> int:
-    out = 1
-    for n in nums:
-        out = out * n // math.gcd(out, n)
-    return out
-
-
 def track_monomial(tower: Tower) -> MonomialAlg:
     """Attach the monomial algebra of a presentation tower: the divisor born
     at step i carries exponent h_i/s = hord(state before step i at the
@@ -87,7 +80,7 @@ def track_monomial(tower: Tower) -> MonomialAlg:
             raise TrackingError("center with H-order below 1 is impermissible")
         values.append(q - 1)
         labels.append(st.chart.divisors[-1][0])
-    s = _lcm([v.denominator for v in values]) if values else 1
+    s = math.lcm(*[v.denominator for v in values])
     exps = tuple((lab, int(v * s)) for lab, v in zip(labels, values))
     return MonomialAlg(s, exps).reduced()
 

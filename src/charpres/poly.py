@@ -27,9 +27,9 @@ from .errors import BudgetError, NotMonicError, PolyParseError
 # float("inf") is used strictly for comparisons and never serialized as-is.
 INF = float("inf")
 
-# parse_poly raises BudgetError before a product or power that could have
-# more terms than this, or could take more than _WORK_PER_TERM times as many
-# term products to expand
+# parse_poly raises BudgetError before a product or sum that could have more
+# terms than this, and before a product that would take the polynomial's term
+# products past _WORK_PER_TERM times as many
 PARSE_MAX_TERMS = 10 ** 5
 _WORK_PER_TERM = 10
 
@@ -38,13 +38,25 @@ Exps = tuple  # tuple[int, ...]
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 primes as bases: exact for n below
+    3.1 * 10^23 (Sorenson and Webster 2015), so for every n below 2^64."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % a == 0:
+            return n == a
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -56,6 +68,8 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= 2 ** 64:
+            raise ValueError(f"characteristic must be below 2^64, got {p}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
@@ -244,8 +258,9 @@ class MPoly:
         """The n-th power by `_pow_terms`, by Frobenius over F_p."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return MPoly._from_terms(self.field, self.nvars, _pow_terms(
-            self.terms, n, self.field.characteristic, self.nvars).items(), 1)
+        p = self.field.characteristic
+        d = _pow_terms(self.terms, n, p, self.nvars, lambda a, b: _clean(_mul_terms(a, b), p))
+        return MPoly._from_terms(self.field, self.nvars, d.items(), 1)
 
     def scale(self, c) -> "MPoly":
         f = self.field
@@ -525,14 +540,15 @@ def _clean(d: dict, p: int) -> dict:
     return {e: c for e, c in d.items() if c}
 
 
-def _pow_terms(terms, n: int, p: int, nvars: int) -> dict:
+def _pow_terms(terms, n: int, p: int, nvars: int, mul) -> dict:
     """The n-th power of a term list over Z (p = 0) or F_p, as a clean dict.
 
     Each power f^d is formed by d - 1 products with the sparse base.  Over
     F_p the exponent is split in base p first, n = sum d_k p^k: then f^n is
     the product of the (f^(d_k))^(p^k), and (f^d)^(p^k) is f^d with every
     exponent scaled by p^k, because c^p = c on F_p.  So only powers below p
-    are multiplied out.
+    are multiplied out.  Every product goes through `mul(a, b)`, the clean
+    product of two term lists, which the caller may meter.
     """
     terms = list(terms)
     if n == 0:
@@ -547,11 +563,11 @@ def _pow_terms(terms, n: int, p: int, nvars: int) -> dict:
         n, d = divmod(n, p) if p else (0, n)
         if d:
             while len(powers) <= d:
-                powers.append(_clean(_mul_terms(powers[-1].items(), terms), p))
+                powers.append(mul(powers[-1].items(), terms))
             g = powers[d]
             if q > 1:
                 g = {tuple(k * q for k in e): c for e, c in g.items()}
-            out = g if out is None else _clean(_mul_terms(out.items(), g.items()), p)
+            out = g if out is None else mul(out.items(), g.items())
         q *= p
     return out
 
@@ -751,55 +767,13 @@ def _capped_comb(m: int, r: int, cap: int) -> int:
     return out
 
 
-def _used_vars(dicts, nvars: int) -> int:
-    """The number of variables that the term dicts use: there are
-    binom(D + n, n) monomials of total degree at most D in n variables."""
-    return sum(1 for i in range(nvars) if any(e[i] for d in dicts for e in d))
-
-
-def _degree(d: dict) -> int:
-    return max(map(sum, d), default=0)
-
-
-def _power_bounds(t: int, digits, p: int, cap: int, deg: int = 0, nv=None) -> tuple:
-    """(terms, work): bounds on the terms of f^n, f of t >= 2 terms and n
-    of the base-p digits `digits` (p = 0: the one digit n), and on the term
-    products `_pow_terms` takes to form it.
-
-    f^d has at most binom(d + t - 1, t - 1) terms, and with nv given at
-    most binom(d * deg + nv, nv), the monomials of its degree, f being of
-    degree deg in nv variables.  Forming f^2, ..., f^d takes |f^i| * t
-    products for each i < d, and the products of the digit powers count
-    too.  The bounds stop growing once past `cap` terms or
-    _WORK_PER_TERM * cap products.
-    """
-    limit = cap * _WORK_PER_TERM
-
-    def size(d, degree):
-        s = _capped_comb(d + t - 1, t - 1, cap)
-        return s if nv is None else min(s, _capped_comb(degree + nv, nv, cap))
-
-    work = 0
-    for i in range(1, max(digits, default=0)):   # |f^i| >= i + 1: few steps
-        work += size(i, i * deg) * t
-        if work > limit:
-            break
-    terms, done, q = 0, 0, 1
-    for d in digits:
-        if d:
-            done += d * q
-            s = size(d, d * deg)
-            if terms:
-                work += terms * s
-                terms *= s
-                if nv is not None:
-                    terms = min(terms, _capped_comb(done * deg + nv, nv, cap))
-            else:
-                terms = s
-            if terms > cap or work > limit:
-                break
-        q *= p
-    return terms, work
+def _monomial_count(a, b, nvars: int, cap: int) -> int:
+    """min(cap + 1, the number of monomials that a product of the term lists
+    a and b can hold): binom(D + n, n), D the sum of their total degrees and
+    n the number of variables they use."""
+    deg = sum(max((sum(e) for e, _ in t), default=0) for t in (a, b))
+    n = sum(1 for i in range(nvars) if any(e[i] for t in (a, b) for e, _ in t))
+    return _capped_comb(deg + n, n, cap)
 
 
 class _Parser:
@@ -811,10 +785,10 @@ class _Parser:
     construction (two adjacent atoms never parse).  Every subexpression evaluates to
     (den, terms): a term dict {exponents: int} without zeros, reduced over
     F_p, and a denominator den >= 1 that divides it over Q (den = 1 over
-    F_p).  `parse` makes the one MPoly at the end.  A product or a power
-    whose term count could exceed PARSE_MAX_TERMS, or whose expansion could
-    take more than _WORK_PER_TERM * PARSE_MAX_TERMS term products, raises
-    BudgetError before it is expanded.
+    F_p).  `parse` makes the one MPoly at the end.  Every product, of `*`
+    or inside `^`, goes through `product`, which meters the term products
+    of the whole polynomial; a sum raises BudgetError once it has more than
+    PARSE_MAX_TERMS terms.
     """
 
     def __init__(self, tokens, field: FieldSpec, names):
@@ -824,6 +798,7 @@ class _Parser:
         self.p = field.characteristic
         self.names = list(names)
         self.nvars = len(self.names)
+        self.work = 0   # term products taken so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -866,6 +841,9 @@ class _Parser:
                 den = lcm
             for e, c in rhs.items():
                 acc[e] = get(e, 0) + sign * c
+            if len(acc) > PARSE_MAX_TERMS:
+                raise BudgetError(f"a sum has more than {PARSE_MAX_TERMS} terms "
+                                  f"(the parse budget)")
         return den, _clean(acc, self.p)
 
     def term(self) -> tuple:
@@ -873,27 +851,27 @@ class _Parser:
         while self.peek() == ("op", "*"):
             self.take()
             d, rhs = self.factor()
-            self.check_product(acc, rhs)
-            den, acc = den * d, _clean(_mul_terms(acc.items(), rhs.items()), self.p)
+            den, acc = den * d, self.product(acc.items(), rhs.items())
         return den, acc
 
-    def check_product(self, a: dict, b: dict) -> None:
-        """Raise BudgetError when a*b takes more than _WORK_PER_TERM *
-        PARSE_MAX_TERMS term products (|a|*|b|), or could have more than
-        PARSE_MAX_TERMS terms: at most |a|*|b|, and at most as many as there
-        are monomials of its degree."""
-        cap = PARSE_MAX_TERMS
-        work = len(a) * len(b)
-        if work > cap * _WORK_PER_TERM:
-            raise BudgetError(f"a product of a {len(a)}-term and a {len(b)}-term "
-                              f"polynomial takes more than {cap * _WORK_PER_TERM} "
-                              f"term products (the parse budget)")
-        if work > cap:
-            n = _used_vars((a, b), self.nvars)
-            if _capped_comb(_degree(a) + _degree(b) + n, n, cap) > cap:
-                raise BudgetError(f"a product of a {len(a)}-term and a {len(b)}-term "
-                                  f"polynomial could have more than {cap} terms "
-                                  f"(the parse budget)")
+    def product(self, a, b, op: Optional[str] = None) -> dict:
+        """The clean product of the term lists a and b.  Raises BudgetError
+        before it when it could have more than PARSE_MAX_TERMS terms (at most
+        |a|*|b|, and at most as many as there are monomials of its degree),
+        or when its |a|*|b| term products take the polynomial's total past
+        _WORK_PER_TERM * PARSE_MAX_TERMS.  `op` names the operation in the
+        message; by default it is this product."""
+        cap, size = PARSE_MAX_TERMS, len(a) * len(b)
+        if size > cap and _monomial_count(a, b, self.nvars, cap) > cap:
+            over = f"could have more than {cap} terms"
+        else:
+            self.work += size
+            if self.work <= cap * _WORK_PER_TERM:
+                return _clean(_mul_terms(a, b), self.p)
+            over = (f"takes more than {cap * _WORK_PER_TERM} term products, counting "
+                    f"those before it in the polynomial")
+        op = op or f"a product of a {len(a)}-term and a {len(b)}-term polynomial"
+        raise BudgetError(f"{op} {over} (the parse budget)")
 
     def factor(self) -> tuple:
         if self.peek() == ("op", "-"):
@@ -907,40 +885,19 @@ class _Parser:
             if kind != "num" or val.denominator != 1 or val < 0:
                 raise PolyParseError("exponent must be a non-negative integer")
             n = int(val)
-            self.check_power(den, base, n)
-            den, base = den ** n, _pow_terms(base.items(), n, self.p, self.nvars)
+            # over Q the coefficients of base^n grow to about n times the bit
+            # length of the largest numerator or denominator above 1
+            big = 0 if self.p else max(max(map(abs, base.values()), default=0), den)
+            limit = PARSE_MAX_TERMS * _WORK_PER_TERM
+            if big > 1 and n * big.bit_length() > limit:
+                raise BudgetError(f"the power ^{n} of a polynomial with {big.bit_length()}-bit "
+                                  f"coefficients builds coefficients of more than "
+                                  f"{limit} bits (the parse budget)")
+            t = len(base)
+            den, base = den ** n, _pow_terms(
+                base.items(), n, self.p, self.nvars,
+                lambda a, b: self.product(a, b, f"the power ^{n} of a {t}-term polynomial"))
         return den, base
-
-    def check_power(self, den: int, base: dict, n: int) -> None:
-        """Raise BudgetError when base^n could have more than PARSE_MAX_TERMS
-        terms, or `_pow_terms` could take more than _WORK_PER_TERM *
-        PARSE_MAX_TERMS term products to expand it (see `_power_bounds`).
-        Over Q, also when n times the bit length of the largest numerator or
-        denominator above 1 exceeds _WORK_PER_TERM * PARSE_MAX_TERMS: the
-        coefficients of the power grow to about that many bits."""
-        cap, t, p = PARSE_MAX_TERMS, len(base), self.p
-        big = 0 if p else max(max(map(abs, base.values()), default=0), den)
-        if big > 1 and n * big.bit_length() > cap * _WORK_PER_TERM:
-            raise BudgetError(f"the power ^{n} of a polynomial with {big.bit_length()}-bit "
-                              f"coefficients builds coefficients of more than "
-                              f"{cap * _WORK_PER_TERM} bits (the parse budget)")
-        if t < 2:
-            return      # a monomial's power takes no product
-        digits, m = [], n
-        while m:
-            m, d = divmod(m, p) if p else (0, m)
-            digits.append(d)
-        terms, work = _power_bounds(t, digits, p, cap)
-        if terms > cap or work > cap * _WORK_PER_TERM:
-            # over on the multiset counts alone: bound by the monomials too
-            terms, work = _power_bounds(t, digits, p, cap, _degree(base),
-                                        _used_vars((base,), self.nvars))
-        if terms > cap:
-            raise BudgetError(f"the power ^{n} of a {t}-term polynomial could have more "
-                              f"than {cap} terms (the parse budget)")
-        if work > cap * _WORK_PER_TERM:
-            raise BudgetError(f"the power ^{n} of a {t}-term polynomial takes more "
-                              f"than {cap * _WORK_PER_TERM} term products (the parse budget)")
 
     def atom(self) -> tuple:
         kind, val = self.take()

@@ -31,6 +31,21 @@ def test_field_validation():
         FieldSpec(4)
     with pytest.raises(ValueError):
         FieldSpec(-3)
+    # Miller-Rabin agrees with trial division, Carmichael numbers (561) and
+    # strong pseudoprimes to the bases up to 23 (3825123056546413051) included
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(3000) if poly_mod._is_prime(n)] == \
+        [n for n in range(3000) if trial(n)]
+    assert not any(map(poly_mod._is_prime, (561, 2047, 3215031751, 3825123056546413051)))
+    # 2^61 - 1 and 2^64 - 59 are prime, 2^61 + 1 is divisible by 3; from
+    # 2^64 on, even a prime such as 2^89 - 1 is refused
+    FieldSpec(2 ** 61 - 1)
+    FieldSpec(2 ** 64 - 59)
+    with pytest.raises(ValueError, match="must be 0 or prime"):
+        FieldSpec(2 ** 61 + 1)
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        FieldSpec(2 ** 89 - 1)
 
 
 def test_field_arithmetic():
@@ -80,8 +95,9 @@ def test_parse_rejections():
 
 
 def test_parse_budget():
-    # a power is bounded by its multiset count binom(k + t - 1, t - 1) before
-    # anything is multiplied: binom(204, 4) is about 7 * 10^7
+    # each product, of * or a step of ^, is metered: forming f^k of f =
+    # x+y+z+w+1 takes 5 * |f^i| term products for each i < k, which passes
+    # 10^6 at k = 28
     with pytest.raises(BudgetError, match=r"power \^200 of a 5-term"):
         parse_poly("(x+y+z+w+1)^200", Q, ("x", "y", "z", "w"))
     f = parse_poly("(x+y+z+1)^30", Q, ("x", "y", "z"))
@@ -92,13 +108,15 @@ def test_parse_budget():
     assert len(g.terms) == math.comb(27, 3)
     with pytest.raises(BudgetError, match="product of a 462-term and a 462-term"):
         parse_poly("(a+b+c+d+e+f+1)^5*(u+v+w+x+y+z+1)^5", Q, "abcdefuvwxyz")
-    # over F_p the count is taken per base-p digit: (x+y+z+1)^(7^6) has 4
-    # terms, and 3^6 - 1 has the six digits 2, so binom(5, 3)^6 = 10^6
+    # over F_p a power multiplies the Frobenius images of its base-p digit
+    # powers: (x+y+z+1)^(7^6) takes no product, and 3^6 - 1 has the six digits
+    # 2, so its last product of a 10^5-term and a 10-term polynomial could
+    # have 10^6 terms
     assert len(parse_poly("(x+y+z+1)^117649", FieldSpec(7), "xyz").terms) == 4
     with pytest.raises(BudgetError, match=r"power \^728 of a 4-term"):
         parse_poly("(x+y+z+1)^728", F3, "xyz")
     # the work is bounded too: (x+1)^99999 has 100000 terms, but forming it
-    # takes sum 2 * (i + 1) for i < 99999, about 10^10 term products
+    # would take sum 2 * (i + 1) for i < 99999, about 10^10 term products
     with pytest.raises(BudgetError, match=r"\^99999 of a 2-term .* 1000000 term products"):
         parse_poly("(x+1)^99999", Q, "x")
     assert len(parse_poly("(x+1)^99999", FieldSpec(2), "x").terms) == 2 ** 10
@@ -116,6 +134,33 @@ def test_parse_budget():
     assert parse_poly("(2*x)^100000000", F3, "x").terms == (((10 ** 8,), 1),)
     assert parse_poly("(2*x)^500000", Q, "x").terms == (((500000,), 2 ** 500000),)
     assert poly_mod.PARSE_MAX_TERMS == 10 ** 5
+
+
+def test_parse_budget_meters_the_whole_polynomial(monkeypatch):
+    work = []
+    mul = poly_mod._mul_terms
+
+    def counted(a, b):
+        work[-1] += len(a) * len(b)
+        return mul(a, b)
+
+    def metered(*args):
+        work.append(0)
+        return poly_mod.parse_poly(*args)
+
+    monkeypatch.setattr(poly_mod, "_mul_terms", counted)
+    monkeypatch.setitem(globals(), "parse_poly", metered)
+    # one meter per polynomial: each power alone parses, but the sums take
+    # 1,425,050 term products and have 131,070 terms
+    with pytest.raises(BudgetError, match=r"power \^26 of a 5-term .* 1000000 term products"):
+        parse_poly("(x+y+z+w+1)^26 + (x+y+z+w+1)^26", Q, "xyzw")
+    with pytest.raises(BudgetError, match="a sum has more than 100000 terms"):
+        parse_poly("(x+1)^65535 + (y+1)^65535", F2, "xy")
+    # accepted or refused, no parse takes more than 10^6 term products, and
+    # the largest power under the budget still parses
+    test_parse_budget()
+    assert len(parse_poly("(x+y+z+w+1)^27", Q, "xyzw").terms) == math.comb(31, 4)
+    assert len(work) == 18 and max(work) <= 10 ** 6
 
 
 def test_frobenius_power_forms_no_intermediate_power(monkeypatch):

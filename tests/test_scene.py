@@ -89,6 +89,11 @@ def test_parse_minimal():
     (lambda s: s.replace("[presentation]\n", "[presentation]\nsections: x, x\n"),
      "sections must be distinct", 9),
     # a single-valued entry given twice: at the repeat
+    # primality is decided by Miller-Rabin, below 2^64
+    (lambda s: s.replace("characteristic: 3", "characteristic: 2305843009213693953"),
+     "characteristic must be 0 or prime, got 2305843009213693953", 2),
+    (lambda s: s.replace("characteristic: 3", "characteristic: %d" % (2 ** 89 - 1)),
+     "characteristic must be below 2^64", 2),
     (lambda s: s.replace("characteristic: 3", "characteristic: 3\ncharacteristic: 5"),
      "characteristic given twice (first at line 2)", 3),
     (lambda s: s.replace("vars: z, x, y", "vars: z, x, y\nvars: z, x, w"),
@@ -114,12 +119,14 @@ def test_parse_minimal():
      "bad coordinate: expected n or n/d with an optional sign, got '+-1'", 13),
     (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (0, 1/3, 2)"),
      "bad coordinate: denominator of 1/3 vanishes mod 3", 13),
-    # a polynomial over the parse budget fails at its line before it expands
+    # a polynomial over the parse budget fails at its line
     (lambda s: s.replace("elim: x^3 W^2", "elim: (x*y + x + y + 1)^728 W^2"),
      "the power ^728 of a 4-term polynomial could have more than 100000 terms", 10),
     (lambda s: s.replace("elim: x^3 W^2", "elim: (x + 1)^2186*(x + 1)^2186 W^2"),
      "a product of a 2187-term and a 2187-term polynomial takes more than 1000000 "
      "term products", 10),
+    (lambda s: s.replace("elim: x^3 W^2", "elim: (x + 1)^59048 + (y + 1)^59048 W^2"),
+     "a sum has more than 100000 terms", 10),
     # over Q, a power whose coefficient would grow past the bit budget
     (lambda s: s.replace("characteristic: 3", "characteristic: 0")
                 .replace("elim: x^3 W^2", "elim: (2*x)^100000000 W^2"),
