@@ -5,6 +5,11 @@ materialized per step; variable names are reused across charts, so a tower is
 a sequence of substitutions and exact divisions in one ambient ring.  Divisor
 labels are globally unique within a tower and are kept in the registry even
 when their strict transform misses the chosen chart.
+
+A presentation's section polynomials are transformed coefficient by
+coefficient, and each carries its monic split to its transform.  A tower
+keeps what is computed on its current state (the monomial algebra and the
+strong check) until a blowup or a lift changes that state.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from typing import Iterable
 
 from .errors import BudgetError, PermissibilityError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                   order_at)
-from .projection import SimplifiedPresentation, hord, is_normal_at, slope_poly
+                   monic_coefficients, monic_from_coefficients)
+from .projection import SimplifiedPresentation, hord_data, is_normal_at, slope_poly
 from .rees import ReesAlg, ord_at, sing_member
 
 
@@ -104,23 +109,32 @@ def transform_presentation(sp: SimplifiedPresentation, center: Center,
     """Transform a presentation along a center containing every section
     variable; coefficients transform downstairs as a_j / w^j and the
     elimination part transforms as a Rees algebra, so the result is a valid
-    presentation of the transformed algebra of the same kind."""
+    presentation of the transformed algebra of the same kind.
+
+    Each section polynomial f = z^n + sum a_j z^(n-j) becomes
+    z^n + sum a'_j z^(n-j) with a'_j = blow_up_poly(a_j, j), and that split
+    is carried to the new polynomial instead of being rebuilt from it.  A
+    negative exponent there is exactly ord(f) < n at the center's generic
+    point, the permissibility test for a section polynomial.
+    """
     sections = set(sp.sections)
     if not sections <= center.vars:
         raise PermissibilityError("center not beta-vertical")
     if chart_var in sections:
         raise PermissibilityError("chart variable must be a downstairs variable")
-    xi = GenericPoint(center.vars)
-    degrees = sp.degrees
-    for f, n in zip(sp.polys, degrees):
-        if order_at(f, xi) < n:
-            raise PermissibilityError("center not permissible for a section polynomial")
-    if not sing_member(sp.elim, xi):
+    polys = []
+    for z, f in zip(sp.sections, sp.polys):
+        try:
+            split = {j: blow_up_poly(a, j, center, chart_var)
+                     for j, a in monic_coefficients(f, z).items()}
+        except PermissibilityError:
+            raise PermissibilityError(
+                "center not permissible for a section polynomial") from None
+        polys.append(monic_from_coefficients(sp.field, sp.nvars, z, split))
+    if not sing_member(sp.elim, GenericPoint(center.vars)):
         raise PermissibilityError("center not permissible for the elimination part")
-    polys = tuple(blow_up_poly(f, n, center, chart_var)
-                  for f, n in zip(sp.polys, degrees))
     elim = _transform_gens(sp.elim, center, chart_var)
-    return type(sp)(sp.field, sp.nvars, sp.sections, polys, elim)
+    return type(sp)(sp.field, sp.nvars, sp.sections, tuple(polys), elim)
 
 
 def transform_object(obj, center: Center, chart_var: int):
@@ -140,8 +154,8 @@ def invariant_snapshot(obj) -> dict:
     origin = _origin(obj.field, obj.nvars)
     if isinstance(obj, ReesAlg):
         return {"is_unit": obj.is_unit, "ord_origin": ord_at(obj, origin)}
-    return {"elim_ord_origin": ord_at(obj.elim, origin),
-            "hord_origin": hord(obj, origin)}
+    data = hord_data(obj, origin)
+    return {"elim_ord_origin": data.elim_ord, "hord_origin": data.value}
 
 
 @dataclass(frozen=True)
@@ -155,12 +169,25 @@ class TowerStep:
 
 @dataclass
 class Tower:
-    """A sequence of chart-level blowups of one tracked object."""
+    """A sequence of chart-level blowups of one tracked object.
+
+    `memo` holds what is computed on the tower's current state (the
+    monomial algebra and the strong checks, see monomial.py), so repeated
+    checks of one state do the work once.  Every assignment to a field of
+    the tower, as blow_up and the lift's swap to a cleaned presentation
+    make, empties it.
+    """
 
     chart: Chart
     obj: object
     steps: list = dc_field(default_factory=list)
     initial_obj: object = None
+    memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name != "memo":
+            super().__setattr__("memo", {})
 
     @classmethod
     def start(cls, names: Iterable[str], obj) -> "Tower":

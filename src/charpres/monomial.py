@@ -62,7 +62,15 @@ class MonomialAlg:
 def track_monomial(tower: Tower) -> MonomialAlg:
     """Attach the monomial algebra of a presentation tower: the divisor born
     at step i carries exponent h_i/s = hord(state before step i at the
-    downstairs generic point of the center) - 1."""
+    downstairs generic point of the center) - 1.  Kept in tower.memo for
+    the tower's current state."""
+    M = tower.memo.get("monomial")
+    if M is None:
+        M = tower.memo["monomial"] = _track_monomial(tower)
+    return M
+
+
+def _track_monomial(tower: Tower) -> MonomialAlg:
     states = tower.states()
     if not isinstance(states[0], SimplifiedPresentation):
         raise TrackingError("monomial tracking needs a presentation tower")
@@ -154,8 +162,18 @@ def is_strong_monomial(tower: Tower,
     supplied closed points; additionally the monomial algebra must divide
     each (monomial) elimination generator, which makes the elimination branch
     collapse onto the monomial algebra locally.  The witness is the first
-    failing comparison.
+    failing comparison.  The result is kept in tower.memo, per list of
+    points, for the tower's current state.
     """
+    extra_points = tuple(extra_points)
+    key = ("strong", extra_points)
+    res = tower.memo.get(key)
+    if res is None:
+        res = tower.memo[key] = _strong_check(tower, extra_points)
+    return res
+
+
+def _strong_check(tower: Tower, extra_points: tuple) -> StrongCheckResult:
     M = track_monomial(tower)
     sp = tower.obj
     chart = tower.chart

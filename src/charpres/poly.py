@@ -28,8 +28,9 @@ from .errors import BudgetError, NotMonicError, PolyParseError
 INF = float("inf")
 
 # parse_poly raises BudgetError before a product or sum that could have more
-# terms than this, and before a product that would take the polynomial's term
-# products past _WORK_PER_TERM times as many
+# terms than this, before a product that would take the polynomial's term
+# products past _WORK_PER_TERM times as many, and over Q before a power or
+# product whose coefficients could have more bits than that
 PARSE_MAX_TERMS = 10 ** 5
 _WORK_PER_TERM = 10
 
@@ -712,6 +713,27 @@ def monic_coefficients(f: MPoly, z_index: int) -> Mapping[int, MPoly]:
     return out
 
 
+def monic_from_coefficients(field: FieldSpec, nvars: int, z_index: int,
+                            split: Mapping[int, MPoly]) -> MPoly:
+    """f = z^n + sum a_j z^(n-j) from a split {j: a_j} shaped as
+    monic_coefficients returns one: n the largest key, a_n present (the zero
+    polynomial when f has no z-free part), every other a_j nonzero, all free
+    of z.  The split is kept as f's, so monic_coefficients(f, z_index)
+    returns it without rebuilding it.  Trusted, like MPoly._from_terms:
+    nothing is validated; SimplifiedPresentation checks the split it reads.
+    """
+    n = max(split)
+    top = [0] * nvars
+    top[z_index] = n
+    terms = [(tuple(top), field.one)]
+    for j, a in split.items():
+        k = n - j
+        terms.extend((e[:z_index] + (k,) + e[z_index + 1:], c) for e, c in a.terms)
+    f = MPoly._from_terms(field, nvars, terms)
+    f._splits[z_index] = MappingProxyType(dict(split))
+    return f
+
+
 # -- text syntax --------------------------------------------------------------
 
 # a coefficient literal: n or n/d, unsigned
@@ -774,6 +796,15 @@ def _monomial_count(a, b, nvars: int, cap: int) -> int:
     deg = sum(max((sum(e) for e, _ in t), default=0) for t in (a, b))
     n = sum(1 for i in range(nvars) if any(e[i] for t in (a, b) for e, _ in t))
     return _capped_comb(deg + n, n, cap)
+
+
+def _product_bits(a, b) -> int:
+    """A bound on the bit length of the integer coefficients of the product
+    of the term lists a and b: the bit lengths of their largest coefficients,
+    plus log2 of the smaller term count, rounded up (a coefficient is a sum
+    of at most that many products)."""
+    big = [max((abs(c) for _, c in t), default=0).bit_length() for t in (a, b)]
+    return big[0] + big[1] + (min(len(a), len(b)) - 1).bit_length()
 
 
 class _Parser:
@@ -851,24 +882,30 @@ class _Parser:
         while self.peek() == ("op", "*"):
             self.take()
             d, rhs = self.factor()
-            den, acc = den * d, self.product(acc.items(), rhs.items())
+            den, acc = den * d, self.product(acc.items(), rhs.items(),
+                                             den_bits=den.bit_length() + d.bit_length())
         return den, acc
 
-    def product(self, a, b, op: Optional[str] = None) -> dict:
+    def product(self, a, b, op: Optional[str] = None, den_bits: int = 0) -> dict:
         """The clean product of the term lists a and b.  Raises BudgetError
         before it when it could have more than PARSE_MAX_TERMS terms (at most
         |a|*|b|, and at most as many as there are monomials of its degree),
-        or when its |a|*|b| term products take the polynomial's total past
-        _WORK_PER_TERM * PARSE_MAX_TERMS.  `op` names the operation in the
-        message; by default it is this product."""
+        when over Q its coefficients could have more than _WORK_PER_TERM *
+        PARSE_MAX_TERMS bits (`_product_bits`, plus `den_bits` for the
+        denominators of the factors), or when its |a|*|b| term products take
+        the polynomial's total past _WORK_PER_TERM * PARSE_MAX_TERMS.  `op`
+        names the operation in the message; by default it is this product."""
         cap, size = PARSE_MAX_TERMS, len(a) * len(b)
+        limit = cap * _WORK_PER_TERM
         if size > cap and _monomial_count(a, b, self.nvars, cap) > cap:
             over = f"could have more than {cap} terms"
+        elif not self.p and _product_bits(a, b) + den_bits > limit:
+            over = f"could build coefficients of more than {limit} bits"
         else:
             self.work += size
-            if self.work <= cap * _WORK_PER_TERM:
+            if self.work <= limit:
                 return _clean(_mul_terms(a, b), self.p)
-            over = (f"takes more than {cap * _WORK_PER_TERM} term products, counting "
+            over = (f"takes more than {limit} term products, counting "
                     f"those before it in the polynomial")
         op = op or f"a product of a {len(a)}-term and a {len(b)}-term polynomial"
         raise BudgetError(f"{op} {over} (the parse budget)")

@@ -162,17 +162,18 @@ def make_p_presentation(field: FieldSpec, nvars: int, sections, polys,
 def slope_poly(f: MPoly, z_index: int, y: PointSpec):
     """min over j of nu_y(a_j)/j for f = z^n + sum a_j z^(n-j); inf when every
     a_j vanishes (f a pure power, excluded by the codimension-one assumption
-    upstream but returned honestly here)."""
+    upstream but returned honestly here).  The ratios compare as integer
+    cross products; only the least becomes a Fraction."""
     _check_downstairs_point(y, (z_index,), f.nvars)
     coeffs = monic_coefficients(f, z_index)
-    best = INF
+    best, best_j = INF, 1
     for j, a in coeffs.items():
         if a.is_zero():
             continue
-        s = Fraction(order_at(a, y), j)
-        if s < best:
-            best = s
-    return best
+        o = order_at(a, y)
+        if o * best_j < best * j:
+            best, best_j = o, j
+    return INF if best == INF else Fraction(best, best_j)
 
 
 # -- weighted normal forms -------------------------------------------------------
@@ -222,7 +223,7 @@ def _weighted_root(f: MPoly, z_index: int, y: PointSpec, q) -> Optional[MPoly]:
     coeffs = monic_coefficients(f, z_index)
     pe = _root_degree(max(coeffs), f.field.characteristic)
     a = coeffs.get(pe)
-    if a is None or order_at(a, y) != q * pe:
+    if a is None or order_at(a, y) * q.denominator != q.numerator * pe:
         return None
     return is_nth_power(weighted_initial_form(f, z_index, y, q))
 

@@ -89,13 +89,17 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
     """The order of the algebra at a point: min over generators of nu/weight.
 
     The unit algebra has order 0 (callers can see alg.is_unit for the warning
-    flag), the trivial algebra has order infinity.
+    flag), the trivial algebra has order infinity.  The ratios compare as
+    integer cross products; only the least becomes a Fraction.
     """
     if alg.is_unit:
         return Fraction(0)
-    if not alg.gens:
-        return INF
-    return min(Fraction(order_at(f, pt)) / n for f, n in alg.gens)
+    best, best_n = INF, 1
+    for f, n in alg.gens:
+        o = order_at(f, pt)
+        if o * best_n < best * n:
+            best, best_n = o, n
+    return INF if best == INF else Fraction(best, best_n)
 
 
 # -- differential saturation ---------------------------------------------------

@@ -10,8 +10,8 @@ from charpres.blowup import (Center, Chart, Tower, blow_up_poly,
                              stage_ab_experiment, transform_presentation,
                              transform_rees)
 from charpres.errors import BudgetError, PermissibilityError
-from charpres.poly import (ClosedPoint, FieldSpec, MPoly, parse_poly,
-                           render_poly)
+from charpres.poly import (ClosedPoint, FieldSpec, MPoly, monic_coefficients,
+                           parse_poly, render_poly)
 from charpres.projection import (PPresentation, SimplifiedPresentation, hord,
                                  make_p_presentation)
 from charpres.rees import ReesAlg, sing_member
@@ -157,6 +157,59 @@ def test_transform_presentation_checks_elimination_part_once(monkeypatch):
     # the stand-alone algebra transform keeps its own message
     with pytest.raises(PermissibilityError, match="not contained in the singular locus"):
         transform_rees(ReesAlg.make(Q, 3, [(P("x + y"), 2)]), Center(frozenset({1, 2})), 1)
+
+
+def test_transform_presentation_permissibility_messages_and_precedence():
+    # z2^2 + x*z2 + x has ord 1 < 2 along {z1, z2, x}, and the elimination
+    # generator x + y of weight 2 has ord 0 there: each check fires only when
+    # those before it pass, in the order beta-vertical, chart variable,
+    # section polynomials, elimination part
+    names = ("z1", "z2", "x", "y")
+    good = parse_poly("z1^2 + x^3", Q, names)
+    bad = parse_poly("z2^2 + x*z2 + x", Q, names)
+    bad_elim = ReesAlg.make(Q, 4, [(parse_poly("x + y", Q, names), 2)])
+    good_elim = ReesAlg.make(Q, 4, [(parse_poly("x^2", Q, names), 2)])
+
+    def message(polys, elim, center, chart):
+        sp = SimplifiedPresentation(Q, 4, (0, 1), polys, elim)
+        with pytest.raises(PermissibilityError) as err:
+            transform_presentation(sp, Center(frozenset(center)), chart)
+        return str(err.value)
+
+    everything_bad = ((good, bad), bad_elim)
+    assert message(*everything_bad, {0, 2}, 2) == "center not beta-vertical"
+    assert message(*everything_bad, {0, 1, 2}, 0) \
+        == "chart variable must be a downstairs variable"
+    # the failing polynomial may come first or second
+    for polys in ((good, bad), (parse_poly("z1^2 + x*z1 + x", Q, names),
+                                parse_poly("z2^2 + x^3", Q, names))):
+        assert message(polys, bad_elim, {0, 1, 2}, 2) \
+            == "center not permissible for a section polynomial"
+    assert message((good, parse_poly("z2^2 + x^2*z2 + x^2", Q, names)), bad_elim,
+                   {0, 1, 2}, 2) == "center not permissible for the elimination part"
+    out = transform_presentation(
+        SimplifiedPresentation(Q, 4, (0, 1), (good, parse_poly("z2^2 + x^2", Q, names)),
+                               good_elim), Center(frozenset({0, 1, 2})), 2)
+    assert [render_poly(g, names) for g in out.polys] == ["z1^2 + x", "z2^2 + 1"]
+
+
+def test_transform_presentation_carries_the_monic_split():
+    # the transformed polynomial holds the split of its transform, equal to
+    # the split rebuilt from its terms
+    f = P("z^3 + x^2*y*z^2 + x^4*z + x^6*y^2", F3)
+    pres = SimplifiedPresentation(F3, 3, (0,), (f,), ReesAlg.make(F3, 3, []))
+    out = transform_presentation(pres, Center(frozenset({0, 1})), 1)
+    g = out.polys[0]
+    assert g == P("z^3 + x*y*z^2 + x^2*z + x^3*y^2", F3)
+    carried = dict(monic_coefficients(g, 0))
+    assert carried == {1: P("x*y", F3), 2: P("x^2", F3), 3: P("x^3*y^2", F3)}
+    assert carried == dict(monic_coefficients(MPoly(g.field, g.nvars, g.terms), 0))
+    # a polynomial with no z-free part keeps a zero a_n
+    h = transform_presentation(
+        SimplifiedPresentation(F3, 3, (0,), (P("z^2 + x^2*z", F3),),
+                               ReesAlg.make(F3, 3, [])),
+        Center(frozenset({0, 1})), 1).polys[0]
+    assert dict(monic_coefficients(h, 0)) == {1: P("x", F3), 2: P("0", F3)}
 
 
 def test_coefficients_commute_with_transform():

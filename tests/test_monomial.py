@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from charpres.blowup import Center, Chart, Tower
-from charpres.errors import NonMonomialElimError, TrackingError
+from charpres.blowup import Center, Chart, Tower, TowerStep
+from charpres.errors import CharpresError, NonMonomialElimError, TrackingError
 from charpres.monomial import (MonomialAlg, divides, is_strong_monomial,
                                lift_resolution, ord_monomial, resolve_game,
                                sandwich_report, track_monomial)
-from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, parse_poly,
-                           render_poly)
+from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly,
+                           parse_poly, render_poly)
 from charpres.projection import SimplifiedPresentation
 from charpres.rees import ReesAlg, sing_member
 
@@ -238,3 +238,85 @@ def test_vacuous_tower():
     assert res.strong
     lift = lift_resolution(tower)
     assert lift.records == ()
+
+
+# -- the tower memo ---------------------------------------------------------------
+
+
+def _fresh(sp):
+    """The presentation rebuilt from fresh polynomials: no H-order memo and
+    no coefficient split is shared with sp."""
+    def fresh(f):
+        return MPoly(f.field, f.nvars, f.terms)
+    elim = ReesAlg.make(sp.field, sp.nvars, [(fresh(g), n) for g, n in sp.elim.gens],
+                        sp.elim.is_unit)
+    return type(sp)(sp.field, sp.nvars, sp.sections, tuple(fresh(f) for f in sp.polys),
+                    elim)
+
+
+def _rebuilt_tower(tower):
+    """A tower in the same state as `tower`, with an empty memo."""
+    steps = [TowerStep(st.center, st.chart_var, st.chart, _fresh(st.obj), st.snapshot)
+             for st in tower.steps]
+    return Tower(tower.chart, _fresh(tower.obj), steps, _fresh(tower.initial_obj))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CharpresError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _assert_memo_matches_rebuilt(tower, points=()):
+    again = _rebuilt_tower(tower)
+    for fn, kwargs in ((track_monomial, {}), (is_strong_monomial, {}),
+                       (is_strong_monomial, {"extra_points": points})):
+        memo = _outcome(fn, tower, **kwargs)
+        assert memo == _outcome(fn, again, **kwargs)
+        # a second call of the same state is served the same result
+        assert _outcome(fn, tower, **kwargs) == memo
+
+
+def test_tower_memo_serves_one_state():
+    tower = tower_for("z^2 + x^4*y^5", F2, STD)
+    M = track_monomial(tower)
+    assert track_monomial(tower) is M
+    origin = [ClosedPoint((0, 0, 0))]
+    res = is_strong_monomial(tower, extra_points=origin)
+    assert is_strong_monomial(tower, extra_points=[ClosedPoint((0, 0, 0))]) is res
+    assert is_strong_monomial(tower) is not res      # other points, other entry
+    # any assignment to the tower's state empties the memo
+    tower.obj = tower.obj
+    assert tower.memo == {}
+    assert track_monomial(tower) == M and track_monomial(tower) is not M
+
+
+def test_tower_memo_follows_blow_up():
+    tower = tower_for("z^2 + x^4*y^5", F2, STD[:1])
+    origin = [ClosedPoint((0, 0, 0))]
+    _assert_memo_matches_rebuilt(tower, origin)
+    tower.blow_up(Center(frozenset({0, 2})), 2)
+    _assert_memo_matches_rebuilt(tower, origin)
+    assert track_monomial(tower).exponents == (("H1", 2), ("H2", 3))
+
+
+def test_tower_memo_follows_a_successful_lift():
+    tower = tower_for("z^2 + x^6*y^7", F2,
+                      (("zx", "x"), ("zx", "x"), ("zy", "y"), ("zy", "y")))
+    _assert_memo_matches_rebuilt(tower)
+    lift_resolution(tower)
+    _assert_memo_matches_rebuilt(tower, [ClosedPoint((0, 0, 0))])
+
+
+def test_tower_memo_follows_a_lift_that_fails():
+    # over F_2, z^2 + x*y^7 (no elimination part) blown up once along {z, y}
+    # is strong without points, but its lift ends with singular strata after
+    # it blew up twice
+    tower = tower_for("z^2 + x*y^7", F2, (("zy", "y"),), elim_gens=[])
+    _assert_memo_matches_rebuilt(tower)
+    assert is_strong_monomial(tower).strong
+    with pytest.raises(TrackingError, match="lift ended with singular strata"):
+        lift_resolution(tower)
+    assert len(tower.steps) == 3
+    _assert_memo_matches_rebuilt(tower, [ClosedPoint((0, 0, 0))])

@@ -3,6 +3,7 @@ weighted initial forms."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,28 @@ def test_parse_budget():
     assert parse_poly("(2*x)^100000000", F3, "x").terms == (((10 ** 8,), 1),)
     assert parse_poly("(2*x)^500000", Q, "x").terms == (((500000,), 2 ** 500000),)
     assert poly_mod.PARSE_MAX_TERMS == 10 ** 5
+
+
+def test_parse_budget_bounds_coefficients_across_products():
+    # over Q a product's coefficients have at most the bit lengths of the two
+    # largest numerators and of the two denominators, plus log2 of the
+    # smaller term count: each (2*x)^500000 is under the budget, a product of
+    # k of them would not be, and it is refused before it is formed
+    for k in (2, 16, 4000):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="product of a 1-term and a 1-term "
+                           "polynomial could build coefficients of more than 1000000 bits"):
+            parse_poly("*".join(["(2*x)^500000"] * k), Q, "x")
+        assert time.perf_counter() - start < 1.0
+    assert parse_poly("(2*x)^250000*(2*x)^249999", Q, "x").terms \
+        == (((499999,), 2 ** 499999),)
+    # the denominators count: 3^300000 has 475,489 bits, 3^320000 has 507,188
+    assert parse_poly("(1/3*x)^300000*(1/3*x)^300000", Q, "x").terms \
+        == (((600000,), Fraction(1, 3 ** 600000)),)
+    with pytest.raises(BudgetError, match="more than 1000000 bits"):
+        parse_poly("(1/3*x)^320000*(1/3*x)^320000", Q, "x")
+    # over F_p coefficients do not grow
+    assert parse_poly("(2*x)^500000*(2*x)^500000", F3, "x").terms == (((10 ** 6,), 1),)
 
 
 def test_parse_budget_meters_the_whole_polynomial(monkeypatch):

@@ -11,6 +11,10 @@ The normal-form test skips the weighted initial form when a_(p^e) misses the
 slope; over F_2, F_3, F_5, F_7 and Q, at the origin, at closed points off it
 and at generic points, the skip must give what the form itself gives.
 
+Every blowup carries the monic split of each section polynomial to its
+transform; the carried split must equal the one rebuilt from the terms,
+and the H-order must agree with the rebuilt presentation's.
+
 When the strong-monomial test accepts a random tower, the lift of its
 resolution game never meets an impermissible center.
 
@@ -32,7 +36,8 @@ from charpres.errors import (CharpresError, DominationError,  # noqa: E402
                              PermissibilityError)
 from charpres.monomial import is_strong_monomial, lift_resolution  # noqa: E402
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E402
-                           MPoly, parse_poly, weighted_initial_form)
+                           MPoly, monic_coefficients, parse_poly,
+                           weighted_initial_form)
 from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa: E402
                                  hord, hord_data, is_nth_power,
                                  make_p_presentation, slope_poly)
@@ -142,6 +147,30 @@ def test_memoised_hord_matches_rebuilt_presentation(tower):
                 continue
             assert hord_data(sp, y) is memo
             assert hord(sp, y) == hord(again, y)
+
+
+@PROPS
+@given(towers())
+def test_carried_split_matches_rebuilt_split(tower):
+    """Each blowup carries the monic split of every section polynomial to
+    its transform; the carried split must equal the one rebuilt from the
+    terms of a fresh copy, and the H-order must not change."""
+    present = sorted(tower.chart.present_divisors().values())
+    for sp in tower.states():
+        again = _rebuilt(sp)
+        for z, f, g in zip(sp.sections, sp.polys, again.polys):
+            assert dict(monic_coefficients(f, z)) == dict(monic_coefficients(g, z))
+        points = [ClosedPoint((sp.field.zero,) * sp.nvars)]
+        points += [GenericPoint(frozenset(sub))
+                   for k in range(1, len(present) + 1)
+                   for sub in itertools.combinations(present, k)]
+        for y in points:
+            memo = _hord_or_error(sp, y)
+            fresh = _hord_or_error(again, y)
+            if isinstance(memo, str):
+                assert memo == fresh
+            else:
+                assert memo.value == fresh.value
 
 
 def _square_section_tower():

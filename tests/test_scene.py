@@ -132,6 +132,12 @@ def test_parse_minimal():
                 .replace("elim: x^3 W^2", "elim: (2*x)^100000000 W^2"),
      "the power ^100000000 of a polynomial with 2-bit coefficients builds coefficients "
      "of more than 1000000 bits", 10),
+    # and a product whose coefficient would
+    (lambda s: s.replace("characteristic: 3", "characteristic: 0")
+                .replace("elim: x^3 W^2", "elim: x^3*" + "*".join(["(2*x)^500000"] * 16)
+                         + " W^2"),
+     "a product of a 1-term and a 1-term polynomial could build coefficients of more "
+     "than 1000000 bits", 10),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, capsys):
     with pytest.raises(SceneParseError) as err:
@@ -342,6 +348,45 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert main(["run", "--scene", scene, "--verify", bad]) == 1
     err = capsys.readouterr().err
     assert "trace mismatch" in err and "$.records[0].hord" in err
+
+
+STRONG_TOWER = """\
+[field]
+characteristic: 2
+[variables]
+vars: z, x, y
+sections: z
+[presentation]
+poly 1: z^2 + x^7
+elim: x^7 W^2
+[script]
+"""
+BLOWUPS = ["blowup: center = {z, x}; chart = x"] * 2
+
+
+def test_cli_checks_of_one_tower_state_match_a_fresh_run(tmp_path, capsys):
+    # the tower keeps its monomial algebra and strong checks per state; each
+    # record of a scene that checks, blows up, checks again, resolves and
+    # tracks must equal the last record of a scene that reaches the same
+    # state with no earlier checks
+    def records(*commands):
+        scene = _write(tmp_path, "s.scene", STRONG_TOWER + "\n".join(commands) + "\n")
+        trace = str(tmp_path / "t.json")
+        main(["run", "--scene", scene, "--trace-out", trace])
+        capsys.readouterr()
+        return json.load(open(trace))["records"]
+
+    one, two = BLOWUPS[:1], BLOWUPS
+    got = records(*one, "strong-check", BLOWUPS[1], "strong-check", "resolve",
+                  "monomial-track")
+    assert [r["command"] for r in got] == ["blowup", "strong-check", "blowup",
+                                           "strong-check", "resolve", "monomial-track"]
+    assert got[1]["strong"] and got[3]["strong"]
+    assert got[1] != got[3]     # the two strong checks see different states
+    assert got[1] == records(*one, "strong-check")[-1]
+    assert got[3] == records(*two, "strong-check")[-1]
+    assert got[4] == records(*two, "resolve")[-1]
+    assert got[5] == records(*two, "resolve", "monomial-track")[-1]
 
 
 def test_cli_stdout_default(tmp_path, capsys):
