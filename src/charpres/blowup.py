@@ -14,10 +14,11 @@ strong check) until a blowup or a lift changes that state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
-from .errors import BudgetError, PermissibilityError
+from .errors import BudgetError, InvariantError, PermissibilityError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    monic_coefficients, monic_from_coefficients)
 from .projection import SimplifiedPresentation, hord_data, is_normal_at, slope_poly
@@ -150,7 +151,7 @@ def _origin(field: FieldSpec, nvars: int) -> ClosedPoint:
 
 
 def invariant_snapshot(obj) -> dict:
-    """Order data at the chart origin, recorded after each tower step."""
+    """Order data at the chart origin, which a scene's blowup records."""
     origin = _origin(obj.field, obj.nvars)
     if isinstance(obj, ReesAlg):
         return {"is_unit": obj.is_unit, "ord_origin": ord_at(obj, origin)}
@@ -164,7 +165,6 @@ class TowerStep:
     chart_var: int
     chart: Chart
     obj: object
-    snapshot: dict
 
 
 @dataclass
@@ -200,8 +200,7 @@ class Tower:
     def blow_up(self, center: Center, chart_var: int) -> TowerStep:
         new_obj = transform_object(self.obj, center, chart_var)
         new_chart = self.chart.after_blowup(center, chart_var)
-        step = TowerStep(tuple(sorted(center.vars)), chart_var, new_chart, new_obj,
-                         invariant_snapshot(new_obj))
+        step = TowerStep(tuple(sorted(center.vars)), chart_var, new_chart, new_obj)
         self.chart = new_chart
         self.obj = new_obj
         self.steps.append(step)
@@ -249,9 +248,7 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
         if S < least.get(e[z_index], S + 1):
             least[e[z_index]] = S
     lines = [(ez + N * (S - n), ez - n) for ez, S in least.items()]   # order a + j*b
-    # Stage B stops at the first j where a term with e_z < n falls below n; the
-    # finite slope comes from such a term.
-    stop = min(max(0, (a - n) // -b + 1) for a, b in lines if b < 0)
+    stop = _stage_b_stop(lines, n)
     if N + stop + 1 > EXPERIMENT_MAX_STEPS:
         raise BudgetError("the experiment would build %d trace rows (N=%d), above its "
                           "budget of %d" % (N + stop + 1, N, EXPERIMENT_MAX_STEPS))
@@ -264,16 +261,26 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
     steps = [{"stage": "A", "index": i + 1, "center": point, "chart": "t",
               "order": n, "permissible": True} for i in range(N)]
     line = sorted([names[z_index], "t"])
-    performed = 0
-    while True:
-        nu = min(a + performed * b for a, b in lines)
-        permissible = nu >= n
-        steps.append({"stage": "B", "index": performed + 1, "center": line,
-                      "chart": "t", "order": nu, "permissible": permissible})
-        if not permissible:
-            break
-        performed += 1
+    # the Stage-B order after j blowups is the least a + j*b: the row minima of
+    # one column per line, j = 0..stop (z^n is the column of n's, b = 0, and
+    # the finite slope gives a line with b < 0, so there are two at least)
+    columns = [range(a, a + (stop + 1) * b, b) if b else itertools.repeat(a, stop + 1)
+               for a, b in lines]
+    orders = list(map(min, *columns))
+    if orders[-1] >= n or min(orders[:-1], default=n) < n:
+        raise InvariantError("Stage B must stop at its first impermissible center")
+    steps += [{"stage": "B", "index": j + 1, "center": line, "chart": "t",
+               "order": nu, "permissible": nu >= n} for j, nu in enumerate(orders)]
     target = N * (q - 1) - 1
-    trace = {"n": n, "q": q, "N": N, "steps": steps, "performed": performed,
-             "l": performed - 1, "expected": target.numerator // target.denominator}
-    return performed - 1, trace
+    trace = {"n": n, "q": q, "N": N, "steps": steps, "performed": stop,
+             "l": stop - 1, "expected": target.numerator // target.denominator}
+    return stop - 1, trace
+
+
+def _stage_b_stop(lines, n: int) -> int:
+    """The first j at which some order a + j*b falls below n.
+
+    Only a line with b < 0 falls: at once when a < n, and otherwise at
+    j = floor((a - n) / -b) + 1.  A term with e_z < n gives such a line, and
+    the finite slope comes from one."""
+    return min(max(0, (a - n) // -b + 1) for a, b in lines if b < 0)

@@ -23,8 +23,7 @@ from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
                      TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
 from .projection import SimplifiedPresentation, hord, hord_data, upstairs_algebra
-from .rees import (ReesAlg, nonempty_subsets, ord_at, sing_member,
-                   singular_coordinate_strata)
+from .rees import ReesAlg, nonempty_subsets, sing_member, singular_coordinate_strata
 from .blowup import Center, Chart, Tower
 
 
@@ -251,10 +250,11 @@ def resolve_game(M: MonomialAlg, chart: Chart) -> GameResult:
     counter = 0
     while True:
         # a qualifying stratum is inclusion-minimal iff dropping any one
-        # divisor drops the total below s (exponents are non-negative)
+        # divisor drops the total below s (exponents are non-negative), that
+        # is iff dropping its least exponent does
         candidates = [T for T in faces
-                      if sum(h[l] for l in T) >= s
-                      and all(sum(h[l] for l in T - {j}) < s for j in T)]
+                      if (t := sum(h[l] for l in T)) >= s
+                      and t - min(h[l] for l in T) < s]
         if not candidates:
             break
         candidates.sort(key=lambda T: (-len(T), sorted(_label_age(l) for l in T)))
@@ -362,8 +362,8 @@ def sandwich_report(tower: Tower, M: MonomialAlg):
     for sub in nonempty_subsets(labels):
         pt = GenericPoint(frozenset(present[lab] for lab in sub))
         om = ord_monomial(M, pt, tower.chart)
-        hv = hord(sp, pt)
-        ev = ord_at(sp.elim, pt)
+        data = hord_data(sp, pt)
+        hv, ev = data.value, data.elim_ord
         rows.append({"stratum": "&".join(sub), "ord_monomial": om,
                      "hord": hv, "elim_ord": ev,
                      "ok": om <= hv <= ev})

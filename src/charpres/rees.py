@@ -65,9 +65,17 @@ class ReesAlg:
 
     @cached_property
     def _strata(self) -> tuple:
-        # the singular coordinate strata, scanned on first use
-        return tuple(S for S in map(frozenset, nonempty_subsets(range(self.nvars)))
-                     if sing_member(self, GenericPoint(S)))
+        # the singular coordinate strata, scanned on first use; see
+        # singular_coordinate_strata
+        origin = frozenset(range(self.nvars))
+        if not origin or not sing_member(self, GenericPoint(origin)):
+            return ()
+        found = {}      # dict for its insertion order
+        for S in map(frozenset, nonempty_subsets(range(self.nvars))):
+            if (S == origin or any(S - {v} in found for v in S)
+                    or sing_member(self, GenericPoint(S))):
+                found[S] = None
+        return tuple(found)
 
 
 def nonempty_subsets(items):
@@ -334,10 +342,16 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint) -> TangentData:
 
 
 def singular_coordinate_strata(alg: ReesAlg) -> list:
-    """All variable subsets S with the generic point of V(S) singular.
+    """All variable subsets S with the generic point of V(S) singular, by
+    size, then in `itertools.combinations` order.
 
-    The 2^nvars - 1 strata are scanned once per `ReesAlg` instance and kept
-    on it; each call returns a fresh list.
+    A generator's order at the generic point of V(S) only grows with S, so
+    V(S) is singular when some V(S - {v}) is, and no stratum is singular
+    when the origin, which lies on every V(S), is not.  The scan tests the
+    origin first and stops there when it is smooth; otherwise it walks the
+    2^nvars - 1 strata and tests only those with no singular V(S - {v}).
+    The strata are scanned once per `ReesAlg` instance and kept on it; each
+    call returns a fresh list.
     """
     return list(alg._strata)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .blowup import Center, Tower, stage_ab_experiment
+from .blowup import Center, Tower, invariant_snapshot, stage_ab_experiment
 from .errors import CharpresError, CommandError, NotMonicError, SceneParseError
 from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
                        track_monomial)
@@ -524,7 +524,7 @@ def _cmd_blowup(ex: _Execution, spec: str) -> dict:
             "divisors": {lab: (None if v is None else ex.scene.names[v])
                          for lab, v in step.chart.divisors},
             "object": _object_json(ex, step.obj),
-            "snapshot": step.snapshot}
+            "snapshot": invariant_snapshot(step.obj)}
 
 
 _EXPERIMENT_RE = re.compile(r"^q-from-presentation\s+N\s*=\s*(\d+)$")

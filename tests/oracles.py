@@ -9,8 +9,10 @@ coefficient_elim, a way to build test input.
 import itertools
 from fractions import Fraction
 
-from charpres.poly import FieldSpec, MPoly, monic_coefficients
-from charpres.rees import ReesAlg
+from charpres.errors import InvariantError
+from charpres.monomial import GameMove, GameResult, _label_age
+from charpres.poly import FieldSpec, GenericPoint, MPoly, monic_coefficients
+from charpres.rees import ReesAlg, nonempty_subsets, sing_member
 
 
 def evaluate(f: MPoly, values):
@@ -140,3 +142,52 @@ def quadratic_rank(f: MPoly) -> int:
             gram[i][j] = gram[j][i] = Fraction(c) / 2
     reduced, _ = reference_rref(gram, f.field)
     return len(reduced)
+
+
+def reference_strata(alg: ReesAlg) -> tuple:
+    """The singular coordinate strata by a test of the generic point of
+    every V(S), S a nonempty variable subset, in `nonempty_subsets` order."""
+    return tuple(S for S in map(frozenset, nonempty_subsets(range(alg.nvars)))
+                 if sing_member(alg, GenericPoint(S)))
+
+
+def reference_resolve_game(M, chart) -> GameResult:
+    """`monomial.resolve_game` with inclusion-minimality tested by dropping
+    each divisor of a stratum in turn: a qualifying T is minimal iff the
+    total of T - {j} is below s for every j in T."""
+    present = chart.present_divisors()
+    h = {lab: hv for lab, hv in M.exponents if present.get(lab) is not None}
+    s = M.s
+    faces = set(map(frozenset, nonempty_subsets(h)))
+
+    def table():
+        return tuple(sorted(h.items(), key=lambda kv: _label_age(kv[0])))
+
+    moves = []
+    counter = 0
+    while True:
+        candidates = [T for T in faces
+                      if sum(h[l] for l in T) >= s
+                      and all(sum(h[l] for l in T - {j}) < s for j in T)]
+        if not candidates:
+            break
+        candidates.sort(key=lambda T: (-len(T), sorted(_label_age(l) for l in T)))
+        T = candidates[0]
+        if len(T) == 1:
+            lab = next(iter(T))
+            h[lab] -= s
+            moves.append(GameMove(T, None, None, table()))
+            continue
+        counter += 1
+        new_lab = "E%d" % counter
+        h[new_lab] = sum(h[l] for l in T) - s
+        kept = {S for S in faces if not T <= S}
+        additions = set()
+        for S in itertools.chain([frozenset()], kept):
+            if (S | T) in faces:
+                additions.add(S | {new_lab})
+        faces = kept | additions
+        moves.append(GameMove(T, new_lab, h[new_lab], table()))
+    if any(sum(h[l] for l in S) >= s for S in faces):
+        raise InvariantError("game ended with a qualifying stratum left")
+    return GameResult(tuple(moves), table(), frozenset(faces))

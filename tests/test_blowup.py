@@ -7,9 +7,9 @@ import pytest
 
 import charpres.blowup as blowup
 from charpres.blowup import (Center, Chart, Tower, blow_up_poly,
-                             stage_ab_experiment, transform_presentation,
-                             transform_rees)
-from charpres.errors import BudgetError, PermissibilityError
+                             invariant_snapshot, stage_ab_experiment,
+                             transform_presentation, transform_rees)
+from charpres.errors import BudgetError, InvariantError, PermissibilityError
 from charpres.poly import (ClosedPoint, FieldSpec, MPoly, monic_coefficients,
                            parse_poly, render_poly)
 from charpres.projection import (PPresentation, SimplifiedPresentation, hord,
@@ -242,8 +242,8 @@ def test_tower_snapshots():
     tower = Tower.start(ZXY, pres)
     step = tower.blow_up(Center(frozenset({0, 1})), 1)
     assert step.chart.divisors == (("H1", 1),)
-    assert step.snapshot == {"elim_ord_origin": Fraction(1, 2),
-                             "hord_origin": Fraction(1, 2)}
+    assert invariant_snapshot(step.obj) == {"elim_ord_origin": Fraction(1, 2),
+                                            "hord_origin": Fraction(1, 2)}
     assert len(tower.states()) == 2
     assert tower.states()[0] is pres
 
@@ -310,3 +310,14 @@ def test_stage_ab_budget_refuses_before_building():
     assert _stage_b_count(f, 0, 10 ** 7) + 10 ** 7 + 1 > blowup.EXPERIMENT_MAX_STEPS
     with pytest.raises(BudgetError, match="15000001 trace rows"):
         stage_ab_experiment(f, 0, 10 ** 7, names=("z", "x"))
+
+
+@pytest.mark.parametrize("shift", (-1, 1))
+def test_stage_b_ends_where_its_closed_form_says(monkeypatch, shift):
+    """Stage-B rows built to one row short of or past the first
+    impermissible center fail the experiment's ending check."""
+    stop = blowup._stage_b_stop
+    monkeypatch.setattr(blowup, "_stage_b_stop", lambda lines, n: stop(lines, n) + shift)
+    f = parse_poly("z^2 + x^3", F5, ("z", "x"))
+    with pytest.raises(InvariantError, match="Stage B must stop"):
+        stage_ab_experiment(f, 0, 8, names=("z", "x"))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from charpres import projection
 from charpres.blowup import Center, Chart, Tower, TowerStep
 from charpres.errors import CharpresError, NonMonomialElimError, TrackingError
 from charpres.monomial import (MonomialAlg, divides, is_strong_monomial,
@@ -256,7 +257,7 @@ def _fresh(sp):
 
 def _rebuilt_tower(tower):
     """A tower in the same state as `tower`, with an empty memo."""
-    steps = [TowerStep(st.center, st.chart_var, st.chart, _fresh(st.obj), st.snapshot)
+    steps = [TowerStep(st.center, st.chart_var, st.chart, _fresh(st.obj))
              for st in tower.steps]
     return Tower(tower.chart, _fresh(tower.obj), steps, _fresh(tower.initial_obj))
 
@@ -307,6 +308,26 @@ def test_tower_memo_follows_a_successful_lift():
     _assert_memo_matches_rebuilt(tower)
     lift_resolution(tower)
     _assert_memo_matches_rebuilt(tower, [ClosedPoint((0, 0, 0))])
+
+
+def test_lift_normalizes_nothing_at_the_origin(monkeypatch):
+    """The lift's blowups compute no origin snapshot: no lifted state is
+    cleaned at the chart origin."""
+    tower = tower_for("z^2 + x^6*y^7", F2,
+                      (("zx", "x"), ("zx", "x"), ("zy", "y"), ("zy", "y")))
+    points = []
+    normalize = projection._normalize
+
+    def counted(sp, y):
+        points.append(y)
+        return normalize(sp, y)
+
+    monkeypatch.setattr(projection, "_normalize", counted)
+    steps = len(tower.steps)
+    lift_resolution(tower)
+    assert len(tower.steps) > steps
+    # the lift cleans at its centers, and nowhere at the origin
+    assert points and ClosedPoint((0, 0, 0)) not in points
 
 
 def test_tower_memo_follows_a_lift_that_fails():

@@ -111,6 +111,32 @@ def test_singular_strata():
     assert set(strata) == {frozenset({0, 1}), frozenset({0, 1, 2})}
 
 
+def _count_strata_tests(monkeypatch, a):
+    """The strata of `a` and the points the scan tested."""
+    tested = []
+    sing_member_ = rees.sing_member
+
+    def counted(alg, pt):
+        tested.append(pt)
+        return sing_member_(alg, pt)
+
+    monkeypatch.setattr(rees, "sing_member", counted)
+    return singular_coordinate_strata(a), tested
+
+
+def test_strata_scan_of_a_smooth_origin_makes_one_test(monkeypatch):
+    a = alg(Q, [("z^2 + x^3", 2), ("y + x^2", 2)])
+    assert _count_strata_tests(monkeypatch, a) == ([], [GenericPoint(frozenset({0, 1, 2}))])
+
+
+def test_strata_scan_tests_no_superset_of_a_singular_stratum(monkeypatch):
+    # z^2 is singular along V(z), so every stratum containing z is too
+    strata, tested = _count_strata_tests(monkeypatch, alg(F3, [("z^2", 2)]))
+    assert strata == [frozenset({0}), frozenset({0, 1}), frozenset({0, 2}),
+                      frozenset({0, 1, 2})]
+    assert [sorted(pt.vars) for pt in tested] == [[0, 1, 2], [0], [1], [2], [1, 2]]
+
+
 def test_sing_member_points():
     a = alg(Q, [("z^2 + x^3", 2)])
     assert sing_member(a, ORIGIN)

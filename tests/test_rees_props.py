@@ -6,7 +6,9 @@ sympy's `monic`, and the singular locus at closed points against orders
 computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  Its generators are
 also checked one for one against the saturation along every multi-index
 (`oracles.saturate_all_alpha`), and their translates, H^alpha of a parent's
-translate for a derivative, against the Taylor shift.  The one-elimination
+translate for a derivative, against the Taylor shift.  The singular
+coordinate strata, scanned from the origin, are checked against the test of
+every stratum (`oracles.reference_strata`).  The one-elimination
 additive forms behind `tau_at` and the sparse `rref` are checked against the
 field-generic dense elimination (`oracles.reference_rref`) and the reduction
 and null-space steps they replaced, kept here as the reference only.  The
@@ -27,8 +29,10 @@ from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.poly import ClosedPoint, FieldSpec, MPoly, parse_poly  # noqa: E402
 from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
-                           diff_saturate, rref, sing_member, tau_at)
-from oracles import reference_rref, saturate_all_alpha  # noqa: E402
+                           diff_saturate, rref, sing_member,
+                           singular_coordinate_strata, tau_at)
+from oracles import (reference_rref, reference_strata,  # noqa: E402
+                     saturate_all_alpha)
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -211,6 +215,41 @@ def test_sing_member_and_tau_agree_at_closed_points(case):
     expected_forms = [{e: c for e, c in at_point(f, pt).as_dict().items() if sum(e) == n}
                       for f, n in sat.gens if sympy_order(f, pt) == n]
     assert [to_sympy(g).as_dict() for g in td.initial_forms] == expected_forms
+
+
+@st.composite
+def strata_algebras(draw):
+    """The unit algebra, the trivial algebra (no generators), or one to
+    three generators in one to four variables, each a monomial, so that
+    some coordinate strata are singular, or a random polynomial."""
+    field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
+    nvars = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("unit", "trivial", "generators")))
+    if kind == "unit":
+        return ReesAlg.make(field, nvars, [], is_unit=True)
+    gens = []
+    for _ in range(draw(st.integers(1, 3)) if kind == "generators" else 0):
+        n = draw(st.integers(1, 4))
+        exps = st.lists(st.integers(0, n), min_size=nvars, max_size=nvars).map(tuple)
+        if draw(st.booleans()):
+            terms = {draw(exps): 1}
+        else:
+            terms = draw(st.dictionaries(exps, _coeffs(field.characteristic),
+                                         min_size=1, max_size=4))
+        gens.append((MPoly.from_dict(field, nvars, terms), n))
+    return ReesAlg.make(field, nvars, gens)
+
+
+@PROPS
+@given(strata_algebras())
+@example(ReesAlg.make(FieldSpec(2), 3, [(parse_poly(t, FieldSpec(2), ("x", "y", "z")), n)
+                                        for t, n in (("x*y", 1), ("y^2", 2))]))
+def test_strata_scan_matches_the_full_scan(alg):
+    """The origin-first scan returns the strata the full 2^nvars - 1 scan
+    finds, in the same order, for the algebra and its saturation."""
+    assert tuple(singular_coordinate_strata(alg)) == reference_strata(alg)
+    sat = diff_saturate(alg)
+    assert tuple(singular_coordinate_strata(sat)) == reference_strata(sat)
 
 
 # -- tau: one elimination per graded piece, and the sparse rref ----------------
