@@ -346,13 +346,16 @@ class MPoly:
         translate is H^alpha of the parent's translate, one O(T*n) pass.
 
         The translate is computed once per polynomial and point and kept on
-        the polynomial, keyed by `tuple(values)`, for as long as it lives; a
+        the polynomial, keyed by the values as a tuple, for as long as it
+        lives; a tuple is the key as it is, so the values of a `ClosedPoint`
+        over Q are looked up by the hash they computed once.  A
         shift that moves nothing (for a derivative: one that leaves the
         parent itself) returns the polynomial itself and is not kept; an
         all-zero point returns it at once, before the value loop.  A
         wrong-arity point raises on every call.
         """
-        values = tuple(values)
+        if not isinstance(values, tuple):
+            values = tuple(values)
         if len(values) != self.nvars:
             raise ValueError("point arity does not match polynomial arity")
         if not any(values):
@@ -576,11 +579,39 @@ def _pow_terms(terms, n: int, p: int, nvars: int, mul) -> dict:
 # -- points -----------------------------------------------------------------
 
 
+class _HashedValues(tuple):
+    """A tuple that computes its hash once, when it is made.
+
+    The coordinates of a point over Q are Fractions, whose hash is a modular
+    inverse per call; a point's values key the translate memos and are
+    looked up there once per polynomial and point, so hashing them once
+    saves that work on every lookup.  It equals and hashes as the plain
+    tuple of the same values.
+    """
+
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 @dataclass(frozen=True)
 class ClosedPoint:
-    """A rational point given by its coordinate values."""
+    """A rational point given by its coordinate values.
+
+    Values with a Fraction among them, those of a point over Q, are kept
+    as a `_HashedValues`; int values, those of a point over F_p, stay the
+    plain tuple, which Python hashes without a Python-level call.
+    """
 
     values: tuple
+
+    def __post_init__(self):
+        if any(type(v) is Fraction for v in self.values):
+            object.__setattr__(self, "values", _HashedValues(self.values))
 
 
 @dataclass(frozen=True)
@@ -738,9 +769,14 @@ def monic_from_coefficients(field: FieldSpec, nvars: int, z_index: int,
 
 # a coefficient literal: n or n/d, unsigned
 _LITERAL = r"\d+(?:/\d+)?"
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>" + _LITERAL + r")|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                       r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+# a token is a literal, a name or an operator; any other character that is
+# not whitespace matches the last branch, which gives the empty token
+_TOKEN_RE = re.compile(r"(" + _LITERAL + r"|[A-Za-z_][A-Za-z_0-9]*|[-+*^()])|\S")
 _SIGNED_LITERAL_RE = re.compile(r"[-+]?" + _LITERAL)
+_OPS = frozenset("-+*^()")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# parse_poly raises BudgetError at parentheses nested deeper than this
+PARSE_MAX_DEPTH = 100
 
 
 def _literal(text: str) -> Fraction:
@@ -763,17 +799,33 @@ def parse_coeff(text: str, field: FieldSpec) -> Coeff:
     return field.coerce(-value if text[0] == "-" else value)
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            rest = text[m.start(kind):]
-            raise PolyParseError(f"unexpected character at: {rest[:20]!r}")
-        val = m.group(kind)
-        tokens.append((kind, _literal(val) if kind == "num" else val))
-    tokens.append(("end", None))
+def _tokenize(text: str) -> list:
+    """The tokens of polynomial text as strings, then None for the end.
+
+    Raises PolyParseError at the first character no token takes, and at the
+    first literal with a zero denominator, whichever comes first."""
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens or "/" in text:
+        for m in _TOKEN_RE.finditer(text):
+            tok = m.group(1)
+            if tok is None:
+                raise PolyParseError(f"unexpected character at: {text[m.start():][:20]!r}")
+            if "/" in tok:
+                _literal(tok)
+    tokens.append(None)
     return tokens
+
+
+def _token_repr(tok) -> str:
+    """How an error names a token: the repr of (kind, value), the value of a
+    literal as a Fraction."""
+    if tok is None:
+        return repr(("end", None))
+    if tok in _OPS:
+        return repr(("op", tok))
+    if tok[0] in _NAME_START:
+        return repr(("name", tok))
+    return repr(("num", _literal(tok)))
 
 
 def _capped_comb(m: int, r: int, cap: int) -> int:
@@ -820,6 +872,10 @@ class _Parser:
     or inside `^`, goes through `product`, which meters the term products
     of the whole polynomial; a sum raises BudgetError once it has more than
     PARSE_MAX_TERMS terms.
+
+    The tokens are the strings of `_tokenize`, read by index.  A run of
+    unary minus signs is counted in a loop, and only parentheses recurse:
+    past PARSE_MAX_DEPTH levels they raise BudgetError.
     """
 
     def __init__(self, tokens, field: FieldSpec, names):
@@ -827,22 +883,23 @@ class _Parser:
         self.pos = 0
         self.field = field
         self.p = field.characteristic
-        self.names = list(names)
-        self.nvars = len(self.names)
+        names = list(names)
+        self.nvars = n = len(names)
+        # name -> its unit exponent vector; the first of repeated names wins,
+        # and a name no token can spell is left out
+        self.units = {}
+        zero = (0,) * n
+        for i, name in enumerate(names):
+            if name[:1] in _NAME_START:
+                self.units.setdefault(name, zero[:i] + (1,) + zero[i + 1:])
         self.work = 0   # term products taken so far
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.depth = 0  # parentheses open at the current token
 
     def parse(self) -> MPoly:
         den, d = self.expr()
-        if self.peek()[0] != "end":
-            raise PolyParseError(f"trailing input near token {self.peek()!r}")
+        tok = self.tokens[self.pos]
+        if tok is not None:
+            raise PolyParseError(f"trailing input near token {_token_repr(tok)}")
         return MPoly._from_terms(self.field, self.nvars, d.items(), den)
 
     def neg(self, d: dict) -> dict:
@@ -850,18 +907,24 @@ class _Parser:
         return {e: -c % p for e, c in d.items()} if p else {e: -c for e, c in d.items()}
 
     def expr(self) -> tuple:
+        tokens = self.tokens
         sign = 1
-        while self.peek() == ("op", "-") or self.peek() == ("op", "+"):
-            if self.take() == ("op", "-"):
+        tok = tokens[self.pos]
+        while tok == "-" or tok == "+":
+            if tok == "-":
                 sign = -sign
+            self.pos += 1
+            tok = tokens[self.pos]
         den, acc = self.term()
-        acc = self.neg(acc) if sign < 0 else acc
-        if self.peek() not in (("op", "+"), ("op", "-")):
+        if sign < 0:
+            acc = self.neg(acc)
+        tok = tokens[self.pos]
+        if tok != "+" and tok != "-":
             return den, acc
-        acc = dict(acc)
         get = acc.get
-        while self.peek() in (("op", "+"), ("op", "-")):
-            sign = 1 if self.take() == ("op", "+") else -1
+        while tok == "+" or tok == "-":
+            self.pos += 1
+            sign = 1 if tok == "+" else -1
             d, rhs = self.term()
             if d != den:    # bring both sides over the least common denominator
                 lcm = math.lcm(den, d)
@@ -875,12 +938,14 @@ class _Parser:
             if len(acc) > PARSE_MAX_TERMS:
                 raise BudgetError(f"a sum has more than {PARSE_MAX_TERMS} terms "
                                   f"(the parse budget)")
+            tok = tokens[self.pos]
         return den, _clean(acc, self.p)
 
     def term(self) -> tuple:
         den, acc = self.factor()
-        while self.peek() == ("op", "*"):
-            self.take()
+        tokens = self.tokens
+        while tokens[self.pos] == "*":
+            self.pos += 1
             d, rhs = self.factor()
             den, acc = den * d, self.product(acc.items(), rhs.items(),
                                              den_bits=den.bit_length() + d.bit_length())
@@ -911,17 +976,52 @@ class _Parser:
         raise BudgetError(f"{op} {over} (the parse budget)")
 
     def factor(self) -> tuple:
-        if self.peek() == ("op", "-"):
-            self.take()
-            den, d = self.factor()
-            return den, self.neg(d)
-        den, base = self.atom()
-        while self.peek() == ("op", "^"):
-            self.take()
-            kind, val = self.take()
-            if kind != "num" or val.denominator != 1 or val < 0:
+        """An optional run of minus signs, then a literal, a variable or a
+        parenthesized expression, then any number of ^n."""
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        negate = False
+        while tok == "-":
+            negate = not negate
+            pos += 1
+            tok = tokens[pos]
+        pos += 1
+        unit = self.units.get(tok)
+        if unit is not None:
+            den, base = 1, {unit: 1}
+        elif tok == "(":
+            if self.depth == PARSE_MAX_DEPTH:
+                raise BudgetError(f"parentheses nest deeper than {PARSE_MAX_DEPTH} "
+                                  f"levels (the parse budget)")
+            self.pos = pos
+            self.depth += 1
+            den, base = self.expr()
+            self.depth -= 1
+            pos = self.pos
+            if tokens[pos] != ")":
+                raise PolyParseError("missing closing parenthesis")
+            pos += 1
+        elif tok is None or tok in _OPS:
+            raise PolyParseError(f"unexpected token {tok!r}")
+        elif tok[0] in _NAME_START:
+            raise PolyParseError(f"unknown variable {tok!r}")
+        else:
+            p = self.p
+            if "/" not in tok:
+                den, c = 1, int(tok) % p if p else int(tok)
+            elif p:
+                den, c = 1, self.field.coerce(_literal(tok))
+            else:
+                val = _literal(tok)
+                den, c = val.denominator, val.numerator
+            base = {(0,) * self.nvars: c} if c else {}
+        while tokens[pos] == "^":
+            tok = tokens[pos + 1]
+            pos += 2
+            if tok is None or not tok.isdecimal():
                 raise PolyParseError("exponent must be a non-negative integer")
-            n = int(val)
+            n = int(tok)
             # over Q the coefficients of base^n grow to about n times the bit
             # length of the largest numerator or denominator above 1
             big = 0 if self.p else max(max(map(abs, base.values()), default=0), den)
@@ -931,31 +1031,12 @@ class _Parser:
                                   f"coefficients builds coefficients of more than "
                                   f"{limit} bits (the parse budget)")
             t = len(base)
+            self.pos = pos
             den, base = den ** n, _pow_terms(
                 base.items(), n, self.p, self.nvars,
                 lambda a, b: self.product(a, b, f"the power ^{n} of a {t}-term polynomial"))
-        return den, base
-
-    def atom(self) -> tuple:
-        kind, val = self.take()
-        if kind == "num":
-            if self.p:
-                den, c = 1, self.field.coerce(val)
-            else:
-                den, c = val.denominator, val.numerator
-            return den, ({(0,) * self.nvars: c} if c else {})
-        if kind == "name":
-            try:
-                i = self.names.index(val)
-            except ValueError:
-                raise PolyParseError(f"unknown variable {val!r}") from None
-            return 1, {tuple(int(j == i) for j in range(self.nvars)): 1}
-        if (kind, val) == ("op", "("):
-            inner = self.expr()
-            if self.take() != ("op", ")"):
-                raise PolyParseError("missing closing parenthesis")
-            return inner
-        raise PolyParseError(f"unexpected token {val!r}")
+        self.pos = pos
+        return den, self.neg(base) if negate else base
 
 
 def parse_poly(text: str, field: FieldSpec, names) -> MPoly:

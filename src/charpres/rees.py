@@ -113,19 +113,44 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
 # -- differential saturation ---------------------------------------------------
 
 
+def _binom_nonzero(m: int, r: int, p: int) -> bool:
+    """Is binom(m, r) nonzero in characteristic p?  Over Q when r <= m; over
+    F_p, by Lucas' theorem, when every base-p digit of r is at most the
+    matching digit of m."""
+    if not p:
+        return r <= m
+    while r:
+        if r % p > m % p:
+            return False
+        r //= p
+        m //= p
+    return True
+
+
 def _support_indices(f: MPoly, max_total: int) -> list:
-    """The multi-indices alpha with 1 <= |alpha| <= max_total and alpha <= e
-    componentwise for some exponent e of f: every other alpha gives
-    H^alpha f = 0.  They come with |alpha| ascending, then alpha descending
-    lex."""
+    """The multi-indices alpha with 1 <= |alpha| <= max_total and H^alpha f
+    nonzero, with |alpha| ascending, then alpha descending lex.
+
+    H^alpha sends c*x^e to c * prod_k binom(e_k, alpha_k) * x^(e - alpha),
+    so a term survives exactly when every binom(e_k, alpha_k) is nonzero in
+    the field (`_binom_nonzero`), and distinct surviving terms stay
+    distinct: H^alpha f is nonzero exactly when some exponent of f passes
+    that test in every coordinate.  The enumeration extends prefixes one
+    coordinate at a time, each with the exponents that passed so far, and
+    drops a prefix once none is left."""
+    p = f.field.characteristic
     level = [((), max_total, [e for e, _ in f.terms])]
     for k in range(f.nvars):
         # extend each prefix by alpha_k = hi, ..., 0 under the exponents it fits
         nxt = []
         for prefix, room, under in level:
-            for a in range(min(room, max((e[k] for e in under), default=0)), -1, -1):
-                nxt.append((prefix + (a,), room - a,
-                            [e for e in under if e[k] >= a] if a else under))
+            column = {e[k] for e in under}
+            for a in range(min(room, max(column, default=0)), 0, -1):
+                fits = {m for m in column if _binom_nonzero(m, a, p)}
+                if fits:
+                    nxt.append((prefix + (a,), room - a,
+                                [e for e in under if e[k] in fits]))
+            nxt.append((prefix + (0,), room, under))
         level = nxt
     # level is in descending lex order, which the stable sort keeps per |alpha|
     out = [alpha for alpha, room, _ in level if room < max_total]
@@ -154,9 +179,7 @@ def _saturate(alg: ReesAlg) -> ReesAlg:
     unit = False
     for f, n in alg.gens:
         for alpha in _support_indices(f, n - 1):
-            g = f.hasse_deriv_multi(alpha)
-            if g.is_zero():
-                continue
+            g = f.hasse_deriv_multi(alpha)     # nonzero
             if g.is_constant():
                 unit = True
                 continue
@@ -173,9 +196,9 @@ def diff_saturate(alg: ReesAlg) -> ReesAlg:
     By the composition rule H^beta H^alpha = binom(alpha + beta, alpha)
     H^(alpha + beta), a derivative of such a result is a scalar multiple of a
     result already formed (or zero), so the pass closes the generator set.
-    Only the alpha lying componentwise under some exponent of f are formed,
-    since every other H^alpha f is zero; they are formed in the order of the
-    full enumeration, |alpha| ascending, then alpha descending lex.
+    Only the alpha with H^alpha f nonzero are formed (`_support_indices`, by
+    Lucas' theorem over F_p); they are formed in the order of the full
+    enumeration, |alpha| ascending, then alpha descending lex.
     Generators of one weight that differ by a scalar span the same algebra
     and are kept once, the first one formed (the given generators come
     first), so saturating a saturated algebra returns an equal algebra.

@@ -7,11 +7,16 @@ coefficient_elim, a way to build test input.
 """
 
 import itertools
+import math
+import re
 from fractions import Fraction
+from typing import Optional
 
-from charpres.errors import InvariantError
+from charpres.errors import BudgetError, InvariantError, PolyParseError
 from charpres.monomial import GameMove, GameResult, _label_age
-from charpres.poly import FieldSpec, GenericPoint, MPoly, monic_coefficients
+from charpres.poly import (_LITERAL, _WORK_PER_TERM, PARSE_MAX_TERMS, FieldSpec, GenericPoint,
+                           MPoly, _clean, _literal, _monomial_count, _mul_terms, _pow_terms,
+                           _product_bits, monic_coefficients)
 from charpres.rees import ReesAlg, nonempty_subsets, sing_member
 
 
@@ -55,6 +60,20 @@ def multi_indices(nvars, allowed, max_total):
             for i in cut:
                 alpha[i] += 1
             yield tuple(alpha)
+
+
+def support_indices_reference(f: MPoly, max_total: int) -> list:
+    """The multi-indices alpha with 1 <= |alpha| <= max_total and H^alpha f
+    nonzero, found by forming H^alpha f for every such alpha: |alpha|
+    ascending, then alpha descending lex, the order of
+    `rees._support_indices`."""
+    out = []
+    for total in range(1, max_total + 1):
+        alphas = [a for a in itertools.product(range(total + 1), repeat=f.nvars)
+                  if sum(a) == total]
+        out += [a for a in sorted(alphas, reverse=True)
+                if not f.hasse_deriv_multi(a).is_zero()]
+    return out
 
 
 def _monic(f: MPoly, n: int) -> tuple:
@@ -191,3 +210,186 @@ def reference_resolve_game(M, chart) -> GameResult:
     if any(sum(h[l] for l in S) >= s for S in faces):
         raise InvariantError("game ended with a qualifying stratum left")
     return GameResult(tuple(moves), table(), frozenset(faces))
+
+
+# -- the reference polynomial parser -------------------------------------------
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(?P<num>" + _LITERAL + r")|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                                 r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+
+
+def reference_tokenize(text: str):
+    """The token list of the reference parser: (kind, value) pairs, every
+    literal a Fraction, and a final ("end", None)."""
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            rest = text[m.start(kind):]
+            raise PolyParseError(f"unexpected character at: {rest[:20]!r}")
+        val = m.group(kind)
+        tokens.append((kind, _literal(val) if kind == "num" else val))
+    tokens.append(("end", None))
+    return tokens
+
+
+class ReferenceParser:
+    """The recursive-descent parser that `poly._Parser` replaced, as it was:
+    recursive descent for `+ - * ^` expressions over named variables.
+
+    Division is not an operator; rational literals like 3/2 are single
+    coefficient tokens.  A minus sign binds looser than ^ everywhere: -x^2
+    and 2*-x^2 both negate x^2.  Implicit multiplication is rejected by
+    construction (two adjacent atoms never parse).  Every subexpression evaluates to
+    (den, terms): a term dict {exponents: int} without zeros, reduced over
+    F_p, and a denominator den >= 1 that divides it over Q (den = 1 over
+    F_p).  `parse` makes the one MPoly at the end.  Every product, of `*`
+    or inside `^`, goes through `product`, which meters the term products
+    of the whole polynomial; a sum raises BudgetError once it has more than
+    PARSE_MAX_TERMS terms.
+    """
+
+    def __init__(self, tokens, field: FieldSpec, names):
+        self.tokens = tokens
+        self.pos = 0
+        self.field = field
+        self.p = field.characteristic
+        self.names = list(names)
+        self.nvars = len(self.names)
+        self.work = 0   # term products taken so far
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self) -> MPoly:
+        den, d = self.expr()
+        if self.peek()[0] != "end":
+            raise PolyParseError(f"trailing input near token {self.peek()!r}")
+        return MPoly._from_terms(self.field, self.nvars, d.items(), den)
+
+    def neg(self, d: dict) -> dict:
+        p = self.p
+        return {e: -c % p for e, c in d.items()} if p else {e: -c for e, c in d.items()}
+
+    def expr(self) -> tuple:
+        sign = 1
+        while self.peek() == ("op", "-") or self.peek() == ("op", "+"):
+            if self.take() == ("op", "-"):
+                sign = -sign
+        den, acc = self.term()
+        acc = self.neg(acc) if sign < 0 else acc
+        if self.peek() not in (("op", "+"), ("op", "-")):
+            return den, acc
+        acc = dict(acc)
+        get = acc.get
+        while self.peek() in (("op", "+"), ("op", "-")):
+            sign = 1 if self.take() == ("op", "+") else -1
+            d, rhs = self.term()
+            if d != den:    # bring both sides over the least common denominator
+                lcm = math.lcm(den, d)
+                if lcm != den:
+                    acc = {e: c * (lcm // den) for e, c in acc.items()}
+                    get = acc.get
+                sign *= lcm // d
+                den = lcm
+            for e, c in rhs.items():
+                acc[e] = get(e, 0) + sign * c
+            if len(acc) > PARSE_MAX_TERMS:
+                raise BudgetError(f"a sum has more than {PARSE_MAX_TERMS} terms "
+                                  f"(the parse budget)")
+        return den, _clean(acc, self.p)
+
+    def term(self) -> tuple:
+        den, acc = self.factor()
+        while self.peek() == ("op", "*"):
+            self.take()
+            d, rhs = self.factor()
+            den, acc = den * d, self.product(acc.items(), rhs.items(),
+                                             den_bits=den.bit_length() + d.bit_length())
+        return den, acc
+
+    def product(self, a, b, op: Optional[str] = None, den_bits: int = 0) -> dict:
+        """The clean product of the term lists a and b.  Raises BudgetError
+        before it when it could have more than PARSE_MAX_TERMS terms (at most
+        |a|*|b|, and at most as many as there are monomials of its degree),
+        when over Q its coefficients could have more than _WORK_PER_TERM *
+        PARSE_MAX_TERMS bits (`_product_bits`, plus `den_bits` for the
+        denominators of the factors), or when its |a|*|b| term products take
+        the polynomial's total past _WORK_PER_TERM * PARSE_MAX_TERMS.  `op`
+        names the operation in the message; by default it is this product."""
+        cap, size = PARSE_MAX_TERMS, len(a) * len(b)
+        limit = cap * _WORK_PER_TERM
+        if size > cap and _monomial_count(a, b, self.nvars, cap) > cap:
+            over = f"could have more than {cap} terms"
+        elif not self.p and _product_bits(a, b) + den_bits > limit:
+            over = f"could build coefficients of more than {limit} bits"
+        else:
+            self.work += size
+            if self.work <= limit:
+                return _clean(_mul_terms(a, b), self.p)
+            over = (f"takes more than {limit} term products, counting "
+                    f"those before it in the polynomial")
+        op = op or f"a product of a {len(a)}-term and a {len(b)}-term polynomial"
+        raise BudgetError(f"{op} {over} (the parse budget)")
+
+    def factor(self) -> tuple:
+        if self.peek() == ("op", "-"):
+            self.take()
+            den, d = self.factor()
+            return den, self.neg(d)
+        den, base = self.atom()
+        while self.peek() == ("op", "^"):
+            self.take()
+            kind, val = self.take()
+            if kind != "num" or val.denominator != 1 or val < 0:
+                raise PolyParseError("exponent must be a non-negative integer")
+            n = int(val)
+            # over Q the coefficients of base^n grow to about n times the bit
+            # length of the largest numerator or denominator above 1
+            big = 0 if self.p else max(max(map(abs, base.values()), default=0), den)
+            limit = PARSE_MAX_TERMS * _WORK_PER_TERM
+            if big > 1 and n * big.bit_length() > limit:
+                raise BudgetError(f"the power ^{n} of a polynomial with {big.bit_length()}-bit "
+                                  f"coefficients builds coefficients of more than "
+                                  f"{limit} bits (the parse budget)")
+            t = len(base)
+            den, base = den ** n, _pow_terms(
+                base.items(), n, self.p, self.nvars,
+                lambda a, b: self.product(a, b, f"the power ^{n} of a {t}-term polynomial"))
+        return den, base
+
+    def atom(self) -> tuple:
+        kind, val = self.take()
+        if kind == "num":
+            if self.p:
+                den, c = 1, self.field.coerce(val)
+            else:
+                den, c = val.denominator, val.numerator
+            return den, ({(0,) * self.nvars: c} if c else {})
+        if kind == "name":
+            try:
+                i = self.names.index(val)
+            except ValueError:
+                raise PolyParseError(f"unknown variable {val!r}") from None
+            return 1, {tuple(int(j == i) for j in range(self.nvars)): 1}
+        if (kind, val) == ("op", "("):
+            inner = self.expr()
+            if self.take() != ("op", ")"):
+                raise PolyParseError("missing closing parenthesis")
+            return inner
+        raise PolyParseError(f"unexpected token {val!r}")
+
+
+def reference_parse_poly(text: str, field: FieldSpec, names) -> MPoly:
+    """`parse_poly` through `ReferenceParser`."""
+    if "/" in text:
+        # A slash is only legal inside a rational coefficient literal.
+        if re.search(r"(?<![0-9])/|/(?![0-9])", text):
+            raise PolyParseError("division is not part of the polynomial syntax")
+    return ReferenceParser(reference_tokenize(text), field, names).parse()

@@ -83,6 +83,9 @@ def test_parse_rejections():
             ("x^-2", "exponent must be a non-negative integer"),
             ("x^(2)", "exponent must be a non-negative integer"),
             ("x^1/2", "exponent must be a non-negative integer"),
+            # an exponent is a plain digit string, never a literal n/d
+            ("x^4/2", "exponent must be a non-negative integer"),
+            ("x^2/1", "exponent must be a non-negative integer"),
             ("w + 1", "unknown variable 'w'"),
             ("2/0*x", "zero denominator in coefficient literal"),
             ("x + 1;", "unexpected character at: ';'"),
@@ -93,6 +96,25 @@ def test_parse_rejections():
         with pytest.raises(PolyParseError) as err:
             P(bad)
         assert str(err.value) == message, bad
+
+
+@pytest.mark.parametrize("depth", [10 ** 3, 10 ** 5])
+def test_parse_depth(depth):
+    # parentheses nest at most PARSE_MAX_DEPTH levels; deeper nesting is a
+    # BudgetError, not a RecursionError
+    limit = poly_mod.PARSE_MAX_DEPTH
+    assert limit == 100
+    assert P("(" * limit + "x" + ")" * limit) == P("x")
+    for n in (limit + 1, depth):
+        with pytest.raises(BudgetError, match="parentheses nest deeper than 100 levels"):
+            P("(" * n + "x" + ")" * n)
+    with pytest.raises(BudgetError, match="parentheses nest deeper"):
+        P("-(" * depth + "x" + ")" * depth, F3)
+    # a run of unary minus signs takes no recursion, at the head of an
+    # expression or after *
+    assert P("x*" + "-" * depth + "x") == P("x^2")
+    assert P("x*" + "-" * (depth + 1) + "x^2") == P("-x^3")
+    assert P("-" * (depth + 1) + "x + 1", F3) == P("2*x + 1", F3)
 
 
 def test_parse_budget():

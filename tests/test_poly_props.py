@@ -3,12 +3,15 @@
 `translate`, `__mul__`, the Hasse derivatives and `parse_poly` are checked
 against sympy over F_p (p in 2, 3, 5, 7) and over Q; `hasse_deriv_multi`
 also against the term-by-term single-variable definition chained over the
-variables, `__pow__` against repeated multiplication, and `blow_up_poly`
-against substitution followed by exact division.  The tests skip when sympy
+variables, `__pow__` against repeated multiplication, `blow_up_poly`
+against substitution followed by exact division, and `parse_poly` on random
+token strings, malformed ones included, against the recursive-descent
+parser it replaced (`oracles.reference_parse_poly`).  The tests skip when sympy
 or hypothesis is not installed; neither is a runtime dependency.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,9 +23,9 @@ st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.blowup import Center, blow_up_poly  # noqa: E402
-from charpres.errors import PermissibilityError  # noqa: E402
+from charpres.errors import BudgetError, PermissibilityError, PolyParseError  # noqa: E402
 from charpres.poly import FieldSpec, MPoly, parse_poly  # noqa: E402
-from oracles import divide_by_var_power  # noqa: E402
+from oracles import divide_by_var_power, reference_parse_poly  # noqa: E402
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -258,3 +261,93 @@ def test_power_p_squared_is_frobenius(p):
     f = parse_poly("x + y + z + 1", field, NAMES)
     assert f ** q == expected
     assert parse_poly("(x + y + z + 1)^%d" % q, field, NAMES) == expected
+
+
+# variables, one unknown name, literals (a zero denominator and a Unicode
+# digit among them), operators, separators and characters no token takes
+PARSE_TOKENS = ("x", "y", "z", "w", "x1", "_", "0", "1", "2", "3", "1/2", "2/4", "3/0",
+                "0/5", "\u0663", "+", "-", "*", "^", "(", ")", "/", ";", "\u00e9", " ")
+
+
+@st.composite
+def parse_texts(draw):
+    """Polynomial text: an expression of the grammar, runs of signs, nested
+    parentheses and powers included, with up to two tokens of PARSE_TOKENS
+    inserted, replaced or deleted, joined by spaces or by nothing."""
+    out = []
+
+    def factor(depth):
+        out.extend(["-"] * draw(st.integers(0, 3)))
+        if depth and draw(st.booleans()):
+            out.append("(")
+            expr(depth - 1)
+            out.append(")")
+        else:
+            out.append(draw(st.sampled_from(("x", "y", "z", "0", "1", "2", "3", "1/2", "2/4"))))
+        if draw(st.booleans()):
+            out.extend(["^", draw(st.sampled_from(("0", "1", "2", "3")))])
+
+    def term(depth):
+        factor(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            out.append("*")
+            factor(depth)
+
+    def expr(depth):
+        out.extend(draw(st.lists(st.sampled_from("+-"), max_size=2)))
+        term(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(draw(st.sampled_from("+-")))
+            term(depth)
+
+    expr(2)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(out)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            out.insert(i, draw(st.sampled_from(PARSE_TOKENS)))
+        elif i < len(out):
+            if edit == "replace":
+                out[i] = draw(st.sampled_from(PARSE_TOKENS))
+            else:
+                del out[i]
+    return draw(st.sampled_from((" ", ""))).join(out)
+
+
+def _parse_outcome(parse, text, field):
+    try:
+        return parse(text, field, NAMES)
+    except (PolyParseError, BudgetError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@PROPS
+@given(st.one_of(parse_texts(), st.lists(st.sampled_from(PARSE_TOKENS), max_size=14).map("".join)),
+       st.sampled_from(CHARACTERISTICS))
+@example("x/y", 0)
+@example("x y", 0)
+@example("x 2", 0)
+@example("x^-2", 0)
+@example("x^(2)", 0)
+@example("x^1/2", 0)
+@example("w + 1", 0)
+@example("2/0*x", 0)
+@example("x + 1;", 0)
+@example("x + \u00e9*y", 0)
+@example("(x + 1", 0)
+@example("x + *", 0)
+@example("", 0)
+@example("x^4/2", 0)
+@example("x^2/1", 3)
+@example("1/3*x", 3)
+@example("x y 3/0", 0)
+@example("2*--x^2 - -(y)", 3)
+def test_parser_matches_the_reference(text, p):
+    # the same MPoly, or the same error type and message; the one intended
+    # difference is that an exponent n/d, such as 4/2 = 2, is now refused
+    field = FieldSpec(p)
+    got = _parse_outcome(parse_poly, text, field)
+    expected = _parse_outcome(reference_parse_poly, text, field)
+    if got != expected:
+        assert got == (PolyParseError, "exponent must be a non-negative integer"), text
+        assert re.search(r"\^\s*\d+/\d+", text), text

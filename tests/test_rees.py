@@ -318,8 +318,9 @@ def test_local_memo_stops_where_the_singular_test_stops(monkeypatch):
 def test_saturation_differentiates_only_under_the_support(monkeypatch):
     # z^3 + x^2*y^2 has 9 multi-indices of order 1 or 2, 7 of them under its
     # exponents (z, z^2; x, y, x^2, x*y, y^2); x^2 + y has 3 of order 1, 2 of
-    # them under its exponents; H^z(z^3) = 3*z^2 still vanishes mod 3 and is
-    # dropped
+    # them under its exponents; H^z(z^3) = 3*z^2 and H^(z^2)(z^3) = 3*z
+    # vanish mod 3 (Lucas: the base-3 digits 1 and 2 do not lie under those
+    # of 3 = 10_3), so they are not formed either
     a = alg(F3, [("z^3 + x^2*y^2", 3), ("x^2 + y", 2)])
     calls = []
     deriv = MPoly.hasse_deriv_multi
@@ -332,10 +333,30 @@ def test_saturation_differentiates_only_under_the_support(monkeypatch):
     sat = diff_saturate(a)
     assert all(any(all(a_i <= e_i for a_i, e_i in zip(alpha, e)) for e, _ in f.terms)
                for f, alpha in calls)
-    assert len(calls) == 9
+    z3 = a.gens[1][0]
+    assert len(calls) == 7 and (z3, (1, 0, 0)) not in calls and (z3, (2, 0, 0)) not in calls
+    assert not any(deriv(f, alpha).is_zero() for f, alpha in calls)
     assert sum(len(list(multi_indices(3, range(3), n - 1))) for _, n in a.gens) == 12
     got = {(render_poly(g, ZXY), n) for g, n in sat.gens}
     assert ("z^2", 2) not in got and ("z", 1) not in got
+
+
+def test_saturation_forms_only_nonzero_derivatives(monkeypatch):
+    # over F_2, binom(4, a) is even for a = 1, 2, 3, so every derivative of
+    # z^4 + x^4 of order below 4 vanishes: none is formed, and the algebra
+    # is its own saturation
+    a = alg(F2, [("z^4 + x^4", 4)])
+    calls = []
+    deriv = MPoly.hasse_deriv_multi
+    monkeypatch.setattr(MPoly, "hasse_deriv_multi",
+                        lambda self, alpha: calls.append(alpha) or deriv(self, alpha))
+    assert diff_saturate(a).gens == a.gens
+    assert calls == []
+    # over F_3 the pure derivatives of order 1 and 3 survive (binom(4, 2) = 6)
+    b = alg(F3, [("z^4 + x^4", 4)])
+    got = {(render_poly(g, ZXY), n) for g, n in diff_saturate(b).gens}
+    assert got == {("z^4 + x^4", 4), ("z^3", 3), ("x^3", 3), ("z", 1), ("x", 1)}
+    assert calls == [(1, 0, 0), (0, 1, 0), (3, 0, 0), (0, 3, 0)]
 
 
 def test_generic_points_never_enter_the_local_memo(monkeypatch):

@@ -5,7 +5,9 @@ as the reference only), generator classes are compared up to scalars with
 sympy's `monic`, and the singular locus at closed points against orders
 computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  Its generators are
 also checked one for one against the saturation along every multi-index
-(`oracles.saturate_all_alpha`), and their translates, H^alpha of a parent's
+(`oracles.saturate_all_alpha`), the multi-indices it differentiates by
+against those of every nonzero derivative
+(`oracles.support_indices_reference`), and their translates, H^alpha of a parent's
 translate for a derivative, against the Taylor shift.  The singular
 coordinate strata, scanned from the origin, are checked against the test of
 every stratum (`oracles.reference_strata`).  The one-elimination
@@ -29,10 +31,10 @@ from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.poly import ClosedPoint, FieldSpec, MPoly, parse_poly  # noqa: E402
 from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
-                           diff_saturate, rref, sing_member,
+                           _support_indices, diff_saturate, rref, sing_member,
                            singular_coordinate_strata, tau_at)
 from oracles import (reference_rref, reference_strata,  # noqa: E402
-                     saturate_all_alpha)
+                     saturate_all_alpha, support_indices_reference)
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -164,6 +166,42 @@ def test_saturation_matches_the_all_alpha_reference(case):
     alg, _ = case
     sat = diff_saturate(alg)
     ref = saturate_all_alpha(alg, range(alg.nvars))
+    assert sat.gens == ref.gens and sat.is_unit == ref.is_unit
+
+
+@st.composite
+def high_exponent_algebras(draw):
+    """An algebra whose generators have exponents up to 12, so that over
+    F_p many of their Hasse derivatives vanish by Lucas' theorem."""
+    field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
+    nvars = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 12), min_size=nvars, max_size=nvars).map(tuple)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(exps, _coeffs(field.characteristic),
+                                     min_size=1, max_size=4))
+        gens.append((MPoly.from_dict(field, nvars, terms), draw(st.integers(1, 6))))
+    return field, nvars, gens
+
+
+def _z4_plus_x4_over_f2():
+    f2 = FieldSpec(2)
+    return f2, 2, [(parse_poly("z^4 + x^4", f2, ("z", "x")), 4)]
+
+
+@PROPS
+@given(high_exponent_algebras())
+@example(_z4_plus_x4_over_f2())
+def test_support_indices_match_the_reference(case):
+    # the alpha that _support_indices returns are exactly those with
+    # H^alpha f nonzero, in the same order, and the saturation built from
+    # them equals the one along every multi-index
+    field, nvars, gens = case
+    for f, n in gens:
+        assert _support_indices(f, n - 1) == support_indices_reference(f, n - 1)
+    alg = ReesAlg.make(field, nvars, gens)
+    sat = diff_saturate(alg)
+    ref = saturate_all_alpha(alg, range(nvars))
     assert sat.gens == ref.gens and sat.is_unit == ref.is_unit
 
 

@@ -127,6 +127,13 @@ def test_parse_minimal():
      "term products", 10),
     (lambda s: s.replace("elim: x^3 W^2", "elim: (x + 1)^59048 + (y + 1)^59048 W^2"),
      "a sum has more than 100000 terms", 10),
+    # parentheses nested past the parse budget, however deep
+    (lambda s: s.replace("elim: x^3 W^2", "elim: " + "(" * 10 ** 3 + "x^3" + ")" * 10 ** 3
+                         + " W^2"),
+     "parentheses nest deeper than 100 levels (the parse budget)", 10),
+    (lambda s: s.replace("elim: x^3 W^2", "elim: " + "(" * 10 ** 5 + "x^3" + ")" * 10 ** 5
+                         + " W^2"),
+     "parentheses nest deeper than 100 levels (the parse budget)", 10),
     # over Q, a power whose coefficient would grow past the bit budget
     (lambda s: s.replace("characteristic: 3", "characteristic: 0")
                 .replace("elim: x^3 W^2", "elim: (2*x)^100000000 W^2"),
@@ -150,11 +157,60 @@ def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, cap
     assert capsys.readouterr().err == "parse error: %s\n" % err.value
 
 
+@pytest.mark.parametrize("depth", [10 ** 3, 10 ** 5])
+def test_cli_runs_a_long_run_of_minus_signs(depth, tmp_path, capsys):
+    # x*--...--x^2 with an even run of signs is x^3: parsed without recursion
+    scene = _write(tmp_path, "s.scene",
+                   MINIMAL.replace("elim: x^3 W^2", "elim: x*" + "-" * depth + "x^2 W^2"))
+    assert main(["run", "--scene", scene]) == 0
+    expected = json.loads(canonical_json(run_scene(parse_scene(MINIMAL))))
+    assert json.loads(capsys.readouterr().out)["records"] == expected["records"]
+
+
 def test_point_coordinates_take_signs_and_fractions():
     text = MINIMAL.replace("P1 = (0, 1, 2)", "P1 = (-1, +4/2, 7/5)")
     assert parse_scene(text).points["P1"] == ClosedPoint((2, 2, 2))
     sc = parse_scene(text.replace("characteristic: 3", "characteristic: 0"))
     assert sc.points["P1"] == ClosedPoint((Fraction(-1), Fraction(2), Fraction(7, 5)))
+
+
+Q_ALGEBRA = """\
+[field]
+characteristic: 0
+[variables]
+vars: x, y, z
+[algebra]
+gen: 3*(x - 2)*(y + 2/3) + (z - 1/2)^2 W^2
+gen: (x - 2)^3 + (y + 2/3)^2*(z - 1/2) W^2
+[points]
+P = (2, -2/3, 1/2)
+[script]
+analyze at P
+"""
+
+
+def test_q_point_coordinates_are_hashed_once(monkeypatch):
+    # a point over Q keeps its values as a tuple that computed its hash when
+    # the point was made, so the translate memos look it up without hashing
+    # a Fraction: neither run of analyze hashes a coordinate of P
+    sc = parse_scene(Q_ALGEBRA)
+    coords = {id(v) for v in sc.points["P"].values}
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        if id(self) in coords:
+            hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    first = run_scene(sc)
+    assert first["records"][0]["tau"] == 3 and hashed == []
+    assert run_scene(sc) == first and hashed == []
+    # the values still equal and hash as the plain tuple
+    values = sc.points["P"].values
+    assert values == (2, Fraction(-2, 3), Fraction(1, 2))
+    assert hash(values) == hash(tuple(values)) and len(hashed) == 3
 
 
 def test_presentation_sections_override_variables():
@@ -335,7 +391,8 @@ def test_cli_run_and_verify(tmp_path, capsys):
     scene = _write(tmp_path, "s.scene", MINIMAL)
     trace = str(tmp_path / "t.json")
     assert main(["run", "--scene", scene, "--trace-out", trace]) == 0
-    text = open(trace).read()
+    with open(trace) as fh:
+        text = fh.read()
     doc = json.loads(text)
     assert doc["status"] == "ok"
     assert doc["records"][0]["hord"] == "3/2"
@@ -374,7 +431,8 @@ def test_cli_checks_of_one_tower_state_match_a_fresh_run(tmp_path, capsys):
         trace = str(tmp_path / "t.json")
         main(["run", "--scene", scene, "--trace-out", trace])
         capsys.readouterr()
-        return json.load(open(trace))["records"]
+        with open(trace) as fh:
+            return json.load(fh)["records"]
 
     one, two = BLOWUPS[:1], BLOWUPS
     got = records(*one, "strong-check", BLOWUPS[1], "strong-check", "resolve",
