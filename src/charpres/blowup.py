@@ -172,7 +172,7 @@ class Tower:
     """A sequence of chart-level blowups of one tracked object.
 
     `memo` holds what is computed on the tower's current state (the
-    monomial algebra and the strong checks, see monomial.py), so repeated
+    monomial algebra and the strong check, see monomial.py), so repeated
     checks of one state do the work once.  Every assignment to a field of
     the tower, as blow_up and the lift's swap to a cleaned presentation
     make, empties it.
@@ -218,7 +218,8 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
     """Measure how long the codimension-two center stays permissible after N
     point blowups along an auxiliary line.
 
-    Adjoin a variable t; Stage A performs N point blowups at the marked chart
+    Adjoin a variable t, named by the first of t, t1, t2, ... that `names`
+    does not hold; Stage A performs N point blowups at the marked chart
     origin (t-chart each time), Stage B blows up V(z, t) in the t-chart while
     that center is permissible.  Returns (l, trace) where l is the largest
     number of Stage-B transformations after which the center is still
@@ -254,13 +255,15 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
                           "budget of %d" % (N + stop + 1, N, EXPERIMENT_MAX_STEPS))
 
     names = list(names) if names is not None else ["v%d" % i for i in range(f.nvars)]
-    names = names + ["t"]
+    t = next(c for c in itertools.chain(["t"], ("t%d" % i for i in itertools.count(1)))
+             if c not in names)
+    names.append(t)
     point = sorted(names)
     # q >= 1 gives every term a_j z^(n-j) total degree S >= n, and z^n has
     # S = n, so every Stage-A order is n
-    steps = [{"stage": "A", "index": i + 1, "center": point, "chart": "t",
+    steps = [{"stage": "A", "index": i + 1, "center": point, "chart": t,
               "order": n, "permissible": True} for i in range(N)]
-    line = sorted([names[z_index], "t"])
+    line = sorted([names[z_index], t])
     # the Stage-B order after j blowups is the least a + j*b: the row minima of
     # one column per line, j = 0..stop (z^n is the column of n's, b = 0, and
     # the finite slope gives a line with b < 0, so there are two at least)
@@ -269,7 +272,7 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
     orders = list(map(min, *columns))
     if orders[-1] >= n or min(orders[:-1], default=n) < n:
         raise InvariantError("Stage B must stop at its first impermissible center")
-    steps += [{"stage": "B", "index": j + 1, "center": line, "chart": "t",
+    steps += [{"stage": "B", "index": j + 1, "center": line, "chart": t,
                "order": nu, "permissible": nu >= n} for j, nu in enumerate(orders)]
     target = N * (q - 1) - 1
     trace = {"n": n, "q": q, "N": N, "steps": steps, "performed": stop,

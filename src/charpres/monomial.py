@@ -17,14 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
                      TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
 from .projection import SimplifiedPresentation, hord, hord_data, upstairs_algebra
 from .rees import ReesAlg, nonempty_subsets, sing_member, singular_coordinate_strata
-from .blowup import Center, Chart, Tower
+from .blowup import Center, Chart, Tower, _origin
 
 
 @dataclass(frozen=True)
@@ -153,26 +153,23 @@ class StrongCheckResult:
     checked: tuple       # records per checked point
 
 
-def is_strong_monomial(tower: Tower,
-                       extra_points: Iterable[PointSpec] = ()) -> StrongCheckResult:
+def is_strong_monomial(tower: Tower) -> StrongCheckResult:
     """Does the H-order equal the monomial order everywhere it can be tested?
 
     Tested at the generic points of all present-divisor strata and at the
-    supplied closed points; additionally the monomial algebra must divide
-    each (monomial) elimination generator, which makes the elimination branch
-    collapse onto the monomial algebra locally.  The witness is the first
-    failing comparison.  The result is kept in tower.memo, per list of
-    points, for the tower's current state.
+    chart origin ("point 1"), as the lift's end test is; additionally the
+    monomial algebra must divide each (monomial) elimination generator, which
+    makes the elimination branch collapse onto the monomial algebra locally.
+    The witness is the first failing comparison.  The result is kept in
+    tower.memo for the tower's current state.
     """
-    extra_points = tuple(extra_points)
-    key = ("strong", extra_points)
-    res = tower.memo.get(key)
+    res = tower.memo.get("strong")
     if res is None:
-        res = tower.memo[key] = _strong_check(tower, extra_points)
+        res = tower.memo["strong"] = _strong_check(tower)
     return res
 
 
-def _strong_check(tower: Tower, extra_points: tuple) -> StrongCheckResult:
+def _strong_check(tower: Tower) -> StrongCheckResult:
     M = track_monomial(tower)
     sp = tower.obj
     chart = tower.chart
@@ -191,8 +188,7 @@ def _strong_check(tower: Tower, extra_points: tuple) -> StrongCheckResult:
     points = [("stratum " + "&".join(sub),
                GenericPoint(frozenset(present[lab] for lab in sub)))
               for sub in nonempty_subsets(labels)]
-    for i, pt in enumerate(extra_points):
-        points.append(("point %d" % (i + 1), pt))
+    points.append(("point 1", _origin(sp.field, sp.nvars)))
     witness = None
     for name, pt in points:
         hv = hord(sp, pt)
@@ -298,15 +294,14 @@ class LiftResult:
     records: tuple      # one LiftRecord per game move, in play order
 
 
-def lift_resolution(tower: Tower,
-                    extra_points: Iterable[PointSpec] = ()) -> LiftResult:
+def lift_resolution(tower: Tower) -> LiftResult:
     """Play the game on the tower's monomial algebra and materialize its
     centers upstairs: each stratum gains every section variable, the chart
     follows the oldest divisor's variable, and the presentation, cleaned at
     the downstairs generic point of each center, transforms along the way.
     Refuses non-strong towers; an impermissible lifted center or a singular
-    stratum left at the end falsifies the hypothesis and errors."""
-    check = is_strong_monomial(tower, extra_points=extra_points)
+    stratum or origin left at the end falsifies the hypothesis and errors."""
+    check = is_strong_monomial(tower)
     if not check.strong:
         raise TrackingError("lift refused: tower is not in the strong monomial case")
     M = check.monomial
@@ -342,8 +337,7 @@ def lift_resolution(tower: Tower,
     final = tower.obj
     up = upstairs_algebra(final)
     leftover = [tuple(sorted(S)) for S in singular_coordinate_strata(up)]
-    origin = ClosedPoint((up.field.zero,) * up.nvars)
-    if sing_member(up, origin):
+    if sing_member(up, _origin(up.field, up.nvars)):
         leftover.append(("origin",))
     if leftover:
         raise TrackingError(
@@ -352,9 +346,10 @@ def lift_resolution(tower: Tower,
     return LiftResult(M, tuple(records))
 
 
-def sandwich_report(tower: Tower, M: MonomialAlg):
-    """ord_monomial <= hord <= ord(elim), for M the tower's monomial algebra,
+def sandwich_report(tower: Tower):
+    """ord_monomial <= hord <= ord(elim), for the tower's monomial algebra,
     at the generic point of every present-divisor stratum of its final chart."""
+    M = track_monomial(tower)
     sp = tower.obj
     present = tower.chart.present_divisors()
     labels = sorted(present, key=_label_age)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .blowup import Center, Tower, invariant_snapshot, stage_ab_experiment
+from .blowup import Center, Tower, _origin, invariant_snapshot, stage_ab_experiment
 from .errors import CharpresError, CommandError, NotMonicError, SceneParseError
 from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
                        track_monomial)
@@ -246,6 +246,9 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             # script commands name a point by one word
             raise SceneParseError("point name %r is empty or holds whitespace" % name,
                                   lineno)
+        if name == "origin":
+            raise SceneParseError("'origin' is the chart origin and cannot be redefined",
+                                  lineno)
         once("points", "point " + name, lineno)
         if value.startswith("(") and value.endswith(")"):
             parts = _split_csv(value[1:-1])
@@ -264,7 +267,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             points[name] = GenericPoint(vs)
         else:
             raise SceneParseError("expected '(…)' or '{…}' point syntax", lineno)
-    points.setdefault("origin", ClosedPoint((field.zero,) * len(names)))
+    points["origin"] = _origin(field, len(names))
 
     script = list(data["script"])
     return Scene(field, names, algebra, presentation, points, script, path)
@@ -418,12 +421,6 @@ class _Execution:
             raise CommandError("the tower does not track a presentation")
         return self.scene.require_presentation()
 
-    def closed_points(self) -> list:
-        """The scene's closed points, by name; strong-check and resolve both
-        test the H-order at them."""
-        return [pt for _, pt in sorted(self.scene.points.items())
-                if isinstance(pt, ClosedPoint)]
-
     def ensure_tower(self) -> Tower:
         if self.tower is None:
             obj = (self.scene.presentation if self.scene.presentation is not None
@@ -557,20 +554,20 @@ def _cmd_monomial_track(ex: _Execution) -> dict:
 
 def _cmd_strong_check(ex: _Execution) -> dict:
     tower = ex.ensure_tower()
-    res = is_strong_monomial(tower, extra_points=ex.closed_points())
+    res = is_strong_monomial(tower)
     rec = {"command": "strong-check", "strong": res.strong,
            "monomial": {"s": res.monomial.s,
                         "exponents": {lab: h for lab, h in res.monomial.exponents}},
            "checked": list(res.checked),
            "witness": res.witness}
     if tower.steps:
-        rec["sandwich"] = sandwich_report(tower, res.monomial)
+        rec["sandwich"] = sandwich_report(tower)
     return rec
 
 
 def _cmd_resolve(ex: _Execution) -> dict:
     tower = ex.ensure_tower()
-    lift = lift_resolution(tower, extra_points=ex.closed_points())
+    lift = lift_resolution(tower)
     M = lift.monomial
     moves = [r.move for r in lift.records]
     rec = {"command": "resolve",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from charpres import projection
+from charpres import monomial, projection
 from charpres.blowup import Center, Chart, Tower, TowerStep
 from charpres.errors import CharpresError, NonMonomialElimError, TrackingError
 from charpres.monomial import (MonomialAlg, divides, is_strong_monomial,
@@ -94,7 +94,7 @@ def test_divides():
 
 def test_strong_monomial_standard():
     tower = tower_for("z^2 + x^4*y^5", F2, STD)
-    res = is_strong_monomial(tower, extra_points=[ClosedPoint((0, 0, 0))])
+    res = is_strong_monomial(tower)
     assert res.strong
     assert res.witness is None
     strata = [row["at"] for row in res.checked]
@@ -104,7 +104,7 @@ def test_strong_monomial_standard():
 
 def test_sandwich_rows():
     tower = tower_for("z^2 + x^4*y^5", F2, STD)
-    rows = sandwich_report(tower, track_monomial(tower))
+    rows = sandwich_report(tower)
     assert [(r["stratum"], r["ord_monomial"], r["hord"], r["elim_ord"])
             for r in rows] == [
         ("H1", 1, 1, 1),
@@ -230,15 +230,38 @@ def test_lift_length_four_with_absent_divisors():
 
 
 def test_vacuous_tower():
+    # no divisors, so the monomial order is 0 everywhere, and the H-order
+    # 1/2 at the chart origin is a witness
     f = P("z^2 + x", F2)
     pres = SimplifiedPresentation(F2, 3, (0,), (f,), ReesAlg.make(F2, 3, []))
     tower = Tower.start(ZXY, pres)
     M = track_monomial(tower)
     assert M.exponents == ()
     res = is_strong_monomial(tower)
-    assert res.strong
-    lift = lift_resolution(tower)
-    assert lift.records == ()
+    assert not res.strong
+    assert res.checked == ({"at": "point 1", "hord": Fraction(1, 2),
+                            "ord_monomial": 0, "equal": False},)
+    assert res.witness == {"kind": "order mismatch", "at": "point 1",
+                           "hord": Fraction(1, 2), "ord_monomial": 0}
+    with pytest.raises(TrackingError, match="lift refused"):
+        lift_resolution(tower)
+
+
+def test_strong_check_tests_the_chart_origin():
+    # over F_2, z^2 + x^3*y^3 blown up at {z, y} in chart y becomes
+    # z^2 + x^3*y^4: hord and ord_monomial agree along H1 (2 = 2), but the
+    # factor x^3 off the divisor gives hord 2 at the origin against 1/2
+    tower = tower_for("z^2 + x^3*y^3", F2, (("zy", "y"),), elim_gens=[])
+    res = is_strong_monomial(tower)
+    assert [row["at"] for row in res.checked] == ["stratum H1", "point 1"]
+    assert res.checked[0]["equal"]
+    assert not res.strong
+    assert res.witness == {"kind": "order mismatch", "at": "point 1",
+                           "hord": 2, "ord_monomial": Fraction(1, 2)}
+    steps = len(tower.steps)
+    with pytest.raises(TrackingError, match="lift refused"):
+        lift_resolution(tower)
+    assert len(tower.steps) == steps
 
 
 # -- the tower memo ---------------------------------------------------------------
@@ -269,24 +292,21 @@ def _outcome(fn, *args, **kwargs):
         return "%s: %s" % (type(exc).__name__, exc)
 
 
-def _assert_memo_matches_rebuilt(tower, points=()):
+def _assert_memo_matches_rebuilt(tower):
     again = _rebuilt_tower(tower)
-    for fn, kwargs in ((track_monomial, {}), (is_strong_monomial, {}),
-                       (is_strong_monomial, {"extra_points": points})):
-        memo = _outcome(fn, tower, **kwargs)
-        assert memo == _outcome(fn, again, **kwargs)
+    for fn in (track_monomial, is_strong_monomial):
+        memo = _outcome(fn, tower)
+        assert memo == _outcome(fn, again)
         # a second call of the same state is served the same result
-        assert _outcome(fn, tower, **kwargs) == memo
+        assert _outcome(fn, tower) == memo
 
 
 def test_tower_memo_serves_one_state():
     tower = tower_for("z^2 + x^4*y^5", F2, STD)
     M = track_monomial(tower)
     assert track_monomial(tower) is M
-    origin = [ClosedPoint((0, 0, 0))]
-    res = is_strong_monomial(tower, extra_points=origin)
-    assert is_strong_monomial(tower, extra_points=[ClosedPoint((0, 0, 0))]) is res
-    assert is_strong_monomial(tower) is not res      # other points, other entry
+    res = is_strong_monomial(tower)
+    assert is_strong_monomial(tower) is res
     # any assignment to the tower's state empties the memo
     tower.obj = tower.obj
     assert tower.memo == {}
@@ -295,10 +315,9 @@ def test_tower_memo_serves_one_state():
 
 def test_tower_memo_follows_blow_up():
     tower = tower_for("z^2 + x^4*y^5", F2, STD[:1])
-    origin = [ClosedPoint((0, 0, 0))]
-    _assert_memo_matches_rebuilt(tower, origin)
+    _assert_memo_matches_rebuilt(tower)
     tower.blow_up(Center(frozenset({0, 2})), 2)
-    _assert_memo_matches_rebuilt(tower, origin)
+    _assert_memo_matches_rebuilt(tower)
     assert track_monomial(tower).exponents == (("H1", 2), ("H2", 3))
 
 
@@ -307,14 +326,16 @@ def test_tower_memo_follows_a_successful_lift():
                       (("zx", "x"), ("zx", "x"), ("zy", "y"), ("zy", "y")))
     _assert_memo_matches_rebuilt(tower)
     lift_resolution(tower)
-    _assert_memo_matches_rebuilt(tower, [ClosedPoint((0, 0, 0))])
+    _assert_memo_matches_rebuilt(tower)
 
 
 def test_lift_normalizes_nothing_at_the_origin(monkeypatch):
     """The lift's blowups compute no origin snapshot: no lifted state is
-    cleaned at the chart origin."""
+    cleaned at the chart origin.  The strong check, which the lift reads
+    from the tower memo, tests the origin of the tower's own state."""
     tower = tower_for("z^2 + x^6*y^7", F2,
                       (("zx", "x"), ("zx", "x"), ("zy", "y"), ("zy", "y")))
+    assert is_strong_monomial(tower).strong
     points = []
     normalize = projection._normalize
 
@@ -330,14 +351,14 @@ def test_lift_normalizes_nothing_at_the_origin(monkeypatch):
     assert points and ClosedPoint((0, 0, 0)) not in points
 
 
-def test_tower_memo_follows_a_lift_that_fails():
-    # over F_2, z^2 + x*y^7 (no elimination part) blown up once along {z, y}
-    # is strong without points, but its lift ends with singular strata after
-    # it blew up twice
-    tower = tower_for("z^2 + x*y^7", F2, (("zy", "y"),), elim_gens=[])
+def test_tower_memo_follows_a_lift_that_fails(monkeypatch):
+    # a strong tower whose lift blows up twice and then fails its end test,
+    # here patched to find the origin singular
+    tower = tower_for("z^2 + x^4*y^5", F2, STD)
     _assert_memo_matches_rebuilt(tower)
     assert is_strong_monomial(tower).strong
+    monkeypatch.setattr(monomial, "sing_member", lambda alg, pt: True)
     with pytest.raises(TrackingError, match="lift ended with singular strata"):
         lift_resolution(tower)
-    assert len(tower.steps) == 3
-    _assert_memo_matches_rebuilt(tower, [ClosedPoint((0, 0, 0))])
+    assert len(tower.steps) == 4
+    _assert_memo_matches_rebuilt(tower)

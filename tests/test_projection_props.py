@@ -16,7 +16,8 @@ transform; the carried split must equal the one rebuilt from the terms,
 and the H-order must agree with the rebuilt presentation's.
 
 When the strong-monomial test accepts a random tower, the lift of its
-resolution game never meets an impermissible center.
+resolution game never meets an impermissible center and never ends with a
+singular stratum.
 
 The tests skip when hypothesis is not installed; it is not a runtime
 dependency.
@@ -187,13 +188,30 @@ def _square_section_tower():
     return tower
 
 
+def _off_divisor_factor_tower(blowups):
+    """Over F_2, z^2 + x^3*y^3 with no elimination part, blown up at {z, y}
+    in chart y when `blowups`: the factor x^3 lies off every divisor, so
+    only the chart origin shows that the H-order exceeds the monomial
+    order."""
+    field = FieldSpec(2)
+    f = parse_poly("z^2 + x^3*y^3", field, ("z", "x", "y"))
+    sp = SimplifiedPresentation(field, 3, (0,), (f,), ReesAlg.make(field, 3, []))
+    tower = Tower.start(["v0", "v1", "v2"], sp)
+    if blowups:
+        tower.blow_up(Center(frozenset({0, 2})), 2)
+    return tower
+
+
 @PROPS
 @given(towers())
 @example(_square_section_tower())
+@example(_off_divisor_factor_tower(True))
+@example(_off_divisor_factor_tower(False))
 def test_strong_towers_lift_through_permissible_centers(tower):
-    """A strong tower's lifted centers are permissible.  Other lift failures
-    (a singular stratum left at the end, an infinite H-order at a center)
-    are not this property's concern."""
+    """A strong tower's lifted centers are permissible, and its lift leaves
+    no singular coordinate stratum and a smooth chart origin.  Other lift
+    failures (an infinite H-order at a center) are not this property's
+    concern."""
     try:
         strong = is_strong_monomial(tower).strong
     except CharpresError:
@@ -204,6 +222,7 @@ def test_strong_towers_lift_through_permissible_centers(tower):
         lift_resolution(tower)
     except CharpresError as exc:
         assert "is impermissible" not in str(exc)
+        assert "lift ended with singular strata" not in str(exc)
 
 
 FIELDS = tuple(FieldSpec(p) for p in (2, 3, 5, 7, 0))

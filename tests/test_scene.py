@@ -145,6 +145,11 @@ def test_parse_minimal():
                          + " W^2"),
      "a product of a 1-term and a 1-term polynomial could build coefficients of more "
      "than 1000000 bits", 10),
+    # `origin` always names the chart origin
+    (lambda s: s.replace("L = {x}", "L = {x}\norigin = {x}"),
+     "'origin' is the chart origin and cannot be redefined", 15),
+    (lambda s: s.replace("P1 = (0, 1, 2)", "origin = (0, 0, 0)"),
+     "'origin' is the chart origin and cannot be redefined", 13),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, capsys):
     with pytest.raises(SceneParseError) as err:
@@ -760,6 +765,61 @@ def test_resolve_refuses_tower_strong_check_rejects(tmp_path, capsys):
     scene = _write(tmp_path, "s.scene", NON_STRONG_AT_ORIGIN)
     assert main(["run", "--scene", scene]) == 1
     assert "lift refused" in capsys.readouterr().err
+
+
+# the scene's closed point P is not among the points the strong check tests:
+# those are the divisor strata and the chart origin
+STRONG_WITH_A_POINT = """\
+[field]
+characteristic: 2
+[variables]
+vars: z, x, y
+sections: z
+[presentation]
+poly 1: z^2 + x^4*y^5
+elim: x^4*y^5 W^2
+[points]
+P = (0, 1, 1)
+[script]
+blowup: center = {z, x}; chart = x
+blowup: center = {z, y}; chart = y
+strong-check
+resolve
+"""
+
+
+def test_strong_check_tests_the_chart_origin_not_the_scene_points():
+    doc = run_scene(parse_scene(STRONG_WITH_A_POINT))
+    assert doc["status"] == "ok"
+    check = doc["records"][2]
+    assert [row["at"] for row in check["checked"]] == [
+        "stratum H1", "stratum H2", "stratum H1&H2", "point 1"]
+    assert check["checked"][-1] == {"at": "point 1", "hord": Fraction(5, 2),
+                                    "ord_monomial": Fraction(5, 2), "equal": True}
+    bare = STRONG_WITH_A_POINT.replace("[points]\nP = (0, 1, 1)\n", "")
+    assert run_scene(parse_scene(bare))["records"] == doc["records"]
+
+
+EXPERIMENT_WITH_T = """\
+[field]
+characteristic: 5
+[variables]
+vars: z, t
+sections: z
+[presentation]
+poly 1: z^2 + t^3
+elim: t^3 W^2
+[script]
+experiment q-from-presentation N=2
+"""
+
+
+def test_experiment_names_its_variable_apart_from_the_scene():
+    rec = run_scene(parse_scene(EXPERIMENT_WITH_T))["records"][0]
+    assert rec["agrees"]
+    assert [(row["stage"], row["center"], row["chart"]) for row in rec["steps"]] == [
+        ("A", ["t", "t1", "z"], "t1"), ("A", ["t", "t1", "z"], "t1"),
+        ("B", ["t1", "z"], "t1"), ("B", ["t1", "z"], "t1")]
 
 
 def _scene_paths():
