@@ -15,6 +15,8 @@ strong check) until a blowup or a lift changes that state.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
@@ -210,8 +212,64 @@ class Tower:
 # -- the two-stage slope experiment --------------------------------------------
 
 
-# The most trace rows (N in Stage A plus those of Stage B) one experiment builds.
+# The most trace rows (N in Stage A plus those of Stage B) one experiment may
+# write into a trace; `StageRows` holds them in closed form, so this bounds the
+# trace text, not what the experiment itself builds.
 EXPERIMENT_MAX_STEPS = 10 ** 6
+
+
+class StageRows(Sequence):
+    """The rows of one stage A/B experiment, held in closed form.
+
+    Stage-A row i (1..N) is {"stage": "A", "index": i, "center": point,
+    "chart": chart, "order": n, "permissible": True}; stage-B row j is
+    {"stage": "B", "index": j, "center": line, "chart": chart, "order":
+    orders[j - 1], "permissible": orders[j - 1] >= n}.  Indexing, slicing and
+    iteration build those dicts on demand, and the rows compare equal to a
+    list of the same dicts.  `scene.canonical_json` writes the rows' text
+    from the fields without building any of them.
+    """
+
+    __slots__ = ("point", "line", "chart", "n", "N", "orders")
+
+    def __init__(self, point: list, line: list, chart: str, n: int, N: int,
+                 orders: tuple):
+        self.point, self.line, self.chart = point, line, chart
+        self.n, self.N, self.orders = n, N, orders
+
+    def __len__(self) -> int:
+        return self.N + len(self.orders)
+
+    def _row(self, i: int) -> dict:
+        if i < self.N:
+            return {"stage": "A", "index": i + 1, "center": self.point,
+                    "chart": self.chart, "order": self.n, "permissible": True}
+        nu = self.orders[i - self.N]
+        return {"stage": "B", "index": i - self.N + 1, "center": self.line,
+                "chart": self.chart, "order": nu, "permissible": nu >= self.n}
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(k) for k in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        k = i + len(self) if i < 0 else i
+        if not 0 <= k < len(self):
+            raise IndexError("stage row %d out of range for %d rows" % (i, len(self)))
+        return self._row(k)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, StageRows):
+            other = list(other)
+        if not isinstance(other, list):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return "StageRows(%r, %r, %r, n=%r, N=%r, orders=%r)" % (
+            self.point, self.line, self.chart, self.n, self.N, self.orders)
 
 
 def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
@@ -229,7 +287,8 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
 
     Each step is an injective monomial map changing only e[t], so no polynomial
     is built: a term of total degree S has e[t] = i*(S - n) after i Stage-A
-    blowups and N*(S - n) + j*(e_z - n) after j Stage-B blowups.
+    blowups and N*(S - n) + j*(e_z - n) after j Stage-B blowups.  No row is
+    built either: trace["steps"] is a `StageRows`.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -251,7 +310,7 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
     lines = [(ez + N * (S - n), ez - n) for ez, S in least.items()]   # order a + j*b
     stop = _stage_b_stop(lines, n)
     if N + stop + 1 > EXPERIMENT_MAX_STEPS:
-        raise BudgetError("the experiment would build %d trace rows (N=%d), above its "
+        raise BudgetError("the experiment would write %d trace rows (N=%d), above its "
                           "budget of %d" % (N + stop + 1, N, EXPERIMENT_MAX_STEPS))
 
     names = list(names) if names is not None else ["v%d" % i for i in range(f.nvars)]
@@ -259,21 +318,17 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
              if c not in names)
     names.append(t)
     point = sorted(names)
-    # q >= 1 gives every term a_j z^(n-j) total degree S >= n, and z^n has
-    # S = n, so every Stage-A order is n
-    steps = [{"stage": "A", "index": i + 1, "center": point, "chart": t,
-              "order": n, "permissible": True} for i in range(N)]
-    line = sorted([names[z_index], t])
     # the Stage-B order after j blowups is the least a + j*b: the row minima of
     # one column per line, j = 0..stop (z^n is the column of n's, b = 0, and
     # the finite slope gives a line with b < 0, so there are two at least)
     columns = [range(a, a + (stop + 1) * b, b) if b else itertools.repeat(a, stop + 1)
                for a, b in lines]
-    orders = list(map(min, *columns))
+    orders = tuple(map(min, *columns))
     if orders[-1] >= n or min(orders[:-1], default=n) < n:
         raise InvariantError("Stage B must stop at its first impermissible center")
-    steps += [{"stage": "B", "index": j + 1, "center": line, "chart": t,
-               "order": nu, "permissible": nu >= n} for j, nu in enumerate(orders)]
+    # q >= 1 gives every term a_j z^(n-j) total degree S >= n, and z^n has
+    # S = n, so every Stage-A order is n
+    steps = StageRows(point, sorted([names[z_index], t]), t, n, N, orders)
     target = N * (q - 1) - 1
     trace = {"n": n, "q": q, "N": N, "steps": steps, "performed": stop,
              "l": stop - 1, "expected": target.numerator // target.denominator}

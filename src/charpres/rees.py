@@ -49,8 +49,10 @@ class ReesAlg:
                 unit = True
                 continue
             kept.append((f, n))
-        uniq = sorted(set(kept), key=lambda t: (t[1], t[0].terms))
-        return cls(field, nvars, tuple(uniq), unit)
+        # sorted, an exact repeat sits next to its first copy; dropping it
+        # there compares coefficients and hashes none
+        kept.sort(key=lambda t: (t[1], t[0].terms))
+        return cls(field, nvars, tuple(g for g, _ in itertools.groupby(kept)), unit)
 
     def with_extra(self, more: Iterable[tuple]) -> "ReesAlg":
         return ReesAlg.make(self.field, self.nvars,

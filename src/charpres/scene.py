@@ -9,13 +9,15 @@ trace document; traces serialize as canonical JSON (sorted keys, rationals as
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .blowup import Center, Tower, _origin, invariant_snapshot, stage_ab_experiment
+from .blowup import (Center, StageRows, Tower, _origin, invariant_snapshot,
+                     stage_ab_experiment)
 from .errors import CharpresError, CommandError, NotMonicError, SceneParseError
 from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
                        track_monomial)
@@ -298,6 +300,8 @@ def jsonify(obj):
         return "%d/%d" % (obj.numerator, obj.denominator)
     if obj is INF:
         return "inf"
+    if t is StageRows:
+        return [jsonify(row) for row in obj]
     if isinstance(obj, float):
         raise TypeError("floats are not allowed in traces")
     if isinstance(obj, (set, frozenset)):
@@ -312,9 +316,27 @@ def jsonify(obj):
 # None differently; a dict that mixes them with str keys fails its sort).
 _GUARDS = (re.compile(r"\.(?<=\d\.)\d"), re.compile(r"e[-+](?<=\de[-+])"),
            re.compile(r'\{"(?:-?\d+|true|false|null)":'))
-# a trace is a tree; a cycle ends in RecursionError on either path
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
-                            check_circular=False, default=jsonify)
+# The fast path writes this string in place of each StageRows, and the rows'
+# text in place of its JSON once the guards have passed.  A trace string equal
+# to it makes the count of markers differ from the count of StageRows.
+_ROWS_MARKER = "\x00StageRows\x00"
+_ROWS_MARKER_JSON = json.dumps(_ROWS_MARKER)
+# one row of each stage with its keys sorted; point, line and chart come in as
+# JSON text, and in stage A only the index varies
+_ROW_A = '{"center":%s,"chart":%s,"index":%%d,"order":%d,"permissible":true,"stage":"A"}'
+_ROW_B = '{"center":%s,"chart":%s,"index":%%d,"order":%%d,"permissible":%%s,"stage":"B"}'
+
+
+def _rows_json(rows: StageRows, point: str, line: str, chart: str) -> str:
+    """The text of `list(rows)` from its closed form; point, line and chart
+    are the JSON texts of its fields."""
+    point, line, chart = (s.replace("%", "%%") for s in (point, line, chart))
+    template = ",".join([_ROW_A % (point, chart, rows.n)] * rows.N
+                        + [_ROW_B % (line, chart)] * len(rows.orders))
+    args = [*range(1, rows.N + 1)]
+    args += [x for j, nu in enumerate(rows.orders, 1)
+             for x in (j, nu, "true" if nu >= rows.n else "false")]
+    return "[" + template % tuple(args) + "]"
 
 
 def canonical_json(doc) -> str:
@@ -322,24 +344,46 @@ def canonical_json(doc) -> str:
     separators=(",", ":"))`, plus a newline: sorted keys, Fractions as ints or
     "num/den", INF as "inf", and a TypeError for any float.
 
-    The fast path hands `doc` as it is to the C encoder, with `jsonify` as
-    the hook for what the encoder does not know (Fractions, sets).  Its text
-    stands unless the encoder raised (ValueError for INF, inf or NaN,
-    TypeError for a key it cannot write or a value `jsonify` refuses) or a
-    guard of `_GUARDS` matches.  Then the document takes the exact path
-    through `jsonify`, which is also the only path for traces holding INF,
-    the reference the tests compare against, and the walk `verify_trace`
-    reports divergences with.  A string that only looks like a float takes
-    the exact path and gets the same bytes.  One difference is kept: the
-    fast path writes subclasses of dict, list, tuple, str and int by value,
-    where `jsonify` refuses them; no trace holds one."""
+    The fast path hands `doc` as it is to the C encoder, with a hook for
+    what the encoder does not know: `jsonify` for Fractions and sets, and a
+    marker string for each `StageRows`, whose text `_rows_json` writes from
+    the closed form, so no row dict is built.  The text stands unless the
+    encoder raised (ValueError for INF, inf or NaN, TypeError for a key it
+    cannot write or a value `jsonify` refuses), a guard of `_GUARDS` matches
+    it or the JSON of a StageRows' point, line or chart, or the markers in it
+    are not exactly one per StageRows.  Then the document takes the exact
+    path through `jsonify`, which is also the only path for traces holding
+    INF, the reference the tests compare against, and the walk
+    `verify_trace` reports divergences with.  A string that only looks like
+    a float takes the exact path and gets the same bytes.  One difference is
+    kept: the fast path writes subclasses of dict, list, tuple, str and int
+    by value, where `jsonify` refuses them; no trace holds one."""
+    found = []
+
+    def default(obj):
+        if type(obj) is StageRows:
+            found.append(obj)
+            return _ROWS_MARKER
+        return jsonify(obj)
+
+    # a trace is a tree; a cycle ends in RecursionError on either path
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                               check_circular=False, default=default)
     try:
-        text = _ENCODER.encode(doc)
+        text = encoder.encode(doc)
+        heads = [[encoder.encode(x) for x in (rows.point, rows.line, rows.chart)]
+                 for rows in found]
     except (ValueError, TypeError):
-        text = None
-    if text is None or any(guard.search(text) for guard in _GUARDS):
-        text = json.dumps(jsonify(doc), sort_keys=True, separators=(",", ":"))
-    return text + "\n"
+        heads = None
+    if heads is not None and not any(guard.search(s) for s in itertools.chain([text], *heads)
+                                     for guard in _GUARDS):
+        pieces = text.split(_ROWS_MARKER_JSON)
+        if len(pieces) == len(found) + 1:
+            out = [pieces[0]]
+            for rows, head, piece in zip(found, heads, pieces[1:]):
+                out += (_rows_json(rows, *head), piece)
+            return "".join(out) + "\n"
+    return json.dumps(jsonify(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _first_divergence(a, b, path="$"):

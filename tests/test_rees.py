@@ -46,6 +46,20 @@ def test_make_drops_zero_and_detects_units():
     assert not sing_member(v, ORIGIN)
 
 
+def test_make_drops_exact_repeats_without_hashing(monkeypatch):
+    texts = [("1/2*x + z^2", 2), ("2/3*x^3", 1), ("1/2*x + z^2", 1), ("2/3*x^3", 1),
+             ("1/2*x + z^2", 2), ("y", 1)]
+    gens = [(P(t), n) for t, n in texts]
+
+    def refuse(self):
+        raise AssertionError("a coefficient was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    a = ReesAlg.make(Q, 3, gens)
+    assert [(render_poly(f, ZXY), n) for f, n in a.gens] == [
+        ("y", 1), ("2/3*x^3", 1), ("z^2 + 1/2*x", 1), ("z^2 + 1/2*x", 2)]
+
+
 def test_trivial_algebra():
     t = ReesAlg.make(Q, 3, [])
     assert not t.gens and not t.is_unit

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import charpres.scene as scene_mod
+from charpres.blowup import StageRows
 from charpres.cli import main
 from charpres.errors import InvariantError, SceneParseError
 from charpres.poly import INF, ClosedPoint, FieldSpec, GenericPoint, parse_poly
@@ -279,10 +280,18 @@ def test_canonical_json_matches_the_exact_path():
     scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
                         st.fractions(), st.just(INF), st.floats(), floatish)
     keys = st.one_of(st.text(), floatish, st.integers())
+    # experiment rows in closed form, with names that need escaping or that
+    # the fast path cannot write
+    stage_rows = st.builds(StageRows, st.lists(scalars, max_size=3),
+                           st.lists(scalars, max_size=2), scalars, st.integers(),
+                           st.integers(0, 3), st.lists(st.integers(), max_size=3).map(tuple))
     documents = st.recursive(
-        scalars, lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
-                                         st.dictionaries(keys, inner)),
+        st.one_of(scalars, stage_rows),
+        lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                                st.dictionaries(keys, inner)),
         max_leaves=15)
+    rows = StageRows(["t", "x", "z"], ["t", "z"], "t", 2, 2, (3, 2, 1))
+    more = StageRows(["t1", "%s", "z"], ["t1", "z"], "t1", 3, 1, (3, 0))
 
     # keys the C encoder would sort as numbers or name its own way
     @hypothesis.example({10: 0, 2: [1]})
@@ -290,6 +299,14 @@ def test_canonical_json_matches_the_exact_path():
     @hypothesis.example([{None: "x"}])
     @hypothesis.example({1: 0, "1": 1})
     @hypothesis.example({"scene": "towers-s1-00.scene", "q": Fraction(3, 2)})
+    # a string equal to the marker the fast path writes for rows
+    @hypothesis.example({"note": scene_mod._ROWS_MARKER, "steps": rows})
+    @hypothesis.example([scene_mod._ROWS_MARKER])
+    # rows beside INF take the exact path; beside a float they still raise
+    @hypothesis.example({"q": INF, "steps": rows})
+    @hypothesis.example({"steps": rows, "x": 0.5})
+    @hypothesis.example({"steps": StageRows(["t", 1.5], ["t"], "t", 1, 1, ())})
+    @hypothesis.example({"records": [{"steps": rows}, {"N": 1, "steps": more}]})
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(documents)
     def check(doc):
