@@ -23,7 +23,8 @@ import argparse
 import sys
 
 from .errors import SceneParseError
-from .scene import RunOptions, canonical_json, load_scene, run_scene, verify_trace
+from .scene import (RunOptions, canonical_json, load_scene, run_scene,
+                    verify_canonical_trace)
 
 _EXTRA = {"monomial-track", "strong-check", "resolve"}
 
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:   # missing, or not UTF-8
             print("cannot read golden trace: %s" % exc, file=sys.stderr)
             return 1
-        ok, report = verify_trace(text, golden)
+        ok, report = verify_canonical_trace(text, golden)
         if not ok:
             print("trace mismatch: %s" % report, file=sys.stderr)
             return 1

@@ -322,7 +322,8 @@ def lift_resolution(tower: Tower) -> LiftResult:
         hv, ev = data.value, data.elim_ord
         case = "A" if hv == ev else "B"
         # blow up the sections hord measured: those cleaned at the center
-        tower.obj = data.presentation
+        if data.cleaned is not None:
+            tower.obj = data.cleaned
         try:
             tower.blow_up(center, chart_var)
         except PermissibilityError as exc:

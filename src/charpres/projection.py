@@ -282,14 +282,15 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNo
 class NormalizeResult:
     """A presentation cleaned at one downstairs point.
 
-    presentation is the input itself when no section polynomial moved, and
-    otherwise a plain presentation of the cleaned polynomials over the same
-    elimination part: cleaning need not keep a PPresentation's middle
-    coefficients in the elimination part.  value is the H-order, the
+    cleaned is None when no section polynomial moved, and otherwise a plain
+    presentation of the cleaned polynomials over the same elimination part:
+    cleaning need not keep a PPresentation's middle coefficients in the
+    elimination part.  The record never refers to the presentation it was
+    made from, which keeps it in its memo.  value is the H-order, the
     minimum of elim_ord and the cleaned slopes.
     """
 
-    presentation: SimplifiedPresentation
+    cleaned: Optional[SimplifiedPresentation]
     elim_ord: object
     normalizations: tuple         # one PolyNormalization per section polynomial
     value: object                 # Fraction or INF
@@ -314,16 +315,16 @@ def _normalize(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
     eord = ord_at(sp.elim, y)
     recs = tuple(normalize_poly(f, z, y, elim_ord=eord)
                  for z, f in zip(sp.sections, sp.polys))
-    out = sp
+    cleaned = None
     if any(r.iterations for r in recs):
-        out = SimplifiedPresentation(sp.field, sp.nvars, sp.sections,
-                                     tuple(r.poly for r in recs), sp.elim)
-    return NormalizeResult(out, eord, recs, min([eord] + [r.slope for r in recs]))
+        cleaned = SimplifiedPresentation(sp.field, sp.nvars, sp.sections,
+                                         tuple(r.poly for r in recs), sp.elim)
+    return NormalizeResult(cleaned, eord, recs, min([eord] + [r.slope for r in recs]))
 
 
 def is_normal_at(pres: SimplifiedPresentation, y: PointSpec) -> bool:
     """Normal form test: cleaning at y moves no section polynomial."""
-    return normalize(pres, y).presentation is pres
+    return normalize(pres, y).cleaned is None
 
 
 # -- membership ------------------------------------------------------------------
@@ -352,7 +353,7 @@ def membership_criterion(pres: SimplifiedPresentation, y: PointSpec) -> bool:
     Requires the presentation to be in normal form at y and cross-checks
     against the ambient singular-locus test at the fiber point."""
     data = normalize(pres, y)
-    if data.presentation is not pres:
+    if data.cleaned is not None:
         raise NotNormalFormError("presentation is not in normal form at the point")
     result = data.value >= 1
     upstairs = sing_member(upstairs_algebra(pres), fiber_point(pres, y))
@@ -380,7 +381,7 @@ def hord_data(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
 
 
 def _check_reduced(sp: PPresentation, data: NormalizeResult, y: PointSpec):
-    polys = data.presentation.polys
+    polys = tuple(r.poly for r in data.normalizations)
     parts = [data.elim_ord]
     for z, f, n in zip(sp.sections, polys, sp.degrees):
         a = monic_coefficients(f, z)[n]

@@ -58,11 +58,15 @@ class ReesAlg:
         return ReesAlg.make(self.field, self.nvars,
                             list(self.gens) + list(more), self.is_unit)
 
+    # True on an algebra that diff_saturate returned: it is its own
+    # saturation, marked without a reference to itself
+    _saturated = False
+
     @cached_property
     def _saturation(self) -> "ReesAlg":
         # the saturation, computed on first use; see diff_saturate
         sat = _saturate(self)
-        sat.__dict__["_saturation"] = sat
+        sat.__dict__["_saturated"] = True
         return sat
 
     @cached_property
@@ -210,9 +214,10 @@ def diff_saturate(alg: ReesAlg) -> ReesAlg:
     weight); a positive-weight constant marks the unit algebra.
 
     The saturation is computed once per `ReesAlg` instance and kept on it;
-    a saturation is its own saturation.
+    a saturation is its own saturation, marked by a flag, so neither refers
+    to itself.
     """
-    return alg._saturation
+    return alg if alg._saturated else alg._saturation
 
 
 # -- exact linear algebra over the base field ----------------------------------

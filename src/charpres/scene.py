@@ -414,19 +414,33 @@ def _first_divergence(a, b, path="$"):
 
 def verify_trace(trace_text: str, golden_text: str):
     """Byte equality of canonicalized traces; on mismatch, a pointer to the
-    first divergent value."""
+    first divergent value.  Both texts are parsed, so two equal texts that
+    are not traces fail."""
     try:
-        a = json.loads(trace_text)
-        b = json.loads(golden_text)
+        text = canonical_json(json.loads(trace_text))
     except ValueError as exc:   # JSONDecodeError, or an integer too long to read
         return False, "not valid JSON: %s" % exc
-    try:
-        ca, cb = canonical_json(a), canonical_json(b)
     except TypeError as exc:    # a float, inf or NaN: never in a trace
         return False, "not a trace: %s" % exc
-    if ca == cb:
+    return verify_canonical_trace(text, golden_text)
+
+
+def verify_canonical_trace(text: str, golden_text: str):
+    """`verify_trace` for a `text` that `canonical_json` wrote.  Equal bytes
+    pass with neither text parsed; otherwise the golden is parsed and
+    canonicalized, and `text` is parsed only for the divergence report."""
+    if text == golden_text:
         return True, None
-    return False, _first_divergence(jsonify(a), jsonify(b)) or "traces differ"
+    try:
+        golden = json.loads(golden_text)
+        if canonical_json(golden) == text:
+            return True, None
+    except ValueError as exc:
+        return False, "not valid JSON: %s" % exc
+    except TypeError as exc:
+        return False, "not a trace: %s" % exc
+    return False, (_first_divergence(jsonify(json.loads(text)), jsonify(golden))
+                   or "traces differ")
 
 
 # -- command execution ---------------------------------------------------------------
@@ -525,7 +539,7 @@ def _cmd_slope(ex: _Execution, point_name: str) -> dict:
            "slopes": list(norm.slopes),
            "normalized_poly": ex.rp(norm.poly),
            "presentation_slope": data.value}
-    rec["membership"] = membership_criterion(data.presentation, pt)
+    rec["membership"] = membership_criterion(data.cleaned or pres, pt)
     return rec
 
 

@@ -170,6 +170,59 @@ def reference_strata(alg: ReesAlg) -> tuple:
                  if sing_member(alg, GenericPoint(S)))
 
 
+# brute_force_slope refuses to try more substitutions than this
+SLOPE_ORACLE_MAX_ALPHAS = 5000
+
+
+def _order_along(f: MPoly, vars_) -> int:
+    """The least degree in `vars_` over the terms of a nonzero f."""
+    return min(sum(e[i] for i in vars_) for e, _ in f.terms)
+
+
+def brute_force_slope(f: MPoly, z: int, y, D: int):
+    """The largest slope of f(z + alpha) at y over every alpha with
+    coefficients in F_p built from the monomials of degree 1..D in the
+    variables other than z that vanish at y.
+
+    y is the origin (a ClosedPoint of zeros) or a GenericPoint; the slope is
+    min over j of ord_y(a_j)/j for f = z^n + sum a_j z^(n-j), read off the
+    expanded polynomial, and inf when every a_j vanishes.  Raises
+    BudgetError, before substituting anything, when more than
+    SLOPE_ORACLE_MAX_ALPHAS alphas would be tried."""
+    field, nvars = f.field, f.nvars
+    p = field.characteristic
+    if isinstance(y, GenericPoint):
+        vars_ = tuple(sorted(y.vars))
+    elif not any(y.values):
+        vars_ = tuple(range(nvars))
+    else:
+        raise ValueError("brute_force_slope measures at the origin or a generic point")
+    down = [i for i in range(nvars) if i != z]
+    monomials = []
+    for cut in itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(down, d) for d in range(1, D + 1)):
+        e = [0] * nvars
+        for i in cut:
+            e[i] += 1
+        if sum(e[i] for i in vars_) >= 1:
+            monomials.append(tuple(e))
+    count = p ** len(monomials)
+    if count > SLOPE_ORACLE_MAX_ALPHAS:
+        raise BudgetError("%d substitutions (%d monomials over F_%d) exceed the "
+                          "budget of %d" % (count, len(monomials), p,
+                                            SLOPE_ORACLE_MAX_ALPHAS))
+    zvar = MPoly.var(field, nvars, z)
+    best = -1
+    for coeffs in itertools.product(range(p), repeat=len(monomials)):
+        alpha = MPoly.from_dict(field, nvars, dict(zip(monomials, coeffs)))
+        parts = f.substitute({z: zvar + alpha}).coefficients_in_var(z)
+        n = max(parts)
+        slope = min((Fraction(_order_along(a, vars_), n - k)
+                     for k, a in parts.items() if k < n), default=math.inf)
+        best = max(best, slope)
+    return best
+
+
 def reference_resolve_game(M, chart) -> GameResult:
     """`monomial.resolve_game` with inclusion-minimality tested by dropping
     each divisor of a stratum in turn: a qualifying T is minimal iff the

@@ -73,7 +73,7 @@ def test_is_nth_power():
 def test_normalize_char0():
     pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
     res = normalize(pres, ORIGIN)
-    assert render_poly(res.presentation.polys[0], ZXY) == "x^3 + z^2"
+    assert render_poly(res.cleaned.polys[0], ZXY) == "x^3 + z^2"
     rec, = res.normalizations
     assert rec.iterations == 1
     assert rec.slopes == (Fraction(1), Fraction(3, 2))
@@ -84,15 +84,16 @@ def test_normalize_already_normal():
     pres = pres1("z^2 + x^3", F2, elim_gens=[])
     res = normalize(pres, ORIGIN)
     assert res.normalizations[0].iterations == 0
-    # nothing moved, so the cleaned presentation is the input itself
-    assert res.presentation is pres
+    # nothing moved, so there is no cleaned presentation
+    assert res.cleaned is None
+    assert is_normal_at(pres, ORIGIN)
 
 
 def test_normalize_char5_artin_style():
     f = (P("z + x", F5) ** 5) + P("x^6", F5)
     pres = SimplifiedPresentation(F5, 3, (0,), (f,), ReesAlg.make(F5, 3, []))
     res = normalize(pres, ORIGIN)
-    assert res.presentation.polys[0] == P("z^5 + x^6", F5)
+    assert res.cleaned.polys[0] == P("z^5 + x^6", F5)
     assert res.normalizations[0].slope == Fraction(6, 5)
 
 
@@ -152,10 +153,9 @@ def test_membership_matches_upstairs():
     for a in range(3):
         for b in range(3):
             y = ClosedPoint((0, a, b))
-            res = normalize(pres, y)
-            member = membership_criterion(res.presentation, y)
-            up = sing_member(upstairs_algebra(res.presentation),
-                             fiber_point(res.presentation, y))
+            cleaned = normalize(pres, y).cleaned or pres
+            member = membership_criterion(cleaned, y)
+            up = sing_member(upstairs_algebra(cleaned), fiber_point(cleaned, y))
             assert member == up
 
 
@@ -182,10 +182,10 @@ def test_normalize_memo_two_sections():
     assert hord_data(sp, y) is res
     assert [r.iterations for r in res.normalizations] == [0, 1]
     assert [r.slope for r in res.normalizations] == [Fraction(3, 2), INF]
-    assert res.presentation.polys == (polys[0], P("z2^2", F2, names))
-    assert res.presentation.elim is elim
+    assert res.cleaned.polys == (polys[0], P("z2^2", F2, names))
+    assert res.cleaned.elim is elim
     assert res.elim_ord == Fraction(8, 3) and res.value == Fraction(3, 2)
-    assert not is_normal_at(sp, y) and is_normal_at(res.presentation, y)
+    assert not is_normal_at(sp, y) and is_normal_at(res.cleaned, y)
 
 
 def test_hord_single_section():
@@ -233,9 +233,9 @@ def test_normalize_p_presentation_gives_plain_presentation():
     pp = make_p_presentation(F2, 3, (0,), (P("z^4 + x^5*z^3 + x^4", F2),),
                              ReesAlg.make(F2, 3, []))
     res = normalize(pp, ORIGIN)
-    assert type(res.presentation) is SimplifiedPresentation
+    assert type(res.cleaned) is SimplifiedPresentation
     assert res.normalizations[0].substitutions[0] == P("x", F2)
-    out = res.presentation
+    out = res.cleaned
     with pytest.raises(ValueError, match="middle coefficient"):
         PPresentation(out.field, out.nvars, out.sections, out.polys, out.elim)
     assert res.normalizations[0].slope == hord(pp, ORIGIN)

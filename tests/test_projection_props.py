@@ -19,11 +19,17 @@ When the strong-monomial test accepts a random tower, the lift of its
 resolution game never meets an impermissible center and never ends with a
 singular stratum.
 
+Cleaning one section polynomial over F_2 or F_3 reaches the largest slope
+that a substitution z -> z + alpha can: at the origin and at a generic
+point no alpha of bounded degree tried one by one does better, and at the
+origin one of degree at most the ceiling of the slope does as well.
+
 The tests skip when hypothesis is not installed; it is not a runtime
 dependency.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -41,8 +47,10 @@ from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E
                            weighted_initial_form)
 from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa: E402
                                  hord, hord_data, is_nth_power,
-                                 make_p_presentation, slope_poly)
+                                 make_p_presentation, normalize_poly, slope_poly)
 from charpres.rees import ReesAlg  # noqa: E402
+
+from oracles import brute_force_slope  # noqa: E402
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -287,3 +295,39 @@ def test_weighted_root_matches_the_weighted_form(case):
     q = slope_poly(f, 0, y)
     assume(q != INF)
     assert _weighted_root(f, 0, y, q) == is_nth_power(weighted_initial_form(f, 0, y, q))
+
+
+@st.composite
+def cleanable_polys(draw):
+    """A monic polynomial in z over F_2 or F_3 on z, x, y: often (z + r)^n
+    with r a nonzero linear form in x, y, plus terms a_j z^(n-j) with a_j
+    a nonzero form of degree j + 1 to 2j, so cleaning has slopes above 1
+    to reach."""
+    field = FieldSpec(draw(st.sampled_from((2, 3))))
+    p = field.characteristic
+
+    def form(d):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1)
+                      .filter(any))
+        return MPoly.from_dict(field, 3, {(0, i, d - i): c for i, c in enumerate(coeffs)})
+
+    n = draw(st.sampled_from((2, 3)))
+    z = MPoly.var(field, 3, 0)
+    f = (z + form(1)) ** n if draw(st.booleans()) else z ** n
+    for j in draw(st.sets(st.integers(1, n), min_size=1)):
+        f = f + form(draw(st.integers(j + 1, 2 * j))) * z ** (n - j)
+    return f
+
+
+@PROPS
+@given(cleanable_polys())
+def test_cleaning_reaches_the_brute_force_slope(f):
+    origin = ClosedPoint((0, 0, 0))
+    s = normalize_poly(f, 0, origin).slope
+    if s == INF:
+        assert brute_force_slope(f, 0, origin, 2) <= s
+    else:
+        # an alpha of degree at most the ceiling of the slope suffices
+        assert brute_force_slope(f, 0, origin, math.ceil(s)) == s
+    along_x = GenericPoint(frozenset({1}))
+    assert brute_force_slope(f, 0, along_x, 2) <= normalize_poly(f, 0, along_x).slope

@@ -429,6 +429,40 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert "trace mismatch" in err and "$.records[0].hord" in err
 
 
+def test_cli_verify_accepts_equal_bytes_without_parsing(tmp_path, capsys, monkeypatch):
+    scene = _write(tmp_path, "s.scene", MINIMAL)
+    trace = str(tmp_path / "t.json")
+    assert main(["run", "--scene", scene, "--trace-out", trace]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("equal bytes need no parse")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert main(["run", "--scene", scene, "--verify", trace]) == 0
+    assert capsys.readouterr().err == "verified against %s\n" % trace
+
+
+def test_cli_verify_canonicalizes_a_reformatted_golden(tmp_path, capsys):
+    scene = _write(tmp_path, "s.scene", MINIMAL)
+    trace = str(tmp_path / "t.json")
+    assert main(["run", "--scene", scene, "--trace-out", trace]) == 0
+    with open(trace) as fh:
+        doc = json.load(fh)
+    pretty = _write(tmp_path, "pretty.json", json.dumps(doc, indent=4))
+    assert main(["run", "--scene", scene, "--verify", pretty]) == 0
+    capsys.readouterr()
+    doc["records"][0]["elim_ord"] = "7/2"
+    bad = _write(tmp_path, "bad.json", json.dumps(doc, indent=4))
+    assert main(["run", "--scene", scene, "--verify", bad]) == 1
+    assert "$.records[0].elim_ord" in capsys.readouterr().err
+
+
+def test_verify_trace_refuses_equal_texts_that_are_not_traces():
+    for text in ("{nope", '{"a": 1.5}'):
+        ok, report = verify_trace(text, text)
+        assert not ok and report
+
+
 STRONG_TOWER = """\
 [field]
 characteristic: 2
