@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
 from .errors import BudgetError, InvariantError, PermissibilityError
-from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
+from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, _term_key,
                    monic_coefficients, monic_from_coefficients)
 from .projection import SimplifiedPresentation, hord_data, is_normal_at, slope_poly
 from .rees import ReesAlg, ord_at, sing_member
@@ -77,18 +77,22 @@ def blow_up_poly(f: MPoly, n: int, center: Center, chart_var: int) -> MPoly:
 
     On a term this is the monomial map e[w] <- e[w] + sum of e[v] over the
     other center variables, minus n.  The map is injective, so every term
-    goes to exactly one term and no products are formed.
+    goes to exactly one term, no products are formed and every coefficient
+    stays as it was: the terms only need sorting.
     """
     if chart_var not in center.vars:
         raise ValueError("chart variable must belong to the center")
     others = [v for v in center.vars if v != chart_var]
     terms = []
     for e, c in f.terms:
-        k = e[chart_var] + sum(e[v] for v in others) - n
+        k = e[chart_var] - n
+        for v in others:
+            k += e[v]
         if k < 0:
             raise PermissibilityError("center not permissible for weight %d" % n)
         terms.append((e[:chart_var] + (k,) + e[chart_var + 1:], c))
-    return MPoly._from_terms(f.field, f.nvars, terms)
+    terms.sort(key=_term_key, reverse=True)
+    return MPoly(f.field, f.nvars, tuple(terms))
 
 
 def transform_rees(alg: ReesAlg, center: Center, chart_var: int) -> ReesAlg:

@@ -248,9 +248,16 @@ def resolve_game(M: MonomialAlg, chart: Chart) -> GameResult:
         # a qualifying stratum is inclusion-minimal iff dropping any one
         # divisor drops the total below s (exponents are non-negative), that
         # is iff dropping its least exponent does
-        candidates = [T for T in faces
-                      if (t := sum(h[l] for l in T)) >= s
-                      and t - min(h[l] for l in T) < s]
+        candidates = []
+        for T in faces:
+            t, least = 0, None
+            for l in T:
+                hv = h[l]
+                t += hv
+                if least is None or hv < least:
+                    least = hv
+            if t >= s and t - least < s:
+                candidates.append(T)
         if not candidates:
             break
         candidates.sort(key=lambda T: (-len(T), sorted(_label_age(l) for l in T)))
@@ -270,8 +277,12 @@ def resolve_game(M: MonomialAlg, chart: Chart) -> GameResult:
                 additions.add(S | {new_lab})
         faces = kept | additions
         moves.append(GameMove(T, new_lab, h[new_lab], table()))
-    if any(sum(h[l] for l in S) >= s for S in faces):
-        raise InvariantError("game ended with a qualifying stratum left")
+    for S in faces:
+        t = 0
+        for l in S:
+            t += h[l]
+        if t >= s:
+            raise InvariantError("game ended with a qualifying stratum left")
     return GameResult(tuple(moves), table(), frozenset(faces))
 
 

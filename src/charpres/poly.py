@@ -192,12 +192,19 @@ class MPoly:
         return cls.from_dict(field, nvars, {tuple(exps): 1})
 
     # -- basic queries -----------------------------------------------------
+    #
+    # The per-term reductions are plain loops: any/all/min/max over a
+    # generator expression pays for a generator frame, which on the two- and
+    # three-term polynomials of a tower costs more than the reduction itself.
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e, _ in self.terms)
+        for e, _ in self.terms:
+            if sum(e):
+                return False
+        return True
 
     def constant_value(self) -> Coeff:
         for e, c in self.terms:
@@ -209,28 +216,44 @@ class MPoly:
         return len(self.terms) == 1
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
+        best = -1
+        for e, _ in self.terms:
+            d = sum(e)
+            if d > best:
+                best = d
+        return best
 
     def degree_in_var(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e, _ in self.terms)
+        best = -1
+        for e, _ in self.terms:
+            if e[i] > best:
+                best = e[i]
+        return best
 
     def uses_var(self, i: int) -> bool:
-        return any(e[i] for e, _ in self.terms)
+        for e, _ in self.terms:
+            if e[i]:
+                return True
+        return False
 
     def order_total(self):
-        if not self.terms:
-            return INF
-        return min(sum(e) for e, _ in self.terms)
+        best = INF
+        for e, _ in self.terms:
+            d = sum(e)
+            if d < best:
+                best = d
+        return best
 
     def order_wrt(self, var_set: Iterable[int]):
         vs = tuple(var_set)
-        if not self.terms:
-            return INF
-        return min(sum(e[i] for i in vs) for e, _ in self.terms)
+        best = INF
+        for e, _ in self.terms:
+            d = 0
+            for i in vs:
+                d += e[i]
+            if d < best:
+                best = d
+        return best
 
     # -- arithmetic --------------------------------------------------------
 
@@ -610,8 +633,10 @@ class ClosedPoint:
     values: tuple
 
     def __post_init__(self):
-        if any(type(v) is Fraction for v in self.values):
-            object.__setattr__(self, "values", _HashedValues(self.values))
+        for v in self.values:
+            if type(v) is Fraction:
+                object.__setattr__(self, "values", _HashedValues(self.values))
+                return
 
 
 @dataclass(frozen=True)
@@ -752,15 +777,19 @@ def monic_from_coefficients(field: FieldSpec, nvars: int, z_index: int,
     of z.  The split is kept as f's, so monic_coefficients(f, z_index)
     returns it without rebuilding it.  Trusted, like MPoly._from_terms:
     nothing is validated; SimplifiedPresentation checks the split it reads.
+    Every term of a_j goes to its own term of f with its coefficient as it
+    is, so the terms only need sorting.
     """
     n = max(split)
     top = [0] * nvars
     top[z_index] = n
     terms = [(tuple(top), field.one)]
     for j, a in split.items():
-        k = n - j
-        terms.extend((e[:z_index] + (k,) + e[z_index + 1:], c) for e, c in a.terms)
-    f = MPoly._from_terms(field, nvars, terms)
+        k = (n - j,)
+        for e, c in a.terms:
+            terms.append((e[:z_index] + k + e[z_index + 1:], c))
+    terms.sort(key=_term_key, reverse=True)
+    f = MPoly(field, nvars, tuple(terms))
     f._splits[z_index] = MappingProxyType(dict(split))
     return f
 

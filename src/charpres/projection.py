@@ -30,8 +30,9 @@ NORMALIZE_CAP_FACTOR = 64
 
 def _check_downstairs_point(y: PointSpec, sections, nvars: int):
     if isinstance(y, GenericPoint):
-        if any(z in y.vars for z in sections):
-            raise ValueError("downstairs points cannot involve section variables")
+        for z in sections:
+            if z in y.vars:
+                raise ValueError("downstairs points cannot involve section variables")
     else:
         if len(y.values) != nvars:
             raise ValueError("point arity mismatch")
@@ -59,8 +60,9 @@ class SimplifiedPresentation:
         secs = self.sections
         if not secs or len(set(secs)) != len(secs):
             raise ValueError("sections must be distinct")
-        if any(not 0 <= z < self.nvars for z in secs):
-            raise ValueError("section index out of range")
+        for z in secs:
+            if not 0 <= z < self.nvars:
+                raise ValueError("section index out of range")
         if len(self.polys) != len(secs):
             raise ValueError("one monic polynomial per section")
         for z, f in zip(secs, self.polys):
@@ -86,14 +88,16 @@ def check_section_poly(f: MPoly, z_index: int, sections) -> None:
     """A section polynomial must be monic in its section variable, with
     coefficients free of every section variable."""
     for a in monic_coefficients(f, z_index).values():  # raises NotMonicError
-        if any(a.uses_var(w) for w in sections):
-            raise ValueError("coefficients must be free of all section variables")
+        for w in sections:
+            if a.uses_var(w):
+                raise ValueError("coefficients must be free of all section variables")
 
 
 def check_elim_gen(g: MPoly, sections) -> None:
     """An elimination generator must be free of every section variable."""
-    if any(g.uses_var(w) for w in sections):
-        raise ValueError("elimination generators must be section-free")
+    for w in sections:
+        if g.uses_var(w):
+            raise ValueError("elimination generators must be section-free")
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,11 @@ def slope_poly(f: MPoly, z_index: int, y: PointSpec):
     upstream but returned honestly here).  The ratios compare as integer
     cross products; only the least becomes a Fraction."""
     _check_downstairs_point(y, (z_index,), f.nvars)
+    return _slope(f, z_index, y)
+
+
+def _slope(f: MPoly, z_index: int, y: PointSpec):
+    """slope_poly past its point check, for callers that made it."""
     coeffs = monic_coefficients(f, z_index)
     best, best_j = INF, 1
     for j, a in coeffs.items():
@@ -245,21 +254,28 @@ class PolyNormalization:
 def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNormalization:
     """Raise the slope at y by substitutions z <- z - alpha while the weighted
     initial form is an n-th power (Z+A)^n with A nonzero and the slope is
-    still below the elimination order.
+    positive and still below the elimination order.
 
     alpha is the homogeneous representative of A itself (translated back to
     ambient coordinates for off-origin closed points); only its initial form
-    matters.  Each iteration strictly increases the slope; needing more than
-    NORMALIZE_CAP_FACTOR * n of them means the codimension-one assumption
-    fails for this input.
+    matters.  At slope 0 the root A is a unit, not zero at y: substituting it
+    would move the point instead of raising the slope at it, so cleaning
+    stops there.  Each iteration strictly increases the slope; needing more
+    than NORMALIZE_CAP_FACTOR * n of them means the codimension-one
+    assumption fails for this input.
+
+    The point is checked once.  Slopes compare with the elimination order
+    and with each other as integer cross products, INF as the pair (1, 0).
     """
+    _check_downstairs_point(y, (z_index,), f.nvars)
     field, nvars = f.field, f.nvars
     n = f.degree_in_var(z_index)
     cap = NORMALIZE_CAP_FACTOR * n
-    slopes = [slope_poly(f, z_index, y)]
+    en, ed = _order_pair(elim_ord)
+    q = _slope(f, z_index, y)
+    slopes = [q]
     subs = []
-    while slopes[-1] < elim_ord and slopes[-1] != INF:
-        q = slopes[-1]
+    while q is not INF and q.numerator > 0 and q.numerator * ed < en * q.denominator:
         A = _weighted_root(f, z_index, y, q)
         if A is None or A.is_zero():
             break
@@ -271,11 +287,33 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNo
             alpha = A
         f = f.substitute({z_index: MPoly.var(field, nvars, z_index) - alpha})
         subs.append(alpha)
-        new = slope_poly(f, z_index, y)
-        if not new > q:
+        new = _slope(f, z_index, y)
+        if new is not INF and new.numerator * q.denominator <= q.numerator * new.denominator:
             raise InvariantError("normalization must strictly increase the slope")
         slopes.append(new)
+        q = new
     return PolyNormalization(f, len(subs), tuple(slopes), tuple(subs))
+
+
+def _order_pair(o) -> tuple:
+    """An order (an int, a Fraction or INF) as the integer pair (numerator,
+    denominator), INF as (1, 0): a finite a/b is below c/d exactly when
+    a*d < c*b, and every finite order is below (1, 0)."""
+    if isinstance(o, float):
+        return (1, 0) if o == INF else o.as_integer_ratio()
+    return o.numerator, o.denominator
+
+
+def _least_order(eord, slopes):
+    """min([eord] + slopes) for orders that are Fractions or INF, compared
+    as integer cross products; on a tie the minimum stays eord, or the
+    earlier slope, as min keeps the first of equal items."""
+    best = eord
+    bn, bd = _order_pair(eord)
+    for s in slopes:
+        if s is not INF and s.numerator * bd < bn * s.denominator:
+            best, bn, bd = s, s.numerator, s.denominator
+    return best
 
 
 @dataclass(frozen=True)
@@ -313,13 +351,16 @@ def normalize(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
 def _normalize(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
     _check_downstairs_point(y, sp.sections, sp.nvars)
     eord = ord_at(sp.elim, y)
-    recs = tuple(normalize_poly(f, z, y, elim_ord=eord)
-                 for z, f in zip(sp.sections, sp.polys))
+    recs = tuple([normalize_poly(f, z, y, elim_ord=eord)
+                  for z, f in zip(sp.sections, sp.polys)])
     cleaned = None
-    if any(r.iterations for r in recs):
-        cleaned = SimplifiedPresentation(sp.field, sp.nvars, sp.sections,
-                                         tuple(r.poly for r in recs), sp.elim)
-    return NormalizeResult(cleaned, eord, recs, min([eord] + [r.slope for r in recs]))
+    for r in recs:
+        if r.iterations:
+            cleaned = SimplifiedPresentation(sp.field, sp.nvars, sp.sections,
+                                             tuple([r.poly for r in recs]), sp.elim)
+            break
+    return NormalizeResult(cleaned, eord, recs,
+                           _least_order(eord, [r.slope for r in recs]))
 
 
 def is_normal_at(pres: SimplifiedPresentation, y: PointSpec) -> bool:

@@ -96,7 +96,10 @@ def sing_member(alg: ReesAlg, pt: PointSpec) -> bool:
     """Is the point in the singular locus (order >= weight for every generator)?"""
     if alg.is_unit:
         return False
-    return all(order_at(f, pt) >= n for f, n in alg.gens)
+    for f, n in alg.gens:
+        if order_at(f, pt) < n:
+            return False
+    return True
 
 
 def ord_at(alg: ReesAlg, pt: PointSpec):

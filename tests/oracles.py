@@ -14,9 +14,9 @@ from typing import Optional
 
 from charpres.errors import BudgetError, InvariantError, PolyParseError
 from charpres.monomial import GameMove, GameResult, _label_age
-from charpres.poly import (_LITERAL, _WORK_PER_TERM, PARSE_MAX_TERMS, FieldSpec, GenericPoint,
-                           MPoly, _clean, _literal, _monomial_count, _mul_terms, _pow_terms,
-                           _product_bits, monic_coefficients)
+from charpres.poly import (_LITERAL, _WORK_PER_TERM, INF, PARSE_MAX_TERMS, FieldSpec,
+                           GenericPoint, MPoly, _clean, _literal, _monomial_count, _mul_terms,
+                           _pow_terms, _product_bits, monic_coefficients)
 from charpres.rees import ReesAlg, nonempty_subsets, sing_member
 
 
@@ -32,6 +32,50 @@ def evaluate(f: MPoly, values):
                 term = field.mul(term, vals[i])
         acc = field.add(acc, term)
     return acc
+
+
+# -- the per-term reductions as generator expressions ---------------------------
+#
+# MPoly's queries and the H-order minimum of projection._normalize are plain
+# loops; these are the generator-expression forms they replaced.
+
+
+def is_constant_reference(f: MPoly) -> bool:
+    return all(sum(e) == 0 for e, _ in f.terms)
+
+
+def total_degree_reference(f: MPoly) -> int:
+    if not f.terms:
+        return -1
+    return max(sum(e) for e, _ in f.terms)
+
+
+def degree_in_var_reference(f: MPoly, i: int) -> int:
+    if not f.terms:
+        return -1
+    return max(e[i] for e, _ in f.terms)
+
+
+def uses_var_reference(f: MPoly, i: int) -> bool:
+    return any(e[i] for e, _ in f.terms)
+
+
+def order_total_reference(f: MPoly):
+    if not f.terms:
+        return INF
+    return min(sum(e) for e, _ in f.terms)
+
+
+def order_wrt_reference(f: MPoly, var_set):
+    vs = tuple(var_set)
+    if not f.terms:
+        return INF
+    return min(sum(e[i] for i in vs) for e, _ in f.terms)
+
+
+def least_order_reference(eord, slopes):
+    """The H-order from the elimination order and the cleaned slopes."""
+    return min([eord] + list(slopes))
 
 
 def divide_by_var_power(f: MPoly, i: int, n: int) -> MPoly:

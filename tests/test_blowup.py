@@ -214,6 +214,35 @@ def test_transform_presentation_carries_the_monic_split():
     assert dict(monic_coefficients(h, 0)) == {1: P("x", F3), 2: P("0", F3)}
 
 
+def test_transform_presentation_calls_blow_up_poly_per_split_entry_and_generator(
+        monkeypatch):
+    # one blow_up_poly call per entry of each section polynomial's split,
+    # a_n included, then one per elimination generator, each with its weight
+    calls = []
+    real = blowup.blow_up_poly
+
+    def counted(f, n, center, chart_var):
+        calls.append(n)
+        return real(f, n, center, chart_var)
+
+    monkeypatch.setattr(blowup, "blow_up_poly", counted)
+    names = ("z1", "z2", "x", "y")
+    polys = (parse_poly("z1^2 + x^5", F3, names),
+             parse_poly("z2^3 + x^5*z2 + x^9*y", F3, names))
+    elim = ReesAlg.make(F3, 4, [(parse_poly("x^6", F3, names), 2),
+                                (parse_poly("x^7*y", F3, names), 3)])
+    sp = SimplifiedPresentation(F3, 4, (0, 1), polys, elim)
+    center = Center(frozenset({0, 1, 2}))
+    assert [sorted(monic_coefficients(f, z)) for z, f in zip(sp.sections, sp.polys)] \
+        == [[2], [2, 3]]
+    out = transform_presentation(sp, center, 2)
+    assert sorted(calls[:3]) == [2, 2, 3] and sorted(calls[3:]) == [2, 3]
+    # a carried split is used as it is: the next blowup makes as many calls
+    calls.clear()
+    transform_presentation(out, center, 2)
+    assert len(calls) == 5
+
+
 def test_coefficients_commute_with_transform():
     # transforming the coefficient algebra equals taking coefficients of the
     # transformed polynomial

@@ -6,8 +6,12 @@ also against the term-by-term single-variable definition chained over the
 variables, `__pow__` against repeated multiplication, `blow_up_poly`
 against substitution followed by exact division, and `parse_poly` on random
 token strings, malformed ones included, against the recursive-descent
-parser it replaced (`oracles.reference_parse_poly`).  The tests skip when sympy
-or hypothesis is not installed; neither is a runtime dependency.
+parser it replaced (`oracles.reference_parse_poly`).  The per-term queries
+(`is_constant`, the degrees, `uses_var` and the orders) and the H-order
+minimum of `projection._normalize` are loops checked against the generator
+expressions they replaced (`oracles.*_reference`), on the zero polynomial,
+single terms and random polynomials.  The tests skip when sympy or
+hypothesis is not installed; neither is a runtime dependency.
 """
 
 import math
@@ -24,8 +28,13 @@ from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.blowup import Center, blow_up_poly  # noqa: E402
 from charpres.errors import BudgetError, PermissibilityError, PolyParseError  # noqa: E402
-from charpres.poly import FieldSpec, MPoly, parse_poly  # noqa: E402
-from oracles import divide_by_var_power, reference_parse_poly  # noqa: E402
+from charpres.poly import INF, FieldSpec, MPoly, parse_poly  # noqa: E402
+from charpres.projection import _least_order  # noqa: E402
+from charpres.rees import nonempty_subsets  # noqa: E402
+from oracles import (degree_in_var_reference, divide_by_var_power,  # noqa: E402
+                     is_constant_reference, least_order_reference,
+                     order_total_reference, order_wrt_reference, reference_parse_poly,
+                     total_degree_reference, uses_var_reference)
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -157,6 +166,55 @@ def test_blow_up_poly_matches_substitute_and_divide(data):
             blow_up_poly(f, n, Center(frozenset(vars_)), w)
     else:
         assert blow_up_poly(f, n, Center(frozenset(vars_)), w) == expected
+
+
+# -- the per-term reductions --------------------------------------------------
+
+
+@st.composite
+def query_polys(draw):
+    """The zero polynomial, a single term or a random polynomial, over F_2,
+    F_3, F_5, F_7 or Q."""
+    field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
+    nvars = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("zero", "term", "poly")))
+    if kind == "zero":
+        return MPoly.zero_poly(field, nvars)
+    if kind == "term":
+        exps = draw(st.tuples(*[st.integers(0, 4)] * nvars))
+        c = draw(_coeffs(field.characteristic).filter(bool))
+        return MPoly.from_dict(field, nvars, {exps: c})
+    return draw(polys(field=field, nvars=nvars))
+
+
+@PROPS
+@given(query_polys())
+def test_per_term_loops_match_the_generator_forms(f):
+    assert f.is_constant() == is_constant_reference(f)
+    assert f.total_degree() == total_degree_reference(f)
+    assert f.order_total() == order_total_reference(f)
+    for i in range(f.nvars):
+        assert f.degree_in_var(i) == degree_in_var_reference(f, i)
+        assert f.uses_var(i) == uses_var_reference(f, i)
+    for vs in nonempty_subsets(range(f.nvars)):
+        assert f.order_wrt(vs) == order_wrt_reference(f, vs)
+    if f.is_zero():
+        assert f.total_degree() == f.degree_in_var(0) == -1
+        assert f.order_total() is INF and f.order_wrt((0,)) is INF
+
+
+_ORDERS = st.one_of(st.just(INF), st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)))
+
+
+@PROPS
+@given(_ORDERS, st.lists(_ORDERS, max_size=4))
+@example(INF, [INF])
+@example(Fraction(1), [Fraction(2), Fraction(1), INF])
+@example(Fraction(3, 2), [Fraction(3, 2), Fraction(3, 2)])
+def test_least_order_is_the_minimum_that_keeps_the_first_of_equals(eord, slopes):
+    # the same object as min([eord] + slopes): on a tie eord stays, then the
+    # earlier slope
+    assert _least_order(eord, slopes) is least_order_reference(eord, slopes)
 
 
 # -- the parser and powers ----------------------------------------------------

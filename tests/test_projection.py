@@ -15,8 +15,8 @@ from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
 from charpres.projection import (PPresentation, SimplifiedPresentation,
                                  fiber_point, hord, hord_data, is_normal_at,
                                  is_nth_power, make_p_presentation,
-                                 membership_criterion, normalize, slope_poly,
-                                 upstairs_algebra)
+                                 membership_criterion, normalize, normalize_poly,
+                                 slope_poly, upstairs_algebra)
 from charpres.rees import ReesAlg, sing_member
 
 from oracles import coefficient_elim, saturate_all_alpha
@@ -110,6 +110,21 @@ def test_normalize_iteration_cap(monkeypatch):
     assert res.normalizations[0].iterations == 0
 
 
+def test_cleaning_stops_at_slope_zero():
+    # at slope 0 the root of the weighted initial form is a unit: over F_2,
+    # z^2 + x + 1 = (z + 1)^2 + x, and z -> z - 1 would move the point
+    # instead of raising the slope at it (f(0) = 1, so the fiber point is
+    # not on V(f))
+    f = P("z^2 + x + 1", F2)
+    r = normalize_poly(f, 0, ORIGIN)
+    assert (r.slopes, r.iterations, r.poly) == ((0,), 0, f)
+    assert hord(pres1("z^2 + x + 1", F2, elim_gens=[]), ORIGIN) == 0
+    # over F_3, along x = 0 the root of z^3 + x^4 + y^3 is y, a unit there
+    g = P("z^3 + x^4 + y^3", F3)
+    r = normalize_poly(g, 0, GenericPoint(frozenset({1})))
+    assert (r.slopes, r.iterations, r.poly) == ((0,), 0, g)
+
+
 def test_normalize_off_origin():
     # translate the char-0 example to (0, 1, 0): same intrinsic slope
     f = P("z^2 + 2*x*z + x^2 + x^3").translate((0, -1, 0))
@@ -186,6 +201,31 @@ def test_normalize_memo_two_sections():
     assert res.cleaned.elim is elim
     assert res.elim_ord == Fraction(8, 3) and res.value == Fraction(3, 2)
     assert not is_normal_at(sp, y) and is_normal_at(res.cleaned, y)
+
+
+def test_normalize_calls_normalize_poly_once_per_section(monkeypatch):
+    # one normalize_poly call per section for each computed normalization,
+    # none for a memo hit; the second section cleans once, the first does not
+    calls = []
+    real = projection.normalize_poly
+
+    def counted(f, z_index, y, elim_ord=INF):
+        calls.append(z_index)
+        return real(f, z_index, y, elim_ord=elim_ord)
+
+    monkeypatch.setattr(projection, "normalize_poly", counted)
+    names = ("z1", "z2", "x", "y")
+    polys = (P("z1^2 + x^3", F2, names), P("z2^2 + x^2*y^2", F2, names))
+    elim = ReesAlg.make(F2, 4, [(P("x^4*y^4", F2, names), 3)])
+    sp = SimplifiedPresentation(F2, 4, (0, 1), polys, elim)
+    for y in (ClosedPoint((0, 0, 0, 0)), GenericPoint(frozenset({2}))):
+        calls.clear()
+        res = normalize(sp, y)
+        assert calls == [0, 1]
+        assert normalize(sp, y) is res and hord_data(sp, y) is res
+        is_normal_at(sp, y)
+        hord(sp, y)
+        assert calls == [0, 1]
 
 
 def test_hord_single_section():
@@ -305,7 +345,7 @@ from charpres.errors import InvariantError
 from charpres.poly import ClosedPoint, FieldSpec, parse_poly
 
 assert False, "this line only runs without -O"
-pr.slope_poly = lambda *args: Fraction(1)   # the slope never rises
+pr._slope = lambda *args: Fraction(1)   # the slope never rises
 f = parse_poly("z^2 + 2*z*x + x^2 + x^3", FieldSpec(0), ("z", "x", "y"))
 try:
     pr.normalize_poly(f, 0, ClosedPoint((0, 0, 0)))

@@ -686,6 +686,29 @@ hord at origin
     assert hord["hord"] == hord["reduced_hord"] == "3/2"
 
 
+def test_cli_slope_does_not_clean_at_slope_zero(tmp_path, capsys):
+    # over F_2 the weight-0 initial form of z^2 + x + 1 is (z + 1)^2, whose
+    # root 1 is a unit: cleaning with it would move the point, so nothing
+    # is cleaned, and f(0) = 1 keeps the origin out of the singular locus
+    scene = _write(tmp_path, "s.scene", """\
+[field]
+characteristic: 2
+[variables]
+vars: z, x, y
+sections: z
+[presentation]
+poly 1: z^2 + x + 1
+[script]
+slope at origin
+""")
+    assert main(["run", "--scene", scene]) == 0
+    (slope,) = json.loads(capsys.readouterr().out)["records"]
+    assert slope["slopes"] == [0] and slope["iterations"] == 0
+    assert slope["normalized_poly"] == "z^2 + x + 1"
+    assert slope["presentation_slope"] == 0
+    assert slope["membership"] is False
+
+
 def test_cli_bad_subcommand_exits_2(tmp_path, capsys):
     scene = _write(tmp_path, "s.scene", MINIMAL)
     with pytest.raises(SystemExit) as err:
