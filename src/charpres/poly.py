@@ -665,6 +665,17 @@ def order_at(f: MPoly, pt: PointSpec):
     return f.order_wrt(pt.vars)
 
 
+def least_ratio(pairs):
+    """The least o/n over (order, weight) pairs of ints with n >= 1, as a
+    Fraction; INF when there are none.  The ratios compare as integer cross
+    products, so only the least becomes a Fraction."""
+    best, best_n = INF, 1
+    for o, n in pairs:
+        if o * best_n < best * n:
+            best, best_n = o, n
+    return INF if best == INF else Fraction(best, best_n)
+
+
 # -- weighted initial forms ---------------------------------------------------
 
 

@@ -20,8 +20,8 @@ from typing import Optional
 from .errors import (DegenerateSlopeError, DominationError, InvariantError,
                      NotNormalFormError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                   PointSpec, WeightedForm, monic_coefficients, order_at,
-                   weighted_initial_form)
+                   PointSpec, WeightedForm, least_ratio, monic_coefficients,
+                   order_at, weighted_initial_form)
 from .rees import ReesAlg, ord_at, sing_member
 
 # normalize_poly makes at most NORMALIZE_CAP_FACTOR * n cleaning substitutions.
@@ -166,23 +166,10 @@ def make_p_presentation(field: FieldSpec, nvars: int, sections, polys,
 def slope_poly(f: MPoly, z_index: int, y: PointSpec):
     """min over j of nu_y(a_j)/j for f = z^n + sum a_j z^(n-j); inf when every
     a_j vanishes (f a pure power, excluded by the codimension-one assumption
-    upstream but returned honestly here).  The ratios compare as integer
-    cross products; only the least becomes a Fraction."""
+    upstream but returned honestly here)."""
     _check_downstairs_point(y, (z_index,), f.nvars)
-    return _slope(f, z_index, y)
-
-
-def _slope(f: MPoly, z_index: int, y: PointSpec):
-    """slope_poly past its point check, for callers that made it."""
-    coeffs = monic_coefficients(f, z_index)
-    best, best_j = INF, 1
-    for j, a in coeffs.items():
-        if a.is_zero():
-            continue
-        o = order_at(a, y)
-        if o * best_j < best * j:
-            best, best_j = o, j
-    return INF if best == INF else Fraction(best, best_j)
+    return least_ratio((order_at(a, y), j)
+                       for j, a in monic_coefficients(f, z_index).items() if not a.is_zero())
 
 
 # -- weighted normal forms -------------------------------------------------------
@@ -263,19 +250,14 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNo
     stops there.  Each iteration strictly increases the slope; needing more
     than NORMALIZE_CAP_FACTOR * n of them means the codimension-one
     assumption fails for this input.
-
-    The point is checked once.  Slopes compare with the elimination order
-    and with each other as integer cross products, INF as the pair (1, 0).
     """
-    _check_downstairs_point(y, (z_index,), f.nvars)
     field, nvars = f.field, f.nvars
     n = f.degree_in_var(z_index)
     cap = NORMALIZE_CAP_FACTOR * n
-    en, ed = _order_pair(elim_ord)
-    q = _slope(f, z_index, y)
+    q = slope_poly(f, z_index, y)
     slopes = [q]
     subs = []
-    while q is not INF and q.numerator > 0 and q.numerator * ed < en * q.denominator:
+    while 0 < q < elim_ord:
         A = _weighted_root(f, z_index, y, q)
         if A is None or A.is_zero():
             break
@@ -287,33 +269,12 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNo
             alpha = A
         f = f.substitute({z_index: MPoly.var(field, nvars, z_index) - alpha})
         subs.append(alpha)
-        new = _slope(f, z_index, y)
-        if new is not INF and new.numerator * q.denominator <= q.numerator * new.denominator:
+        new = slope_poly(f, z_index, y)
+        if not new > q:
             raise InvariantError("normalization must strictly increase the slope")
         slopes.append(new)
         q = new
     return PolyNormalization(f, len(subs), tuple(slopes), tuple(subs))
-
-
-def _order_pair(o) -> tuple:
-    """An order (an int, a Fraction or INF) as the integer pair (numerator,
-    denominator), INF as (1, 0): a finite a/b is below c/d exactly when
-    a*d < c*b, and every finite order is below (1, 0)."""
-    if isinstance(o, float):
-        return (1, 0) if o == INF else o.as_integer_ratio()
-    return o.numerator, o.denominator
-
-
-def _least_order(eord, slopes):
-    """min([eord] + slopes) for orders that are Fractions or INF, compared
-    as integer cross products; on a tie the minimum stays eord, or the
-    earlier slope, as min keeps the first of equal items."""
-    best = eord
-    bn, bd = _order_pair(eord)
-    for s in slopes:
-        if s is not INF and s.numerator * bd < bn * s.denominator:
-            best, bn, bd = s, s.numerator, s.denominator
-    return best
 
 
 @dataclass(frozen=True)
@@ -359,8 +320,7 @@ def _normalize(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
             cleaned = SimplifiedPresentation(sp.field, sp.nvars, sp.sections,
                                              tuple([r.poly for r in recs]), sp.elim)
             break
-    return NormalizeResult(cleaned, eord, recs,
-                           _least_order(eord, [r.slope for r in recs]))
+    return NormalizeResult(cleaned, eord, recs, min([eord] + [r.slope for r in recs]))
 
 
 def is_normal_at(pres: SimplifiedPresentation, y: PointSpec) -> bool:
@@ -423,11 +383,10 @@ def hord_data(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
 
 def _check_reduced(sp: PPresentation, data: NormalizeResult, y: PointSpec):
     polys = tuple(r.poly for r in data.normalizations)
-    parts = [data.elim_ord]
-    for z, f, n in zip(sp.sections, polys, sp.degrees):
-        a = monic_coefficients(f, z)[n]
-        parts.append(INF if a.is_zero() else Fraction(order_at(a, y), n))
-    if min(parts) != data.value:
+    consts = [(monic_coefficients(f, z)[n], n)
+              for z, f, n in zip(sp.sections, polys, sp.degrees)]
+    least = least_ratio((order_at(a, y), n) for a, n in consts if not a.is_zero())
+    if min(data.elim_ord, least) != data.value:
         _check_dominated(sp, polys, y, data.elim_ord)
         raise InvariantError("p-presentation H-order formulas disagree")
 

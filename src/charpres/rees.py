@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import BudgetError, InvariantError
-from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
-                   _primitive_terms, order_at)
+from .poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
+                   _primitive_terms, least_ratio, order_at)
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,11 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
     """The order of the algebra at a point: min over generators of nu/weight.
 
     The unit algebra has order 0 (callers can see alg.is_unit for the warning
-    flag), the trivial algebra has order infinity.  The ratios compare as
-    integer cross products; only the least becomes a Fraction.
+    flag), the trivial algebra has order infinity.
     """
     if alg.is_unit:
         return Fraction(0)
-    best, best_n = INF, 1
-    for f, n in alg.gens:
-        o = order_at(f, pt)
-        if o * best_n < best * n:
-            best, best_n = o, n
-    return INF if best == INF else Fraction(best, best_n)
+    return least_ratio((order_at(f, pt), n) for f, n in alg.gens)
 
 
 # -- differential saturation ---------------------------------------------------
@@ -179,15 +173,31 @@ def _monic_key(f: MPoly, n: int) -> tuple:
     return n, _primitive_terms(f.terms)
 
 
+# _saturate raises BudgetError, before it forms any derivative, when the
+# derivatives it would form times the terms of their generators sum past
+# this.  It forms 2.3-3.4 * 10^6 such units a second (Python 3.11, 2 shared
+# vCPUs), so the bound is a few seconds of work.
+SATURATION_MAX_WORK = 10 ** 7
+
+
 def _saturate(alg: ReesAlg) -> ReesAlg:
     kept = {}
     for f, n in alg.gens:
         kept.setdefault(_monic_key(f, n), (f, n))
     if alg.is_unit:     # already saturated; only its scalar repeats go
         return ReesAlg.make(alg.field, alg.nvars, kept.values(), True)
+    plan = [(f, n, _support_indices(f, n - 1)) for f, n in alg.gens]
+    work = 0
+    for f, n, alphas in plan:
+        work += len(alphas) * len(f.terms)
+        if work > SATURATION_MAX_WORK:
+            raise BudgetError("the saturation would take %d units of work (derivatives "
+                              "times terms) at the generator of weight %d with %d terms, "
+                              "above its budget of %d"
+                              % (work, n, len(f.terms), SATURATION_MAX_WORK))
     unit = False
-    for f, n in alg.gens:
-        for alpha in _support_indices(f, n - 1):
+    for f, n, alphas in plan:
+        for alpha in alphas:
             g = f.hasse_deriv_multi(alpha)     # nonzero
             if g.is_constant():
                 unit = True

@@ -73,11 +73,6 @@ def order_wrt_reference(f: MPoly, var_set):
     return min(sum(e[i] for i in vs) for e, _ in f.terms)
 
 
-def least_order_reference(eord, slopes):
-    """The H-order from the elimination order and the cleaned slopes."""
-    return min([eord] + list(slopes))
-
-
 def divide_by_var_power(f: MPoly, i: int, n: int) -> MPoly:
     """Exact division of f by x_i^n; raises ValueError if any term falls short."""
     out = []

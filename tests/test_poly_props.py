@@ -7,11 +7,12 @@ variables, `__pow__` against repeated multiplication, `blow_up_poly`
 against substitution followed by exact division, and `parse_poly` on random
 token strings, malformed ones included, against the recursive-descent
 parser it replaced (`oracles.reference_parse_poly`).  The per-term queries
-(`is_constant`, the degrees, `uses_var` and the orders) and the H-order
-minimum of `projection._normalize` are loops checked against the generator
-expressions they replaced (`oracles.*_reference`), on the zero polynomial,
-single terms and random polynomials.  The tests skip when sympy or
-hypothesis is not installed; neither is a runtime dependency.
+(`is_constant`, the degrees, `uses_var` and the orders) are loops checked
+against the generator expressions they replaced (`oracles.*_reference`), on
+the zero polynomial, single terms and random polynomials; `least_ratio`'s
+integer cross products are checked against a minimum over Fractions.  The
+tests skip when sympy or hypothesis is not installed; neither is a runtime
+dependency.
 """
 
 import math
@@ -28,12 +29,11 @@ from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.blowup import Center, blow_up_poly  # noqa: E402
 from charpres.errors import BudgetError, PermissibilityError, PolyParseError  # noqa: E402
-from charpres.poly import INF, FieldSpec, MPoly, parse_poly  # noqa: E402
-from charpres.projection import _least_order  # noqa: E402
+from charpres.poly import INF, FieldSpec, MPoly, least_ratio, parse_poly  # noqa: E402
 from charpres.rees import nonempty_subsets  # noqa: E402
 from oracles import (degree_in_var_reference, divide_by_var_power,  # noqa: E402
-                     is_constant_reference, least_order_reference,
-                     order_total_reference, order_wrt_reference, reference_parse_poly,
+                     is_constant_reference, order_total_reference,
+                     order_wrt_reference, reference_parse_poly,
                      total_degree_reference, uses_var_reference)
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
@@ -203,18 +203,19 @@ def test_per_term_loops_match_the_generator_forms(f):
         assert f.order_total() is INF and f.order_wrt((0,)) is INF
 
 
-_ORDERS = st.one_of(st.just(INF), st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)))
-
-
 @PROPS
-@given(_ORDERS, st.lists(_ORDERS, max_size=4))
-@example(INF, [INF])
-@example(Fraction(1), [Fraction(2), Fraction(1), INF])
-@example(Fraction(3, 2), [Fraction(3, 2), Fraction(3, 2)])
-def test_least_order_is_the_minimum_that_keeps_the_first_of_equals(eord, slopes):
-    # the same object as min([eord] + slopes): on a tie eord stays, then the
-    # earlier slope
-    assert _least_order(eord, slopes) is least_order_reference(eord, slopes)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6)), max_size=5))
+@example([])
+@example([(0, 3), (0, 1)])
+@example([(2, 4), (1, 2), (3, 6)])
+@example([(4, 2), (3, 1), (2, 1)])
+def test_least_ratio_is_the_least_fraction(pairs):
+    least = least_ratio(pairs)
+    assert least == min((Fraction(o, n) for o, n in pairs), default=INF)
+    if pairs:
+        assert type(least) is Fraction
+    else:
+        assert least is INF
 
 
 # -- the parser and powers ----------------------------------------------------

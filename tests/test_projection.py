@@ -345,7 +345,7 @@ from charpres.errors import InvariantError
 from charpres.poly import ClosedPoint, FieldSpec, parse_poly
 
 assert False, "this line only runs without -O"
-pr._slope = lambda *args: Fraction(1)   # the slope never rises
+pr.slope_poly = lambda *args: Fraction(1)   # the slope never rises
 f = parse_poly("z^2 + 2*z*x + x^2 + x^3", FieldSpec(0), ("z", "x", "y"))
 try:
     pr.normalize_poly(f, 0, ClosedPoint((0, 0, 0)))

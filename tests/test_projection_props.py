@@ -24,7 +24,9 @@ that a substitution z -> z + alpha vanishing at the point can.  The best
 alpha of bounded degree, tried one by one, gives the same slope at the
 origin (degree at most the ceiling of the slope) and along x = 0 (degree at
 most the larger of 2 and that ceiling); at the origin an infinite slope is
-only checked to be no lower.
+only checked to be no lower.  Moved so that its origin sits at a closed
+point y off the origin, with section coordinate 0, the same polynomial
+cleans at y to the same slope.
 
 The tests skip when hypothesis is not installed; it is not a runtime
 dependency.
@@ -334,3 +336,21 @@ def test_cleaning_reaches_the_brute_force_slope(f):
     along_x = GenericPoint(frozenset({1}))
     sx = normalize_poly(f, 0, along_x).slope
     assert brute_force_slope(f, 0, along_x, 2 if sx is INF else max(2, math.ceil(sx))) == sx
+
+
+@PROPS
+@given(cleanable_polys(), st.data())
+def test_cleaning_off_the_origin_reaches_the_slope_at_the_origin(f, data):
+    # f moved so that its origin sits at y: the slope cleaning reaches at y
+    # must be the one it reaches for f at the origin, and the brute-force one
+    p = f.field.characteristic
+    down = data.draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any))
+    y = ClosedPoint((0,) + down)
+    moved = f.translate((0,) + tuple(f.field.neg(v) for v in down))
+    origin = ClosedPoint((0, 0, 0))
+    s = normalize_poly(moved, 0, y).slope
+    assert s == normalize_poly(f, 0, origin).slope
+    if s == INF:
+        assert brute_force_slope(f, 0, origin, 2) <= s
+    else:
+        assert brute_force_slope(f, 0, origin, math.ceil(s)) == s

@@ -373,6 +373,17 @@ def test_saturation_forms_only_nonzero_derivatives(monkeypatch):
     assert calls == [(1, 0, 0), (0, 1, 0), (3, 0, 0), (0, 3, 0)]
 
 
+def test_saturation_budget_counts_derivatives_times_terms(monkeypatch):
+    # over F_3, z^3 + x^2*y^2 (2 terms) has 5 nonzero derivatives of order
+    # below 3 and x^2 + y (2 terms) has 2 of order 1: 5*2 + 2*2 = 14 units
+    a = alg(F3, [("z^3 + x^2*y^2", 3), ("x^2 + y", 2)])
+    monkeypatch.setattr(rees, "SATURATION_MAX_WORK", 13)
+    with pytest.raises(BudgetError, match="14 units of work .* weight 3 with 2 terms"):
+        diff_saturate(a)
+    monkeypatch.setattr(rees, "SATURATION_MAX_WORK", 14)
+    assert len(diff_saturate(a).gens) == 8
+
+
 def test_generic_points_never_enter_the_local_memo(monkeypatch):
     a = alg(Q, [("z^2 + x^3", 2)])
     calls = _count_shifts(monkeypatch)

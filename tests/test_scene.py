@@ -13,7 +13,7 @@ import charpres.scene as scene_mod
 from charpres.blowup import StageRows
 from charpres.cli import main
 from charpres.errors import InvariantError, SceneParseError
-from charpres.poly import INF, ClosedPoint, FieldSpec, GenericPoint, parse_poly
+from charpres.poly import INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, parse_poly
 from charpres.projection import SimplifiedPresentation
 from charpres.rees import ReesAlg
 from charpres.scene import (RunOptions, canonical_json, jsonify, load_scene,
@@ -807,6 +807,34 @@ def test_experiment_over_budget_is_a_budget_error(tmp_path, capsys):
     assert "above its budget" in rec["error"]
     assert main(["run", "--scene", _write(tmp_path, "s.scene", text)]) == 1
     assert "above its budget" in capsys.readouterr().err
+
+
+# 6,188 terms: its saturation would form 12,375 derivatives, 7.7 * 10^7
+# units of work
+SATURATION_OVER_BUDGET = """\
+[field]
+characteristic: 0
+[variables]
+vars: v0, v1, v2, v3, v4, v5
+[algebra]
+gen: (v0 + 2*v1 + 3*v2 + 4*v3 + 5*v4 + 6*v5)^12 + v0^11*v1 W^12
+[script]
+analyze at origin
+"""
+
+
+def test_saturation_over_budget_is_a_budget_error(tmp_path, capsys, monkeypatch):
+    formed = []
+    deriv = MPoly.hasse_deriv_multi
+    monkeypatch.setattr(MPoly, "hasse_deriv_multi",
+                        lambda self, alpha: formed.append(alpha) or deriv(self, alpha))
+    rec = run_scene(parse_scene(SATURATION_OVER_BUDGET))["records"][-1]
+    assert rec["error_type"] == "BudgetError"
+    assert "at the generator of weight 12 with 6188 terms" in rec["error"]
+    assert formed == []
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", SATURATION_OVER_BUDGET)]) == 1
+    assert "above its budget" in capsys.readouterr().err
+    assert formed == []
 
 
 # hord and ord_monomial agree at the generic points of the divisor strata but
