@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
-from .errors import BudgetError, InvariantError, PermissibilityError
+from .errors import BudgetError, InputError, InvariantError, PermissibilityError
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly, _term_key,
                    monic_coefficients, monic_from_coefficients)
 from .projection import SimplifiedPresentation, hord_data, is_normal_at, slope_poly
@@ -36,7 +36,7 @@ class Center:
 
     def __post_init__(self):
         if not self.vars:
-            raise ValueError("a center needs at least one variable")
+            raise InputError("a center needs at least one variable")
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ class Chart:
 
     def after_blowup(self, center: Center, chart_var: int) -> "Chart":
         if chart_var not in center.vars:
-            raise ValueError("chart variable must belong to the center")
+            raise InputError("chart variable must belong to the center")
         for v in center.vars:
             if not 0 <= v < len(self.names):
-                raise ValueError("center variable out of range")
+                raise InputError("center variable out of range")
         label = "H%d" % (len(self.divisors) + 1)
         updated = tuple((lab, None if v == chart_var else v) for lab, v in self.divisors)
         return Chart(self.names, updated + ((label, chart_var),))
@@ -81,7 +81,7 @@ def blow_up_poly(f: MPoly, n: int, center: Center, chart_var: int) -> MPoly:
     stays as it was: the terms only need sorting.
     """
     if chart_var not in center.vars:
-        raise ValueError("chart variable must belong to the center")
+        raise InputError("chart variable must belong to the center")
     others = [v for v in center.vars if v != chart_var]
     terms = []
     for e, c in f.terms:
@@ -295,16 +295,16 @@ def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):
     built either: trace["steps"] is a `StageRows`.
     """
     if N < 1:
-        raise ValueError("N must be positive")
+        raise InputError("N must be positive")
     n = f.degree_in_var(z_index)
     origin = _origin(f.field, f.nvars)
     q = slope_poly(f, z_index, origin)
     if q == INF or q < 1:
-        raise ValueError("the experiment needs a finite slope q >= 1")
+        raise InputError("the experiment needs a finite slope q >= 1")
     pres = SimplifiedPresentation(f.field, f.nvars, (z_index,), (f,),
                                   ReesAlg.make(f.field, f.nvars, []))
     if not is_normal_at(pres, origin):
-        raise ValueError("polynomial is not in normal form at the base point")
+        raise InputError("polynomial is not in normal form at the base point")
 
     least = {}      # e_z -> least S; no other term attains an order
     for e, _ in f.terms:

@@ -1,5 +1,6 @@
 """Exception types shared across the library.
 
+Every domain failure is a `CharpresError`; any other exception is a bug.
 Every error message states the mathematical reason for the failure so CLI
 traces can carry it verbatim.
 """
@@ -7,6 +8,10 @@ traces can carry it verbatim.
 
 class CharpresError(Exception):
     """Base class for all library-specific failures."""
+
+
+class InputError(CharpresError, ValueError):
+    """Raised on an argument outside the domain of an operation."""
 
 
 class InvariantError(AssertionError):

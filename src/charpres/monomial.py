@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (InvariantError, NonMonomialElimError, PermissibilityError,
-                     TrackingError)
+from .errors import (InputError, InvariantError, NonMonomialElimError,
+                     PermissibilityError, TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
 from .projection import SimplifiedPresentation, hord, hord_data, upstairs_algebra
 from .rees import ReesAlg, nonempty_subsets, sing_member, singular_coordinate_strata
@@ -36,12 +36,12 @@ class MonomialAlg:
 
     def __post_init__(self):
         if self.s < 1:
-            raise ValueError("the common denominator must be positive")
+            raise InputError("the common denominator must be positive")
         if any(h < 0 for _, h in self.exponents):
-            raise ValueError("exponents must be non-negative")
+            raise InputError("exponents must be non-negative")
         labels = [lab for lab, _ in self.exponents]
         if len(set(labels)) != len(labels):
-            raise ValueError("duplicate divisor label")
+            raise InputError("duplicate divisor label")
 
     def exponent_map(self) -> dict:
         return dict(self.exponents)
@@ -99,7 +99,7 @@ def ord_monomial(M: MonomialAlg, x: PointSpec, chart: Chart):
     total = 0
     for lab, h in M.exponents:
         if lab not in dmap:
-            raise ValueError("divisor label %r is not in the chart registry" % lab)
+            raise InputError("divisor label %r is not in the chart registry" % lab)
         v = dmap[lab]
         if v is None:
             continue

@@ -21,7 +21,7 @@ from operator import add as _add, sub as _sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import BudgetError, NotMonicError, PolyParseError
+from .errors import BudgetError, InputError, NotMonicError, PolyParseError
 
 # Orders of the zero polynomial and of empty algebras compare as infinity.
 # float("inf") is used strictly for comparisons and never serialized as-is.
@@ -70,9 +70,9 @@ class FieldSpec:
     def __post_init__(self):
         p = self.characteristic
         if p >= 2 ** 64:
-            raise ValueError(f"characteristic must be below 2^64, got {p}")
+            raise InputError(f"characteristic must be below 2^64, got {p}")
         if p != 0 and not _is_prime(p):
-            raise ValueError(f"characteristic must be 0 or prime, got {p}")
+            raise InputError(f"characteristic must be 0 or prime, got {p}")
 
     @property
     def zero(self) -> Coeff:
@@ -90,7 +90,7 @@ class FieldSpec:
         if isinstance(x, Fraction):
             den = x.denominator % p
             if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+                raise InputError(f"denominator of {x} vanishes mod {p}")
             return (x.numerator % p) * pow(den, -1, p) % p
         return x % p
 
@@ -147,7 +147,7 @@ class MPoly:
             if c == 0:
                 continue
             if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for arity {nvars}")
+                raise InputError(f"bad exponent vector {exps} for arity {nvars}")
             items.append((tuple(exps), c))
         items.sort(key=_term_key, reverse=True)
         return cls(field, nvars, tuple(items))
@@ -281,7 +281,7 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         """The n-th power by `_pow_terms`, by Frobenius over F_p."""
         if n < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InputError("negative power of a polynomial")
         p = self.field.characteristic
         d = _pow_terms(self.terms, n, p, self.nvars, lambda a, b: _clean(_mul_terms(a, b), p))
         return MPoly._from_terms(self.field, self.nvars, d.items(), 1)
@@ -296,7 +296,7 @@ class MPoly:
 
     def _check_compat(self, other: "MPoly"):
         if self.field != other.field or self.nvars != other.nvars:
-            raise ValueError("polynomials live in different rings")
+            raise InputError("polynomials live in different rings")
 
     # -- structural pieces -------------------------------------------------
 
@@ -380,7 +380,7 @@ class MPoly:
         if not isinstance(values, tuple):
             values = tuple(values)
         if len(values) != self.nvars:
-            raise ValueError("point arity does not match polynomial arity")
+            raise InputError("point arity does not match polynomial arity")
         if not any(values):
             return self
         g = self._translates.get(values)
@@ -485,7 +485,7 @@ class MPoly:
         """
         alpha = tuple(alpha)
         if len(alpha) != self.nvars:
-            raise ValueError(f"multi-order {alpha} does not match arity {self.nvars}")
+            raise InputError(f"multi-order {alpha} does not match arity {self.nvars}")
         active = [(i, r) for i, r in enumerate(alpha) if r]
         if not active:
             return self
@@ -647,7 +647,7 @@ class GenericPoint:
 
     def __post_init__(self):
         if not self.vars:
-            raise ValueError("generic point needs a non-empty variable set")
+            raise InputError("generic point needs a non-empty variable set")
 
 
 PointSpec = Union[ClosedPoint, GenericPoint]
@@ -701,13 +701,13 @@ class WeightedForm:
     def __post_init__(self):
         for j, a in self.coeffs:
             if a.is_zero() or a.uses_var(self.z_index):
-                raise ValueError("weighted form coefficients must be nonzero and section-free")
+                raise InputError("weighted form coefficients must be nonzero and section-free")
             w = self.q * j
             if w.denominator != 1:
-                raise ValueError(f"coefficient at j={j} sits off the integer grid")
+                raise InputError(f"coefficient at j={j} sits off the integer grid")
             if a.order_wrt(self.graded_vars) != w or \
                a.graded_part_wrt(self.graded_vars, int(w)) != a:
-                raise ValueError(f"coefficient at j={j} is not homogeneous of degree {w}")
+                raise InputError(f"coefficient at j={j} is not homogeneous of degree {w}")
 
     def coeff(self, j: int) -> MPoly:
         for jj, a in self.coeffs:
@@ -728,7 +728,7 @@ def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> 
     """
     q = Fraction(q)
     if q < 0:
-        raise ValueError("weights are non-negative")
+        raise InputError("weights are non-negative")
     coeffs_by_j = monic_coefficients(f, z_index)
     n = max(coeffs_by_j)
     if isinstance(y, ClosedPoint):
@@ -737,7 +737,7 @@ def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> 
     else:
         graded = frozenset(y.vars)
         if z_index in graded:
-            raise ValueError("grading point must live downstairs")
+            raise InputError("grading point must live downstairs")
         shift = None
     out = []
     for j in range(1, n + 1):
@@ -819,14 +819,24 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 PARSE_MAX_DEPTH = 100
 
 
+def _int(digits: str) -> int:
+    """The value of a run of digits; a parse error past the digit count that
+    int() converts (`sys.get_int_max_str_digits()`)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(f"a literal of {len(digits)} digits is too long") from None
+
+
 def _literal(text: str) -> Fraction:
     """The value of a coefficient literal `n` or `n/d`."""
     num, _, den = text.partition("/")
     if not den:
-        return Fraction(int(num))
-    if int(den) == 0:
+        return Fraction(_int(num))
+    d = _int(den)
+    if d == 0:
         raise PolyParseError("zero denominator in coefficient literal")
-    return Fraction(int(num), int(den))
+    return Fraction(_int(num), d)
 
 
 def parse_coeff(text: str, field: FieldSpec) -> Coeff:
@@ -1049,7 +1059,7 @@ class _Parser:
         else:
             p = self.p
             if "/" not in tok:
-                den, c = 1, int(tok) % p if p else int(tok)
+                den, c = 1, _int(tok) % p if p else _int(tok)
             elif p:
                 den, c = 1, self.field.coerce(_literal(tok))
             else:
@@ -1061,7 +1071,7 @@ class _Parser:
             pos += 2
             if tok is None or not tok.isdecimal():
                 raise PolyParseError("exponent must be a non-negative integer")
-            n = int(tok)
+            n = _int(tok)
             # over Q the coefficients of base^n grow to about n times the bit
             # length of the largest numerator or denominator above 1
             big = 0 if self.p else max(max(map(abs, base.values()), default=0), den)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import (DegenerateSlopeError, DominationError, InvariantError,
-                     NotNormalFormError)
+from .errors import (DegenerateSlopeError, DominationError, InputError,
+                     InvariantError, NotNormalFormError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                    PointSpec, WeightedForm, least_ratio, monic_coefficients,
                    order_at, weighted_initial_form)
@@ -32,10 +32,10 @@ def _check_downstairs_point(y: PointSpec, sections, nvars: int):
     if isinstance(y, GenericPoint):
         for z in sections:
             if z in y.vars:
-                raise ValueError("downstairs points cannot involve section variables")
+                raise InputError("downstairs points cannot involve section variables")
     else:
         if len(y.values) != nvars:
-            raise ValueError("point arity mismatch")
+            raise InputError("point arity mismatch")
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,18 @@ class SimplifiedPresentation:
     def __post_init__(self):
         secs = self.sections
         if not secs or len(set(secs)) != len(secs):
-            raise ValueError("sections must be distinct")
+            raise InputError("sections must be distinct")
         for z in secs:
             if not 0 <= z < self.nvars:
-                raise ValueError("section index out of range")
+                raise InputError("section index out of range")
         if len(self.polys) != len(secs):
-            raise ValueError("one monic polynomial per section")
+            raise InputError("one monic polynomial per section")
         for z, f in zip(secs, self.polys):
             if f.field != self.field or f.nvars != self.nvars:
-                raise ValueError("presentation polynomial in the wrong ring")
+                raise InputError("presentation polynomial in the wrong ring")
             check_section_poly(f, z, secs)
         if self.elim.field != self.field or self.elim.nvars != self.nvars:
-            raise ValueError("elimination algebra in the wrong ring")
+            raise InputError("elimination algebra in the wrong ring")
         for g, _ in self.elim.gens:
             check_elim_gen(g, secs)
 
@@ -90,14 +90,14 @@ def check_section_poly(f: MPoly, z_index: int, sections) -> None:
     for a in monic_coefficients(f, z_index).values():  # raises NotMonicError
         for w in sections:
             if a.uses_var(w):
-                raise ValueError("coefficients must be free of all section variables")
+                raise InputError("coefficients must be free of all section variables")
 
 
 def check_elim_gen(g: MPoly, sections) -> None:
     """An elimination generator must be free of every section variable."""
     for w in sections:
         if g.uses_var(w):
-            raise ValueError("elimination generators must be section-free")
+            raise InputError("elimination generators must be section-free")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class PPresentation(SimplifiedPresentation):
         super().__post_init__()
         p = self.field.characteristic
         if p == 0:
-            raise ValueError("p-presentations need positive characteristic")
+            raise InputError("p-presentations need positive characteristic")
         exps = []
         for n in self.degrees:
             e = 0
@@ -124,16 +124,16 @@ class PPresentation(SimplifiedPresentation):
                 m //= p
                 e += 1
             if m != 1:
-                raise ValueError("p-presentation degrees must be powers of p")
+                raise InputError("p-presentation degrees must be powers of p")
             exps.append(e)
         if list(exps) != sorted(exps):
-            raise ValueError("p-presentation degrees must be non-decreasing")
+            raise InputError("p-presentation degrees must be non-decreasing")
         if self.elim.is_unit:
             return  # the unit algebra holds every middle coefficient
         have = set(self.elim.gens)
         for i, j, a in _middle_coefficients(self.sections, self.polys):
             if (a, j) not in have:
-                raise ValueError(
+                raise InputError(
                     "middle coefficient a_%d of polynomial %d is missing from "
                     "the elimination part; use make_p_presentation" % (j, i + 1))
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError, InputError, InvariantError
 from .poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
                    _primitive_terms, least_ratio, order_at)
 
@@ -40,9 +40,9 @@ class ReesAlg:
         unit = is_unit
         for f, n in gens:
             if n < 1:
-                raise ValueError("generator weights must be positive")
+                raise InputError("generator weights must be positive")
             if f.field != field or f.nvars != nvars:
-                raise ValueError("generator lives in the wrong ring")
+                raise InputError("generator lives in the wrong ring")
             if f.is_zero():
                 continue
             if f.is_constant():
@@ -130,9 +130,10 @@ def _binom_nonzero(m: int, r: int, p: int) -> bool:
     return True
 
 
-def _support_indices(f: MPoly, max_total: int) -> list:
+def _support_indices(f: MPoly, max_total: int, most: int) -> list:
     """The multi-indices alpha with 1 <= |alpha| <= max_total and H^alpha f
-    nonzero, with |alpha| ascending, then alpha descending lex.
+    nonzero, with |alpha| ascending, then alpha descending lex; None, as
+    soon as a coordinate is done, once there are more than `most` of them.
 
     H^alpha sends c*x^e to c * prod_k binom(e_k, alpha_k) * x^(e - alpha),
     so a term survives exactly when every binom(e_k, alpha_k) is nonzero in
@@ -140,7 +141,9 @@ def _support_indices(f: MPoly, max_total: int) -> list:
     distinct: H^alpha f is nonzero exactly when some exponent of f passes
     that test in every coordinate.  The enumeration extends prefixes one
     coordinate at a time, each with the exponents that passed so far, and
-    drops a prefix once none is left."""
+    drops a prefix once none is left.  A prefix is never dropped after a
+    nonzero entry (a 0 always extends it), and each ends in its own alpha,
+    so every prefix but the one of zeros counts toward the total."""
     p = f.field.characteristic
     level = [((), max_total, [e for e, _ in f.terms])]
     for k in range(f.nvars):
@@ -155,6 +158,8 @@ def _support_indices(f: MPoly, max_total: int) -> list:
                                 [e for e in under if e[k] in fits]))
             nxt.append((prefix + (0,), room, under))
         level = nxt
+        if len(level) - 1 > most:
+            return None
     # level is in descending lex order, which the stable sort keeps per |alpha|
     out = [alpha for alpha, room, _ in level if room < max_total]
     out.sort(key=sum)
@@ -175,8 +180,9 @@ def _monic_key(f: MPoly, n: int) -> tuple:
 
 # _saturate raises BudgetError, before it forms any derivative, when the
 # derivatives it would form times the terms of their generators sum past
-# this.  It forms 2.3-3.4 * 10^6 such units a second (Python 3.11, 2 shared
-# vCPUs), so the bound is a few seconds of work.
+# this; the enumeration of the derivatives stops there too.  It forms
+# 2.3-3.4 * 10^6 such units a second (Python 3.11, 2 shared vCPUs), so the
+# bound is a few seconds of work.
 SATURATION_MAX_WORK = 10 ** 7
 
 
@@ -186,15 +192,19 @@ def _saturate(alg: ReesAlg) -> ReesAlg:
         kept.setdefault(_monic_key(f, n), (f, n))
     if alg.is_unit:     # already saturated; only its scalar repeats go
         return ReesAlg.make(alg.field, alg.nvars, kept.values(), True)
-    plan = [(f, n, _support_indices(f, n - 1)) for f, n in alg.gens]
+    plan = []
     work = 0
-    for f, n, alphas in plan:
-        work += len(alphas) * len(f.terms)
-        if work > SATURATION_MAX_WORK:
-            raise BudgetError("the saturation would take %d units of work (derivatives "
-                              "times terms) at the generator of weight %d with %d terms, "
-                              "above its budget of %d"
-                              % (work, n, len(f.terms), SATURATION_MAX_WORK))
+    for f, n in alg.gens:
+        T = len(f.terms)
+        most = (SATURATION_MAX_WORK - work) // T
+        alphas = _support_indices(f, n - 1, most)
+        if alphas is None:
+            raise BudgetError("the saturation would take at least %d units of work "
+                              "(derivatives times terms) at the generator of weight %d "
+                              "with %d terms, above its budget of %d"
+                              % (work + (most + 1) * T, n, T, SATURATION_MAX_WORK))
+        work += len(alphas) * T
+        plan.append((f, n, alphas))
     unit = False
     for f, n, alphas in plan:
         for alpha in alphas:
@@ -336,13 +346,13 @@ def _tangent_forms(sat: ReesAlg, pt: ClosedPoint) -> list:
     unit algebra or some generator has order below its weight.
     """
     if sat.is_unit:
-        raise ValueError("tau is only defined at points of the singular locus")
+        raise InputError("tau is only defined at points of the singular locus")
     forms = []
     for f, n in sat.gens:
         g = f.translate(pt.values)
         order = g.order_total()
         if order < n:
-            raise ValueError("tau is only defined at points of the singular locus")
+            raise InputError("tau is only defined at points of the singular locus")
         if order == n:
             forms.append(g.homogeneous_part(n))
     return forms
@@ -357,7 +367,7 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint) -> TangentData:
     characteristic 0, where full saturation already exposes every vertex).
     """
     if not isinstance(pt, ClosedPoint):
-        raise ValueError("tau is computed at closed points")
+        raise InputError("tau is computed at closed points")
     sat = diff_saturate(alg)
     forms = _tangent_forms(sat, pt)
     field, nvars = alg.field, alg.nvars
@@ -418,9 +428,9 @@ class SmallExtField:
 
     def __init__(self, p: int, m: int):
         if m < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise InputError("extension degree must be >= 1")
         if m > 1 and (p, m) not in _IRRED:
-            raise ValueError(f"no modulus table entry for F_{p}^{m}")
+            raise InputError(f"no modulus table entry for F_{p}^{m}")
         self.p = p
         self.m = m
         self.modulus = _IRRED.get((p, m))
@@ -491,9 +501,9 @@ def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -
     """
     p = alg.field.characteristic
     if p == 0:
-        raise ValueError("the translation oracle needs positive characteristic")
+        raise InputError("the translation oracle needs positive characteristic")
     if ext_degree > 3:
-        raise ValueError("extension degrees above 3 are not supported")
+        raise InputError("extension degrees above 3 are not supported")
     nvars = alg.nvars
     vectors = (p ** ext_degree) ** nvars
     if vectors > ORACLE_MAX_VECTORS:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .blowup import (Center, StageRows, Tower, _origin, invariant_snapshot,
                      stage_ab_experiment)
-from .errors import CharpresError, CommandError, NotMonicError, SceneParseError
+from .errors import CharpresError, CommandError, SceneParseError
 from .monomial import (is_strong_monomial, lift_resolution, sandwich_report,
                        track_monomial)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
@@ -31,9 +31,6 @@ from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
 
 _SECTIONS = ("field", "variables", "algebra", "presentation", "points", "script")
 _GEN_RE = re.compile(r"^(.*?)\s+W\^(\d+)$")
-# what parse_poly raises on bad text: a coefficient whose denominator vanishes
-# mod p is a ZeroDivisionError
-_POLY_ERRORS = (CharpresError, ValueError, ZeroDivisionError)
 
 
 @dataclass
@@ -104,7 +101,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
         raise SceneParseError("missing [field] characteristic")
     try:
         field = FieldSpec(characteristic)
-    except ValueError as exc:
+    except CharpresError as exc:
         raise SceneParseError(str(exc), data["field"][0][0])
 
     # variables
@@ -146,9 +143,12 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             raise SceneParseError("expected '<polynomial> W^<weight>'", lineno)
         try:
             f = parse_poly(m.group(1), field, names)
-        except _POLY_ERRORS as exc:
+        except CharpresError as exc:
             raise SceneParseError(str(exc), lineno)
-        weight = int(m.group(2))
+        try:
+            weight = int(m.group(2))
+        except ValueError:     # more digits than int() converts
+            raise SceneParseError("generator weight has too many digits", lineno)
         if weight < 1:
             raise SceneParseError("generator weights must be positive", lineno)
         return f, weight
@@ -164,7 +164,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
     if gens:
         try:
             algebra = ReesAlg.make(field, len(names), gens)
-        except ValueError as exc:
+        except CharpresError as exc:
             raise SceneParseError(str(exc), data["algebra"][0][0])
 
     # presentation
@@ -192,7 +192,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                 once("presentation", "poly %d" % i, lineno)
                 try:
                     polys[i] = (parse_poly(value, field, names), lineno)
-                except _POLY_ERRORS as exc:
+                except CharpresError as exc:
                     raise SceneParseError(str(exc), lineno)
             elif key == "elim":
                 elim_gens.append((parse_gen(value, lineno), lineno))
@@ -216,12 +216,12 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
         for z, (f, lineno) in zip(psecs, entries):
             try:
                 check_section_poly(f, z, psecs)
-            except (NotMonicError, ValueError) as exc:
+            except CharpresError as exc:
                 raise SceneParseError(str(exc), lineno)
         for (g, _), lineno in elim_gens:
             try:
                 check_elim_gen(g, psecs)
-            except ValueError as exc:
+            except CharpresError as exc:
                 raise SceneParseError(str(exc), lineno)
         ordered = tuple(f for f, _ in entries)
         # every entry passed its own check, so what fails now is the kind
@@ -233,7 +233,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             else:
                 presentation = SimplifiedPresentation(field, len(names), psecs,
                                                       ordered, elim)
-        except (CharpresError, ValueError) as exc:
+        except CharpresError as exc:
             raise SceneParseError(str(exc), kind_lineno)
 
     # points
@@ -259,7 +259,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                                       lineno)
             try:
                 vals = tuple(parse_coeff(c, field) for c in parts)
-            except _POLY_ERRORS as exc:
+            except CharpresError as exc:
                 raise SceneParseError("bad coordinate: %s" % exc, lineno)
             points[name] = ClosedPoint(vals)
         elif value.startswith("{") and value.endswith("}"):
@@ -589,15 +589,15 @@ def _cmd_experiment(ex: _Execution, spec: str) -> dict:
     m = _EXPERIMENT_RE.match(spec.strip())
     if not m:
         raise CommandError("expected 'experiment q-from-presentation N=<count>'")
-    N = int(m.group(1))
+    try:
+        N = int(m.group(1))
+    except ValueError:     # more digits than int() converts
+        raise CommandError("N has too many digits")
     pres = ex.scene.require_presentation()
     if len(pres.sections) != 1:
         raise CommandError("the experiment needs a one-section presentation")
-    try:
-        ell, trace = stage_ab_experiment(pres.polys[0], pres.sections[0], N,
-                                         names=ex.scene.names)
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    ell, trace = stage_ab_experiment(pres.polys[0], pres.sections[0], N,
+                                     names=ex.scene.names)
     return {"command": "experiment", "N": N, "q": trace["q"], "l": ell,
             "expected": trace["expected"], "agrees": ell == trace["expected"],
             "performed": trace["performed"], "steps": trace["steps"]}
@@ -670,10 +670,10 @@ def execute_command(ex: _Execution, text: str) -> dict:
 def run_scene(scene: Scene, options: Optional[RunOptions] = None,
               extra_commands=()) -> dict:
     """Execute the scene script (plus any extra commands) in order.  The
-    first command that fails with a domain error (`CharpresError` or
-    `ValueError`) is recorded with its reason and stops execution; the trace
-    status reflects it.  Any other exception, `InvariantError` included, is a
-    bug and propagates."""
+    first command that fails with a domain error, a `CharpresError`, is
+    recorded with its reason and stops execution; the trace status reflects
+    it.  Any other exception, a bare `ValueError` or an `InvariantError`
+    included, is a bug and propagates."""
     ex = _Execution(scene, options or RunOptions())
     doc = {"scene": scene.path.rsplit("/", 1)[-1],
            "field": str(scene.field),
@@ -685,7 +685,7 @@ def run_scene(scene: Scene, options: Optional[RunOptions] = None,
     for lineno, text in commands:
         try:
             ex.records.append(execute_command(ex, text))
-        except (CharpresError, ValueError) as exc:
+        except CharpresError as exc:
             ex.records.append({"command": text, "error": str(exc),
                                "error_type": type(exc).__name__})
             doc["status"] = "error"

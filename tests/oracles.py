@@ -218,10 +218,11 @@ def _order_along(f: MPoly, vars_) -> int:
     return min(sum(e[i] for i in vars_) for e, _ in f.terms)
 
 
-def brute_force_slope(f: MPoly, z: int, y, D: int):
+def brute_force_slope(f: MPoly, z: int, y, D: int, down=None):
     """The largest slope of f(z + alpha) at y over every alpha with
     coefficients in F_p built from the monomials of degree 1..D in the
-    variables other than z that vanish at y.
+    variables `down` (by default every variable other than z) that vanish
+    at y.
 
     y is the origin (a ClosedPoint of zeros) or a GenericPoint; the slope is
     min over j of ord_y(a_j)/j for f = z^n + sum a_j z^(n-j), read off the
@@ -236,7 +237,8 @@ def brute_force_slope(f: MPoly, z: int, y, D: int):
         vars_ = tuple(range(nvars))
     else:
         raise ValueError("brute_force_slope measures at the origin or a generic point")
-    down = [i for i in range(nvars) if i != z]
+    if down is None:
+        down = [i for i in range(nvars) if i != z]
     monomials = []
     for cut in itertools.chain.from_iterable(
             itertools.combinations_with_replacement(down, d) for d in range(1, D + 1)):

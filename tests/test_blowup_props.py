@@ -20,7 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 
 from charpres.blowup import (Center, blow_up_poly,  # noqa: E402
                              stage_ab_experiment)
-from charpres.errors import CharpresError, PermissibilityError  # noqa: E402
+from charpres.errors import CharpresError, InputError, PermissibilityError  # noqa: E402
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E402
                            MPoly, order_at)
 from charpres.projection import (SimplifiedPresentation, is_normal_at,  # noqa: E402
@@ -33,16 +33,16 @@ PROPS = settings(max_examples=200, deadline=None)
 def reference_experiment(f, z_index, N, names=None):
     """The experiment as a sequence of chart transforms of one polynomial."""
     if N < 1:
-        raise ValueError("N must be positive")
+        raise InputError("N must be positive")
     n = f.degree_in_var(z_index)
     origin = ClosedPoint((f.field.zero,) * f.nvars)
     q = slope_poly(f, z_index, origin)
     if q == INF or q < 1:
-        raise ValueError("the experiment needs a finite slope q >= 1")
+        raise InputError("the experiment needs a finite slope q >= 1")
     pres = SimplifiedPresentation(f.field, f.nvars, (z_index,), (f,),
                                   ReesAlg.make(f.field, f.nvars, []))
     if not is_normal_at(pres, origin):
-        raise ValueError("polynomial is not in normal form at the base point")
+        raise InputError("polynomial is not in normal form at the base point")
 
     nvars = f.nvars + 1
     t_index = f.nvars
@@ -127,7 +127,7 @@ def experiments(draw):
 def _outcome(run, args):
     try:
         return run(*args)
-    except (ValueError, CharpresError) as exc:
+    except CharpresError as exc:
         return type(exc), str(exc)
 
 

@@ -28,7 +28,8 @@ st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.blowup import Center, blow_up_poly  # noqa: E402
-from charpres.errors import BudgetError, PermissibilityError, PolyParseError  # noqa: E402
+from charpres.errors import (BudgetError, InputError, PermissibilityError,  # noqa: E402
+                             PolyParseError)
 from charpres.poly import INF, FieldSpec, MPoly, least_ratio, parse_poly  # noqa: E402
 from charpres.rees import nonempty_subsets  # noqa: E402
 from oracles import (degree_in_var_reference, divide_by_var_power,  # noqa: E402
@@ -376,7 +377,7 @@ def parse_texts(draw):
 def _parse_outcome(parse, text, field):
     try:
         return parse(text, field, NAMES)
-    except (PolyParseError, BudgetError, ZeroDivisionError) as exc:
+    except (PolyParseError, BudgetError, InputError) as exc:
         return type(exc), str(exc)
 
 

@@ -51,7 +51,8 @@ from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E
                            weighted_initial_form)
 from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa: E402
                                  hord, hord_data, is_nth_power,
-                                 make_p_presentation, normalize_poly, slope_poly)
+                                 make_p_presentation, normalize, normalize_poly,
+                                 slope_poly)
 from charpres.rees import ReesAlg  # noqa: E402
 
 from oracles import brute_force_slope  # noqa: E402
@@ -301,26 +302,46 @@ def test_weighted_root_matches_the_weighted_form(case):
     assert _weighted_root(f, 0, y, q) == is_nth_power(weighted_initial_form(f, 0, y, q))
 
 
+def _form(draw, field, nvars, d):
+    """A nonzero form of degree d in the last two of nvars variables."""
+    p = field.characteristic
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1)
+                  .filter(any))
+    return MPoly.from_dict(field, nvars, {(0,) * (nvars - 2) + (i, d - i): c
+                                          for i, c in enumerate(coeffs)})
+
+
+def _cleanable(draw, field, nvars, zi):
+    """A monic polynomial in the variable zi with coefficients in the last
+    two variables x, y: often (z + r)^n with r a nonzero linear form in x,
+    y, plus terms a_j z^(n-j) with a_j a nonzero form of degree j + 1 to 2j,
+    so cleaning has slopes above 1 to reach."""
+    n = draw(st.sampled_from((2, 3)))
+    z = MPoly.var(field, nvars, zi)
+    f = (z + _form(draw, field, nvars, 1)) ** n if draw(st.booleans()) else z ** n
+    for j in draw(st.sets(st.integers(1, n), min_size=1)):
+        f = f + _form(draw, field, nvars, draw(st.integers(j + 1, 2 * j))) * z ** (n - j)
+    return f
+
+
 @st.composite
 def cleanable_polys(draw):
-    """A monic polynomial in z over F_2 or F_3 on z, x, y: often (z + r)^n
-    with r a nonzero linear form in x, y, plus terms a_j z^(n-j) with a_j
-    a nonzero form of degree j + 1 to 2j, so cleaning has slopes above 1
-    to reach."""
+    """A `_cleanable` polynomial over F_2 or F_3 on z, x, y."""
+    return _cleanable(draw, FieldSpec(draw(st.sampled_from((2, 3)))), 3, 0)
+
+
+@st.composite
+def two_section_presentations(draw):
+    """Two `_cleanable` section polynomials over F_2 or F_3 on z1, z2, x, y,
+    one in z1 and one in z2, over an elimination part that is empty (order
+    inf) or one form in x, y of degree 1 to 4 and weight 2 or 3."""
     field = FieldSpec(draw(st.sampled_from((2, 3))))
-    p = field.characteristic
-
-    def form(d):
-        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1)
-                      .filter(any))
-        return MPoly.from_dict(field, 3, {(0, i, d - i): c for i, c in enumerate(coeffs)})
-
-    n = draw(st.sampled_from((2, 3)))
-    z = MPoly.var(field, 3, 0)
-    f = (z + form(1)) ** n if draw(st.booleans()) else z ** n
-    for j in draw(st.sets(st.integers(1, n), min_size=1)):
-        f = f + form(draw(st.integers(j + 1, 2 * j))) * z ** (n - j)
-    return f
+    polys = (_cleanable(draw, field, 4, 0), _cleanable(draw, field, 4, 1))
+    gens = []
+    if draw(st.booleans()):
+        gens.append((_form(draw, field, 4, draw(st.integers(1, 4))),
+                     draw(st.sampled_from((2, 3)))))
+    return SimplifiedPresentation(field, 4, (0, 1), polys, ReesAlg.make(field, 4, gens))
 
 
 @PROPS
@@ -336,6 +357,27 @@ def test_cleaning_reaches_the_brute_force_slope(f):
     along_x = GenericPoint(frozenset({1}))
     sx = normalize_poly(f, 0, along_x).slope
     assert brute_force_slope(f, 0, along_x, 2 if sx is INF else max(2, math.ceil(sx))) == sx
+
+
+@PROPS
+@given(two_section_presentations())
+def test_two_sections_clean_to_the_brute_force_slopes(sp):
+    # each section polynomial cleans on its own, up to the elimination
+    # order; the alphas tried use x and y only, never the other section
+    origin = ClosedPoint((0, 0, 0, 0))
+    data = normalize(sp, origin)
+    eord = data.elim_ord
+    least = []
+    for z, f, r in zip(sp.sections, sp.polys, data.normalizations):
+        s = min(r.slope, eord)
+        if s == INF:
+            assert brute_force_slope(f, z, origin, 2, down=(2, 3)) <= s
+        else:
+            # the alphas cleaning takes below eord have degree below it
+            D = max(1, math.ceil(s))
+            assert min(brute_force_slope(f, z, origin, D, down=(2, 3)), eord) == s
+        least.append(s)
+    assert data.value == min(least)
 
 
 @PROPS

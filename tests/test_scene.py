@@ -4,11 +4,13 @@ regression corpus."""
 import glob
 import json
 import os
+import sys
 from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
+import charpres.rees as rees_mod
 import charpres.scene as scene_mod
 from charpres.blowup import StageRows
 from charpres.cli import main
@@ -52,6 +54,12 @@ def test_parse_minimal():
     # the origin is always available without being declared
     assert sc.points["origin"] == ClosedPoint((0, 0, 0))
     assert [text for _, text in sc.script] == ["hord at origin"]
+
+
+# one digit more than int() converts; "1" when it converts any number
+# (Python before 3.10.7, or the limit switched off)
+LONG = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number of digits")
 
 
 @pytest.mark.parametrize("mangle,fragment,lineno", [
@@ -146,6 +154,16 @@ def test_parse_minimal():
                          + " W^2"),
      "a product of a 1-term and a 1-term polynomial could build coefficients of more "
      "than 1000000 bits", 10),
+    # a number with more digits than int() converts
+    pytest.param(lambda s: s.replace("elim: x^3 W^2", "elim: %s*x^3 W^2" % LONG),
+                 "a literal of %d digits is too long" % len(LONG), 10, marks=DIGIT_LIMIT),
+    pytest.param(lambda s: s.replace("elim: x^3 W^2", "elim: x^%s W^2" % LONG),
+                 "a literal of %d digits is too long" % len(LONG), 10, marks=DIGIT_LIMIT),
+    pytest.param(lambda s: s.replace("elim: x^3 W^2", "elim: x^3 W^%s" % LONG),
+                 "generator weight has too many digits", 10, marks=DIGIT_LIMIT),
+    pytest.param(lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (0, 1/%s, 2)" % LONG),
+                 "bad coordinate: a literal of %d digits is too long" % len(LONG), 13,
+                 marks=DIGIT_LIMIT),
     # `origin` always names the chart origin
     (lambda s: s.replace("L = {x}", "L = {x}\norigin = {x}"),
      "'origin' is the chart origin and cannot be redefined", 15),
@@ -161,6 +179,14 @@ def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, cap
     scene = _write(tmp_path, "s.scene", mangle(MINIMAL))
     assert main(["run", "--scene", scene]) == 2
     assert capsys.readouterr().err == "parse error: %s\n" % err.value
+
+
+@DIGIT_LIMIT
+def test_experiment_n_past_the_int_digit_limit_is_a_command_error():
+    command = "experiment q-from-presentation N=" + LONG
+    doc = run_scene(parse_scene(MINIMAL.replace("hord at origin", command)))
+    assert doc["records"] == [{"command": command, "error": "N has too many digits",
+                               "error_type": "CommandError"}]
 
 
 @pytest.mark.parametrize("depth", [10 ** 3, 10 ** 5])
@@ -387,16 +413,8 @@ def _raise(exc):
     return command
 
 
-def test_run_scene_records_a_value_error(monkeypatch):
-    monkeypatch.setattr(scene_mod, "_cmd_hord", _raise(ValueError("no such value")))
-    doc = run_scene(parse_scene(MINIMAL))
-    assert doc["status"] == "error"
-    assert doc["records"] == [{"command": "hord at origin", "error": "no such value",
-                               "error_type": "ValueError"}]
-
-
 @pytest.mark.parametrize("exc", [KeyError("boom"), InvariantError("broken"),
-                                 TypeError("no")])
+                                 TypeError("no"), ValueError("max() arg is empty")])
 def test_run_scene_lets_internal_errors_propagate(monkeypatch, exc):
     monkeypatch.setattr(scene_mod, "_cmd_hord", _raise(exc))
     with pytest.raises(type(exc)):
@@ -544,6 +562,19 @@ def test_cli_internal_error_while_parsing_exits_3(tmp_path, capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: InvariantError: broken\n"
+
+
+@pytest.mark.parametrize("target", ["_cmd_hord", "parse_poly"])
+def test_cli_bare_value_error_exits_3(tmp_path, capsys, monkeypatch, target):
+    # only a CharpresError is a domain failure, while running or parsing
+    def broken(*args):
+        raise ValueError("max() arg is an empty sequence")
+
+    monkeypatch.setattr(scene_mod, target, broken)
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", MINIMAL)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: ValueError: max() arg is an empty sequence\n"
 
 
 def test_cli_scene_not_utf8_exits_2(tmp_path, capsys):
@@ -800,6 +831,21 @@ def test_one_section_commands_reject_two_sections(command, message):
                                   "error_type": "CommandError"}
 
 
+@pytest.mark.parametrize("command, message", [
+    ("blowup: center = {}; chart = x", "a center needs at least one variable"),
+    ("slope at S", "downstairs points cannot involve section variables"),
+    ("hord at S", "downstairs points cannot involve section variables"),
+    ("experiment q-from-presentation N=0", "N must be positive"),
+])
+def test_arguments_outside_the_domain_are_input_errors(command, message, tmp_path, capsys):
+    text = MINIMAL.replace("L = {x}", "L = {x}\nS = {z}").replace("hord at origin", command)
+    doc = run_scene(parse_scene(text))
+    assert doc["records"] == [{"command": command, "error": message,
+                               "error_type": "InputError"}]
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", text)]) == 1
+    assert capsys.readouterr().err == "command failed: %s: %s\n" % (command, message)
+
+
 def test_experiment_over_budget_is_a_budget_error(tmp_path, capsys):
     text = MINIMAL.replace("hord at origin", "experiment q-from-presentation N=10000000")
     rec = run_scene(parse_scene(text))["records"][-1]
@@ -835,6 +881,22 @@ def test_saturation_over_budget_is_a_budget_error(tmp_path, capsys, monkeypatch)
     assert main(["run", "--scene", _write(tmp_path, "s.scene", SATURATION_OVER_BUDGET)]) == 1
     assert "above its budget" in capsys.readouterr().err
     assert formed == []
+
+
+def test_saturation_over_budget_stops_enumerating_derivatives(monkeypatch):
+    # at weight 16 the generator has 20,349 terms and 54,263 nonzero
+    # derivatives; listing them all tests at least one binomial per
+    # derivative, and the budget check gives up after a few coordinates
+    text = (SATURATION_OVER_BUDGET.replace(")^12", ")^16")
+            .replace("v0^11*v1 W^12", "v0^15*v1 W^16"))
+    tested = []
+    binom = rees_mod._binom_nonzero
+    monkeypatch.setattr(rees_mod, "_binom_nonzero",
+                        lambda m, r, p: tested.append(r) or binom(m, r, p))
+    rec = run_scene(parse_scene(text))["records"][-1]
+    assert rec["error_type"] == "BudgetError"
+    assert "at the generator of weight 16 with 20349 terms" in rec["error"]
+    assert 0 < len(tested) < 54263
 
 
 # hord and ord_monomial agree at the generic points of the divisor strata but
