@@ -15,8 +15,6 @@ strong check) until a blowup or a lift changes that state.
 from __future__ import annotations
 
 import itertools
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
 
@@ -222,58 +220,32 @@ class Tower:
 EXPERIMENT_MAX_STEPS = 10 ** 6
 
 
-class StageRows(Sequence):
+@dataclass(frozen=True, eq=False)
+class StageRows:
     """The rows of one stage A/B experiment, held in closed form.
 
     Stage-A row i (1..N) is {"stage": "A", "index": i, "center": point,
     "chart": chart, "order": n, "permissible": True}; stage-B row j is
     {"stage": "B", "index": j, "center": line, "chart": chart, "order":
-    orders[j - 1], "permissible": orders[j - 1] >= n}.  Indexing, slicing and
-    iteration build those dicts on demand, and the rows compare equal to a
-    list of the same dicts.  `scene.canonical_json` writes the rows' text
-    from the fields without building any of them.
+    orders[j - 1], "permissible": orders[j - 1] >= n}.  Iteration builds
+    those dicts in that order, and `scene.canonical_json` writes the rows'
+    text from the fields without building any of them.
     """
 
-    __slots__ = ("point", "line", "chart", "n", "N", "orders")
-
-    def __init__(self, point: list, line: list, chart: str, n: int, N: int,
-                 orders: tuple):
-        self.point, self.line, self.chart = point, line, chart
-        self.n, self.N, self.orders = n, N, orders
-
-    def __len__(self) -> int:
-        return self.N + len(self.orders)
-
-    def _row(self, i: int) -> dict:
-        if i < self.N:
-            return {"stage": "A", "index": i + 1, "center": self.point,
-                    "chart": self.chart, "order": self.n, "permissible": True}
-        nu = self.orders[i - self.N]
-        return {"stage": "B", "index": i - self.N + 1, "center": self.line,
-                "chart": self.chart, "order": nu, "permissible": nu >= self.n}
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row(k) for k in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        k = i + len(self) if i < 0 else i
-        if not 0 <= k < len(self):
-            raise IndexError("stage row %d out of range for %d rows" % (i, len(self)))
-        return self._row(k)
+    point: list
+    line: list
+    chart: str
+    n: int
+    N: int
+    orders: tuple
 
     def __iter__(self):
-        return map(self._row, range(len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, StageRows):
-            other = list(other)
-        if not isinstance(other, list):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return "StageRows(%r, %r, %r, n=%r, N=%r, orders=%r)" % (
-            self.point, self.line, self.chart, self.n, self.N, self.orders)
+        for i in range(1, self.N + 1):
+            yield {"stage": "A", "index": i, "center": self.point,
+                   "chart": self.chart, "order": self.n, "permissible": True}
+        for j, nu in enumerate(self.orders, 1):
+            yield {"stage": "B", "index": j, "center": self.line,
+                   "chart": self.chart, "order": nu, "permissible": nu >= self.n}
 
 
 def stage_ab_experiment(f: MPoly, z_index: int, N: int, names=None):

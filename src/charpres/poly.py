@@ -808,7 +808,7 @@ def monic_from_coefficients(field: FieldSpec, nvars: int, z_index: int,
 # -- text syntax --------------------------------------------------------------
 
 # a coefficient literal: n or n/d, unsigned
-_LITERAL = r"\d+(?:/\d+)?"
+_LITERAL = r"[0-9]+(?:/[0-9]+)?"
 # a token is a literal, a name or an operator; any other character that is
 # not whitespace matches the last branch, which gives the empty token
 _TOKEN_RE = re.compile(r"(" + _LITERAL + r"|[A-Za-z_][A-Za-z_0-9]*|[-+*^()])|\S")

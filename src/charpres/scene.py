@@ -30,7 +30,7 @@ from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
                    singular_coordinate_strata, tau_at, tau_translation_oracle)
 
 _SECTIONS = ("field", "variables", "algebra", "presentation", "points", "script")
-_GEN_RE = re.compile(r"^(.*?)\s+W\^(\d+)$")
+_GEN_RE = re.compile(r"^(.*?)\s+W\^([0-9]+)$")
 
 
 @dataclass
@@ -54,6 +54,14 @@ class Scene:
         if self.presentation is None:
             raise CommandError("this command needs a [presentation] section")
         return self.presentation
+
+
+def _numeral(text: str, pattern: str = "[0-9]+") -> int:
+    """The int that text spells when it matches pattern, a numeral of ASCII
+    digits; ValueError for other text, as from int() past its digit limit."""
+    if not re.fullmatch(pattern, text):
+        raise ValueError("not an ASCII numeral: %r" % text)
+    return int(text)
 
 
 def _split_csv(text: str):
@@ -94,7 +102,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             raise SceneParseError("expected 'characteristic: <p>'", lineno)
         once("field", "characteristic", lineno)
         try:
-            characteristic = int(value.strip())
+            characteristic = _numeral(value.strip(), "[-+]?[0-9]+")
         except ValueError:
             raise SceneParseError("characteristic must be an integer", lineno)
     if characteristic is None:
@@ -186,7 +194,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             elif key.startswith("poly"):
                 tail = key[4:].strip()
                 try:
-                    i = int(tail) if tail else 1
+                    i = _numeral(tail) if tail else 1
                 except ValueError:
                     raise SceneParseError("expected 'poly <i>: <polynomial>'", lineno)
                 once("presentation", "poly %d" % i, lineno)
@@ -582,7 +590,7 @@ def _cmd_blowup(ex: _Execution, spec: str) -> dict:
             "snapshot": invariant_snapshot(step.obj)}
 
 
-_EXPERIMENT_RE = re.compile(r"^q-from-presentation\s+N\s*=\s*(\d+)$")
+_EXPERIMENT_RE = re.compile(r"^q-from-presentation\s+N\s*=\s*([0-9]+)$")
 
 
 def _cmd_experiment(ex: _Execution, spec: str) -> dict:

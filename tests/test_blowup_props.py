@@ -126,9 +126,10 @@ def experiments(draw):
 
 def _outcome(run, args):
     try:
-        return run(*args)
+        ell, trace = run(*args)
     except CharpresError as exc:
         return type(exc), str(exc)
+    return ell, dict(trace, steps=list(trace["steps"]))
 
 
 @PROPS

@@ -90,6 +90,8 @@ def test_parse_rejections():
             ("2/0*x", "zero denominator in coefficient literal"),
             ("x + 1;", "unexpected character at: ';'"),
             ("x + é*y", "unexpected character at: 'é*y'"),
+            # a numeral is a string of ASCII digits, never other Unicode digits
+            ("x^٣ + ٢*y", "unexpected character at: '٣ + ٢*y'"),
             ("(x + 1", "missing closing parenthesis"),
             ("x + *", "unexpected token '*'"),
             ("", "unexpected token None")):

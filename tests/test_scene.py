@@ -164,6 +164,21 @@ DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number 
     pytest.param(lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (0, 1/%s, 2)" % LONG),
                  "bad coordinate: a literal of %d digits is too long" % len(LONG), 13,
                  marks=DIGIT_LIMIT),
+    # a numeral is a string of ASCII digits 0-9, never other Unicode digits
+    pytest.param(lambda s: s.replace("characteristic: 3", "characteristic: ٥"),
+                 "characteristic must be an integer", 2, id="arabic-indic-characteristic"),
+    pytest.param(lambda s: s.replace("characteristic: 3", "characteristic: 1_1"),
+                 "characteristic must be an integer", 2, id="underscore-characteristic"),
+    (lambda s: s.replace("characteristic: 3", "characteristic: -3"),
+     "characteristic must be 0 or prime, got -3", 2),
+    (lambda s: s.replace("poly 1: z^2 + x^3", "poly ١: z^2 + x^3"),
+     "expected 'poly <i>: <polynomial>'", 9),
+    (lambda s: s.replace("[script]", "[algebra]\ngen: x^٢ W^٢\n\n[script]"),
+     "expected '<polynomial> W^<weight>'", 17),
+    (lambda s: s.replace("[script]", "[algebra]\ngen: x^٢ W^2\n\n[script]"),
+     "unexpected character at: '٢'", 17),
+    (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (٠, ١, 2)"),
+     "bad coordinate: expected n or n/d with an optional sign, got '٠'", 13),
     # `origin` always names the chart origin
     (lambda s: s.replace("L = {x}", "L = {x}\norigin = {x}"),
      "'origin' is the chart origin and cannot be redefined", 15),
@@ -816,6 +831,16 @@ poly 2: z2^2 + x^5
 [script]
 hord at origin
 """
+
+
+def test_experiment_n_in_other_digits_is_a_command_error(tmp_path, capsys):
+    command = "experiment q-from-presentation N=٣"
+    text = MINIMAL.replace("hord at origin", command)
+    message = "expected 'experiment q-from-presentation N=<count>'"
+    assert run_scene(parse_scene(text))["records"] == [
+        {"command": command, "error": message, "error_type": "CommandError"}]
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", text)]) == 1
+    assert capsys.readouterr().err == "command failed: %s: %s\n" % (command, message)
 
 
 @pytest.mark.parametrize("command,message", [
