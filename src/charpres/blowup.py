@@ -25,7 +25,7 @@ from .projection import SimplifiedPresentation, hord_data, is_normal_at, slope_p
 from .rees import ReesAlg, ord_at, sing_member
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Center:
     """A coordinate center V(vars); containment in Sing is checked at
     transform time."""
@@ -37,7 +37,7 @@ class Center:
             raise InputError("a center needs at least one variable")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Chart:
     """Variable names plus the exceptional-divisor registry.
 
@@ -163,7 +163,7 @@ def invariant_snapshot(obj) -> dict:
     return {"elim_ord_origin": data.elim_ord, "hord_origin": data.value}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TowerStep:
     center: tuple
     chart_var: int
@@ -220,7 +220,7 @@ class Tower:
 EXPERIMENT_MAX_STEPS = 10 ** 6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class StageRows:
     """The rows of one stage A/B experiment, held in closed form.
 

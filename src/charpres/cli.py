@@ -44,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the canonical trace here instead of stdout")
     parser.add_argument("--verify", metavar="GOLDEN",
                         help="compare the trace against this golden file")
-    parser.add_argument("--tau-oracle-field-extension", type=int, default=None,
-                        metavar="M", choices=[1, 2, 3],
+    # the ASCII strings themselves: int() would also read "٢" or "0_2" as 2
+    parser.add_argument("--tau-oracle-field-extension", default=None,
+                        metavar="M", choices=["1", "2", "3"],
                         help="cross-check tau by counting translations over "
                              "the degree-M extension field")
     return parser
@@ -69,7 +70,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         return _internal_error(exc)
 
-    options = RunOptions(tau_oracle_extension=args.tau_oracle_field_extension)
+    m = args.tau_oracle_field_extension
+    options = RunOptions(tau_oracle_extension=None if m is None else int(m))
     extra = [args.command] if args.command in _EXTRA else []
     try:
         doc = run_scene(scene, options, extra_commands=extra)

@@ -27,7 +27,7 @@ from .rees import ReesAlg, nonempty_subsets, sing_member, singular_coordinate_st
 from .blowup import Center, Chart, Tower, _origin
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MonomialAlg:
     """I(H_1)^(h_1/s)...I(H_r)^(h_r/s) as integer exponents over a common s."""
 
@@ -145,7 +145,7 @@ def elim_monomial_algebras(elim: ReesAlg, chart: Chart):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StrongCheckResult:
     strong: bool
     monomial: MonomialAlg
@@ -204,7 +204,7 @@ def _strong_check(tower: Tower) -> StrongCheckResult:
 # -- the combinatorial game -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GameMove:
     labels: frozenset          # the stratum blown up
     new_label: Optional[str]   # None for single-divisor moves
@@ -216,7 +216,7 @@ def _label_age(lab: str):
     return (0 if lab.startswith("H") else 1, int(lab[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GameResult:
     moves: tuple
     exponents: tuple    # final table, label order by age
@@ -289,7 +289,7 @@ def resolve_game(M: MonomialAlg, chart: Chart) -> GameResult:
 # -- lifting the game upstairs ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LiftRecord:
     move: GameMove
     skipped: bool
@@ -299,7 +299,7 @@ class LiftRecord:
     elim_ord_at_center: object
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LiftResult:
     monomial: MonomialAlg
     records: tuple      # one LiftRecord per game move, in play order

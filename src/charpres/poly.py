@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add as _add, sub as _sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
@@ -61,7 +60,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FieldSpec:
     """The base field: Q when characteristic is 0, F_p when it is a prime p."""
 
@@ -122,7 +121,7 @@ def _term_key(term):
     return (sum(e), e)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MPoly:
     """An immutable sparse polynomial: exponent vector -> nonzero coefficient.
 
@@ -136,6 +135,10 @@ class MPoly:
 
     # (parent, alpha) on a Hasse derivative H^alpha(parent); see translate
     _derived = None
+    # section index -> read-only monic split; see monic_coefficients
+    _splits = None
+    # closed point values -> translate; see translate
+    _translates = None
 
     # -- constructors ------------------------------------------------------
 
@@ -309,11 +312,6 @@ class MPoly:
         return MPoly(self.field, self.nvars,
                      tuple((e, c) for e, c in self.terms if sum(e[i] for i in vs) == k))
 
-    @cached_property
-    def _splits(self) -> dict:
-        # section index -> read-only monic split; see monic_coefficients
-        return {}
-
     def coefficients_in_var(self, i: int) -> dict:
         """Decompose as a polynomial in variable i: exponent -> coefficient poly."""
         buckets: dict = {}
@@ -352,11 +350,6 @@ class MPoly:
                 d[ee] = get(ee, 0) + c * c2
         return MPoly._from_terms(f, self.nvars, d.items())
 
-    @cached_property
-    def _translates(self) -> dict:
-        # closed point values -> translate; see translate
-        return {}
-
     def translate(self, values) -> "MPoly":
         """Shift coordinates to a closed point: x_i -> x_i + v_i.
 
@@ -383,7 +376,10 @@ class MPoly:
             raise InputError("point arity does not match polynomial arity")
         if not any(values):
             return self
-        g = self._translates.get(values)
+        memo = self._translates
+        if memo is None:
+            memo = self._translates = {}
+        g = memo.get(values)
         if g is None:
             if self._derived is None:
                 g = self._shift(values)
@@ -392,7 +388,7 @@ class MPoly:
                 moved = parent.translate(values)
                 g = self if moved is parent else moved.hasse_deriv_multi(alpha)
             if g is not self:
-                self._translates[values] = g
+                memo[values] = g
         return g
 
     def _shift(self, values) -> "MPoly":
@@ -504,7 +500,7 @@ class MPoly:
                 if c:
                     out.append((tuple(map(_sub, e, alpha)), c))
         g = MPoly(self.field, self.nvars, tuple(out))
-        object.__setattr__(g, "_derived", (self, alpha))
+        g._derived = (self, alpha)
         return g
 
     def __str__(self) -> str:
@@ -621,25 +617,28 @@ class _HashedValues(tuple):
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, init=False)
 class ClosedPoint:
     """A rational point given by its coordinate values.
 
     Values with a Fraction among them, those of a point over Q, are kept
     as a `_HashedValues`; int values, those of a point over F_p, stay the
-    plain tuple, which Python hashes without a Python-level call.
+    plain tuple, which Python hashes without a Python-level call.  The
+    values are wrapped before they are stored, so the field is assigned
+    once, like every field of a value type.
     """
 
     values: tuple
 
-    def __post_init__(self):
-        for v in self.values:
+    def __init__(self, values: tuple):
+        for v in values:
             if type(v) is Fraction:
-                object.__setattr__(self, "values", _HashedValues(self.values))
-                return
+                values = _HashedValues(values)
+                break
+        self.values = values
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GenericPoint:
     """The generic point of the coordinate subvariety V(x_i : i in vars)."""
 
@@ -679,7 +678,7 @@ def least_ratio(pairs):
 # -- weighted initial forms ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class WeightedForm:
     """The weighted initial form of a monic section polynomial.
 
@@ -764,7 +763,10 @@ def monic_coefficients(f: MPoly, z_index: int) -> Mapping[int, MPoly]:
     polynomial and section and returned read-only, since callers share it; a
     non-monic input raises on every call.
     """
-    out = f._splits.get(z_index)
+    memo = f._splits
+    if memo is None:
+        memo = f._splits = {}
+    out = memo.get(z_index)
     if out is None:
         by_deg = f.coefficients_in_var(z_index)
         if not by_deg:
@@ -776,7 +778,7 @@ def monic_coefficients(f: MPoly, z_index: int) -> Mapping[int, MPoly]:
         split = {n - k: a for k, a in by_deg.items() if k != n}
         # a_n is the z-free part, zero when absent
         split.setdefault(n, MPoly.zero_poly(f.field, f.nvars))
-        out = f._splits[z_index] = MappingProxyType(split)
+        out = memo[z_index] = MappingProxyType(split)
     return out
 
 
@@ -801,7 +803,7 @@ def monic_from_coefficients(field: FieldSpec, nvars: int, z_index: int,
             terms.append((e[:z_index] + k + e[z_index + 1:], c))
     terms.sort(key=_term_key, reverse=True)
     f = MPoly(field, nvars, tuple(terms))
-    f._splits[z_index] = MappingProxyType(dict(split))
+    f._splits = {z_index: MappingProxyType(dict(split))}
     return f
 
 

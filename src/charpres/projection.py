@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .errors import (DegenerateSlopeError, DominationError, InputError,
@@ -38,7 +37,7 @@ def _check_downstairs_point(y: PointSpec, sections, nvars: int):
             raise InputError("point arity mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SimplifiedPresentation:
     """e monic section polynomials over a shared downstairs elimination part.
 
@@ -74,10 +73,8 @@ class SimplifiedPresentation:
         for g, _ in self.elim.gens:
             check_elim_gen(g, secs)
 
-    @cached_property
-    def _normal_forms(self) -> dict:
-        # point -> NormalizeResult; see normalize
-        return {}
+    # point -> NormalizeResult; see normalize
+    _normal_forms = None
 
     @property
     def degrees(self) -> tuple:
@@ -100,7 +97,7 @@ def check_elim_gen(g: MPoly, sections) -> None:
             raise InputError("elimination generators must be section-free")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PPresentation(SimplifiedPresentation):
     """A simplified presentation whose degrees are p-powers p^l_1 <= ... <= p^l_e.
 
@@ -224,7 +221,7 @@ def _weighted_root(f: MPoly, z_index: int, y: PointSpec, q) -> Optional[MPoly]:
     return is_nth_power(weighted_initial_form(f, z_index, y, q))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PolyNormalization:
     """Record of the slope-raising loop on one monic polynomial at one point."""
 
@@ -277,7 +274,7 @@ def normalize_poly(f: MPoly, z_index: int, y: PointSpec, elim_ord=INF) -> PolyNo
     return PolyNormalization(f, len(subs), tuple(slopes), tuple(subs))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NormalizeResult:
     """A presentation cleaned at one downstairs point.
 
@@ -303,9 +300,12 @@ def normalize(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
     The result is stored on the presentation per point and served from
     there on repeat calls; a call that raises stores nothing.
     """
-    data = sp._normal_forms.get(y)
+    memo = sp._normal_forms
+    if memo is None:
+        memo = sp._normal_forms = {}
+    data = memo.get(y)
     if data is None:
-        data = sp._normal_forms[y] = _normalize(sp, y)
+        data = memo[y] = _normalize(sp, y)
     return data
 
 

@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -24,7 +23,7 @@ from .poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
                    _primitive_terms, least_ratio, order_at)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ReesAlg:
     """A finitely generated Rees algebra given by weighted generators."""
 
@@ -61,27 +60,11 @@ class ReesAlg:
     # True on an algebra that diff_saturate returned: it is its own
     # saturation, marked without a reference to itself
     _saturated = False
-
-    @cached_property
-    def _saturation(self) -> "ReesAlg":
-        # the saturation, computed on first use; see diff_saturate
-        sat = _saturate(self)
-        sat.__dict__["_saturated"] = True
-        return sat
-
-    @cached_property
-    def _strata(self) -> tuple:
-        # the singular coordinate strata, scanned on first use; see
-        # singular_coordinate_strata
-        origin = frozenset(range(self.nvars))
-        if not origin or not sing_member(self, GenericPoint(origin)):
-            return ()
-        found = {}      # dict for its insertion order
-        for S in map(frozenset, nonempty_subsets(range(self.nvars))):
-            if (S == origin or any(S - {v} in found for v in S)
-                    or sing_member(self, GenericPoint(S))):
-                found[S] = None
-        return tuple(found)
+    # the saturation, computed on first use; see diff_saturate
+    _saturation = None
+    # the singular coordinate strata, scanned on first use; see
+    # singular_coordinate_strata
+    _strata = None
 
 
 def nonempty_subsets(items):
@@ -240,7 +223,13 @@ def diff_saturate(alg: ReesAlg) -> ReesAlg:
     a saturation is its own saturation, marked by a flag, so neither refers
     to itself.
     """
-    return alg if alg._saturated else alg._saturation
+    if alg._saturated:
+        return alg
+    sat = alg._saturation
+    if sat is None:
+        sat = alg._saturation = _saturate(alg)
+        sat._saturated = True
+    return sat
 
 
 # -- exact linear algebra over the base field ----------------------------------
@@ -297,7 +286,7 @@ def rref(rows, field: FieldSpec):
 # -- tau: codimension of the vertex space of the tangent cone ------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TangentData:
     """Initial forms at a singular closed point plus the vertex-space summary."""
 
@@ -406,7 +395,22 @@ def singular_coordinate_strata(alg: ReesAlg) -> list:
     The strata are scanned once per `ReesAlg` instance and kept on it; each
     call returns a fresh list.
     """
-    return list(alg._strata)
+    strata = alg._strata
+    if strata is None:
+        strata = alg._strata = _scan_strata(alg)
+    return list(strata)
+
+
+def _scan_strata(alg: ReesAlg) -> tuple:
+    origin = frozenset(range(alg.nvars))
+    if not origin or not sing_member(alg, GenericPoint(origin)):
+        return ()
+    found = {}      # dict for its insertion order
+    for S in map(frozenset, nonempty_subsets(range(alg.nvars))):
+        if (S == origin or any(S - {v} in found for v in S)
+                or sing_member(alg, GenericPoint(S))):
+            found[S] = None
+    return tuple(found)
 
 
 # -- brute-force translation oracle (small finite fields) ----------------------

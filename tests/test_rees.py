@@ -324,7 +324,7 @@ def test_local_memo_stops_where_the_singular_test_stops(monkeypatch):
     assert first is not f
     assert calls == [f] and list(first._translates) == [off.values]
     assert list(f._translates) == [off.values]
-    assert all(g._translates == {} for g, _ in sat.gens[1:] if g is not f)
+    assert all(g._translates is None for g, _ in sat.gens[1:] if g is not f)
     assert ord_at(sat, off) == 0
     assert len(calls) == len(a.gens)
 
@@ -391,7 +391,7 @@ def test_generic_points_never_enter_the_local_memo(monkeypatch):
     assert sing_member(a, L) and ord_at(a, L) == 1
     assert sing_member(diff_saturate(a), L)
     assert calls == []
-    assert all(f._translates == {} for f, _ in diff_saturate(a).gens)
+    assert all(f._translates is None for f, _ in diff_saturate(a).gens)
 
 
 def test_wrong_arity_raises_on_every_call(monkeypatch):
@@ -403,7 +403,7 @@ def test_wrong_arity_raises_on_every_call(monkeypatch):
             with pytest.raises(ValueError, match="arity"):
                 fn(a, short)
     assert calls == []
-    assert all(f._translates == {} for f, _ in diff_saturate(a).gens)
+    assert all(f._translates is None for f, _ in diff_saturate(a).gens)
 
 
 def test_strata_are_scanned_once_per_algebra(monkeypatch):

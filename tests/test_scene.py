@@ -808,6 +808,27 @@ def test_cli_oracle_flag_rejects_large_extension(tmp_path, capsys):
     capsys.readouterr()
 
 
+# only the ASCII strings 1, 2 and 3 name an extension degree; int() would read
+# the Arabic-Indic digit two and an underscore-separated 0_2 as 2
+@pytest.mark.parametrize("m", ["\u0662", "0_2", "4", " 2", "+2", "02"])
+def test_cli_oracle_flag_takes_only_ascii_1_to_3(tmp_path, capsys, m):
+    scene = _write(tmp_path, "s.scene", MINIMAL)
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scene", scene, "--tau-oracle-field-extension", m])
+    assert err.value.code == 2
+    assert "invalid choice: %r" % m in capsys.readouterr().err
+
+
+def test_cli_oracle_flag_runs_the_oracle(capsys):
+    scene = os.path.join(SCENES, "a01_tau_char2.scene")
+    golden = os.path.join(SCENES, "golden", "a01_tau_char2.trace.json")
+    # the goldens were made with the oracle over F_2^2
+    assert main(["run", "--scene", scene, "--verify", golden,
+                 "--tau-oracle-field-extension", "2"]) == 0
+    assert main(["run", "--scene", scene, "--verify", golden]) == 1
+    capsys.readouterr()
+
+
 def test_parsed_presentation_is_the_direct_one():
     field = FieldSpec(3)
 
