@@ -13,8 +13,7 @@ from .errors import (BudgetError, CharpresError, CommandError,
                      NotNormalFormError, PermissibilityError, PolyParseError,
                      SceneParseError, TrackingError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                   WeightedForm, order_at, parse_poly, render_poly,
-                   weighted_initial_form)
+                   order_at, parse_poly, render_poly)
 from .rees import (ReesAlg, diff_saturate, ord_at, sing_member,
                    singular_coordinate_strata, tau_at, tau_translation_oracle)
 from .projection import (PPresentation, SimplifiedPresentation, hord,

@@ -4,8 +4,8 @@ This is the carrier type for the whole library: coefficients are
 `fractions.Fraction` in characteristic 0 and canonical residues `0..p-1` in
 characteristic p, so every computation downstream is exact.  On top of the
 ring operations the module provides the local-analysis toolkit: orders at
-closed and generic points, Hasse (divided-power) derivatives, and weighted
-initial forms of monic section polynomials.
+closed and generic points, Hasse (divided-power) derivatives, and the
+coefficient split of monic section polynomials.
 
 Term order for canonical output is graded lexicographic, largest first.
 """
@@ -673,85 +673,6 @@ def least_ratio(pairs):
         if o * best_n < best * n:
             best, best_n = o, n
     return INF if best == INF else Fraction(best, best_n)
-
-
-# -- weighted initial forms ---------------------------------------------------
-
-
-@dataclass(unsafe_hash=True)
-class WeightedForm:
-    """The weighted initial form of a monic section polynomial.
-
-    Represents Z^n + sum_j A_j Z^(n-j) where Z stands for the section
-    variable with weight q and the A_j are forms of degree j*q in the grading
-    variables (coefficients in the remaining variables are allowed when the
-    grading is taken along a coordinate subvariety).  Coefficients A_j with
-    j*q not an integer are identically zero and therefore absent.
-    """
-
-    field: FieldSpec
-    nvars: int
-    z_index: int
-    n: int
-    q: Fraction
-    graded_vars: frozenset
-    coeffs: tuple  # tuple[tuple[int, MPoly], ...] sorted by j, A_j nonzero
-
-    def __post_init__(self):
-        for j, a in self.coeffs:
-            if a.is_zero() or a.uses_var(self.z_index):
-                raise InputError("weighted form coefficients must be nonzero and section-free")
-            w = self.q * j
-            if w.denominator != 1:
-                raise InputError(f"coefficient at j={j} sits off the integer grid")
-            if a.order_wrt(self.graded_vars) != w or \
-               a.graded_part_wrt(self.graded_vars, int(w)) != a:
-                raise InputError(f"coefficient at j={j} is not homogeneous of degree {w}")
-
-    def coeff(self, j: int) -> MPoly:
-        for jj, a in self.coeffs:
-            if jj == j:
-                return a
-        return MPoly.zero_poly(self.field, self.nvars)
-
-
-def weighted_initial_form(f: MPoly, z_index: int, y: PointSpec, q: Fraction) -> WeightedForm:
-    """Collect the weight-q boundary terms of a monic section polynomial at y.
-
-    f must be monic of some degree n in the section variable with
-    section-free coefficients.  For each j with j*q integral, the coefficient
-    of Z^(n-j) is the degree-(j*q) graded piece of a_j at y; the grading is
-    total degree at a closed point (after translation) and S-degree at the
-    generic point of V(S).  q = 0 returns the fiber-equation data: the
-    degree-0 pieces, i.e. the evaluation of the coefficients at the point.
-    """
-    q = Fraction(q)
-    if q < 0:
-        raise InputError("weights are non-negative")
-    coeffs_by_j = monic_coefficients(f, z_index)
-    n = max(coeffs_by_j)
-    if isinstance(y, ClosedPoint):
-        graded = frozenset(i for i in range(f.nvars) if i != z_index)
-        shift = y.values
-    else:
-        graded = frozenset(y.vars)
-        if z_index in graded:
-            raise InputError("grading point must live downstairs")
-        shift = None
-    out = []
-    for j in range(1, n + 1):
-        a = coeffs_by_j.get(j)
-        if a is None:
-            continue
-        w = q * j
-        if w.denominator != 1:
-            continue
-        if shift is not None:
-            a = a.translate(shift)
-        piece = a.graded_part_wrt(graded, int(w))
-        if not piece.is_zero():
-            out.append((j, piece))
-    return WeightedForm(f.field, f.nvars, z_index, n, q, graded, tuple(out))
 
 
 def monic_coefficients(f: MPoly, z_index: int) -> Mapping[int, MPoly]:

@@ -19,8 +19,7 @@ from typing import Optional
 from .errors import (DegenerateSlopeError, DominationError, InputError,
                      InvariantError, NotNormalFormError)
 from .poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                   PointSpec, WeightedForm, least_ratio, monic_coefficients,
-                   order_at, weighted_initial_form)
+                   PointSpec, least_ratio, monic_coefficients, order_at)
 from .rees import ReesAlg, ord_at, sing_member
 
 # normalize_poly makes at most NORMALIZE_CAP_FACTOR * n cleaning substitutions.
@@ -113,17 +112,10 @@ class PPresentation(SimplifiedPresentation):
         p = self.field.characteristic
         if p == 0:
             raise InputError("p-presentations need positive characteristic")
-        exps = []
-        for n in self.degrees:
-            e = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise InputError("p-presentation degrees must be powers of p")
-            exps.append(e)
-        if list(exps) != sorted(exps):
+        degrees = self.degrees
+        if any(_root_degree(n, p) != n for n in degrees):
+            raise InputError("p-presentation degrees must be powers of p")
+        if list(degrees) != sorted(degrees):
             raise InputError("p-presentation degrees must be non-decreasing")
         if self.elim.is_unit:
             return  # the unit algebra holds every middle coefficient
@@ -180,45 +172,42 @@ def _root_degree(n: int, p: int) -> int:
     return pe
 
 
-def is_nth_power(W: WeightedForm) -> Optional[MPoly]:
-    """The root A with W = (Z+A)^n, if one exists; None otherwise.
-
-    Writes n = m*p^e with p not dividing m (e = 0 in characteristic 0).  Any
-    root must appear in the coefficient of Z^(n-p^e), whose binomial factor
-    is a unit by Lucas; the candidate is confirmed by exact expansion.
-    """
-    field = W.field
-    n = W.n
-    pe = _root_degree(n, field.characteristic)
-    lead = W.coeff(pe)
-    if lead.is_zero():
-        return None
-    c = field.coerce(math.comb(n, pe))
-    B = lead.scale(field.inv(c))
-    A = B.pth_power_root(pe)
-    if A is None:
-        return None
-    for j in range(1, n + 1):
-        expect = (A ** j).scale(field.coerce(math.comb(n, j)))
-        if W.coeff(j) != expect:
-            return None
-    return A
-
-
 def _weighted_root(f: MPoly, z_index: int, y: PointSpec, q) -> Optional[MPoly]:
-    """is_nth_power(weighted_initial_form(f, z_index, y, q)) for q the slope
-    of f at y, building the form only when it can have a root.
+    """The root A with (Z+A)^n the weight-q initial form of f at y, q the
+    slope of f at y; None when that form is not an n-th power.
 
-    Every a_j has order >= q*j at y, so the Z^(n-p^e) coefficient of the
-    weight-q form, the degree-(q*p^e) piece of a_(p^e), is nonzero exactly
-    when ord_y(a_(p^e)) = q*p^e; otherwise is_nth_power returns None.
+    The form's coefficient of Z^(n-j) is the degree-(q*j) piece of a_j at y:
+    total degree after translating a closed point to the origin, S-degree at
+    the generic point of V(S), and zero when q*j is not an integer.  Writing
+    n = m*p^e with p not dividing m (e = 0 in characteristic 0), any root is
+    the p^e-th root of the piece at j = p^e over binom(n, p^e), a unit by
+    Lucas.  Every a_j has order >= q*j at y, so that piece is nonzero
+    exactly when ord_y(a_(p^e)) = q*p^e; the candidate is confirmed by exact
+    expansion.
     """
+    field = f.field
     coeffs = monic_coefficients(f, z_index)
-    pe = _root_degree(max(coeffs), f.field.characteristic)
+    n = max(coeffs)
+    pe = _root_degree(n, field.characteristic)
     a = coeffs.get(pe)
     if a is None or order_at(a, y) * q.denominator != q.numerator * pe:
         return None
-    return is_nth_power(weighted_initial_form(f, z_index, y, q))
+    closed = isinstance(y, ClosedPoint)
+    graded = range(f.nvars) if closed else y.vars
+
+    def piece(j):
+        aj, w = coeffs.get(j), q * j
+        if aj is None or w.denominator != 1:
+            return MPoly.zero_poly(field, f.nvars)
+        return (aj.translate(y.values) if closed else aj).graded_part_wrt(graded, int(w))
+
+    A = piece(pe).scale(field.inv(field.coerce(math.comb(n, pe)))).pth_power_root(pe)
+    if A is None:
+        return None
+    for j in range(1, n + 1):
+        if piece(j) != (A ** j).scale(field.coerce(math.comb(n, j))):
+            return None
+    return A
 
 
 @dataclass(unsafe_hash=True)

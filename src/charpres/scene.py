@@ -650,7 +650,9 @@ def _cmd_resolve(ex: _Execution) -> dict:
     rec["final"] = _object_json(ex, tower.obj)
     rec["divisors"] = {lab: (None if v is None else ex.scene.names[v])
                        for lab, v in tower.chart.divisors}
-    rec["singular_after"] = []     # lift_resolution raises on a singular stratum left
+    # lift_resolution raises when the followed chart's origin, and with it
+    # any coordinate stratum, is singular; other points are not checked
+    rec["singular_after"] = []
     return rec
 
 

@@ -14,9 +14,9 @@ from typing import Optional
 
 from charpres.errors import BudgetError, InvariantError, PolyParseError
 from charpres.monomial import GameMove, GameResult, _label_age
-from charpres.poly import (_LITERAL, _WORK_PER_TERM, INF, PARSE_MAX_TERMS, FieldSpec,
-                           GenericPoint, MPoly, _clean, _literal, _monomial_count, _mul_terms,
-                           _pow_terms, _product_bits, monic_coefficients)
+from charpres.poly import (_LITERAL, _WORK_PER_TERM, INF, PARSE_MAX_TERMS, ClosedPoint,
+                           FieldSpec, GenericPoint, MPoly, _clean, _literal, _monomial_count,
+                           _mul_terms, _pow_terms, _product_bits, monic_coefficients)
 from charpres.rees import ReesAlg, nonempty_subsets, sing_member
 
 
@@ -262,6 +262,49 @@ def brute_force_slope(f: MPoly, z: int, y, D: int, down=None):
                      for k, a in parts.items() if k < n), default=math.inf)
         best = max(best, slope)
     return best
+
+
+def weighted_root_reference(f: MPoly, z: int, y, q) -> Optional[MPoly]:
+    """The root A with (Z + A)^n the weight-q initial form of f at y, or
+    None, with the whole form built first: its coefficient of Z^(n-j) is
+    the degree-(q*j) piece of a_j at y, in every variable but z after
+    translating a closed point to the origin and in the variables of a
+    generic point, and zero when q*j is not an integer.  With n = m*p^e, p
+    not dividing m, the root is read off the coefficient at j = p^e and
+    confirmed by exact expansion."""
+    q = Fraction(q)
+    field, nvars = f.field, f.nvars
+    coeffs = monic_coefficients(f, z)
+    n = max(coeffs)
+    if isinstance(y, ClosedPoint):
+        graded = [i for i in range(nvars) if i != z]
+    else:
+        graded = sorted(y.vars)
+    form = {}
+    for j, a in coeffs.items():
+        w = q * j
+        if w.denominator != 1:
+            continue
+        if isinstance(y, ClosedPoint):
+            a = a.translate(y.values)
+        piece = MPoly.from_dict(field, nvars, {e: c for e, c in a.terms
+                                               if sum(e[i] for i in graded) == w})
+        if not piece.is_zero():
+            form[j] = piece
+    p = field.characteristic
+    pe = 1
+    while p and n % (pe * p) == 0:
+        pe *= p
+    if pe not in form:
+        return None
+    A = form[pe].scale(field.inv(field.coerce(math.comb(n, pe)))).pth_power_root(pe)
+    if A is None:
+        return None
+    zero = MPoly.zero_poly(field, nvars)
+    for j in range(1, n + 1):
+        if form.get(j, zero) != (A ** j).scale(field.coerce(math.comb(n, j))):
+            return None
+    return A
 
 
 def reference_resolve_game(M, chart) -> GameResult:

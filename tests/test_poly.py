@@ -12,7 +12,7 @@ import charpres.poly as poly_mod
 from charpres.errors import BudgetError, InputError, NotMonicError, PolyParseError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            monic_coefficients, order_at, parse_poly,
-                           render_poly, weighted_initial_form)
+                           render_poly)
 from oracles import divide_by_var_power, evaluate
 
 Q = FieldSpec(0)
@@ -414,24 +414,6 @@ def test_monic_coefficients_memo():
     for _ in range(2):
         with pytest.raises(NotMonicError):
             monic_coefficients(g, 0)
-
-
-def test_weighted_initial_form():
-    f = P("z^2 + 2*x*z + x^2 + x^3")
-    W = weighted_initial_form(f, 0, ClosedPoint((0, 0, 0)), Fraction(1))
-    # the slope-1 boundary keeps 2xz and x^2 but not x^3
-    assert W.n == 2
-    assert W.coeff(1) == P("2*x")
-    assert W.coeff(2) == P("x^2")
-    W2 = weighted_initial_form(P("z^2 + x^3 + x^4"), 0,
-                               ClosedPoint((0, 0, 0)), Fraction(3, 2))
-    assert W2.coeff(2) == P("x^3")
-    assert W2.coeff(1).is_zero()
-
-
-def test_weighted_form_pure_power():
-    W = weighted_initial_form(P("z^2"), 0, ClosedPoint((0, 0, 0)), Fraction(1))
-    assert not W.coeffs
 
 
 def test_generic_point_orders():

@@ -11,12 +11,12 @@ import pytest
 import charpres.projection as projection
 from charpres.errors import DegenerateSlopeError, NotNormalFormError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
-                           parse_poly, render_poly, weighted_initial_form)
-from charpres.projection import (PPresentation, SimplifiedPresentation,
+                           parse_poly, render_poly)
+from charpres.projection import (PPresentation, SimplifiedPresentation, _weighted_root,
                                  fiber_point, hord, hord_data, is_normal_at,
-                                 is_nth_power, make_p_presentation,
-                                 membership_criterion, normalize, normalize_poly,
-                                 slope_poly, upstairs_algebra)
+                                 make_p_presentation, membership_criterion,
+                                 normalize, normalize_poly, slope_poly,
+                                 upstairs_algebra)
 from charpres.rees import ReesAlg, sing_member
 
 from oracles import coefficient_elim, saturate_all_alpha
@@ -57,17 +57,24 @@ def test_slope_poly_values():
     assert slope_poly(P("z^2 + x^2*y^3"), 0, GenericPoint(frozenset({2}))) == Fraction(3, 2)
 
 
-def test_is_nth_power():
-    W = weighted_initial_form(P("z^2 + 2*x*z + x^2 + x^3"), 0, ORIGIN, Fraction(1))
-    root = is_nth_power(W)
-    assert root == P("x")
+def test_weighted_root():
+    # the slope-1 form keeps 2xz and x^2 but not x^3: (Z + x)^2
+    assert _weighted_root(P("z^2 + 2*x*z + x^2 + x^3"), 0, ORIGIN, Fraction(1)) == P("x")
     # char 2: x^3 has no square root
-    W2 = weighted_initial_form(P("z^2 + x^3", F2), 0, ORIGIN, Fraction(3, 2))
-    assert is_nth_power(W2) is None
+    assert _weighted_root(P("z^2 + x^3", F2), 0, ORIGIN, Fraction(3, 2)) is None
     # char 5, n = p: the p-th root comes from the constant coefficient
     f5 = (P("z + x", F5) ** 5) + P("x^6", F5)
-    W5 = weighted_initial_form(f5, 0, ORIGIN, Fraction(1))
-    assert is_nth_power(W5) == P("x", F5)
+    assert _weighted_root(f5, 0, ORIGIN, Fraction(1)) == P("x", F5)
+
+
+def test_weighted_root_reads_only_the_weight_q_boundary():
+    # over F_2 at the slope 1, a_1 = x^2 and the x^4 of a_2 lie above the
+    # weight, so the form is Z^2 + x^2 = (Z + x)^2
+    f = P("z^2 + x^2*z + x^2 + x^4", F2)
+    assert _weighted_root(f, 0, ORIGIN, Fraction(1)) == P("x", F2)
+    # along x = 0 only the x-degree counts: Z^2 + x^2*y^2 = (Z + x*y)^2
+    f = P("z^2 + x^2*y^2 + x^3", F2)
+    assert _weighted_root(f, 0, GenericPoint(frozenset({1})), Fraction(1)) == P("x*y", F2)
 
 
 def test_normalize_char0():
@@ -364,23 +371,22 @@ def test_invariant_checks_survive_python_O():
 
 
 def test_normal_form_test_builds_a_form_only_when_a_root_can_exist(monkeypatch):
-    import charpres.projection as pr
     built = []
-    form = pr.weighted_initial_form
+    root = MPoly.pth_power_root
 
-    def counted(f, z, y, q):
-        built.append(q)
-        return form(f, z, y, q)
+    def counted(self, pe):
+        built.append(pe)
+        return root(self, pe)
 
-    monkeypatch.setattr(pr, "weighted_initial_form", counted)
+    monkeypatch.setattr(MPoly, "pth_power_root", counted)
     # slope 1 from a_2 = x^2; a_3 = y^7 misses 3*1, so no cube root can exist
     pres = pres1("z^3 + x^2*z + y^7", F3, elim_gens=[])
     d = hord_data(pres, ORIGIN)
     assert d.normalizations[0].iterations == 0 and d.value == 1
     assert is_normal_at(pres, ORIGIN)
     assert built == []
-    # a_1 = 2x attains the slope 1: one form, one substitution, and after it
-    # a_1 = 0 builds no form at the slope 3/2
+    # a_1 = 2x attains the slope 1: one root taken, one substitution, and
+    # after it a_1 = 0 takes none at the slope 3/2
     pres = pres1("z^2 + 2*x*z + x^2 + x^3", elim_gens=[])
     d = hord_data(pres, ORIGIN)
     assert d.normalizations[0].iterations == 1 and d.value == Fraction(3, 2)

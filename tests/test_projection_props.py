@@ -7,9 +7,12 @@ computed on a presentation rebuilt from the same fields for that point, with
 fresh polynomials, so that neither the H-order memo nor the coefficient
 splits are shared, or both must raise the same DominationError.
 
-The normal-form test skips the weighted initial form when a_(p^e) misses the
-slope; over F_2, F_3, F_5, F_7 and Q, at the origin, at closed points off it
-and at generic points, the skip must give what the form itself gives.
+The normal-form test reads the weight-q initial form piece by piece and
+skips it when a_(p^e) misses the slope; over F_2, F_3, F_5, F_7 and Q, at the
+origin, at closed points off it and at generic points, it must give what the
+whole form, built first, gives.  A root A it returns must expand, in sympy,
+to the weight-nq terms of f, and a (z + B)^n draw whose added terms all lie
+above the weight of B must return B.
 
 Every blowup carries the monic split of each section polynomial to its
 transform; the carried split must equal the one rebuilt from the terms,
@@ -47,15 +50,13 @@ from charpres.errors import (CharpresError, DominationError,  # noqa: E402
                              PermissibilityError)
 from charpres.monomial import is_strong_monomial, lift_resolution  # noqa: E402
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E402
-                           MPoly, monic_coefficients, parse_poly,
-                           weighted_initial_form)
+                           MPoly, monic_coefficients, parse_poly)
 from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa: E402
-                                 hord, hord_data, is_nth_power,
-                                 make_p_presentation, normalize, normalize_poly,
-                                 slope_poly)
+                                 hord, hord_data, make_p_presentation,
+                                 normalize, normalize_poly, slope_poly)
 from charpres.rees import ReesAlg  # noqa: E402
 
-from oracles import brute_force_slope  # noqa: E402
+from oracles import brute_force_slope, weighted_root_reference  # noqa: E402
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -243,10 +244,11 @@ FIELDS = tuple(FieldSpec(p) for p in (2, 3, 5, 7, 0))
 
 @st.composite
 def rooted_polys(draw):
-    """(f, y): f monic in z = x_0 over the downstairs variables, y a
+    """(f, y, B): f monic in z = x_0 over the downstairs variables, y a
     downstairs point: the origin, a closed point off it, or a generic point.
-    Half the draws are (z + A)^n plus terms above the weight of A, in local
-    coordinates at y, so that the weighted form has the root A."""
+    Half the draws are (z + B)^n plus terms above the weight of B, in local
+    coordinates at y, so that the weighted form has the root B; the others
+    have B None."""
     field = draw(st.sampled_from(FIELDS))
     p = field.characteristic
     nvars = draw(st.integers(3, 4))
@@ -281,25 +283,71 @@ def rooted_polys(draw):
     z = MPoly.var(field, nvars, 0)
     if draw(st.booleans()):
         d = draw(st.integers(1, 2))
-        f = (z + form(d)) ** n
+        B = form(d)
+        f = (z + B) ** n
         above = lambda j: j * d + draw(st.integers(1, 2))  # noqa: E731
     else:
+        B = None
         f = z ** n
         above = lambda j: draw(st.integers(0, 2 * j + 1))  # noqa: E731
     for j in draw(st.sets(st.integers(1, n), min_size=1)):
         f = f + form(above(j)) * z ** (n - j)
     if kind == "closed":
         f = f.translate(tuple(field.neg(field.coerce(v)) for v in values))
-    return f, y
+    return f, y, B
 
 
 @PROPS
 @given(rooted_polys())
 def test_weighted_root_matches_the_weighted_form(case):
-    f, y = case
+    f, y, _ = case
     q = slope_poly(f, 0, y)
     assume(q != INF)
-    assert _weighted_root(f, 0, y, q) == is_nth_power(weighted_initial_form(f, 0, y, q))
+    assert _weighted_root(f, 0, y, q) == weighted_root_reference(f, 0, y, q)
+
+
+def _sympy_terms(sympy, f: MPoly, shift=()):
+    """{exponents: coefficient} of f expanded in sympy after x_i -> x_i + v
+    for the values v of `shift`, given for x_1, x_2, ..."""
+    p = f.field.characteristic
+    xs = sympy.symbols("x0:%d" % f.nvars)
+    expr = sum(sympy.Rational(c) * sympy.Mul(*(x ** k for x, k in zip(xs, e)))
+               for e, c in f.terms)
+    expr = expr.subs({x: x + sympy.Rational(v) for x, v in zip(xs[1:], shift)},
+                     simultaneous=True)
+    poly = sympy.Poly(expr, *xs, domain=sympy.GF(p) if p else sympy.QQ)
+    return {e: c for e, c in poly.terms() if c != 0}
+
+
+@PROPS
+@given(rooted_polys())
+def test_weighted_root_expands_to_the_weight_nq_terms(case):
+    """(Z + A)^n, expanded in sympy, is the part of f at y of weight n*q,
+    where z weighs q, the variables of a generic point (every variable but
+    z at a closed point) weigh 1 and the others 0."""
+    sympy = pytest.importorskip("sympy")
+    f, y, _ = case
+    q = slope_poly(f, 0, y)
+    assume(q != INF)
+    A = _weighted_root(f, 0, y, q)
+    assume(A is not None)
+    n = f.degree_in_var(0)
+    if isinstance(y, ClosedPoint):
+        graded, shift = range(1, f.nvars), y.values[1:]
+    else:
+        graded, shift = y.vars, ()
+    boundary = {e: c for e, c in _sympy_terms(sympy, f, shift).items()
+                if q * e[0] + sum(e[i] for i in graded) == n * q}
+    assert boundary == _sympy_terms(sympy, (MPoly.var(f.field, f.nvars, 0) + A) ** n)
+
+
+@PROPS
+@given(rooted_polys())
+def test_weighted_root_finds_the_drawn_root(case):
+    """(z + B)^n plus terms strictly above the weight of B has the root B."""
+    f, y, B = case
+    assume(B is not None)
+    assert _weighted_root(f, 0, y, slope_poly(f, 0, y)) == B
 
 
 def _form(draw, field, nvars, d):

@@ -61,7 +61,7 @@ VALUE_TYPES = sorted(_library_dataclasses() - STATEFUL, key=lambda c: c.__qualna
 
 def test_the_value_types_are_the_expected_ones():
     assert {c.__qualname__ for c in VALUE_TYPES} == {
-        "FieldSpec", "MPoly", "ClosedPoint", "GenericPoint", "WeightedForm",
+        "FieldSpec", "MPoly", "ClosedPoint", "GenericPoint",
         "ReesAlg", "TangentData",
         "SimplifiedPresentation", "PPresentation", "PolyNormalization",
         "NormalizeResult",
