@@ -52,9 +52,6 @@ class Chart:
     def initial(cls, names: Iterable[str]) -> "Chart":
         return cls(tuple(names), ())
 
-    def divisor_map(self) -> dict:
-        return dict(self.divisors)
-
     def present_divisors(self) -> dict:
         return {lab: v for lab, v in self.divisors if v is not None}
 

@@ -23,7 +23,7 @@ from .errors import (InputError, InvariantError, NonMonomialElimError,
                      PermissibilityError, TrackingError)
 from .poly import INF, ClosedPoint, GenericPoint, PointSpec
 from .projection import SimplifiedPresentation, hord, hord_data, upstairs_algebra
-from .rees import ReesAlg, nonempty_subsets, sing_member
+from .rees import nonempty_subsets, sing_member
 from .blowup import Center, Chart, Tower, _origin
 
 
@@ -42,20 +42,6 @@ class MonomialAlg:
         labels = [lab for lab, _ in self.exponents]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate divisor label")
-
-    def exponent_map(self) -> dict:
-        return dict(self.exponents)
-
-    def reduced(self) -> "MonomialAlg":
-        g = math.gcd(self.s, *(h for _, h in self.exponents)) if self.exponents else self.s
-        if g <= 1:
-            return self
-        return MonomialAlg(self.s // g, tuple((lab, h // g) for lab, h in self.exponents))
-
-    def restricted(self, labels) -> "MonomialAlg":
-        keep = set(labels)
-        return MonomialAlg(self.s, tuple((lab, h) for lab, h in self.exponents
-                                         if lab in keep))
 
 
 def track_monomial(tower: Tower) -> MonomialAlg:
@@ -87,15 +73,16 @@ def _track_monomial(tower: Tower) -> MonomialAlg:
             raise TrackingError("center with H-order below 1 is impermissible")
         values.append(q - 1)
         labels.append(st.chart.divisors[-1][0])
+    # each value is in lowest terms, so s and the exponents share no factor
     s = math.lcm(*[v.denominator for v in values])
     exps = tuple((lab, int(v * s)) for lab, v in zip(labels, values))
-    return MonomialAlg(s, exps).reduced()
+    return MonomialAlg(s, exps)
 
 
 def ord_monomial(M: MonomialAlg, x: PointSpec, chart: Chart):
     """Order of the monomial algebra at a representable point: the sum of
     exponents of the present divisors passing through it, over s."""
-    dmap = chart.divisor_map()
+    dmap = dict(chart.divisors)
     total = 0
     for lab, h in M.exponents:
         if lab not in dmap:
@@ -112,37 +99,7 @@ def ord_monomial(M: MonomialAlg, x: PointSpec, chart: Chart):
     return Fraction(total, M.s)
 
 
-def divides(M: MonomialAlg, R: MonomialAlg) -> bool:
-    """Componentwise h_i/s_M <= alpha_i/s_R over a shared divisor registry."""
-    hm, hr = M.exponent_map(), R.exponent_map()
-    if set(hm) != set(hr):
-        raise TrackingError("incompatible divisor registries")
-    return all(h * R.s <= hr[lab] * M.s for lab, h in hm.items())
-
-
 # -- strong monomial case --------------------------------------------------------
-
-
-def elim_monomial_algebras(elim: ReesAlg, chart: Chart):
-    """One MonomialAlg per elimination generator, when every generator is a
-    single term supported on present exceptional variables; error otherwise."""
-    present = chart.present_divisors()
-    var_to_label = {v: lab for lab, v in present.items()}
-    out = []
-    for g, m in elim.gens:
-        if not g.is_single_term():
-            raise NonMonomialElimError("elimination generator is not a monomial")
-        exps, _ = g.terms[0]
-        alg_exps = []
-        for v, e in enumerate(exps):
-            if e == 0:
-                continue
-            if v not in var_to_label:
-                raise NonMonomialElimError(
-                    "elimination generator involves the non-exceptional variable #%d" % v)
-            alg_exps.append((var_to_label[v], e))
-        out.append(MonomialAlg(m, tuple(alg_exps)))
-    return out
 
 
 @dataclass(unsafe_hash=True)
@@ -174,16 +131,29 @@ def _strong_check(tower: Tower) -> StrongCheckResult:
     sp = tower.obj
     chart = tower.chart
     present = chart.present_divisors()
-    labels = [lab for lab, _ in M.exponents if present.get(lab) is not None]
-    if sp.elim.gens:
-        Mp = M.restricted(labels)
-        for R in elim_monomial_algebras(sp.elim, chart):
-            full = MonomialAlg(R.s, tuple(
-                (lab, R.exponent_map().get(lab, 0)) for lab in labels))
-            if not divides(Mp, full):
-                return StrongCheckResult(False, M, {
-                    "kind": "divides", "elim_gen_weight": R.s,
-                    "monomial": Mp.exponents, "elim": full.exponents}, ())
+    monomial = tuple((lab, h) for lab, h in M.exponents if present.get(lab) is not None)
+    labels = [lab for lab, _ in monomial]
+    # every elimination generator must be a monomial in the present divisors,
+    # read as {label: exponent}, before any is compared
+    label_of = {v: lab for lab, v in present.items()}
+    elim = []
+    for g, m in sp.elim.gens:
+        if not g.is_single_term():
+            raise NonMonomialElimError("elimination generator is not a monomial")
+        exps = {}
+        for v, e in enumerate(g.terms[0][0]):
+            if e:
+                if v not in label_of:
+                    raise NonMonomialElimError(
+                        "elimination generator involves the non-exceptional variable #%d" % v)
+                exps[label_of[v]] = e
+        elim.append((m, exps))
+    # the generator e W^m fails when h/s > e/m on some present label
+    for m, exps in elim:
+        if any(h * m > exps.get(lab, 0) * M.s for lab, h in monomial):
+            return StrongCheckResult(False, M, {
+                "kind": "divides", "elim_gen_weight": m, "monomial": monomial,
+                "elim": tuple((lab, exps.get(lab, 0)) for lab in labels)}, ())
     checked = []
     points = [("stratum " + "&".join(sub),
                GenericPoint(frozenset(present[lab] for lab in sub)))

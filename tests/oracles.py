@@ -12,8 +12,10 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from charpres.errors import BudgetError, InvariantError, PolyParseError
-from charpres.monomial import GameMove, GameResult, _label_age
+from charpres.errors import (BudgetError, InvariantError, NonMonomialElimError,
+                             PolyParseError, TrackingError)
+from charpres.monomial import (GameMove, GameResult, MonomialAlg, _label_age,
+                               track_monomial)
 from charpres.poly import (_LITERAL, _WORK_PER_TERM, INF, PARSE_MAX_TERMS, ClosedPoint,
                            FieldSpec, GenericPoint, MPoly, _clean, _literal, _monomial_count,
                            _mul_terms, _pow_terms, _product_bits, monic_coefficients)
@@ -347,6 +349,96 @@ def reference_resolve_game(M, chart) -> GameResult:
     if any(sum(h[l] for l in S) >= s for S in faces):
         raise InvariantError("game ended with a qualifying stratum left")
     return GameResult(tuple(moves), table(), frozenset(faces))
+
+
+def _reference_divides(M: MonomialAlg, R: MonomialAlg) -> bool:
+    """Componentwise h_i/s_M <= alpha_i/s_R over a shared divisor registry."""
+    hm, hr = dict(M.exponents), dict(R.exponents)
+    if set(hm) != set(hr):
+        raise TrackingError("incompatible divisor registries")
+    return all(h * R.s <= hr[lab] * M.s for lab, h in hm.items())
+
+
+def _reference_elim_algebras(elim: ReesAlg, chart):
+    """One MonomialAlg per elimination generator, when every generator is a
+    single term supported on present exceptional variables; error otherwise."""
+    present = chart.present_divisors()
+    var_to_label = {v: lab for lab, v in present.items()}
+    out = []
+    for g, m in elim.gens:
+        if not g.is_single_term():
+            raise NonMonomialElimError("elimination generator is not a monomial")
+        exps, _ = g.terms[0]
+        alg_exps = []
+        for v, e in enumerate(exps):
+            if e == 0:
+                continue
+            if v not in var_to_label:
+                raise NonMonomialElimError(
+                    "elimination generator involves the non-exceptional variable #%d" % v)
+            alg_exps.append((var_to_label[v], e))
+        out.append(MonomialAlg(m, tuple(alg_exps)))
+    return out
+
+
+def strong_divisibility_reference(tower) -> Optional[dict]:
+    """The divisibility half of `monomial.is_strong_monomial`, composed the
+    way the library once composed it: the tower's monomial algebra
+    restricted to the present divisors must divide the MonomialAlg of every
+    elimination generator, padded with exponent 0 on the present labels it
+    does not involve.  All generators are converted before any comparison,
+    so a non-monomial generator raises NonMonomialElimError even after one
+    that fails.  Returns the witness of the first failing generator, or
+    None when every one is divided."""
+    M = track_monomial(tower)
+    sp = tower.obj
+    present = tower.chart.present_divisors()
+    labels = [lab for lab, _ in M.exponents if present.get(lab) is not None]
+    if not sp.elim.gens:
+        return None
+    Mp = MonomialAlg(M.s, tuple((lab, h) for lab, h in M.exponents if lab in labels))
+    for R in _reference_elim_algebras(sp.elim, tower.chart):
+        rmap = dict(R.exponents)
+        full = MonomialAlg(R.s, tuple((lab, rmap.get(lab, 0)) for lab in labels))
+        if not _reference_divides(Mp, full):
+            return {"kind": "divides", "elim_gen_weight": R.s,
+                    "monomial": Mp.exponents, "elim": full.exponents}
+    return None
+
+
+def lift_back_map(field: FieldSpec, steps, values: tuple) -> tuple:
+    """The point of the chart before `steps` under the closed point `values`
+    of the chart after them: each blowup is undone, the last first, by
+    x_c = x_c' * x_v for the chart variable v and every other variable c of
+    its center."""
+    vals = list(values)
+    for step in reversed(steps):
+        v = step.chart_var
+        for c in step.center:
+            if c != v:
+                vals[c] = field.mul(vals[c], vals[v])
+    return tuple(vals)
+
+
+def workload_towers(seed: int) -> list:
+    """(name, tower) for every scene of the benchmark's `towers` workload at
+    `seed`: the scene's presentation blown up by its script's blowup lines,
+    as the scene itself runs them."""
+    import sys
+    from pathlib import Path
+    from charpres.scene import RunOptions, _Execution, execute_command, parse_scene
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    out = []
+    for case in workloads.load_towers(seed):
+        ex = _Execution(parse_scene(case.text, case.name), RunOptions())
+        for _, text in ex.scene.script:
+            if text.startswith("blowup:"):
+                execute_command(ex, text)
+        out.append((case.name, ex.tower))
+    return out
 
 
 # -- the reference polynomial parser -------------------------------------------

@@ -1,5 +1,5 @@
-"""Exponent tracking, the divisibility order, the strong-monomial test, the
-combinatorial game and its lift."""
+"""Exponent tracking, the strong-monomial test, the combinatorial game and
+its lift."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ import pytest
 from charpres import monomial, projection
 from charpres.blowup import Center, Chart, Tower, TowerStep
 from charpres.errors import CharpresError, NonMonomialElimError, TrackingError
-from charpres.monomial import (MonomialAlg, divides, is_strong_monomial,
+from charpres.monomial import (MonomialAlg, is_strong_monomial,
                                lift_resolution, ord_monomial, resolve_game,
                                sandwich_report, track_monomial)
 from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly,
@@ -53,11 +53,6 @@ def test_track_monomial_standard():
     assert M.exponents == (("H1", 2), ("H2", 3))
 
 
-def test_track_monomial_reduces():
-    assert MonomialAlg(4, (("H1", 2), ("H2", 6))).reduced() == \
-        MonomialAlg(2, (("H1", 1), ("H2", 3)))
-
-
 def test_track_rejects_algebra_tower():
     alg = ReesAlg.make(F2, 3, [(P("z^2 + x^4*y^5", F2), 2)])
     tower = Tower.start(ZXY, alg)
@@ -75,21 +70,6 @@ def test_ord_monomial():
     assert ord_monomial(M, ClosedPoint((0, 0, 0)), chart) == Fraction(5, 2)
     # a closed point off both divisors has monomial order zero
     assert ord_monomial(M, ClosedPoint((0, 1, 1)), chart) == 0
-
-
-def test_divides():
-    a = MonomialAlg(1, (("H1", 1), ("H2", 1)))
-    b = MonomialAlg(1, (("H1", 2), ("H2", 1)))
-    assert divides(a, b)
-    assert not divides(b, a)
-    assert divides(a, a)
-    assert not divides(MonomialAlg(1, (("H1", 2), ("H2", 0))),
-                       MonomialAlg(1, (("H1", 1), ("H2", 3))))
-    # cross-multiplication over different denominators: 2/2 <= 3/3 with
-    # equality, 0 <= 9/3, so the first algebra divides the second
-    assert divides(MonomialAlg(2, (("H1", 2), ("H2", 0))),
-                   MonomialAlg(3, (("H1", 3), ("H2", 9))))
-    assert not divides(MonomialAlg(3, (("H1", 4),)), MonomialAlg(2, (("H1", 2),)))
 
 
 def test_strong_monomial_standard():
@@ -144,6 +124,58 @@ def test_non_monomial_elim_is_an_error():
     tower = tower_for("z^2 + x^5*y^4 + x^4*y^5", F3, STD)
     with pytest.raises(NonMonomialElimError):
         is_strong_monomial(tower)
+
+
+def with_elim(tower, elim_gens, names=ZXY):
+    """The tower with its current presentation's elimination part replaced
+    by `elim_gens`, (text, weight) pairs."""
+    sp = tower.obj
+    elim = ReesAlg.make(sp.field, sp.nvars,
+                        [(P(t, sp.field, names), n) for t, n in elim_gens])
+    tower.obj = type(sp)(sp.field, sp.nvars, sp.sections, sp.polys, elim)
+    return tower
+
+
+def test_strong_check_divisibility_witness():
+    # M = x^(2/2)*y^(3/2) does not divide x*y W^2: 2*2 > 1*2 along H1
+    tower = with_elim(tower_for("z^2 + x^4*y^5", F2, STD), [("x*y", 2)])
+    res = is_strong_monomial(tower)
+    assert not res.strong
+    assert res.checked == ()
+    assert res.witness == {"kind": "divides", "elim_gen_weight": 2,
+                           "monomial": (("H1", 2), ("H2", 3)),
+                           "elim": (("H1", 1), ("H2", 1))}
+
+
+def test_strong_check_witness_pads_absent_labels():
+    # the first generator is divided, the second lacks y: exponent 0 on H2
+    tower = with_elim(tower_for("z^2 + x^4*y^5", F2, STD),
+                      [("x^4*y^6", 4), ("x^3", 2)])
+    assert is_strong_monomial(tower).witness == {
+        "kind": "divides", "elim_gen_weight": 2,
+        "monomial": (("H1", 2), ("H2", 3)), "elim": (("H1", 3), ("H2", 0))}
+
+
+NOT_MONOMIAL = "elimination generator is not a monomial"
+NOT_EXCEPTIONAL = "elimination generator involves the non-exceptional variable #1"
+
+
+@pytest.mark.parametrize("centers,elim_gens,message", [
+    (STD, [("x*y + x^2*y", 2)], NOT_MONOMIAL),
+    # the first generator alone fails divisibility; the one after it raises
+    (STD, [("x*y", 2), ("x^2*y + x*y^2", 2)], NOT_MONOMIAL),
+    # only {z, y} is blown up, so x cuts out no divisor
+    (STD[1:], [("x*y^3", 2)], NOT_EXCEPTIONAL),
+    (STD[1:], [("y", 2), ("x*y^3", 2)], NOT_EXCEPTIONAL),
+])
+def test_non_monomial_elim_raises_before_any_comparison(centers, elim_gens, message):
+    tower = with_elim(tower_for("z^2 + x^4*y^5", F2, centers), elim_gens)
+    with pytest.raises(NonMonomialElimError) as info:
+        is_strong_monomial(tower)
+    assert str(info.value) == message
+    if len(elim_gens) > 1:
+        first = with_elim(tower_for("z^2 + x^4*y^5", F2, centers), elim_gens[:1])
+        assert is_strong_monomial(first).witness["kind"] == "divides"
 
 
 def test_game_single_subtraction():

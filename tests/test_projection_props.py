@@ -18,10 +18,6 @@ Every blowup carries the monic split of each section polynomial to its
 transform; the carried split must equal the one rebuilt from the terms,
 and the H-order must agree with the rebuilt presentation's.
 
-When the strong-monomial test accepts a random tower, the lift of its
-resolution game never meets an impermissible center and never ends with a
-singular stratum.
-
 Cleaning one section polynomial over F_2 or F_3 reaches the largest slope
 that a substitution z -> z + alpha vanishing at the point can.  The best
 alpha of bounded degree, tried one by one, gives the same slope at the
@@ -45,10 +41,8 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from hypothesis import assume, example, given, settings  # noqa: E402
 
-from charpres.blowup import Center, Tower  # noqa: E402
-from charpres.errors import (CharpresError, DominationError,  # noqa: E402
-                             PermissibilityError)
-from charpres.monomial import is_strong_monomial, lift_resolution  # noqa: E402
+from charpres.blowup import Tower  # noqa: E402
+from charpres.errors import DominationError  # noqa: E402
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint,  # noqa: E402
                            MPoly, monic_coefficients, parse_poly)
 from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa: E402
@@ -57,63 +51,9 @@ from charpres.projection import (SimplifiedPresentation, _weighted_root,  # noqa
 from charpres.rees import ReesAlg  # noqa: E402
 
 from oracles import brute_force_slope, weighted_root_reference  # noqa: E402
+from strategies import towers  # noqa: E402
 
 PROPS = settings(max_examples=40, deadline=None)
-
-
-def _downstairs_poly(draw, field, nvars, down, low):
-    """A nonzero section-free polynomial whose terms have degree >= low in
-    the downstairs variables."""
-    p = field.characteristic
-    terms = {}
-    for _ in range(draw(st.integers(1, 3))):
-        exps = [0] * nvars
-        for v in down:
-            exps[v] = draw(st.integers(0, low + 2))
-        short = low - sum(exps)
-        if short > 0:
-            exps[draw(st.sampled_from(down))] += short
-        terms[tuple(exps)] = draw(st.integers(1, p - 1))
-    return MPoly.from_dict(field, nvars, terms)
-
-
-@st.composite
-def towers(draw):
-    field = FieldSpec(draw(st.sampled_from((2, 3, 5))))
-    p = field.characteristic
-    nsec = draw(st.integers(1, 2))
-    nvars = nsec + draw(st.integers(2, 3))
-    sections = tuple(range(nsec))
-    down = list(range(nsec, nvars))
-    as_p = draw(st.booleans())
-    polys = []
-    for z in sections:
-        n = p if as_p else draw(st.integers(2, 3))
-        zvar = MPoly.var(field, nvars, z)
-        f = zvar ** n
-        for j in draw(st.sets(st.integers(1, n), min_size=1)):
-            a = _downstairs_poly(draw, field, nvars, down, j * draw(st.integers(1, 3)))
-            f = f + a * zvar ** (n - j)
-        polys.append(f)
-    elim_gens = []
-    for _ in range(draw(st.integers(0, 2))):
-        w = draw(st.integers(1, 3))
-        elim_gens.append((_downstairs_poly(draw, field, nvars, down,
-                                           w * draw(st.integers(1, 3))), w))
-    elim = ReesAlg.make(field, nvars, elim_gens)
-    if as_p:
-        sp = make_p_presentation(field, nvars, sections, polys, elim)
-    else:
-        sp = SimplifiedPresentation(field, nvars, sections, tuple(polys), elim)
-    tower = Tower.start(["v%d" % i for i in range(nvars)], sp)
-    for _ in range(draw(st.integers(1, 6))):
-        stratum = draw(st.sets(st.sampled_from(down), min_size=1))
-        chart = draw(st.sampled_from(sorted(stratum)))
-        try:
-            tower.blow_up(Center(frozenset(stratum) | frozenset(sections)), chart)
-        except (PermissibilityError, DominationError):
-            continue
-    return tower
 
 
 def _cleaning_breaks_domination():
@@ -186,57 +126,6 @@ def test_carried_split_matches_rebuilt_split(tower):
                 assert memo == fresh
             else:
                 assert memo.value == fresh.value
-
-
-def _square_section_tower():
-    """Over F_2, z2^2 + x^2*w^2 = (z2 + x*w)^2: hord measures the cleaned z2^2
-    along the lifted centers, so the lift must blow up the cleaned section."""
-    field = FieldSpec(2)
-    names = ("z1", "z2", "x", "y", "w")
-    polys = tuple(parse_poly(t, field, names)
-                  for t in ("z1^2 + x^3*w^3", "z2^2 + x^2*w^2"))
-    elim = ReesAlg.make(field, 5, [(parse_poly("x^4*w^4", field, names), 3)])
-    tower = Tower.start(names, SimplifiedPresentation(field, 5, (0, 1), polys, elim))
-    for chart in (2, 4, 2, 2, 2, 2, 2):
-        tower.blow_up(Center(frozenset({0, 1, 2, 4})), chart)
-    return tower
-
-
-def _off_divisor_factor_tower(blowups):
-    """Over F_2, z^2 + x^3*y^3 with no elimination part, blown up at {z, y}
-    in chart y when `blowups`: the factor x^3 lies off every divisor, so
-    only the chart origin shows that the H-order exceeds the monomial
-    order."""
-    field = FieldSpec(2)
-    f = parse_poly("z^2 + x^3*y^3", field, ("z", "x", "y"))
-    sp = SimplifiedPresentation(field, 3, (0,), (f,), ReesAlg.make(field, 3, []))
-    tower = Tower.start(["v0", "v1", "v2"], sp)
-    if blowups:
-        tower.blow_up(Center(frozenset({0, 2})), 2)
-    return tower
-
-
-@PROPS
-@given(towers())
-@example(_square_section_tower())
-@example(_off_divisor_factor_tower(True))
-@example(_off_divisor_factor_tower(False))
-def test_strong_towers_lift_through_permissible_centers(tower):
-    """A strong tower's lifted centers are permissible, and its lift leaves
-    no singular coordinate stratum and a smooth chart origin.  Other lift
-    failures (an infinite H-order at a center) are not this property's
-    concern."""
-    try:
-        strong = is_strong_monomial(tower).strong
-    except CharpresError:
-        return
-    if not strong:
-        return
-    try:
-        lift_resolution(tower)
-    except CharpresError as exc:
-        assert "is impermissible" not in str(exc)
-        assert "lift ended with singular strata" not in str(exc)
 
 
 FIELDS = tuple(FieldSpec(p) for p in (2, 3, 5, 7, 0))
