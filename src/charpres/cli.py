@@ -8,8 +8,9 @@ Runs the scene script, emits the canonical JSON trace (stdout, or the
 --trace-out path), and optionally byte-compares it against a golden trace.
 Fixed budgets, each a command error: 64*n cleaning substitutions per section
 polynomial of degree n (DegenerateSlopeError), 10^6 tau-oracle vectors,
-10^6 experiment trace rows and 10^7 units of saturation work, derivatives
-formed times the terms of their generator (BudgetError).  The parse
+10^6 experiment trace rows, 10^7 units of saturation work, derivatives
+formed times the terms of their generator, and 10^5 Macaulay rows of the
+multi-term tangent forms in one graded piece of tau (BudgetError).  The parse
 budget, a parse error: per polynomial, 10^5 terms in any product or sum,
 10^6 term products in all, over Q 10^6 bits in the coefficients of a power,
 and 100 levels of nested parentheses (BudgetError).

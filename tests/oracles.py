@@ -8,6 +8,7 @@ coefficient_elim, a way to build test input.
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Optional
@@ -19,7 +20,7 @@ from charpres.monomial import (GameMove, GameResult, MonomialAlg, _label_age,
 from charpres.poly import (_LITERAL, _WORK_PER_TERM, INF, PARSE_MAX_TERMS, ClosedPoint,
                            FieldSpec, GenericPoint, MPoly, _clean, _literal, _monomial_count,
                            _mul_terms, _pow_terms, _product_bits, monic_coefficients)
-from charpres.rees import ReesAlg, nonempty_subsets, sing_member
+from charpres.rees import ReesAlg, nonempty_subsets, rref, sing_member
 
 
 def evaluate(f: MPoly, values):
@@ -182,6 +183,38 @@ def reference_rref(rows, field: FieldSpec):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def macaulay_additive_forms_reference(forms, degree: int, field: FieldSpec, nvars: int):
+    """Additive forms sum(c_i x_i^degree) inside the degree-`degree` graded
+    piece of the ideal generated by the given homogeneous forms.
+
+    Returns a list of sparse coefficient vectors {i: c_i} spanning them.  The
+    graded piece is spanned by the monomial multiples of the forms, one
+    sparse row each.  A monomial of degree at most `degree` is packed into
+    the int sum(e_i * (degree + 1)^i), so a product of monomials is a sum of
+    ints.  A monomial gets its column the first time it appears, and the
+    pure power x_i^degree gets column first + i, after every other monomial
+    of the degree.  After one rref, the rows whose pivot lies in that last
+    block are zero outside it and span the additive forms of the piece.
+    """
+    weights = [(degree + 1) ** i for i in range(nvars)]
+    first = math.comb(degree + nvars - 1, nvars - 1) - nvars
+    index = {degree * w: first + i for i, w in enumerate(weights)}
+    column = index.setdefault
+    rows = []
+    for f in forms:
+        d = f.total_degree()
+        if d > degree:
+            continue
+        terms = [(sum(map(operator.mul, e, weights)), c) for e, c in f.terms]
+        for m in map(sum, itertools.combinations_with_replacement(weights, degree - d)):
+            rows.append({column(m + e, len(index) - nvars): c for e, c in terms})
+    if not rows:
+        return []
+    reduced, pivots = rref(rows, field)
+    return [{j - first: c for j, c in row.items()}
+            for row, c in zip(reduced, pivots) if c >= first]
 
 
 def quadratic_rank(f: MPoly) -> int:

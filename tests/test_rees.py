@@ -1,7 +1,10 @@
 """Weighted algebras: differential saturation, singular loci, tau."""
 
+import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +15,13 @@ from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
 from charpres.rees import (ReesAlg, SmallExtField, diff_saturate, ord_at,
                            sing_member, singular_coordinate_strata, tau_at,
                            tau_translation_oracle)
+from charpres.scene import RunOptions, parse_scene, run_scene
 
-from oracles import multi_indices, quadratic_rank
+from oracles import macaulay_additive_forms_reference, multi_indices, quadratic_rank
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -219,6 +227,117 @@ def test_tau_quadric_char2_vs_char0():
     assert tau_at(q2, ClosedPoint((0, 0))).tau == 1
     for m in (1, 2, 3):
         assert tau_translation_oracle(q2, ClosedPoint((0, 0)), m) == 1
+
+
+# -- tau's graded pieces: single-term forms as a monomial ideal, a row budget ----
+
+
+XYZ = ("x", "y", "z")
+
+
+def _forms(field, texts, names):
+    return [parse_poly(t, field, names) for t in texts]
+
+
+def test_single_term_forms_build_no_rows(monkeypatch):
+    # x*y divides x^2*y and y^2 is a repeat: M is (x*y, y^2, z^3), so its
+    # pure powers of degree 3 are y^3 and z^3, and no rref runs
+    def refuse(*args):
+        raise AssertionError("single-term forms built Macaulay rows")
+
+    monkeypatch.setattr(rees, "rref", refuse)
+    forms = _forms(F3, ["x*y", "x^2*y", "2*y^2", "y^2", "z^3"], XYZ)
+    assert rees._additive_forms_in_degree(forms, 3, F3, 3) == [{1: 1}, {2: 1}]
+    # over Q the unit vectors hold Fractions, as rref's rows do
+    got = rees._additive_forms_in_degree(_forms(Q, ["3*y"], XYZ), 1, Q, 3)
+    assert got == [{1: 1}] and type(got[0][1]) is Fraction
+
+
+def test_multi_term_rows_drop_the_cells_in_the_monomial_ideal(monkeypatch):
+    # y^3 lies in M; x^3 + y^3 + z^3 reduces to x^3 + z^3 modulo M, which
+    # pivots before y^3, so the list is sorted by pivot
+    seen = []
+    rref = rees.rref
+
+    def recorded(rows, field):
+        seen.extend(dict(r) for r in rows)
+        return rref(rows, field)
+
+    monkeypatch.setattr(rees, "rref", recorded)
+    forms = _forms(F3, ["y^3", "z^3 + x^3 + y^3"], XYZ)
+    assert rees._additive_forms_in_degree(forms, 3, F3, 3) == [{0: 1, 2: 1}, {1: 1}]
+    assert len(seen) == 1 and len(seen[0]) == 2
+    # a multiple that lies in M altogether gives no row
+    seen.clear()
+    forms = _forms(F3, ["z", "x*z + y*z"], XYZ)
+    assert rees._additive_forms_in_degree(forms, 3, F3, 3) == [{2: 1}]
+    assert seen == []
+
+
+def test_tau_budget_counts_the_multi_term_rows(monkeypatch):
+    # over F_5 in 3 variables, x^2 + y^2 gives binom(5 - 2 + 2, 2) = 10
+    # rows of degree 5, and x*y + z^2 10 more; the single-term z^2 none.
+    # Modulo z^2 the ideal holds x*y, so x^3 = x*(x^2 + y^2) - y*(x*y)
+    forms = _forms(FieldSpec(5), ["x^2 + y^2", "x*y + z^2", "z^2"], XYZ)
+    monkeypatch.setattr(rees, "TAU_MAX_ROWS", 19)
+    with pytest.raises(BudgetError, match="degree-5 piece .* 20 Macaulay rows"):
+        rees._additive_forms_in_degree(forms, 5, FieldSpec(5), 3)
+    monkeypatch.setattr(rees, "TAU_MAX_ROWS", 20)
+    assert (rees._additive_forms_in_degree(forms, 5, FieldSpec(5), 3)
+            == [{0: 1}, {1: 1}, {2: 1}])
+
+
+def test_tau_budget_refuses_before_building_a_row(monkeypatch):
+    # degree 125 over F_5 in 4 variables: binom(124 + 3, 3) = 333,375
+    # multiples of x + y, refused before any is built
+    def refuse(*args):
+        raise AssertionError("the piece was built over budget")
+
+    monkeypatch.setattr(rees, "rref", refuse)
+    monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
+    forms = _forms(FieldSpec(5), ["x + y"], ("x", "y", "z", "w"))
+    with pytest.raises(BudgetError, match="degree-125 piece .* 333375 Macaulay rows"):
+        rees._additive_forms_in_degree(forms, 125, FieldSpec(5), 4)
+
+
+_F13_SCENE = "\n".join(["[field]", "characteristic: 13", "[variables]", "vars: a, b, c, d",
+                        "[algebra]", "gen: (a + b + c + d)^12*a W^13", "[script]",
+                        "analyze at origin", ""])
+
+
+def test_tau_budget_in_a_scene(monkeypatch):
+    # the degree-13 piece of this tangent cone takes 18,837 rows: within
+    # the budget tau is 2, and one row under it the command records the
+    # refusal
+    sc = parse_scene(_F13_SCENE, "f13.scene")
+    assert run_scene(sc, RunOptions())["records"][0]["tau"] == 2
+    monkeypatch.setattr(rees, "TAU_MAX_ROWS", 18836)
+    doc = run_scene(parse_scene(_F13_SCENE, "f13.scene"), RunOptions())
+    assert doc["status"] == "error"
+    assert doc["records"][0]["error_type"] == "BudgetError"
+    assert "degree-13 piece" in doc["records"][0]["error"]
+    assert "18837 Macaulay rows" in doc["records"][0]["error"]
+
+
+def test_additive_forms_equal_the_macaulay_reference_on_the_workloads(monkeypatch):
+    """Every graded piece that the 25 goldens and the seed-1 `analyze`
+    scenes meet gives exactly the list of the all-rows Macaulay build: the
+    same dicts, keys in the same order, in the same order."""
+    kernel = rees._additive_forms_in_degree
+    pieces = []
+
+    def compared(forms, degree, field, nvars):
+        got = kernel(forms, degree, field, nvars)
+        want = macaulay_additive_forms_reference(forms, degree, field, nvars)
+        assert got == want
+        assert [list(row) for row in got] == [list(row) for row in want]
+        pieces.append(degree)
+        return got
+
+    monkeypatch.setattr(rees, "_additive_forms_in_degree", compared)
+    for case in workloads.load_corpus(1) + workloads.load_analyze(1):
+        workloads.run_case(case, RunOptions())
+    assert len(pieces) > 200
 
 
 def test_small_ext_field_axioms():

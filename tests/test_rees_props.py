@@ -13,7 +13,9 @@ coordinate strata, scanned from the origin, are checked against the test of
 every stratum (`oracles.reference_strata`).  The one-elimination
 additive forms behind `tau_at` and the sparse `rref` are checked against the
 field-generic dense elimination (`oracles.reference_rref`) and the reduction
-and null-space steps they replaced, kept here as the reference only.  The
+and null-space steps they replaced, kept here as the reference only, and the
+additive forms list for list against the all-rows Macaulay build
+(`oracles.macaulay_additive_forms_reference`).  The
 tests skip when sympy or hypothesis is not installed; neither is a runtime
 dependency.
 """
@@ -33,8 +35,8 @@ from charpres.poly import ClosedPoint, FieldSpec, MPoly, parse_poly  # noqa: E40
 from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
                            _support_indices, diff_saturate, rref, sing_member,
                            singular_coordinate_strata, tau_at)
-from oracles import (reference_rref, reference_strata,  # noqa: E402
-                     saturate_all_alpha, support_indices_reference)
+from oracles import (macaulay_additive_forms_reference, reference_rref,  # noqa: E402
+                     reference_strata, saturate_all_alpha, support_indices_reference)
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -407,23 +409,44 @@ def test_tau_and_vertex_forms_match_the_reference(case):
 
 
 @st.composite
-def graded_pieces(draw):
-    """Homogeneous forms and a degree 1, p or p^2 (at most 9) at or above
-    theirs; pure powers are drawn often, so that additive forms appear."""
+def graded_pieces(draw, max_degree=9):
+    """Homogeneous forms and a degree 1, p or p^2 (at most `max_degree`) at
+    or above theirs, in a drawn order.  Pure powers are drawn often, so
+    that additive forms appear.  Up to three forms of two to four terms
+    (one in one variable) come first, often none; then one to four
+    single-term forms, each a new monomial, a repeat of a monomial drawn
+    before, or a divisor of one, which often cuts a term of a multi-term
+    form."""
     field = FieldSpec(draw(st.sampled_from(CHARACTERISTICS)))
     p = field.characteristic
     nvars = draw(st.integers(1, 3))
-    degree = draw(st.sampled_from([d for d in (1, p, p * p) if 0 < d <= 9]))
-    forms = []
-    for _ in range(draw(st.integers(1, 3))):
+    degree = draw(st.sampled_from([d for d in (1, p, p * p) if 0 < d <= max_degree]))
+    nonzero = _coeffs(p).filter(lambda c: c != 0)
+
+    def keys():
         d = draw(st.integers(1, degree))
         monos = list(_monomials(nvars, d))
         pure = [m for m in monos if max(m) == d]
-        keys = st.sampled_from(pure) | st.sampled_from(monos)
-        terms = draw(st.dictionaries(keys, _coeffs(p), min_size=1, max_size=4))
-        f = MPoly.from_dict(field, nvars, terms)
-        if not f.is_zero():
-            forms.append(f)
+        return st.sampled_from(pure) | st.sampled_from(monos), len(monos)
+
+    forms = []
+    for _ in range(draw(st.integers(0, 3))):
+        exps, count = keys()
+        terms = draw(st.dictionaries(exps, nonzero, min_size=min(2, count), max_size=4))
+        forms.append(MPoly.from_dict(field, nvars, terms))
+    for _ in range(draw(st.integers(1, 4))):
+        seen = sorted({e for f in forms for e, _ in f.terms})
+        kind = draw(st.sampled_from(("new", "repeat", "divisor"))) if seen else "new"
+        if kind == "new":
+            e = draw(keys()[0])
+        else:
+            e = draw(st.sampled_from(seen))
+            if kind == "divisor":
+                e = tuple(draw(st.integers(0, k)) for k in e)
+                if not any(e):
+                    continue
+        forms.append(MPoly.from_dict(field, nvars, {e: draw(nonzero)}))
+    forms = [f for f in draw(st.permutations(forms)) if not f.is_zero()]
     return field, nvars, degree, forms
 
 
@@ -436,6 +459,28 @@ def test_additive_forms_span_the_reference_space(case):
     assert row_space(got, field) == row_space(ref, field)
     # the rows returned are independent
     assert len(row_space(got, field)[0]) == len(got)
+
+
+def _piece(p, degree, texts):
+    field = FieldSpec(p)
+    return field, 3, degree, [parse_poly(t, field, ("x", "y", "z")) for t in texts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_pieces(max_degree=25))
+@example(_piece(3, 3, ["y^3", "z^3 + x^3 + y^3"]))        # sorted by pivot
+@example(_piece(2, 4, ["x", "x*y + x^2", "y^2*z^2"]))     # a row all in M
+@example(_piece(5, 5, ["x^2 + y^2", "x*y + z^2", "z^2"]))
+@example(_piece(0, 1, ["2*x", "x + y", "3*y + z"]))
+def test_additive_forms_equal_the_macaulay_reference(case):
+    """The monomial-ideal kernel returns the list the all-rows Macaulay
+    build returns: the same dicts, keys in the same order, in the same
+    order (a reduced echelon basis is unique)."""
+    field, nvars, degree, forms = case
+    got = _additive_forms_in_degree(forms, degree, field, nvars)
+    want = macaulay_additive_forms_reference(forms, degree, field, nvars)
+    assert got == want
+    assert [list(row) for row in got] == [list(row) for row in want]
 
 
 def test_additive_forms_of_an_analyze_sized_piece():
