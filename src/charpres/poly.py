@@ -357,9 +357,9 @@ class MPoly:
         Each moved variable is one Taylor shift over the terms: c*x_i^k
         expands to sum_j binom(k, j) v_i^(k-j) c*x_i^j, so a shift costs
         sum over terms of (k + 1) coefficient operations.  A Hasse
-        derivative H^alpha(parent) made by `hasse_deriv_multi` is not
-        shifted: Hasse derivatives commute with translations, so its
-        translate is H^alpha of the parent's translate, one O(T*n) pass.
+        derivative H^alpha(parent) that records it (`hasse_deriv_multi` and
+        the saturation do) is not shifted: Hasse derivatives commute with
+        translations, so its translate is H^alpha of the parent's translate.
 
         The translate is computed once per polynomial and point and kept on
         the polynomial, keyed by the values as a tuple, for as long as it

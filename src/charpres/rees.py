@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import BudgetError, InputError, InvariantError
 from .poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly, PointSpec,
-                   _primitive_terms, least_ratio, order_at)
+                   _numerators, _primitive_terms, least_ratio, order_at)
 
 
 @dataclass(unsafe_hash=True)
@@ -99,54 +99,53 @@ def ord_at(alg: ReesAlg, pt: PointSpec):
 # -- differential saturation ---------------------------------------------------
 
 
-def _binom_nonzero(m: int, r: int, p: int) -> bool:
-    """Is binom(m, r) nonzero in characteristic p?  Over Q when r <= m; over
-    F_p, by Lucas' theorem, when every base-p digit of r is at most the
-    matching digit of m."""
-    if not p:
-        return r <= m
-    while r:
-        if r % p > m % p:
-            return False
-        r //= p
-        m //= p
-    return True
+def _derivatives(f: MPoly, max_total: int, most: int) -> list:
+    """The nonzero Hasse derivatives H^alpha f with 1 <= |alpha| <= max_total,
+    as (alpha, terms of H^alpha f) with |alpha| ascending, then alpha
+    descending lex; None, as soon as a coordinate is done, once there are
+    more than `most` of them.
 
-
-def _support_indices(f: MPoly, max_total: int, most: int) -> list:
-    """The multi-indices alpha with 1 <= |alpha| <= max_total and H^alpha f
-    nonzero, with |alpha| ascending, then alpha descending lex; None, as
-    soon as a coordinate is done, once there are more than `most` of them.
-
-    H^alpha sends c*x^e to c * prod_k binom(e_k, alpha_k) * x^(e - alpha),
-    so a term survives exactly when every binom(e_k, alpha_k) is nonzero in
-    the field (`_binom_nonzero`), and distinct surviving terms stay
-    distinct: H^alpha f is nonzero exactly when some exponent of f passes
-    that test in every coordinate.  The enumeration extends prefixes one
-    coordinate at a time, each with the exponents that passed so far, and
-    drops a prefix once none is left.  A prefix is never dropped after a
+    One walk extends prefixes of alpha one coordinate at a time, each with
+    its surviving terms.  Hasse derivatives in disjoint variables compose
+    with coefficient 1, so alpha_k = a multiplies each term c*x^e of the
+    prefix by binom(e_k, a); the terms whose binomial vanishes in the field
+    drop (over F_p, by Lucas' theorem, unless every base-p digit of a is at
+    most the matching digit of e_k), and distinct terms stay distinct, so a
+    prefix is dropped once none is left.  A prefix is never dropped after a
     nonzero entry (a 0 always extends it), and each ends in its own alpha,
-    so every prefix but the one of zeros counts toward the total."""
+    so every prefix but the one of zeros counts toward the total.  Over Q
+    the terms are integer numerators over one denominator
+    (`poly._numerators`), made into one Fraction each at the end, and over
+    F_p they are reduced there; the exponents are e - alpha, which keeps
+    the order of f's terms.
+    """
     p = f.field.characteristic
-    level = [((), max_total, [e for e, _ in f.terms])]
+    den, terms = (1, f.terms) if p else _numerators(f.terms)
+    values = {m for e, _ in terms for m in e}
+    # binom[a][m] = binom(m, a) in the field, 0 for m < a
+    binom = [{m: math.comb(m, a) % p if p else math.comb(m, a) for m in values}
+             for a in range(min(max_total, max(values, default=0)) + 1)]
+    level = [((), max_total, terms)]
     for k in range(f.nvars):
-        # extend each prefix by alpha_k = hi, ..., 0 under the exponents it fits
+        # extend each prefix by alpha_k = hi, ..., 0 under the terms it carries
         nxt = []
         for prefix, room, under in level:
-            column = {e[k] for e in under}
-            for a in range(min(room, max(column, default=0)), 0, -1):
-                fits = {m for m in column if _binom_nonzero(m, a, p)}
-                if fits:
-                    nxt.append((prefix + (a,), room - a,
-                                [e for e in under if e[k] in fits]))
+            hi = min(room, max([e[k] for e, _ in under], default=0)) if room else 0
+            for a in range(hi, 0, -1):
+                col = binom[a]
+                kept = [(e, c * w) for e, c in under if (w := col[e[k]])]
+                if kept:
+                    nxt.append((prefix + (a,), room - a, kept))
             nxt.append((prefix + (0,), room, under))
         level = nxt
         if len(level) - 1 > most:
             return None
     # level is in descending lex order, which the stable sort keeps per |alpha|
-    out = [alpha for alpha, room, _ in level if room < max_total]
-    out.sort(key=sum)
-    return out
+    level.sort(key=operator.itemgetter(1), reverse=True)
+    sub = operator.sub
+    return [(alpha, tuple([(tuple(map(sub, e, alpha)), c % p if p else Fraction(c, den))
+                           for e, c in under]))
+            for alpha, room, under in level if room < max_total]
 
 
 def _monic_key(f: MPoly, n: int) -> tuple:
@@ -154,18 +153,18 @@ def _monic_key(f: MPoly, n: int) -> tuple:
     that differ by a nonzero scalar.  Over F_p the terms are scaled to
     leading coefficient 1; over Q they are `poly._primitive_terms`, which
     hash without Fractions."""
-    field = f.field
-    if field.characteristic:
-        inv = field.inv(f.terms[0][1])
-        return n, tuple((e, field.mul(c, inv)) for e, c in f.terms)
+    p = f.field.characteristic
+    if p:
+        inv = pow(f.terms[0][1], -1, p)
+        return n, tuple([(e, c * inv % p) for e, c in f.terms])
     return n, _primitive_terms(f.terms)
 
 
-# _saturate raises BudgetError, before it forms any derivative, when the
-# derivatives it would form times the terms of their generators sum past
-# this; the enumeration of the derivatives stops there too.  It forms
-# 2.3-3.4 * 10^6 such units a second (Python 3.11, 2 shared vCPUs), so the
-# bound is a few seconds of work.
+# _saturate raises BudgetError when the derivatives it forms times the terms
+# of their generators would sum past this; the walk of a generator's
+# derivatives gives up there, before it forms any of them.  It forms
+# 1.0-2.4 * 10^7 such units a second (Python 3.11, 2 shared vCPUs; Q to
+# F_101), so the bound is about a second of work.
 SATURATION_MAX_WORK = 10 ** 7
 
 
@@ -175,29 +174,28 @@ def _saturate(alg: ReesAlg) -> ReesAlg:
         kept.setdefault(_monic_key(f, n), (f, n))
     if alg.is_unit:     # already saturated; only its scalar repeats go
         return ReesAlg.make(alg.field, alg.nvars, kept.values(), True)
-    plan = []
+    field, nvars = alg.field, alg.nvars
+    unit = False
     work = 0
     for f, n in alg.gens:
         T = len(f.terms)
         most = (SATURATION_MAX_WORK - work) // T
-        alphas = _support_indices(f, n - 1, most)
-        if alphas is None:
+        leaves = _derivatives(f, n - 1, most)
+        if leaves is None:
             raise BudgetError("the saturation would take at least %d units of work "
                               "(derivatives times terms) at the generator of weight %d "
                               "with %d terms, above its budget of %d"
                               % (work + (most + 1) * T, n, T, SATURATION_MAX_WORK))
-        work += len(alphas) * T
-        plan.append((f, n, alphas))
-    unit = False
-    for f, n, alphas in plan:
-        for alpha in alphas:
-            g = f.hasse_deriv_multi(alpha)     # nonzero
+        work += len(leaves) * T
+        for alpha, terms in leaves:
+            g = MPoly(field, nvars, terms)     # nonzero
             if g.is_constant():
                 unit = True
                 continue
+            g._derived = (f, alpha)
             m = n - sum(alpha)
             kept.setdefault(_monic_key(g, m), (g, m))
-    return ReesAlg.make(alg.field, alg.nvars, kept.values(), unit)
+    return ReesAlg.make(field, nvars, kept.values(), unit)
 
 
 def diff_saturate(alg: ReesAlg) -> ReesAlg:
@@ -208,14 +206,16 @@ def diff_saturate(alg: ReesAlg) -> ReesAlg:
     By the composition rule H^beta H^alpha = binom(alpha + beta, alpha)
     H^(alpha + beta), a derivative of such a result is a scalar multiple of a
     result already formed (or zero), so the pass closes the generator set.
-    Only the alpha with H^alpha f nonzero are formed (`_support_indices`, by
-    Lucas' theorem over F_p); they are formed in the order of the full
-    enumeration, |alpha| ascending, then alpha descending lex.
+    Only the alpha with H^alpha f nonzero are formed, in the order of the
+    full enumeration, |alpha| ascending, then alpha descending lex: one walk
+    (`_derivatives`) extends alpha one coordinate at a time, and each
+    H^alpha f is one single-variable step from its prefix's terms, the
+    terms whose binomial vanishes dropped (by Lucas' theorem over F_p).
     Generators of one weight that differ by a scalar span the same algebra
     and are kept once, the first one formed (the given generators come
     first), so saturating a saturated algebra returns an equal algebra.
-    Each derivative records its parent (see `MPoly.hasse_deriv_multi`), so
-    its translates are read off the parent's.
+    Each derivative records its parent, as `MPoly.hasse_deriv_multi` does,
+    so its translates are read off the parent's.
     Degree-0 derivative results are never formed (orders stay below the
     weight); a positive-weight constant marks the unit algebra.
 

@@ -107,8 +107,8 @@ def multi_indices(nvars, allowed, max_total):
 def support_indices_reference(f: MPoly, max_total: int) -> list:
     """The multi-indices alpha with 1 <= |alpha| <= max_total and H^alpha f
     nonzero, found by forming H^alpha f for every such alpha: |alpha|
-    ascending, then alpha descending lex, the order of
-    `rees._support_indices`."""
+    ascending, then alpha descending lex, the order of the walk
+    `rees._derivatives`."""
     out = []
     for total in range(1, max_total + 1):
         alphas = [a for a in itertools.product(range(total + 1), repeat=f.nvars)

@@ -1,6 +1,7 @@
 """Polynomial layer: parsing, exact arithmetic, Hasse derivatives, orders,
 weighted initial forms."""
 
+import itertools
 import math
 import random
 import time
@@ -289,6 +290,36 @@ def test_hasse_frobenius_kernel():
         for r in range(1, p):
             assert f.hasse_deriv(1, r).is_zero()
         assert f.hasse_deriv(1, p) == P("1", field)
+
+
+def test_hasse_derivatives_in_disjoint_variables_compose_with_coefficient_one():
+    # H^beta H^(a*e_k) = H^(beta + a*e_k) when beta_k = 0, also when p | a,
+    # where binom(e_k, a) vanishes for some exponents and not for others;
+    # the saturation walk builds each H^alpha f one coordinate at a time
+    # on this law
+    cases = [(F2, "z^4*x^3 + z^6*y^2 + z^2*x*y + x^5", 0, 2),
+             (F2, "z^4*x^3 + z^6*y^2 + z^2*x*y + x^5", 0, 4),
+             (F3, "x^3*y^4*z^5 + x^6*y + 2*x^4*z^3 + y^9", 1, 3),
+             (F3, "x^3*y^4*z^5 + x^6*y + 2*x^4*z^3 + y^9", 1, 6),
+             (F5, "z^10*x^5 + 3*z^5*y^7 + z^12 + x*y", 0, 5),
+             (F5, "z^10*x^5 + 3*z^5*y^7 + z^12 + x*y", 0, 10),
+             (Q, "1/2*z^4*x^3 + 2/3*x^2*y^5 + z*y", 2, 3)]
+    for field, text, k, a in cases:
+        f = P(text, field)
+        step = [0, 0, 0]
+        step[k] = a
+        once = f.hasse_deriv_multi(step)
+        assert not once.is_zero()
+        for beta in itertools.product(range(4), repeat=3):
+            if beta[k]:
+                continue
+            total = tuple(b + s for b, s in zip(beta, step))
+            assert once.hasse_deriv_multi(beta) == f.hasse_deriv_multi(total)
+    # with a shared variable the coefficient is binom(2, 1) = 2, which is 0
+    # over F_2
+    f = P("x^2", F2)
+    assert f.hasse_deriv(1, 1).hasse_deriv(1, 1).is_zero()
+    assert f.hasse_deriv(1, 2) == P("1", F2)
 
 
 def test_translate_evaluate():

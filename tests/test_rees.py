@@ -448,6 +448,21 @@ def test_local_memo_stops_where_the_singular_test_stops(monkeypatch):
     assert len(calls) == len(a.gens)
 
 
+def _walked(monkeypatch):
+    """Record (f, alpha) for each derivative the saturation walk lists, in
+    the order it lists them: the derivatives `_saturate` forms."""
+    calls = []
+    walk = rees._derivatives
+
+    def counted(f, max_total, most):
+        leaves = walk(f, max_total, most)
+        calls.extend((f, alpha) for alpha, _ in leaves or ())
+        return leaves
+
+    monkeypatch.setattr(rees, "_derivatives", counted)
+    return calls
+
+
 def test_saturation_differentiates_only_under_the_support(monkeypatch):
     # z^3 + x^2*y^2 has 9 multi-indices of order 1 or 2, 7 of them under its
     # exponents (z, z^2; x, y, x^2, x*y, y^2); x^2 + y has 3 of order 1, 2 of
@@ -455,21 +470,17 @@ def test_saturation_differentiates_only_under_the_support(monkeypatch):
     # vanish mod 3 (Lucas: the base-3 digits 1 and 2 do not lie under those
     # of 3 = 10_3), so they are not formed either
     a = alg(F3, [("z^3 + x^2*y^2", 3), ("x^2 + y", 2)])
-    calls = []
-    deriv = MPoly.hasse_deriv_multi
-
-    def counted(self, alpha):
-        calls.append((self, tuple(alpha)))
-        return deriv(self, alpha)
-
-    monkeypatch.setattr(MPoly, "hasse_deriv_multi", counted)
+    calls = _walked(monkeypatch)
     sat = diff_saturate(a)
     assert all(any(all(a_i <= e_i for a_i, e_i in zip(alpha, e)) for e, _ in f.terms)
                for f, alpha in calls)
     z3 = a.gens[1][0]
     assert len(calls) == 7 and (z3, (1, 0, 0)) not in calls and (z3, (2, 0, 0)) not in calls
-    assert not any(deriv(f, alpha).is_zero() for f, alpha in calls)
+    assert not any(f.hasse_deriv_multi(alpha).is_zero() for f, alpha in calls)
     assert sum(len(list(multi_indices(3, range(3), n - 1))) for _, n in a.gens) == 12
+    # every derivative kept is one the walk listed, and records it
+    derived = [g._derived for g, _ in sat.gens if g._derived is not None]
+    assert derived and all(d in calls for d in derived)
     got = {(render_poly(g, ZXY), n) for g, n in sat.gens}
     assert ("z^2", 2) not in got and ("z", 1) not in got
 
@@ -479,17 +490,14 @@ def test_saturation_forms_only_nonzero_derivatives(monkeypatch):
     # z^4 + x^4 of order below 4 vanishes: none is formed, and the algebra
     # is its own saturation
     a = alg(F2, [("z^4 + x^4", 4)])
-    calls = []
-    deriv = MPoly.hasse_deriv_multi
-    monkeypatch.setattr(MPoly, "hasse_deriv_multi",
-                        lambda self, alpha: calls.append(alpha) or deriv(self, alpha))
+    calls = _walked(monkeypatch)
     assert diff_saturate(a).gens == a.gens
     assert calls == []
     # over F_3 the pure derivatives of order 1 and 3 survive (binom(4, 2) = 6)
     b = alg(F3, [("z^4 + x^4", 4)])
     got = {(render_poly(g, ZXY), n) for g, n in diff_saturate(b).gens}
     assert got == {("z^4 + x^4", 4), ("z^3", 3), ("x^3", 3), ("z", 1), ("x", 1)}
-    assert calls == [(1, 0, 0), (0, 1, 0), (3, 0, 0), (0, 3, 0)]
+    assert [alpha for _, alpha in calls] == [(1, 0, 0), (0, 1, 0), (3, 0, 0), (0, 3, 0)]
 
 
 def test_saturation_budget_counts_derivatives_times_terms(monkeypatch):

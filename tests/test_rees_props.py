@@ -7,12 +7,14 @@ computed by sympy, over F_p (p in 2, 3, 5, 7) and over Q.  Its generators are
 also checked one for one against the saturation along every multi-index
 (`oracles.saturate_all_alpha`), the multi-indices it differentiates by
 against those of every nonzero derivative
-(`oracles.support_indices_reference`), and their translates, H^alpha of a parent's
-translate for a derivative, against the Taylor shift.  The singular
-coordinate strata, scanned from the origin, are checked against the test of
-every stratum (`oracles.reference_strata`).  The one-elimination
-additive forms behind `tau_at` and the sparse `rref` are checked against the
-field-generic dense elimination (`oracles.reference_rref`) and the reduction
+(`oracles.support_indices_reference`), the derivatives its walk lists
+against `MPoly.hasse_deriv_multi` over F_2, F_3, F_5, F_7, F_101 and Q, and
+their translates, H^alpha of a parent's translate for a derivative, against
+the Taylor shift.  The singular coordinate strata, scanned from the origin,
+are checked against the test of every stratum (`oracles.reference_strata`).
+The one-elimination additive forms behind `tau_at` and the sparse `rref`
+are checked against the field-generic dense elimination
+(`oracles.reference_rref`) and the reduction
 and null-space steps they replaced, kept here as the reference only, and the
 additive forms list for list against the all-rows Macaulay build
 (`oracles.macaulay_additive_forms_reference`).  The
@@ -33,7 +35,7 @@ from hypothesis import example, given, settings  # noqa: E402
 
 from charpres.poly import ClosedPoint, FieldSpec, MPoly, parse_poly  # noqa: E402
 from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
-                           _support_indices, diff_saturate, rref, sing_member,
+                           _derivatives, diff_saturate, rref, sing_member,
                            singular_coordinate_strata, tau_at)
 from oracles import (macaulay_additive_forms_reference, reference_rref,  # noqa: E402
                      reference_strata, saturate_all_alpha, support_indices_reference)
@@ -191,24 +193,68 @@ def _z4_plus_x4_over_f2():
     return f2, 2, [(parse_poly("z^4 + x^4", f2, ("z", "x")), 4)]
 
 
+def _alphas(f, max_total, most):
+    leaves = _derivatives(f, max_total, most)
+    return None if leaves is None else [alpha for alpha, _ in leaves]
+
+
 @PROPS
 @given(high_exponent_algebras())
 @example(_z4_plus_x4_over_f2())
 def test_support_indices_match_the_reference(case):
-    # the alpha that _support_indices returns are exactly those with
+    # the alpha that the saturation walk lists are exactly those with
     # H^alpha f nonzero, in the same order, and the saturation built from
     # them equals the one along every multi-index
     field, nvars, gens = case
     for f, n in gens:
         ref = support_indices_reference(f, n - 1)
-        assert _support_indices(f, n - 1, len(ref)) == ref
+        assert _alphas(f, n - 1, len(ref)) == ref
         if ref:
-            # one alpha past its limit, the enumeration gives up
-            assert _support_indices(f, n - 1, len(ref) - 1) is None
+            # one alpha past its limit, the walk gives up
+            assert _alphas(f, n - 1, len(ref) - 1) is None
     alg = ReesAlg.make(field, nvars, gens)
     sat = diff_saturate(alg)
     ref = saturate_all_alpha(alg, range(nvars))
     assert sat.gens == ref.gens and sat.is_unit == ref.is_unit
+
+
+@st.composite
+def walk_cases(draw):
+    """A polynomial with exponents up to 12 and a weight, over F_2, F_3,
+    F_5, F_7, F_101 or Q."""
+    field = FieldSpec(draw(st.sampled_from((2, 3, 5, 7, 101, 0))))
+    nvars = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 12), min_size=nvars, max_size=nvars).map(tuple)
+    terms = draw(st.dictionaries(exps, _coeffs(field.characteristic), min_size=1, max_size=5))
+    f = MPoly.from_dict(field, nvars, terms)
+    return f, draw(st.integers(1, 14))
+
+
+def _walk_case(p, text, n, names=("z", "x")):
+    return parse_poly(text, FieldSpec(p), names), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+@example(_walk_case(2, "z^4 + x^4", 4))     # p | alpha_k: no derivative survives
+@example(_walk_case(3, "z^4 + x^4", 4))
+@example(_walk_case(2, "z^4 + x^4", 9))
+@example(_walk_case(2, "x^2*y^2", 5, ("x", "y")))
+@example(_walk_case(3, "x^3*y^3 + x*y", 7, ("x", "y")))
+@example(_walk_case(5, "x^5*y^5 + 2*x^10", 11, ("x", "y")))
+@example(_walk_case(7, "x^7*y^7 + 3*x^14*y^7", 22, ("x", "y")))
+@example(_walk_case(101, "x^101*y + 5*x^202", 103, ("x", "y")))
+@example(_walk_case(0, "1/2*z^4 + 2/3*x^4 + z*x", 4))
+def test_derivative_walk_matches_hasse_deriv_multi(case):
+    """The walk lists the alpha of `oracles.support_indices_reference` in
+    its order, and each leaf is H^alpha f, term for term."""
+    f, n = case
+    ref = support_indices_reference(f, n - 1)
+    leaves = _derivatives(f, n - 1, len(ref))
+    assert [alpha for alpha, _ in leaves] == ref
+    for alpha, terms in leaves:
+        assert MPoly(f.field, f.nvars, terms) == f.hasse_deriv_multi(alpha)
+        assert all(c for _, c in terms)
 
 
 def _point_values(p):

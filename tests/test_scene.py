@@ -915,34 +915,63 @@ analyze at origin
 """
 
 
+def _walks(monkeypatch):
+    """Record (f, max_total, most, leaves) for each walk the saturation
+    makes; leaves is None when the walk gave up on the budget."""
+    walks = []
+    walk = rees_mod._derivatives
+
+    def recorded(f, max_total, most):
+        leaves = walk(f, max_total, most)
+        walks.append((f, max_total, most, leaves))
+        return leaves
+
+    monkeypatch.setattr(rees_mod, "_derivatives", recorded)
+    return walks
+
+
 def test_saturation_over_budget_is_a_budget_error(tmp_path, capsys, monkeypatch):
-    formed = []
-    deriv = MPoly.hasse_deriv_multi
-    monkeypatch.setattr(MPoly, "hasse_deriv_multi",
-                        lambda self, alpha: formed.append(alpha) or deriv(self, alpha))
+    walks = _walks(monkeypatch)
     rec = run_scene(parse_scene(SATURATION_OVER_BUDGET))["records"][-1]
     assert rec["error_type"] == "BudgetError"
     assert "at the generator of weight 12 with 6188 terms" in rec["error"]
-    assert formed == []
+    # the one generator's walk gave up, so no derivative was formed
+    assert [leaves for *_, leaves in walks] == [None]
     assert main(["run", "--scene", _write(tmp_path, "s.scene", SATURATION_OVER_BUDGET)]) == 1
     assert "above its budget" in capsys.readouterr().err
-    assert formed == []
+    assert [leaves for *_, leaves in walks] == [None, None]
+
+
+class _GuardedExponents(tuple):
+    """An exponent vector whose coordinates from `stop` on may not be read."""
+
+    stop = 3
+
+    def __getitem__(self, k):
+        if k >= self.stop:
+            raise AssertionError("the walk read coordinate %d" % k)
+        return tuple.__getitem__(self, k)
 
 
 def test_saturation_over_budget_stops_enumerating_derivatives(monkeypatch):
     # at weight 16 the generator has 20,349 terms and 54,263 nonzero
-    # derivatives; listing them all tests at least one binomial per
-    # derivative, and the budget check gives up after a few coordinates
+    # derivatives, which differ in all six coordinates; with 10^7 // 20,349
+    # = 491 of them left in the budget, the walk has 15, 135 and 815
+    # prefixes with a nonzero entry after the first three coordinates, and
+    # gives up there without reading the other three
     text = (SATURATION_OVER_BUDGET.replace(")^12", ")^16")
             .replace("v0^11*v1 W^12", "v0^15*v1 W^16"))
-    tested = []
-    binom = rees_mod._binom_nonzero
-    monkeypatch.setattr(rees_mod, "_binom_nonzero",
-                        lambda m, r, p: tested.append(r) or binom(m, r, p))
+    walks = _walks(monkeypatch)
     rec = run_scene(parse_scene(text))["records"][-1]
     assert rec["error_type"] == "BudgetError"
     assert "at the generator of weight 16 with 20349 terms" in rec["error"]
-    assert 0 < len(tested) < 54263
+    (f, max_total, most, leaves), = walks
+    assert (len(f.terms), max_total, most, leaves) == (20349, 15, 491, None)
+    guarded = MPoly(f.field, f.nvars, tuple((_GuardedExponents(e), c) for e, c in f.terms))
+    assert rees_mod._derivatives(guarded, max_total, most) is None
+    monkeypatch.setattr(_GuardedExponents, "stop", 2)
+    with pytest.raises(AssertionError, match="read coordinate 2"):
+        rees_mod._derivatives(guarded, max_total, most)
 
 
 # hord and ord_monomial agree at the generic points of the divisor strata but
