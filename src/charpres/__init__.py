@@ -23,8 +23,7 @@ from .projection import (PPresentation, SimplifiedPresentation, hord,
 from .blowup import (Center, Chart, Tower, blow_up_poly, stage_ab_experiment,
                      transform_object, transform_presentation)
 from .monomial import (MonomialAlg, is_strong_monomial, lift_resolution,
-                       ord_monomial, resolve_game, sandwich_report,
-                       track_monomial)
+                       resolve_game, sandwich_report, track_monomial)
 from .scene import (Scene, canonical_json, load_scene, parse_scene, run_scene,
                     verify_trace)
 

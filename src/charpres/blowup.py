@@ -173,10 +173,10 @@ class Tower:
     """A sequence of chart-level blowups of one tracked object.
 
     `memo` holds what is computed on the tower's current state (the
-    monomial algebra and the strong check, see monomial.py), so repeated
-    checks of one state do the work once.  Every assignment to a field of
-    the tower, as blow_up and the lift's swap to a cleaned presentation
-    make, empties it.
+    monomial algebra, the strong check and the sandwich rows, see
+    monomial.py), so repeated checks of one state do the work once.  Every
+    assignment to a field of the tower, as blow_up and the lift's swap to a
+    cleaned presentation make, empties it.
     """
 
     chart: Chart
@@ -199,8 +199,9 @@ class Tower:
         return [self.initial_obj] + [st.obj for st in self.steps]
 
     def blow_up(self, center: Center, chart_var: int) -> TowerStep:
-        new_obj = transform_object(self.obj, center, chart_var)
+        # the chart checks the center's variables before the transform reads them
         new_chart = self.chart.after_blowup(center, chart_var)
+        new_obj = transform_object(self.obj, center, chart_var)
         step = TowerStep(tuple(sorted(center.vars)), chart_var, new_chart, new_obj)
         self.chart = new_chart
         self.obj = new_obj

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import (InputError, InvariantError, NonMonomialElimError,
                      PermissibilityError, TrackingError)
-from .poly import INF, ClosedPoint, GenericPoint, PointSpec
+from .poly import INF, GenericPoint
 from .projection import SimplifiedPresentation, hord, hord_data, upstairs_algebra
 from .rees import nonempty_subsets, sing_member
 from .blowup import Center, Chart, Tower, _origin
@@ -79,26 +79,6 @@ def _track_monomial(tower: Tower) -> MonomialAlg:
     return MonomialAlg(s, exps)
 
 
-def ord_monomial(M: MonomialAlg, x: PointSpec, chart: Chart):
-    """Order of the monomial algebra at a representable point: the sum of
-    exponents of the present divisors passing through it, over s."""
-    dmap = dict(chart.divisors)
-    total = 0
-    for lab, h in M.exponents:
-        if lab not in dmap:
-            raise InputError("divisor label %r is not in the chart registry" % lab)
-        v = dmap[lab]
-        if v is None:
-            continue
-        if isinstance(x, ClosedPoint):
-            on = x.values[v] == 0
-        else:
-            on = v in x.vars
-        if on:
-            total += h
-    return Fraction(total, M.s)
-
-
 # -- strong monomial case --------------------------------------------------------
 
 
@@ -113,10 +93,11 @@ class StrongCheckResult:
 def is_strong_monomial(tower: Tower) -> StrongCheckResult:
     """Does the H-order equal the monomial order everywhere it can be tested?
 
-    Tested at the generic points of all present-divisor strata and at the
-    chart origin ("point 1"), as the lift's end test is; additionally the
-    monomial algebra must divide each (monomial) elimination generator, which
-    makes the elimination branch collapse onto the monomial algebra locally.
+    Tested at the generic points of all present-divisor strata, read from
+    the rows of `sandwich_report`, and at the chart origin ("point 1"), as
+    the lift's end test is; additionally the monomial algebra must divide
+    each (monomial) elimination generator, which makes the elimination
+    branch collapse onto the monomial algebra locally.
     The witness is the first failing comparison.  The result is kept in
     tower.memo for the tower's current state.
     """
@@ -129,8 +110,7 @@ def is_strong_monomial(tower: Tower) -> StrongCheckResult:
 def _strong_check(tower: Tower) -> StrongCheckResult:
     M = track_monomial(tower)
     sp = tower.obj
-    chart = tower.chart
-    present = chart.present_divisors()
+    present = tower.chart.present_divisors()
     monomial = tuple((lab, h) for lab, h in M.exponents if present.get(lab) is not None)
     labels = [lab for lab, _ in monomial]
     # every elimination generator must be a monomial in the present divisors,
@@ -154,15 +134,15 @@ def _strong_check(tower: Tower) -> StrongCheckResult:
             return StrongCheckResult(False, M, {
                 "kind": "divides", "elim_gen_weight": m, "monomial": monomial,
                 "elim": tuple((lab, exps.get(lab, 0)) for lab in labels)}, ())
+    # the strata are the sandwich's rows, in its order; the chart origin
+    # lies on every present divisor
+    points = [("stratum " + row["stratum"], row["hord"], row["ord_monomial"])
+              for row in sandwich_report(tower)]
+    points.append(("point 1", hord(sp, _origin(sp.field, sp.nvars)),
+                   Fraction(sum(h for _, h in monomial), M.s)))
     checked = []
-    points = [("stratum " + "&".join(sub),
-               GenericPoint(frozenset(present[lab] for lab in sub)))
-              for sub in nonempty_subsets(labels)]
-    points.append(("point 1", _origin(sp.field, sp.nvars)))
     witness = None
-    for name, pt in points:
-        hv = hord(sp, pt)
-        mv = ord_monomial(M, pt, chart)
+    for name, hv, mv in points:
         ok = hv == mv
         checked.append({"at": name, "hord": hv, "ord_monomial": mv, "equal": ok})
         if not ok and witness is None:
@@ -329,18 +309,28 @@ def lift_resolution(tower: Tower) -> LiftResult:
 
 def sandwich_report(tower: Tower):
     """ord_monomial <= hord <= ord(elim), for the tower's monomial algebra,
-    at the generic point of every present-divisor stratum of its final chart."""
+    at the generic point of every present-divisor stratum of its final chart,
+    labels by age.  There ord_monomial is the sum of the stratum's exponents
+    over s, and hord and ord(elim) come from one `hord_data`.  The rows are
+    kept in tower.memo for the tower's current state; each call returns a
+    fresh list of fresh rows."""
+    rows = tower.memo.get("sandwich")
+    if rows is None:
+        rows = tower.memo["sandwich"] = _sandwich_rows(tower)
+    return [dict(row) for row in rows]
+
+
+def _sandwich_rows(tower: Tower) -> tuple:
     M = track_monomial(tower)
+    h = dict(M.exponents)
     sp = tower.obj
     present = tower.chart.present_divisors()
-    labels = sorted(present, key=_label_age)
     rows = []
-    for sub in nonempty_subsets(labels):
-        pt = GenericPoint(frozenset(present[lab] for lab in sub))
-        om = ord_monomial(M, pt, tower.chart)
-        data = hord_data(sp, pt)
+    for sub in nonempty_subsets(sorted(present, key=_label_age)):
+        data = hord_data(sp, GenericPoint(frozenset(present[lab] for lab in sub)))
+        om = Fraction(sum(h[lab] for lab in sub), M.s)
         hv, ev = data.value, data.elim_ord
         rows.append({"stratum": "&".join(sub), "ord_monomial": om,
                      "hord": hv, "elim_ord": ev,
                      "ok": om <= hv <= ev})
-    return rows
+    return tuple(rows)

@@ -308,7 +308,8 @@ TAU_MAX_ROWS = 10 ** 5
 def _additive_forms_in_degree(forms, degree: int, field: FieldSpec, nvars: int):
     """Additive forms sum(c_i x_i^degree) inside the degree-`degree` graded
     piece of the ideal generated by the given homogeneous forms, as their
-    reduced row echelon basis: sparse vectors {i: c_i} in pivot order.
+    reduced row echelon basis: sparse vectors {i: c_i} in pivot order, each
+    with its keys ascending.
 
     The single-term forms of degree at most `degree` span a monomial ideal
     M, kept as its minimal exponents; each pure power x_i^degree in M gives
@@ -372,7 +373,7 @@ def _additive_forms_in_degree(forms, degree: int, field: FieldSpec, nvars: int):
                 rows.append(row)
     if rows:
         reduced, pivots = rref(rows, field)
-        out += [{j - first: c for j, c in row.items()}
+        out += [{j - first: c for j, c in sorted(row.items())}
                 for row, c in zip(reduced, pivots) if c >= first]
         out.sort(key=min)
     return out

@@ -13,13 +13,15 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from charpres.errors import (BudgetError, InvariantError, NonMonomialElimError,
+from charpres.blowup import Chart
+from charpres.errors import (BudgetError, InputError, InvariantError, NonMonomialElimError,
                              PolyParseError, TrackingError)
 from charpres.monomial import (GameMove, GameResult, MonomialAlg, _label_age,
                                track_monomial)
 from charpres.poly import (_LITERAL, _WORK_PER_TERM, INF, PARSE_MAX_TERMS, ClosedPoint,
-                           FieldSpec, GenericPoint, MPoly, _clean, _literal, _monomial_count,
-                           _mul_terms, _pow_terms, _product_bits, monic_coefficients)
+                           FieldSpec, GenericPoint, MPoly, PointSpec, _clean, _literal,
+                           _monomial_count, _mul_terms, _pow_terms, _product_bits,
+                           monic_coefficients)
 from charpres.rees import ReesAlg, nonempty_subsets, rref, sing_member
 
 
@@ -189,14 +191,15 @@ def macaulay_additive_forms_reference(forms, degree: int, field: FieldSpec, nvar
     """Additive forms sum(c_i x_i^degree) inside the degree-`degree` graded
     piece of the ideal generated by the given homogeneous forms.
 
-    Returns a list of sparse coefficient vectors {i: c_i} spanning them.  The
-    graded piece is spanned by the monomial multiples of the forms, one
-    sparse row each.  A monomial of degree at most `degree` is packed into
-    the int sum(e_i * (degree + 1)^i), so a product of monomials is a sum of
-    ints.  A monomial gets its column the first time it appears, and the
-    pure power x_i^degree gets column first + i, after every other monomial
-    of the degree.  After one rref, the rows whose pivot lies in that last
-    block are zero outside it and span the additive forms of the piece.
+    Returns a list of sparse coefficient vectors {i: c_i} spanning them,
+    each with its keys ascending.  The graded piece is spanned by the
+    monomial multiples of the forms, one sparse row each.  A monomial of
+    degree at most `degree` is packed into the int sum(e_i * (degree + 1)^i),
+    so a product of monomials is a sum of ints.  A monomial gets its column
+    the first time it appears, and the pure power x_i^degree gets column
+    first + i, after every other monomial of the degree.  After one rref,
+    the rows whose pivot lies in that last block are zero outside it and
+    span the additive forms of the piece.
     """
     weights = [(degree + 1) ** i for i in range(nvars)]
     first = math.comb(degree + nvars - 1, nvars - 1) - nvars
@@ -213,7 +216,7 @@ def macaulay_additive_forms_reference(forms, degree: int, field: FieldSpec, nvar
     if not rows:
         return []
     reduced, pivots = rref(rows, field)
-    return [{j - first: c for j, c in row.items()}
+    return [{j - first: c for j, c in sorted(row.items())}
             for row, c in zip(reduced, pivots) if c >= first]
 
 
@@ -437,6 +440,28 @@ def strong_divisibility_reference(tower) -> Optional[dict]:
             return {"kind": "divides", "elim_gen_weight": R.s,
                     "monomial": Mp.exponents, "elim": full.exponents}
     return None
+
+
+def ord_monomial_reference(M: MonomialAlg, x: PointSpec, chart: Chart):
+    """Order of the monomial algebra at a representable point: the sum of
+    exponents of the present divisors passing through it, over s.  The
+    general form of what `monomial.sandwich_report` sums per stratum and
+    the strong check sums at the chart origin."""
+    dmap = dict(chart.divisors)
+    total = 0
+    for lab, h in M.exponents:
+        if lab not in dmap:
+            raise InputError("divisor label %r is not in the chart registry" % lab)
+        v = dmap[lab]
+        if v is None:
+            continue
+        if isinstance(x, ClosedPoint):
+            on = x.values[v] == 0
+        else:
+            on = v in x.vars
+        if on:
+            total += h
+    return Fraction(total, M.s)
 
 
 def lift_back_map(field: FieldSpec, steps, values: tuple) -> tuple:

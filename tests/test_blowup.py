@@ -10,7 +10,7 @@ import charpres.blowup as blowup
 from charpres.blowup import (Center, Chart, StageRows, Tower, blow_up_poly,
                              invariant_snapshot, stage_ab_experiment,
                              transform_presentation, transform_rees)
-from charpres.errors import BudgetError, InvariantError, PermissibilityError
+from charpres.errors import BudgetError, InputError, InvariantError, PermissibilityError
 from charpres.poly import (ClosedPoint, FieldSpec, MPoly, monic_coefficients,
                            parse_poly, render_poly)
 from charpres.projection import (PPresentation, SimplifiedPresentation, hord,
@@ -285,6 +285,27 @@ def test_tower_rejects_impermissible_center():
     tower = Tower.start(ZXY, pres)
     with pytest.raises(PermissibilityError):
         tower.blow_up(Center(frozenset({0, 2})), 2)
+
+
+@pytest.mark.parametrize("kind", ["presentation", "algebra"])
+@pytest.mark.parametrize("center", [{0, 1, 7}, {0, 1, -1}], ids=["past-the-end", "negative"])
+def test_tower_checks_the_center_before_transforming(monkeypatch, kind, center):
+    # a variable outside the chart is refused before the transform reads
+    # it: 7 would raise IndexError there, and -1 would read the last variable
+    f = P("z^2 + x^3", F2)
+    if kind == "presentation":
+        obj = SimplifiedPresentation(F2, 3, (0,), (f,), coefficient_elim(f, 0))
+    else:
+        obj = ReesAlg.make(F2, 3, [(f, 2)])
+    tower = Tower.start(ZXY, obj)
+    transformed = []
+    real = blowup.transform_object
+    monkeypatch.setattr(blowup, "transform_object",
+                        lambda *args: transformed.append(args) or real(*args))
+    with pytest.raises(InputError, match="center variable out of range"):
+        tower.blow_up(Center(frozenset(center)), 1)
+    assert transformed == []
+    assert (tower.chart, tower.obj, tower.steps) == (Chart.initial(ZXY), obj, [])
 
 
 def test_stage_ab_cusp_family():

@@ -1,7 +1,9 @@
 """Exponent tracking, the strong-monomial test, the combinatorial game and
 its lift."""
 
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +11,13 @@ from charpres import monomial, projection
 from charpres.blowup import Center, Chart, Tower, TowerStep
 from charpres.errors import CharpresError, NonMonomialElimError, TrackingError
 from charpres.monomial import (MonomialAlg, is_strong_monomial,
-                               lift_resolution, ord_monomial, resolve_game,
-                               sandwich_report, track_monomial)
+                               lift_resolution, resolve_game, sandwich_report,
+                               track_monomial)
 from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly)
 from charpres.projection import SimplifiedPresentation
 from charpres.rees import ReesAlg, sing_member
+from charpres.scene import RunOptions, _Execution, execute_command, load_scene
 
 from oracles import coefficient_elim
 
@@ -60,16 +63,20 @@ def test_track_rejects_algebra_tower():
         track_monomial(tower)
 
 
-def test_ord_monomial():
+def test_ord_monomial_on_the_rows():
+    # each sandwich row sums its stratum's exponents over s, and the strong
+    # check sums every present exponent at the chart origin
     tower = tower_for("z^2 + x^4*y^5", F2, STD)
-    M = track_monomial(tower)
-    chart = tower.chart
-    assert ord_monomial(M, GenericPoint(frozenset({1})), chart) == 1
-    assert ord_monomial(M, GenericPoint(frozenset({2})), chart) == Fraction(3, 2)
-    assert ord_monomial(M, GenericPoint(frozenset({1, 2})), chart) == Fraction(5, 2)
-    assert ord_monomial(M, ClosedPoint((0, 0, 0)), chart) == Fraction(5, 2)
-    # a closed point off both divisors has monomial order zero
-    assert ord_monomial(M, ClosedPoint((0, 1, 1)), chart) == 0
+    assert [(r["stratum"], r["ord_monomial"]) for r in sandwich_report(tower)] == [
+        ("H1", 1), ("H2", Fraction(3, 2)), ("H1&H2", Fraction(5, 2))]
+    origin = is_strong_monomial(tower).checked[-1]
+    assert (origin["at"], origin["ord_monomial"]) == ("point 1", Fraction(5, 2))
+    # retired divisors carry exponents but lie on no row and not on the origin
+    tower = tower_for("z^2 + x^6*y^7", F2, (("zx", "x"),) * 2 + (("zy", "y"),) * 2)
+    assert track_monomial(tower).exponents == (("H1", 4), ("H2", 2), ("H3", 5), ("H4", 3))
+    assert [(r["stratum"], r["ord_monomial"]) for r in sandwich_report(tower)] == [
+        ("H2", 1), ("H4", Fraction(3, 2)), ("H2&H4", Fraction(5, 2))]
+    assert is_strong_monomial(tower).checked[-1]["ord_monomial"] == Fraction(5, 2)
 
 
 def test_strong_monomial_standard():
@@ -91,6 +98,49 @@ def test_sandwich_rows():
         ("H2", Fraction(3, 2), Fraction(3, 2), Fraction(3, 2)),
         ("H1&H2", Fraction(5, 2), Fraction(5, 2), Fraction(5, 2))]
     assert all(r["ok"] for r in rows)
+
+
+def test_sandwich_rows_are_kept_per_tower_state():
+    tower = tower_for("z^2 + x^4*y^5", F2, STD)
+    rows = sandwich_report(tower)
+    # each call returns a fresh list of fresh rows, so no caller edits the memo
+    rows[0]["ok"] = None
+    rows.pop()
+    again = sandwich_report(tower)
+    assert len(again) == 3 and again[0]["ok"] is True
+    assert again is not sandwich_report(tower)
+    tower.blow_up(Center(frozenset({0, 1})), 1)
+    assert "sandwich" not in tower.memo
+    assert [r["stratum"] for r in sandwich_report(tower)] == ["H2", "H3", "H2&H3"]
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+@pytest.mark.parametrize("path", sorted(SCENES.glob("t*.scene")), ids=lambda p: p.stem)
+def test_strong_check_looks_up_each_stratum_once(monkeypatch, path):
+    """The strong-check command reads the H-order once per stratum of the
+    tower's state: the strong check takes its stratum comparisons from the
+    sandwich rows, and the command's sandwich reads them from the memo."""
+    ex = _Execution(load_scene(str(path)), RunOptions())
+    for _, text in ex.scene.script:
+        if text.startswith("blowup:"):
+            execute_command(ex, text)
+    sp = ex.tower.obj
+    looked_up = Counter()
+    for name in ("hord", "hord_data"):
+        def counted(obj, y, real=getattr(monomial, name)):
+            if obj is sp:
+                looked_up[y] += 1
+            return real(obj, y)
+        monkeypatch.setattr(monomial, name, counted)
+    rec = execute_command(ex, "strong-check")
+    strata = [GenericPoint(frozenset(v for lab, v in ex.tower.chart.divisors
+                                     if lab in row["stratum"].split("&")))
+              for row in rec["sandwich"]]
+    assert len(strata) == 2 ** len(ex.tower.chart.present_divisors()) - 1
+    assert {y: looked_up[y] for y in strata} == dict.fromkeys(strata, 1)
+    assert sum(looked_up.values()) == len(strata) + (len(rec["checked"]) > 0)
 
 
 def test_nonstrong_char3_witness():
@@ -326,7 +376,7 @@ def _outcome(fn, *args, **kwargs):
 
 def _assert_memo_matches_rebuilt(tower):
     again = _rebuilt_tower(tower)
-    for fn in (track_monomial, is_strong_monomial):
+    for fn in (track_monomial, is_strong_monomial, sandwich_report):
         memo = _outcome(fn, tower)
         assert memo == _outcome(fn, again)
         # a second call of the same state is served the same result

@@ -22,11 +22,17 @@ every present label.  At the step that creates a divisor, h/s = hord - 1 <=
 eord - 1 <= e/m, and later steps leave e unchanged while the divisor is
 present.
 
+The strong check reads its stratum comparisons from the sandwich rows:
+on every tower, its "checked" rows but the last are the sandwich rows'
+(hord, ord_monomial), in order, and every ord_monomial there and at the
+chart origin is `oracles.ord_monomial_reference` at that point.
+
 The tests skip when hypothesis is not installed; it is not a runtime
 dependency.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -39,11 +45,12 @@ from charpres.blowup import Center, Chart, Tower  # noqa: E402
 from charpres.errors import CharpresError, NonMonomialElimError  # noqa: E402
 from charpres.monomial import (MonomialAlg, _strong_check,  # noqa: E402
                                is_strong_monomial, lift_resolution, resolve_game,
-                               track_monomial)
-from charpres.poly import FieldSpec, MPoly, parse_poly  # noqa: E402
+                               sandwich_report, track_monomial)
+from charpres.poly import (ClosedPoint, FieldSpec, GenericPoint, MPoly,  # noqa: E402
+                           parse_poly)
 from charpres.projection import SimplifiedPresentation  # noqa: E402
 from charpres.rees import ReesAlg  # noqa: E402
-from oracles import (reference_resolve_game,  # noqa: E402
+from oracles import (ord_monomial_reference, reference_resolve_game,  # noqa: E402
                      strong_divisibility_reference, workload_towers)
 from strategies import towers  # noqa: E402
 
@@ -237,3 +244,48 @@ def test_tracked_algebra_is_reduced_and_divides_monomial_elim(tower):
 def test_divisibility_laws_on_the_seed_1_workload_towers():
     for _, tower in workload_towers(1):
         _check_laws_through_the_lift(tower)
+
+
+# -- the strong check reads the sandwich rows -------------------------------------
+
+
+def _assert_checked_rows_are_the_sandwich_rows(tower) -> str:
+    """Check the rows of one tower state; returns what was compared."""
+    try:
+        rows = sandwich_report(tower)
+    except CharpresError:
+        return "no sandwich"
+    M = track_monomial(tower)
+    chart = tower.chart
+    present = chart.present_divisors()
+    for row in rows:
+        pt = GenericPoint(frozenset(present[lab] for lab in row["stratum"].split("&")))
+        assert row["ord_monomial"] == ord_monomial_reference(M, pt, chart), row
+    try:
+        checked = is_strong_monomial(tower).checked
+    except NonMonomialElimError:
+        return "elimination part not monomial"
+    if not checked:
+        return "divides witness"
+    *strata, origin = checked
+    assert [(c["at"], c["hord"], c["ord_monomial"]) for c in strata] \
+        == [("stratum " + r["stratum"], r["hord"], r["ord_monomial"]) for r in rows]
+    sp = tower.obj
+    assert origin["at"] == "point 1"
+    assert origin["ord_monomial"] == ord_monomial_reference(
+        M, ClosedPoint((sp.field.zero,) * sp.nvars), chart)
+    return "strata compared"
+
+
+@settings(max_examples=60, deadline=None)
+@given(towers())
+def test_strong_check_rows_are_the_sandwich_rows(tower):
+    for prefix in _prefixes(tower):
+        event(_assert_checked_rows_are_the_sandwich_rows(prefix))
+
+
+def test_strong_check_rows_are_the_sandwich_rows_on_the_seed_1_workload_towers():
+    seen = Counter(_assert_checked_rows_are_the_sandwich_rows(tower)
+                   for _, tower in workload_towers(1))
+    # no seed-1 tower stops before the strata
+    assert seen == {"strata compared": 105}, seen

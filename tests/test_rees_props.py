@@ -507,9 +507,9 @@ def test_additive_forms_span_the_reference_space(case):
     assert len(row_space(got, field)[0]) == len(got)
 
 
-def _piece(p, degree, texts):
+def _piece(p, degree, texts, names=("x", "y", "z")):
     field = FieldSpec(p)
-    return field, 3, degree, [parse_poly(t, field, ("x", "y", "z")) for t in texts]
+    return field, len(names), degree, [parse_poly(t, field, names) for t in texts]
 
 
 @settings(max_examples=200, deadline=None)
@@ -518,15 +518,19 @@ def _piece(p, degree, texts):
 @example(_piece(2, 4, ["x", "x*y + x^2", "y^2*z^2"]))     # a row all in M
 @example(_piece(5, 5, ["x^2 + y^2", "x*y + z^2", "z^2"]))
 @example(_piece(0, 1, ["2*x", "x + y", "3*y + z"]))
+# rows whose keys the two builds once inserted in different orders
+@example(_piece(3, 9, ["x^6 + x*y^5 + y^6", "x^4*y"], names=("x", "y")))
+@example(_piece(2, 2, ["x + y + z", "y + z", "x"]))
 def test_additive_forms_equal_the_macaulay_reference(case):
     """The monomial-ideal kernel returns the list the all-rows Macaulay
-    build returns: the same dicts, keys in the same order, in the same
-    order (a reduced echelon basis is unique)."""
+    build returns: the same dicts, keys ascending, in the same order (a
+    reduced echelon basis is unique)."""
     field, nvars, degree, forms = case
     got = _additive_forms_in_degree(forms, degree, field, nvars)
     want = macaulay_additive_forms_reference(forms, degree, field, nvars)
     assert got == want
     assert [list(row) for row in got] == [list(row) for row in want]
+    assert all(list(row) == sorted(row) for row in got)
 
 
 def test_additive_forms_of_an_analyze_sized_piece():
