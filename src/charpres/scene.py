@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .blowup import (Center, StageRows, Tower, _origin, invariant_snapshot,
@@ -47,8 +48,13 @@ class Scene:
         if self.algebra is not None:
             return self.algebra
         if self.presentation is not None:
-            return upstairs_algebra(self.presentation)
+            return self._upstairs
         raise CommandError("scene declares neither an algebra nor a presentation")
+
+    @cached_property
+    def _upstairs(self) -> ReesAlg:
+        # built once, so its saturation memo serves every analyze
+        return upstairs_algebra(self.presentation)
 
     def require_presentation(self):
         if self.presentation is None:
@@ -68,23 +74,36 @@ def _split_csv(text: str):
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _at(lineno: int, fn, *args):
+    """fn(*args), with a library error raised as a parse error at lineno."""
+    try:
+        return fn(*args)
+    except CharpresError as exc:
+        raise SceneParseError(str(exc), lineno)
+
+
 def parse_scene(text: str, path: str = "<scene>") -> Scene:
+    # each entry split once, stripped: (lineno, key, sep, value) at its first ":",
+    # or "=" in [points]; a script line stays whole, (lineno, text)
     section = None
     data: dict = {name: [] for name in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip().lower()
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
             if name not in _SECTIONS:
                 raise SceneParseError("unknown section [%s]" % name, lineno)
             section = name
             continue
         if section is None:
             raise SceneParseError("content before the first section header", lineno)
-        data[section].append((lineno, stripped))
+        if section == "script":
+            data[section].append((lineno, line))
+        else:
+            key, sep, value = line.partition("=" if section == "points" else ":")
+            data[section].append((lineno, key.strip(), sep, value.strip()))
 
     first: dict = {}    # (section, single-valued entry) -> line of its first copy
 
@@ -96,21 +115,17 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
 
     # field
     characteristic = None
-    for lineno, line in data["field"]:
-        key, _, value = line.partition(":")
-        if key.strip() != "characteristic":
+    for lineno, key, _, value in data["field"]:
+        if key != "characteristic":
             raise SceneParseError("expected 'characteristic: <p>'", lineno)
         once("field", "characteristic", lineno)
         try:
-            characteristic = _numeral(value.strip(), "[-+]?[0-9]+")
+            characteristic = _numeral(value, "[-+]?[0-9]+")
         except ValueError:
             raise SceneParseError("characteristic must be an integer", lineno)
     if characteristic is None:
         raise SceneParseError("missing [field] characteristic")
-    try:
-        field = FieldSpec(characteristic)
-    except CharpresError as exc:
-        raise SceneParseError(str(exc), data["field"][0][0])
+    field = _at(data["field"][0][0], FieldSpec, characteristic)
 
     # variables
     if not data["variables"]:
@@ -118,9 +133,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
     names = None
     section_names = []
     sections_lineno = data["variables"][0][0]
-    for lineno, line in data["variables"]:
-        key, _, value = line.partition(":")
-        key = key.strip()
+    for lineno, key, _, value in data["variables"]:
         if key == "vars":
             names = _split_csv(value)
         elif key == "sections":
@@ -149,10 +162,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
         m = _GEN_RE.match(line)
         if not m:
             raise SceneParseError("expected '<polynomial> W^<weight>'", lineno)
-        try:
-            f = parse_poly(m.group(1), field, names)
-        except CharpresError as exc:
-            raise SceneParseError(str(exc), lineno)
+        f = _at(lineno, parse_poly, m.group(1), field, names)
         try:
             weight = int(m.group(2))
         except ValueError:     # more digits than int() converts
@@ -164,16 +174,12 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
     # algebra
     algebra = None
     gens = []
-    for lineno, line in data["algebra"]:
-        key, _, value = line.partition(":")
-        if key.strip() != "gen":
+    for lineno, key, _, value in data["algebra"]:
+        if key != "gen":
             raise SceneParseError("expected 'gen: <poly> W^<n>'", lineno)
-        gens.append(parse_gen(value.strip(), lineno))
+        gens.append(parse_gen(value, lineno))
     if gens:
-        try:
-            algebra = ReesAlg.make(field, len(names), gens)
-        except CharpresError as exc:
-            raise SceneParseError(str(exc), data["algebra"][0][0])
+        algebra = _at(data["algebra"][0][0], ReesAlg.make, field, len(names), gens)
 
     # presentation
     presentation = None
@@ -183,10 +189,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
         elim_gens = []
         kind = "simplified"
         kind_lineno = data["presentation"][0][0]
-        for lineno, line in data["presentation"]:
-            key, _, value = line.partition(":")
-            key = key.strip()
-            value = value.strip()
+        for lineno, key, _, value in data["presentation"]:
             if key == "sections":
                 once("presentation", key, lineno)
                 psecs = tuple(var_index(n, lineno) for n in _split_csv(value))
@@ -198,10 +201,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                 except ValueError:
                     raise SceneParseError("expected 'poly <i>: <polynomial>'", lineno)
                 once("presentation", "poly %d" % i, lineno)
-                try:
-                    polys[i] = (parse_poly(value, field, names), lineno)
-                except CharpresError as exc:
-                    raise SceneParseError(str(exc), lineno)
+                polys[i] = (_at(lineno, parse_poly, value, field, names), lineno)
             elif key == "elim":
                 elim_gens.append((parse_gen(value, lineno), lineno))
             elif key == "kind":
@@ -222,36 +222,21 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
                                   data["presentation"][0][0])
         entries = [polys[i] for i in range(1, len(psecs) + 1)]
         for z, (f, lineno) in zip(psecs, entries):
-            try:
-                check_section_poly(f, z, psecs)
-            except CharpresError as exc:
-                raise SceneParseError(str(exc), lineno)
+            _at(lineno, check_section_poly, f, z, psecs)
         for (g, _), lineno in elim_gens:
-            try:
-                check_elim_gen(g, psecs)
-            except CharpresError as exc:
-                raise SceneParseError(str(exc), lineno)
-        ordered = tuple(f for f, _ in entries)
+            _at(lineno, check_elim_gen, g, psecs)
         # every entry passed its own check, so what fails now is the kind
-        try:
-            elim = ReesAlg.make(field, len(names), [gen for gen, _ in elim_gens])
-            if kind == "p":
-                presentation = make_p_presentation(field, len(names), psecs,
-                                                   ordered, elim)
-            else:
-                presentation = SimplifiedPresentation(field, len(names), psecs,
-                                                      ordered, elim)
-        except CharpresError as exc:
-            raise SceneParseError(str(exc), kind_lineno)
+        elim = _at(kind_lineno, ReesAlg.make, field, len(names),
+                   [gen for gen, _ in elim_gens])
+        build = make_p_presentation if kind == "p" else SimplifiedPresentation
+        presentation = _at(kind_lineno, build, field, len(names), psecs,
+                           tuple(f for f, _ in entries), elim)
 
     # points
     points: dict = {}
-    for lineno, line in data["points"]:
-        name, eq, value = line.partition("=")
+    for lineno, name, eq, value in data["points"]:
         if not eq:
             raise SceneParseError("expected '<name> = (…)' or '<name> = {…}'", lineno)
-        name = name.strip()
-        value = value.strip()
         if name.split() != [name]:
             # script commands name a point by one word
             raise SceneParseError("point name %r is empty or holds whitespace" % name,
@@ -279,8 +264,7 @@ def parse_scene(text: str, path: str = "<scene>") -> Scene:
             raise SceneParseError("expected '(…)' or '{…}' point syntax", lineno)
     points["origin"] = _origin(field, len(names))
 
-    script = list(data["script"])
-    return Scene(field, names, algebra, presentation, points, script, path)
+    return Scene(field, names, algebra, presentation, points, data["script"], path)
 
 
 def load_scene(path: str) -> Scene:

@@ -499,6 +499,17 @@ def workload_towers(seed: int) -> list:
     return out
 
 
+
+def modular_image(text: str, ell: int) -> str:
+    """A Q scene's text read over F_ell instead: its `characteristic: 0` line
+    becomes `characteristic: ell`, so every coefficient and coordinate n/d is
+    read as n * d^-1 mod ell."""
+    image, count = re.subn(r"(?m)^(\s*characteristic\s*:\s*)0(?=\s*(?:#|$))",
+                           r"\g<1>%d" % ell, text)
+    if count != 1:
+        raise ValueError("not a scene over Q")
+    return image
+
 # -- the reference polynomial parser -------------------------------------------
 
 

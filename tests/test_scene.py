@@ -67,6 +67,8 @@ DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number 
     (lambda s: "stray\n" + s, "content before the first section", 1),
     (lambda s: s.replace("characteristic: 3", "characteristic: three"),
      "characteristic must be an integer", 2),
+    (lambda s: s.replace("characteristic: 3", "char: 3"),
+     "expected 'characteristic: <p>'", 2),
     (lambda s: s.replace("vars: z, x, y", "vars: z, x, x"),
      "duplicate variable name", 5),
     (lambda s: s.replace("vars: z, x, y", "vars: z, x, W"),
@@ -81,6 +83,11 @@ DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number 
      "generator weights must be positive", 10),
     (lambda s: s.replace("[script]", "[algebra]\ngen: x^2 W^2\ngen: y^3 W^0\n\n[script]"),
      "generator weights must be positive", 18),
+    (lambda s: s.replace("[script]", "[algebra]\ngenerator: x^2 W^2\n\n[script]"),
+     "expected 'gen: <poly> W^<n>'", 17),
+    # a polynomial syntax error in a section polynomial: at its poly line
+    (lambda s: s.replace("poly 1: z^2 + x^3", "poly 1: z^2 + + x^3"),
+     "unexpected token '+'", 9),
     # an error of one section polynomial is reported at its own poly line
     (lambda s: s.replace("poly 1: z^2 + x^3\nelim: x^3 W^2",
                          "elim: x^3 W^2\npoly 1: x*z^2 + x^3"),
@@ -97,6 +104,11 @@ DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number 
      "sections must be distinct", 6),
     (lambda s: s.replace("[presentation]\n", "[presentation]\nsections: x, x\n"),
      "sections must be distinct", 9),
+    (lambda s: s.replace("elim: x^3 W^2", "elim: x^3 W^2\nkind: q"),
+     "presentation kind must be 'simplified' or 'p'", 11),
+    # no kind line: at the first [presentation] line
+    (lambda s: s.replace("poly 1: z^2 + x^3", "poly 2: z^2 + x^3"),
+     "presentation needs 'poly i:' for i = 1..e", 9),
     # a single-valued entry given twice: at the repeat
     # primality is decided by Miller-Rabin, below 2^64
     (lambda s: s.replace("characteristic: 3", "characteristic: 2305843009213693953"),
@@ -119,6 +131,8 @@ DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number 
      "point P1 given twice (first at line 13)", 15),
     (lambda s: s.replace("L = {x}", " = {x}"), "point name '' is empty", 14),
     (lambda s: s.replace("L = {x}", "L 2 = {x}"), "point name 'L 2' is empty or holds", 14),
+    (lambda s: s.replace("L = {x}", "L {x}"), "expected '<name> = (…)' or '<name> = {…}'", 14),
+    (lambda s: s.replace("L = {x}", "L = {}"), "generic point needs at least one variable", 14),
     # a coordinate is an optional sign and n or n/d, as in polynomial text
     (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = (0.5, 1, 2)"),
      "bad coordinate: expected n or n/d with an optional sign, got '0.5'", 13),
@@ -387,6 +401,15 @@ def test_verify_trace():
     # an integer too long for int() is refused by json.loads in Python 3.11
     ok, report = verify_trace(a, "1" * 5000)
     assert not ok
+    # the report names the first divergent value: a type, a key, a length
+    for trace, golden, report in [
+            ('{"a": 1}', '{"a": "1"}', "$.a: type int != str"),
+            ('{"a": 1, "b": 2}', '{"a": 1}', "$: missing key 'b' on the right"),
+            ('{"a": 1}', '{"a": 1, "b": 2}', "$: missing key 'b' on the left"),
+            ('{"a": [1, 2]}', '{"a": [1]}', "$.a: length 2 != 1"),
+            ('{"a": [1, 3]}', '{"a": [1]}', "$.a: length 2 != 1"),
+            ('{"a": [1, 3]}', '{"a": [2]}', "$.a[0]: 1 != 2")]:
+        assert verify_trace(trace, golden) == (False, report)
 
 
 def test_cli_verify_against_a_float_golden_exits_1(tmp_path, capsys):
@@ -799,6 +822,65 @@ def test_monomial_commands_need_a_presentation_tower(tmp_path, capsys, command):
     assert main([command, "--scene", scene]) == 1
     assert capsys.readouterr().err == ("command failed: %s: monomial tracking needs "
                                        "a presentation tower\n" % command)
+
+
+NO_OBJECT = """\
+[field]
+characteristic: 3
+
+[variables]
+vars: x, y
+"""
+
+
+@pytest.mark.parametrize("text,command,message", [
+    (NO_OBJECT, "analyze at origin", "scene declares neither an algebra nor a presentation"),
+    # an algebra tower has no presentation to take the H-order of
+    (ALGEBRA_TOWER, "hord at origin", "the tower does not track a presentation"),
+    (MINIMAL, "blowup: center = {z, q}; chart = z", "unknown variable 'q'"),
+])
+def test_command_errors_are_recorded(text, command, message):
+    doc = run_scene(parse_scene(text), extra_commands=[command])
+    assert doc["status"] == "error"
+    assert doc["records"][-1] == {"command": command, "error": message,
+                                  "error_type": "CommandError"}
+
+
+def test_analyze_marks_a_unit_algebra():
+    doc = run_scene(parse_scene(NO_OBJECT + "[algebra]\ngen: 1 W^1\n"),
+                    extra_commands=["analyze at origin"])
+    assert doc["records"] == [{"command": "analyze", "point": "origin",
+                               "point_spec": {"closed": [0, 0]}, "unit_algebra": True,
+                               "ord": 0, "singular": False, "saturated_singular": False,
+                               "singular_strata": []}]
+
+
+def test_analyze_warns_when_the_oracle_disagrees(monkeypatch):
+    sc = load_scene(os.path.join(SCENES, "a01_tau_char2.scene"))
+    monkeypatch.setattr(scene_mod, "tau_translation_oracle", lambda alg, pt, m: 4)
+    rec = run_scene(sc, RunOptions(tau_oracle_extension=2))["records"][0]
+    assert (rec["tau"], rec["tau_oracle"], rec["oracle_agrees"]) == (3, 4, False)
+    assert rec["warning"] == ("translation oracle over extension degree 2 disagrees "
+                              "with the graded computation")
+
+
+def test_presentation_scene_saturates_its_upstairs_algebra_once(monkeypatch):
+    # a scene with no [algebra] analyzes the upstairs algebra of its
+    # presentation, and that algebra keeps its saturation between commands
+    calls = []
+    saturate = rees_mod._saturate
+
+    def counted(alg):
+        calls.append(alg)
+        return saturate(alg)
+
+    monkeypatch.setattr(rees_mod, "_saturate", counted)
+    sc = load_scene(os.path.join(SCENES, "t01_strong_char2.scene"))
+    doc = run_scene(sc, extra_commands=["analyze at origin"] * 3)
+    assert doc["status"] == "ok"
+    first, *rest = doc["records"][-3:]
+    assert first["command"] == "analyze" and rest == [first, first]
+    assert len(calls) == 1
 
 
 def test_cli_oracle_flag_rejects_large_extension(tmp_path, capsys):
