@@ -6,6 +6,8 @@
 
 Runs the scene script, emits the canonical JSON trace (stdout, or the
 --trace-out path), and optionally byte-compares it against a golden trace.
+--tau-oracle-field-extension M cross-checks tau with the translation oracle
+over F_{p^M}, for every prime p and M in {1, 2, 3}; over Q it is skipped.
 Fixed budgets, each a command error: 64*n cleaning substitutions per section
 polynomial of degree n (DegenerateSlopeError), 10^6 tau-oracle vectors,
 10^6 experiment trace rows, 10^7 units of saturation work, derivatives

@@ -371,30 +371,30 @@ def hord_data(sp: SimplifiedPresentation, y: PointSpec) -> NormalizeResult:
 
 
 def _check_reduced(sp: PPresentation, data: NormalizeResult, y: PointSpec):
+    """The reduced formula, the least slope of the cleaned constant
+    coefficients against the elimination order, must give the H-order.
+
+    It needs the elimination order at y to dominate every cleaned middle
+    coefficient: ord_y(a'_j)/j >= eord for 1 <= j < n.  Cleaning can break
+    that (z -> z - alpha moves the middle coefficients off the elimination
+    part).  When the formulas disagree, raise DominationError naming the
+    a'_j of least slope if it falls below, and InvariantError otherwise."""
     polys = tuple(r.poly for r in data.normalizations)
     consts = [(monic_coefficients(f, z)[n], n)
               for z, f, n in zip(sp.sections, polys, sp.degrees)]
     least = least_ratio((order_at(a, y), n) for a, n in consts if not a.is_zero())
-    if min(data.elim_ord, least) != data.value:
-        _check_dominated(sp, polys, y, data.elim_ord)
-        raise InvariantError("p-presentation H-order formulas disagree")
-
-
-def _check_dominated(sp: PPresentation, polys, y: PointSpec, eord):
-    """The reduced formula needs the elimination order at y to dominate
-    every cleaned middle coefficient: ord_y(a'_j)/j >= eord for 1 <= j < n.
-    Cleaning can break that (z -> z - alpha moves the middle coefficients
-    off the elimination part); raise DominationError naming the a'_j of
-    least slope when it falls below."""
-    slopes = [(Fraction(order_at(a, y), j), i, j)
-              for i, j, a in _middle_coefficients(sp.sections, polys)]
-    if slopes:
-        s, i, j = min(slopes)
-        if s < eord:
-            raise DominationError(
-                "cleaned middle coefficient a_%d of polynomial %d has slope %s "
-                "below the elimination order %s; the reduced H-order formula "
-                "does not apply" % (j, i + 1, s, eord))
+    eord = data.elim_ord
+    if min(eord, least) == data.value:
+        return
+    s, i, j = min(((Fraction(order_at(a, y), j), i, j)
+                   for i, j, a in _middle_coefficients(sp.sections, polys)),
+                  default=(INF, 0, 0))
+    if s < eord:
+        raise DominationError(
+            "cleaned middle coefficient a_%d of polynomial %d has slope %s "
+            "below the elimination order %s; the reduced H-order formula "
+            "does not apply" % (j, i + 1, s, eord))
+    raise InvariantError("p-presentation H-order formulas disagree")
 
 
 def hord(sp: SimplifiedPresentation, y: PointSpec):

@@ -288,9 +288,8 @@ def rref(rows, field: FieldSpec):
 
 @dataclass(unsafe_hash=True)
 class TangentData:
-    """Initial forms at a singular closed point plus the vertex-space summary."""
+    """tau at a singular closed point and the initial forms it was read from."""
 
-    point: ClosedPoint
     tau: int
     initial_forms: tuple      # the degree-matching initial forms of the saturation
 
@@ -446,7 +445,7 @@ def tau_at(alg: ReesAlg, pt: ClosedPoint) -> TangentData:
     if codims and tau > min(codims):
         raise InvariantError(
             "tau exceeded the codimension of a coordinate singular stratum")
-    return TangentData(pt, tau, tuple(forms))
+    return TangentData(tau, tuple(forms))
 
 
 def singular_coordinate_strata(alg: ReesAlg) -> list:
@@ -481,29 +480,32 @@ def _scan_strata(alg: ReesAlg) -> tuple:
 
 # -- brute-force translation oracle (small finite fields) ----------------------
 
-_IRRED = {
-    (2, 2): (1, 1, 1),        # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
-    (3, 2): (1, 0, 1),        # x^2 + 1
-    (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
-    (5, 2): (2, 0, 1),        # x^2 + 2
-    (5, 3): (1, 1, 0, 1),     # x^3 + x + 1
-    (7, 2): (1, 0, 1),        # x^2 + 1
-    (7, 3): (2, 3, 0, 1),     # x^3 + 3x + 2
-}
+# The most translation vectors (p^m)^nvars the oracle will enumerate.
+ORACLE_MAX_VECTORS = 10 ** 6
 
 
 class SmallExtField:
-    """Arithmetic in F_{p^m} for tiny m, elements as coefficient tuples."""
+    """Arithmetic in F_{p^m} for m = 1, 2, 3, elements as coefficient tuples.
+
+    For m > 1 the modulus is the first monic polynomial of degree m, its
+    lower coefficients in `itertools.product` order, with no root in F_p:
+    in degree 2 or 3 a proper factor would be linear, so that is exactly
+    irreducibility.  Fields of more than ORACLE_MAX_VECTORS elements are
+    refused, which bounds the O(p) root tests of the search.
+    """
 
     def __init__(self, p: int, m: int):
-        if m < 1:
-            raise InputError("extension degree must be >= 1")
-        if m > 1 and (p, m) not in _IRRED:
-            raise InputError(f"no modulus table entry for F_{p}^{m}")
+        if not 1 <= m <= 3:
+            raise InputError("extension degree must be 1, 2 or 3")
+        if p ** m > ORACLE_MAX_VECTORS:
+            raise BudgetError("F_%d^%d has %d elements, above the oracle's budget of %d"
+                              % (p, m, p ** m, ORACLE_MAX_VECTORS))
         self.p = p
         self.m = m
-        self.modulus = _IRRED.get((p, m))
+        self.modulus = None if m == 1 else next(
+            c + (1,) for c in itertools.product(range(p), repeat=m)
+            if all((a ** m + sum(x * a ** i for i, x in enumerate(c))) % p
+                   for a in range(p)))
 
     def zero(self):
         return (0,) * self.m
@@ -546,28 +548,16 @@ class SmallExtField:
         return itertools.product(range(self.p), repeat=self.m)
 
 
-def _verify_modulus_table():
-    for (p, m), coeffs in _IRRED.items():
-        # no roots in F_p => irreducible for degree 2 and 3
-        for a in range(p):
-            val = sum(c * pow(a, i, p) for i, c in enumerate(coeffs)) % p
-            if val == 0:
-                raise InvariantError(f"modulus for F_{p}^{m} has a root {a}")
-
-
-_verify_modulus_table()
-
-# The most translation vectors (p^m)^nvars the oracle will enumerate.
-ORACLE_MAX_VECTORS = 10 ** 6
-
-
 def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -> int:
     """Brute-force tau: count translations over F_{p^m} fixing every collected
     initial form, i.e. vectors v with F(x + v) = F(x) identically.
 
     The good vectors form the rational points of the vertex space, so their
     count is (p^m)^dim.  Exact for cones cut by the collected forms
-    individually; used as an oracle in tests and behind a CLI flag.
+    individually; used as an oracle in tests and behind a CLI flag.  Any
+    prime p and m = 1, 2, 3 serve, within ORACLE_MAX_VECTORS; the count
+    does not depend on the modulus `SmallExtField` picks, as all fields of
+    p^m elements are isomorphic over F_p.
     """
     p = alg.field.characteristic
     if p == 0:

@@ -41,8 +41,9 @@ def _invariants(text: str) -> list:
     return [{k: rec[k] for k in KEYS if k in rec} for rec in doc["records"]]
 
 
-@pytest.mark.parametrize("name,text", _q_scenes())
-def test_modular_images_agree_with_q(name, text, capsys):
+def compare_with_images(text: str) -> int:
+    """Run a Q scene and its images at PRIMES under the rules above; return
+    the number of records that differ from Q at one prime only."""
     over_q = _invariants(text)
     images = [_invariants(modular_image(text, ell)) for ell in PRIMES]
     unlucky = 0
@@ -52,6 +53,12 @@ def test_modular_images_agree_with_q(name, text, capsys):
             assert other["ord"] >= rec["ord"], (i, ell, other["ord"], rec["ord"])
         assert rec in at_ell, (i, rec, at_ell)
         unlucky += at_ell.count(rec) < len(PRIMES)
+    return unlucky
+
+
+@pytest.mark.parametrize("name,text", _q_scenes())
+def test_modular_images_agree_with_q(name, text, capsys):
+    unlucky = compare_with_images(text)
     if unlucky:
         with capsys.disabled():
             print("\n%s: %d record(s) differ at one prime" % (name, unlucky))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from charpres import rees
-from charpres.errors import BudgetError
+from charpres.errors import BudgetError, InputError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly)
 from charpres.rees import (ReesAlg, SmallExtField, diff_saturate, ord_at,
@@ -342,8 +342,13 @@ def test_additive_forms_equal_the_macaulay_reference_on_the_workloads(monkeypatc
 
 def test_small_ext_field_axioms():
     rng = random.Random(7)
-    for (p, m) in ((2, 2), (2, 3), (3, 2), (5, 2)):
+    for (p, m) in ((2, 2), (2, 3), (3, 2), (5, 2),
+                   (11, 2), (13, 2), (5, 3), (11, 3), (7, 3)):
         K = SmallExtField(p, m)
+        # monic of degree m with no root in F_p, so irreducible for m = 2, 3
+        assert len(K.modulus) == m + 1 and K.modulus[-1] == 1
+        assert all(sum(c * a ** i for i, c in enumerate(K.modulus)) % p
+                   for a in range(p))
         els = list(K.elements())
         assert len(els) == p ** m
         for _ in range(60):
@@ -353,6 +358,30 @@ def test_small_ext_field_axioms():
         # Frobenius fixed field is F_p
         fixed = [a for a in els if K.power(a, p) == a]
         assert len(fixed) == p
+
+
+def test_small_ext_field_refuses_other_degrees_and_oversized_fields():
+    with pytest.raises(InputError, match="extension degree must be 1, 2 or 3"):
+        SmallExtField(2, 4)
+    with pytest.raises(InputError, match="extension degree must be 1, 2 or 3"):
+        SmallExtField(2, 0)
+    # 1009^2 = 1,018,081 elements; the search never starts
+    with pytest.raises(BudgetError, match="F_1009\\^2 has 1018081 elements"):
+        SmallExtField(1009, 2)
+    assert SmallExtField(997, 2).modulus[-1] == 1
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_oracle_over_a_quadratic_extension_of_a_larger_prime_field(p):
+    field = FieldSpec(p)
+    names = ("x", "y")
+    for text, n, point, tau in (("x^2 + y^3", 2, (0, 0), 1),
+                                ("x^3", 3, (0, 0), 1),
+                                ("(x - 1)^2 + (y - 2)^2", 2, (1, 2), 2),
+                                ("x^2*y^2 + y^5", 3, (0, 0), 0)):
+        a = ReesAlg.make(field, 2, [(parse_poly(text, field, names), n)])
+        pt = ClosedPoint(point)
+        assert tau_at(a, pt).tau == tau_translation_oracle(a, pt, 2) == tau, text
 
 
 def test_canonical_generator_order_is_stable():
@@ -374,6 +403,10 @@ def test_oracle_refuses_over_budget_before_enumerating(monkeypatch):
     monkeypatch.setattr(SmallExtField, "elements", refuse)
     with pytest.raises(BudgetError, match=r"F_7\^3 in 7 variables"):
         tau_translation_oracle(a, origin, 3)
+    F11 = FieldSpec(11)
+    b = ReesAlg.make(F11, 2, [(parse_poly("x^2 + y^3", F11, ("x", "y")), 2)])
+    with pytest.raises(BudgetError, match=r"1771561 vectors over F_11\^3 in 2 variables"):
+        tau_translation_oracle(b, ClosedPoint((0, 0)), 3)
 
 
 # -- one local expansion per polynomial and closed point -------------------------

@@ -864,6 +864,15 @@ def test_analyze_warns_when_the_oracle_disagrees(monkeypatch):
                               "with the graded computation")
 
 
+def test_analyze_runs_the_oracle_over_a_quadratic_extension_of_f11():
+    sc = parse_scene("[field]\ncharacteristic: 11\n[variables]\nvars: x, y\n"
+                     "[algebra]\ngen: x^2 + y^3 W^2\n[script]\nanalyze at origin\n")
+    doc = run_scene(sc, RunOptions(tau_oracle_extension=2))
+    assert doc["status"] == "ok"
+    rec = doc["records"][0]
+    assert (rec["tau"], rec["tau_oracle"], rec["oracle_agrees"]) == (1, 1, True)
+
+
 def test_presentation_scene_saturates_its_upstairs_algebra_once(monkeypatch):
     # a scene with no [algebra] analyzes the upstairs algebra of its
     # presentation, and that algebra keeps its saturation between commands
