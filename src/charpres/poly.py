@@ -93,10 +93,6 @@ class FieldSpec:
             return (x.numerator % p) * pow(den, -1, p) % p
         return x % p
 
-    def add(self, a: Coeff, b: Coeff) -> Coeff:
-        p = self.characteristic
-        return (a + b) % p if p else a + b
-
     def mul(self, a: Coeff, b: Coeff) -> Coeff:
         p = self.characteristic
         return (a * b) % p if p else a * b

@@ -562,8 +562,8 @@ def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -
     p = alg.field.characteristic
     if p == 0:
         raise InputError("the translation oracle needs positive characteristic")
-    if ext_degree > 3:
-        raise InputError("extension degrees above 3 are not supported")
+    # refuses a degree outside 1..3 and a field past the budget, before any work
+    gf = SmallExtField(p, ext_degree)
     nvars = alg.nvars
     vectors = (p ** ext_degree) ** nvars
     if vectors > ORACLE_MAX_VECTORS:
@@ -571,7 +571,6 @@ def tau_translation_oracle(alg: ReesAlg, pt: ClosedPoint, ext_degree: int = 1) -
                           "in %d variables, above its budget of %d"
                           % (vectors, p, ext_degree, nvars, ORACLE_MAX_VECTORS))
     forms = _tangent_forms(diff_saturate(alg), pt)
-    gf = SmallExtField(p, ext_degree)
 
     # Precompute, per form, the coefficient table of F(x+v) - F(x) as a
     # polynomial in x whose coefficients are polynomials in v:

@@ -25,6 +25,12 @@ from charpres.poly import (_LITERAL, _WORK_PER_TERM, INF, PARSE_MAX_TERMS, Close
 from charpres.rees import ReesAlg, nonempty_subsets, rref, sing_member
 
 
+def field_add(field: FieldSpec, a, b):
+    """a + b in the field, the sum the library forms inline where it needs one."""
+    p = field.characteristic
+    return (a + b) % p if p else a + b
+
+
 def evaluate(f: MPoly, values):
     """f at the point `values`, by the sum over terms of c * prod x_i^k."""
     field = f.field
@@ -35,7 +41,7 @@ def evaluate(f: MPoly, values):
         for i, k in enumerate(e):
             for _ in range(k):
                 term = field.mul(term, vals[i])
-        acc = field.add(acc, term)
+        acc = field_add(field, acc, term)
     return acc
 
 
@@ -178,7 +184,7 @@ def reference_rref(rows, field: FieldSpec):
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 factor = mat[i][c]
-                mat[i] = [field.add(x, field.neg(field.mul(factor, y)))
+                mat[i] = [field_add(field, x, field.neg(field.mul(factor, y)))
                           for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1

@@ -9,7 +9,8 @@ import pytest
 
 from charpres import monomial, projection
 from charpres.blowup import Center, Chart, Tower, TowerStep
-from charpres.errors import CharpresError, NonMonomialElimError, TrackingError
+from charpres.errors import (CharpresError, InputError, NonMonomialElimError,
+                             TrackingError)
 from charpres.monomial import (MonomialAlg, is_strong_monomial,
                                lift_resolution, resolve_game, sandwich_report,
                                track_monomial)
@@ -226,6 +227,17 @@ def test_non_monomial_elim_raises_before_any_comparison(centers, elim_gens, mess
     if len(elim_gens) > 1:
         first = with_elim(tower_for("z^2 + x^4*y^5", F2, centers), elim_gens[:1])
         assert is_strong_monomial(first).witness["kind"] == "divides"
+
+
+@pytest.mark.parametrize("s,exponents,message", [
+    (0, (), "the common denominator must be positive"),
+    (1, (("H1", -1),), "exponents must be non-negative"),
+    (2, (("H1", 1), ("H2", 0), ("H1", 2)), "duplicate divisor label"),
+])
+def test_monomial_algebra_refuses_arguments_outside_its_domain(s, exponents, message):
+    with pytest.raises(InputError) as err:
+        MonomialAlg(s, exponents)
+    assert str(err.value) == message
 
 
 def test_game_single_subtraction():

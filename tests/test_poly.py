@@ -14,7 +14,7 @@ from charpres.errors import BudgetError, InputError, NotMonicError, PolyParseErr
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            monic_coefficients, order_at, parse_poly,
                            render_poly)
-from oracles import divide_by_var_power, evaluate
+from oracles import divide_by_var_power, evaluate, field_add
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -430,6 +430,29 @@ def test_monic_coefficients():
         monic_coefficients(P("x*z + y"), 0)
 
 
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: MPoly.from_dict(F2, 2, {(1, 2, 3): 1}), InputError,
+     "bad exponent vector (1, 2, 3) for arity 2"),
+    (lambda: MPoly.from_dict(F2, 2, {(1, -1): 1}), InputError,
+     "bad exponent vector (1, -1) for arity 2"),
+    (lambda: P("x + 1") ** -1, InputError, "negative power of a polynomial"),
+    (lambda: P("x") + P("x", F2), InputError, "polynomials live in different rings"),
+    (lambda: P("x") * P("x", names=("x", "y")), InputError,
+     "polynomials live in different rings"),
+    (lambda: P("x^2").hasse_deriv_multi((1,)), InputError,
+     "multi-order (1,) does not match arity 3"),
+    (lambda: GenericPoint(frozenset()), InputError,
+     "generic point needs a non-empty variable set"),
+    (lambda: monic_coefficients(MPoly.zero_poly(F3, 3), 0), NotMonicError,
+     "zero polynomial is not monic"),
+], ids=["long-exponent-vector", "negative-exponent", "negative-power", "field", "arity",
+        "multi-order-arity", "empty-generic-point", "zero-section-polynomial"])
+def test_arguments_outside_the_domain_raise(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_monic_coefficients_memo():
     f = P("z^2 + 2*x*z + x^2 + x^3")
     coeffs = monic_coefficients(f, 0)
@@ -471,7 +494,7 @@ def test_random_ring_axioms():
             for _ in range(rng.randint(0, 4)):
                 exps = tuple(rng.randint(0, 3) for _ in range(nv))
                 c = field.coerce(rng.randint(-4, 4))
-                terms[exps] = field.add(terms.get(exps, field.zero), c)
+                terms[exps] = field_add(field, terms.get(exps, field.zero), c)
             return MPoly.from_dict(field, nv, terms)
 
         f, g, h = rand_poly(), rand_poly(), rand_poly()

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import charpres.projection as projection
-from charpres.errors import DegenerateSlopeError, NotNormalFormError
+from charpres.errors import DegenerateSlopeError, InputError, NotNormalFormError
 from charpres.poly import (INF, ClosedPoint, FieldSpec, GenericPoint, MPoly,
                            parse_poly, render_poly)
 from charpres.projection import (PPresentation, SimplifiedPresentation, _weighted_root,
@@ -288,6 +288,33 @@ def test_normalize_p_presentation_gives_plain_presentation():
     assert res.normalizations[0].slope == hord(pp, ORIGIN)
     # hord_data checks the reduced formula on the same record
     assert hord_data(pp, ORIGIN) is res
+
+
+def _direct(sections, texts, poly_field=F3):
+    """A presentation over F_3 in z, x, y, built without the parser."""
+    polys = tuple(P(t, poly_field) for t in texts)
+    return SimplifiedPresentation(F3, 3, sections, polys, ealg(F3, []))
+
+
+# what the scene parser refuses before it builds a presentation, and a
+# direct caller can still pass
+@pytest.mark.parametrize("build,message", [
+    (lambda: _direct((), ()), "sections must be distinct"),
+    (lambda: _direct((0, 0), ("z^2 + x^3", "z^2 + x^3")), "sections must be distinct"),
+    (lambda: _direct((3,), ("z^2 + x^3",)), "section index out of range"),
+    (lambda: _direct((-1,), ("z^2 + x^3",)), "section index out of range"),
+    (lambda: _direct((0, 1), ("z^2 + y^3",)), "one monic polynomial per section"),
+    (lambda: _direct((0,), ("z^2 + x^3",), poly_field=F2),
+     "presentation polynomial in the wrong ring"),
+    (lambda: SimplifiedPresentation(F3, 3, (0,), (P("z^2 + x^3", F3),),
+                                    ReesAlg.make(F3, 2, [(P("x^3", F3, ("x", "y")), 2)])),
+     "elimination algebra in the wrong ring"),
+], ids=["no-section", "repeated-section", "index-past-the-end", "negative-index",
+        "too-few-polynomials", "polynomial-field", "elimination-arity"])
+def test_arguments_outside_the_domain_are_input_errors(build, message):
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_p_presentation_rejects_missing_middle_coefficient():

@@ -409,6 +409,36 @@ def test_oracle_refuses_over_budget_before_enumerating(monkeypatch):
         tau_translation_oracle(b, ClosedPoint((0, 0)), 3)
 
 
+@pytest.mark.parametrize("m", [0, -1, 4])
+def test_oracle_refuses_a_degree_outside_1_to_3_before_saturating(monkeypatch, m):
+    saturated = []
+    saturate = rees._saturate
+
+    def counted(a):
+        saturated.append(a)
+        return saturate(a)
+
+    monkeypatch.setattr(rees, "_saturate", counted)
+    with pytest.raises(InputError, match="^extension degree must be 1, 2 or 3$"):
+        tau_translation_oracle(alg(F2, [("z^2 + x^3", 2)]), ORIGIN, m)
+    assert saturated == []
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ReesAlg.make(F2, 3, [(P("x", F2), 0)]), "generator weights must be positive"),
+    (lambda: ReesAlg.make(F2, 2, [(P("x", F2), 1)]), "generator lives in the wrong ring"),
+    (lambda: ReesAlg.make(F3, 3, [(P("x", F2), 1)]), "generator lives in the wrong ring"),
+    (lambda: tau_at(alg(F2, [("x^2", 2)]), GenericPoint(frozenset({1}))),
+     "tau is computed at closed points"),
+    (lambda: tau_translation_oracle(alg(Q, [("x^2", 2)]), ORIGIN),
+     "the translation oracle needs positive characteristic"),
+], ids=["weight-0", "arity", "field", "tau-at-a-generic-point", "oracle-over-q"])
+def test_arguments_outside_the_domain_are_input_errors(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # -- one local expansion per polynomial and closed point -------------------------
 
 

@@ -37,8 +37,9 @@ from charpres.poly import ClosedPoint, FieldSpec, MPoly, parse_poly  # noqa: E40
 from charpres.rees import (ReesAlg, _additive_forms_in_degree,  # noqa: E402
                            _derivatives, diff_saturate, rref, sing_member,
                            singular_coordinate_strata, tau_at)
-from oracles import (macaulay_additive_forms_reference, reference_rref,  # noqa: E402
-                     reference_strata, saturate_all_alpha, support_indices_reference)
+from oracles import (field_add, macaulay_additive_forms_reference,  # noqa: E402
+                     reference_rref, reference_strata, saturate_all_alpha,
+                     support_indices_reference)
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 PROPS = settings(max_examples=60, deadline=None)
@@ -350,7 +351,7 @@ def reference_reduce_against(vec, basis, pivots, field: FieldSpec):
     for row, c in zip(basis, pivots):
         if v[c] != 0:
             factor = v[c]
-            v = [field.add(x, field.neg(field.mul(factor, y))) for x, y in zip(v, row)]
+            v = [field_add(field, x, field.neg(field.mul(factor, y))) for x, y in zip(v, row)]
     return v
 
 

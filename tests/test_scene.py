@@ -5,6 +5,7 @@ import glob
 import json
 import os
 import sys
+import time
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -88,6 +89,9 @@ DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number 
     # a polynomial syntax error in a section polynomial: at its poly line
     (lambda s: s.replace("poly 1: z^2 + x^3", "poly 1: z^2 + + x^3"),
      "unexpected token '+'", 9),
+    (lambda s: s.replace("poly 1: z^2 + x^3\nelim: x^3 W^2",
+                         "elim: x^3 W^2\npoly 1: z^2 + + x^3"),
+     "unexpected token '+'", 10),
     # an error of one section polynomial is reported at its own poly line
     (lambda s: s.replace("poly 1: z^2 + x^3\nelim: x^3 W^2",
                          "elim: x^3 W^2\npoly 1: x*z^2 + x^3"),
@@ -198,6 +202,17 @@ DIGIT_LIMIT = pytest.mark.skipif(LONG == "1", reason="int() converts any number 
      "'origin' is the chart origin and cannot be redefined", 15),
     (lambda s: s.replace("P1 = (0, 1, 2)", "origin = (0, 0, 0)"),
      "'origin' is the chart origin and cannot be redefined", 13),
+    (lambda s: s.replace("P1 = (0, 1, 2)", "P1 = 0, 1, 2"),
+     "expected '(…)' or '{…}' point syntax", 13),
+    (lambda s: s.replace("poly 1: z^2 + x^3", "poly 1: 0"), "zero polynomial is not monic", 9),
+    # a p-presentation needs a prime characteristic and degrees in order
+    (lambda s: s.replace("characteristic: 3", "characteristic: 0")
+                .replace("elim: x^3 W^2", "elim: x^3 W^2\nkind: p"),
+     "p-presentations need positive characteristic", 11),
+    (lambda s: s.replace("sections: z", "sections: z, y")
+                .replace("poly 1: z^2 + x^3", "poly 1: z^9 + x^3\npoly 2: y^3 + x^3")
+                .replace("elim: x^3 W^2", "elim: x^3 W^2\nkind: p"),
+     "p-presentation degrees must be non-decreasing", 12),
 ])
 def test_parse_errors_carry_line_numbers(mangle, fragment, lineno, tmp_path, capsys):
     with pytest.raises(SceneParseError) as err:
@@ -293,6 +308,8 @@ def test_parse_error_missing_variables(tmp_path, capsys):
     scene = _write(tmp_path, "s.scene", "[field]\ncharacteristic: 2\n")
     assert main(["--scene", scene]) == 2
     assert "missing [variables] section" in capsys.readouterr().err
+    with pytest.raises(SceneParseError, match="^missing \\[variables\\] vars line$"):
+        parse_scene(MINIMAL.replace("vars: z, x, y\n", ""))
 
 
 def test_jsonify():
@@ -463,6 +480,11 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_cli_run_and_verify(tmp_path, capsys):
@@ -755,6 +777,24 @@ hord at origin
     assert hord["hord"] == hord["reduced_hord"] == "3/2"
 
 
+@pytest.mark.parametrize("p,poly,slope,cleaned", [
+    # over Q the weight-1 initial form is (z + x)^2
+    (0, "z^2 + 2*x*z + x^2 + x^3", "3/2", "x^3 + z^2"),
+    # over F_5, (z + x)^5 + x^6 is its own weight-1 initial form plus x^6
+    (5, "(z + x)^5 + x^6", "6/5", "x^6 + z^5"),
+], ids=["Q", "F5"])
+def test_cli_cleans_a_section_polynomial_in_one_substitution(tmp_path, capsys, p, poly,
+                                                             slope, cleaned):
+    scene = _write(tmp_path, "s.scene", "[field]\ncharacteristic: %d\n[variables]\n"
+                   "vars: z, x, y\nsections: z\n[presentation]\npoly 1: %s\n[script]\n"
+                   "slope at origin\n" % (p, poly))
+    trace = str(tmp_path / "t.json")
+    assert main(["run", "--scene", scene, "--trace-out", trace]) == 0
+    (record,) = json.loads(_read(trace))["records"]
+    assert (record["iterations"], record["slopes"], record["normalized_poly"]) == (
+        1, [1, slope], cleaned)
+
+
 def test_cli_slope_does_not_clean_at_slope_zero(tmp_path, capsys):
     # over F_2 the weight-0 initial form of z^2 + x + 1 is (z + 1)^2, whose
     # root 1 is a unit: cleaning with it would move the point, so nothing
@@ -794,6 +834,23 @@ def test_cli_extra_terminal_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["records"][-1] == {"command": "monomial-track", "s": 2,
                                   "exponents": {"H1": 1}}
+
+
+@pytest.mark.parametrize("elim,message", [
+    ("x^2*y^2 W^2", "elimination generator involves the non-exceptional variable #1"),
+    ("x^2*y^2 + x^3*y W^2", "elimination generator is not a monomial"),
+], ids=["not-exceptional", "not-a-monomial"])
+def test_cli_strong_check_refuses_a_non_monomial_elimination_part(tmp_path, capsys, elim,
+                                                                  message):
+    scene = _write(tmp_path, "s.scene", "[field]\ncharacteristic: 3\n[variables]\n"
+                   "vars: z, x, y\nsections: z\n[presentation]\npoly 1: z^2 + x^4*y^4\n"
+                   "elim: %s\n[script]\n" % elim)
+    trace = str(tmp_path / "t.json")
+    assert main(["strong-check", "--scene", scene, "--trace-out", trace]) == 1
+    assert json.loads(_read(trace))["records"] == [
+        {"command": "strong-check", "error": message, "error_type": "NonMonomialElimError"}]
+    # one line, no traceback
+    assert capsys.readouterr().err == "command failed: strong-check: %s\n" % message
 
 
 ALGEBRA_TOWER = """\
@@ -838,6 +895,9 @@ vars: x, y
     # an algebra tower has no presentation to take the H-order of
     (ALGEBRA_TOWER, "hord at origin", "the tower does not track a presentation"),
     (MINIMAL, "blowup: center = {z, q}; chart = z", "unknown variable 'q'"),
+    (MINIMAL, "blowup: center = z; chart = z", "expected 'blowup: center = {v, …}; chart = v'"),
+    (NO_OBJECT + "[algebra]\ngen: x^2 W^2\n", "hord at origin",
+     "this command needs a [presentation] section"),
 ])
 def test_command_errors_are_recorded(text, command, message):
     doc = run_scene(parse_scene(text), extra_commands=[command])
@@ -855,6 +915,17 @@ def test_analyze_marks_a_unit_algebra():
                                "singular_strata": []}]
 
 
+def test_blowup_of_the_unit_algebra_is_refused(tmp_path, capsys):
+    text = NO_OBJECT + "[algebra]\ngen: 1 W^1\n[script]\nblowup: center = {x}; chart = x\n"
+    message = "the unit algebra has empty singular locus"
+    assert run_scene(parse_scene(text))["records"] == [
+        {"command": "blowup: center = {x}; chart = x", "error": message,
+         "error_type": "PermissibilityError"}]
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", text)]) == 1
+    assert capsys.readouterr().err == ("command failed: blowup: center = {x}; chart = x: %s\n"
+                                       % message)
+
+
 def test_analyze_warns_when_the_oracle_disagrees(monkeypatch):
     sc = load_scene(os.path.join(SCENES, "a01_tau_char2.scene"))
     monkeypatch.setattr(scene_mod, "tau_translation_oracle", lambda alg, pt, m: 4)
@@ -864,13 +935,19 @@ def test_analyze_warns_when_the_oracle_disagrees(monkeypatch):
                               "with the graded computation")
 
 
-def test_analyze_runs_the_oracle_over_a_quadratic_extension_of_f11():
-    sc = parse_scene("[field]\ncharacteristic: 11\n[variables]\nvars: x, y\n"
-                     "[algebra]\ngen: x^2 + y^3 W^2\n[script]\nanalyze at origin\n")
+def test_analyze_runs_the_oracle_over_a_quadratic_extension_of_f11(tmp_path):
+    text = ("[field]\ncharacteristic: 11\n[variables]\nvars: x, y\n"
+            "[algebra]\ngen: x^2 + y^3 W^2\n[script]\nanalyze at origin\n")
+    sc = parse_scene(text)
     doc = run_scene(sc, RunOptions(tau_oracle_extension=2))
     assert doc["status"] == "ok"
     rec = doc["records"][0]
     assert (rec["tau"], rec["tau_oracle"], rec["oracle_agrees"]) == (1, 1, True)
+    trace = str(tmp_path / "t.json")
+    scene = _write(tmp_path, "s.scene", text)
+    assert main(["--scene", scene, "--trace-out", trace,
+                 "--tau-oracle-field-extension", "2"]) == 0
+    assert '"oracle_agrees":true' in _read(trace)
 
 
 def test_presentation_scene_saturates_its_upstairs_algebra_once(monkeypatch):
@@ -1028,8 +1105,13 @@ def test_saturation_over_budget_is_a_budget_error(tmp_path, capsys, monkeypatch)
     assert "at the generator of weight 12 with 6188 terms" in rec["error"]
     # the one generator's walk gave up, so no derivative was formed
     assert [leaves for *_, leaves in walks] == [None]
-    assert main(["run", "--scene", _write(tmp_path, "s.scene", SATURATION_OVER_BUDGET)]) == 1
+    trace = str(tmp_path / "t.json")
+    start = time.monotonic()
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", SATURATION_OVER_BUDGET),
+                 "--trace-out", trace]) == 1
+    assert time.monotonic() - start < 30
     assert "above its budget" in capsys.readouterr().err
+    assert '"error_type":"BudgetError"' in _read(trace)
     assert [leaves for *_, leaves in walks] == [None, None]
 
 
@@ -1044,7 +1126,7 @@ class _GuardedExponents(tuple):
         return tuple.__getitem__(self, k)
 
 
-def test_saturation_over_budget_stops_enumerating_derivatives(monkeypatch):
+def test_saturation_over_budget_stops_enumerating_derivatives(monkeypatch, tmp_path, capsys):
     # at weight 16 the generator has 20,349 terms and 54,263 nonzero
     # derivatives, which differ in all six coordinates; with 10^7 // 20,349
     # = 491 of them left in the budget, the walk has 15, 135 and 815
@@ -1063,6 +1145,44 @@ def test_saturation_over_budget_stops_enumerating_derivatives(monkeypatch):
     monkeypatch.setattr(_GuardedExponents, "stop", 2)
     with pytest.raises(AssertionError, match="read coordinate 2"):
         rees_mod._derivatives(guarded, max_total, most)
+    # the console reports the same refusal, well within 10 s
+    trace = str(tmp_path / "t.json")
+    start = time.monotonic()
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", text), "--trace-out", trace]) == 1
+    assert time.monotonic() - start < 10
+    record = json.loads(_read(trace))["records"][-1]
+    assert record["error_type"] == "BudgetError"
+    assert "at the generator of weight 16 with 20349 terms" in record["error"]
+    assert capsys.readouterr().err == "command failed: analyze at origin: %s\n" % record["error"]
+
+
+# over F_37 the degree-37 piece of the tangent cone of (a + b + c)^36 * a
+# takes 255,189 Macaulay rows, past the row budget of 10^5
+TAU_OVER_BUDGET = """\
+[field]
+characteristic: 37
+[variables]
+vars: a, b, c
+[algebra]
+gen: (a + b + c)^36*a W^37
+[script]
+analyze at origin
+"""
+
+
+def test_tau_over_its_row_budget_is_a_budget_error(tmp_path, capsys):
+    assert rees_mod.TAU_MAX_ROWS == 10 ** 5
+    trace = str(tmp_path / "t.json")
+    start = time.monotonic()
+    assert main(["run", "--scene", _write(tmp_path, "s.scene", TAU_OVER_BUDGET),
+                 "--trace-out", trace]) == 1
+    assert time.monotonic() - start < 30
+    record = json.loads(_read(trace))["records"][-1]
+    assert record["error_type"] == "BudgetError"
+    assert record["error"] == ("the degree-37 piece of the tangent cone's ideal would take "
+                               "255189 Macaulay rows, above its budget of 100000")
+    # one line, no traceback
+    assert capsys.readouterr().err == "command failed: analyze at origin: %s\n" % record["error"]
 
 
 # hord and ord_monomial agree at the generic points of the divisor strata but
@@ -1172,6 +1292,21 @@ def test_golden_regression(path):
     with open(golden_path, "r", encoding="utf-8") as fh:
         golden = fh.read()
     assert got == golden
+
+
+@pytest.mark.parametrize("command", ["strong-check", "resolve"])
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SCENES, "t*.scene"))),
+                         ids=lambda p: os.path.basename(p).rsplit(".", 1)[0])
+def test_cli_terminal_commands_on_the_tower_scenes_exit_0_or_1(capsys, path, command):
+    # 1 is a refusal the trace records (a tower that is not strong); a parse
+    # error or a bug would exit 2 or 3
+    status = main([command, "--scene", path])
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert status == (0 if doc["status"] == "ok" else 1)
+    assert doc["records"][-1]["command"] == command
+    assert err == ("" if status == 0 else "command failed: %s: %s\n"
+                   % (command, doc["records"][-1]["error"]))
 
 
 def test_traces_are_deterministic():
